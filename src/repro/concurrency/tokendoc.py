@@ -199,7 +199,7 @@ def capture_document(store) -> TokenDocument:
     ids: List[Optional[int]] = []
     for item in store.locator.scan(0):
         tokens.append(item.token)
-        ids.append(item.last_id if item.token.starts_node else None)
+        ids.append(item.last_id if item.starts_node else None)
     return TokenDocument(tokens, ids)
 
 

@@ -116,7 +116,7 @@ def _check_id_density(store) -> Dict[str, int]:
         ids = [
             item.last_id
             for item in store.locator.scan_range(meta)
-            if item.token.starts_node
+            if item.starts_node
         ]
         if not meta.has_interval:
             if ids:
@@ -155,7 +155,7 @@ def _check_partial_memo(store) -> Dict[str, int]:
         for item in store.locator.scan_range(meta):
             if item.offset < entry.begin_offset:
                 continue
-            if not item.token.starts_node:
+            if not item.starts_node:
                 raise StoreError(
                     f"memo for node {node_id} points at a non-node token "
                     f"(offset {entry.begin_offset} of {meta!r})"

@@ -67,6 +67,13 @@ class TokenLayout:
         """Iterate (position, record) in document order from ``start``."""
         return self.chain.records(start=start)
 
+    def runs_from(
+        self, start: Optional[Position] = None
+    ) -> Iterator[Tuple[int, int, List[bytes]]]:
+        """Iterate ``(block_no, first_slot, page_records)`` runs in document
+        order from ``start`` (see :meth:`ChainedFile.record_runs`)."""
+        return self.chain.record_runs(start=start)
+
     def record_at(self, pos: Position) -> bytes:
         return self.chain.read_record(pos)
 

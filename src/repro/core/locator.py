@@ -17,9 +17,9 @@ the workload keeps touching become cheap, untouched ones cost nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from repro.errors import DocumentOrderError, NodeNotFoundError
+from repro.errors import CodecError, DocumentOrderError, NodeNotFoundError
 from repro.core.full_index import FullIndex
 from repro.core.layout import TokenLayout
 from repro.core.partial_index import LocationEntry, PartialIndex
@@ -30,22 +30,87 @@ from repro.obs.events import NOOP_EVENT_LOG
 from repro.obs.metrics import NOOP_METRIC, TOKEN_COUNT_BUCKETS
 from repro.obs.telemetry import NOOP_TELEMETRY
 from repro.storage.heap import Position
-from repro.xmltoken.binary import decode_token
-from repro.xmltoken.tokens import Token
+from repro.xmltoken.binary import KIND_MASK, KIND_TABLE, decode_token, peek_kind
+from repro.xmltoken.tokens import (
+    BEGIN_KINDS,
+    END_KINDS,
+    NODE_STARTING_KINDS,
+    Token,
+    TokenKind,
+)
+
+# What a structural walk needs to know about a token, tabulated over the
+# same index as KIND_TABLE (the header's kind bits, or equally a TokenKind):
+# does it consume a node id, and does it open (+1) or close (-1) a scope.
+# Unassigned kind values are False / 0 here and None in KIND_TABLE.
+_STARTS_NODE: Tuple[bool, ...] = tuple(
+    kind in NODE_STARTING_KINDS for kind in KIND_TABLE
+)
+_DEPTH_STEP: Tuple[int, ...] = tuple(
+    (kind in BEGIN_KINDS) - (kind in END_KINDS) for kind in KIND_TABLE
+)
+
+#: One piece of a scan: the records ``page_records[slot:stop]`` of one block,
+#: all in range ``meta`` (at ``order_index``), the first at ``offset``.
+_Segment = Tuple[int, RangeMeta, int, int, int, int, List[bytes]]
 
 
-@dataclass
 class ScanItem:
-    """One token encountered by a document-order scan."""
+    """One token encountered by a document-order scan.
 
-    order_index: int      # position of the range in document order
-    meta: RangeMeta       # the range the token belongs to
-    offset: int           # token offset inside the range
-    pos: Position         # physical position
-    token: Token
-    #: Id of the most recent node-starting token within this range, *after*
-    #: processing this token (None before the first node start).
-    last_id: Optional[int]
+    A scan reads only the record's header byte (``kind``); ``token`` decodes
+    the payload the first time it is asked for.
+    """
+
+    __slots__ = (
+        "order_index", "meta", "offset", "pos", "record", "kind", "last_id", "_token",
+    )
+
+    def __init__(
+        self,
+        order_index: int,
+        meta: RangeMeta,
+        offset: int,
+        pos: Position,
+        record: bytes,
+        kind: TokenKind,
+        last_id: Optional[int],
+    ) -> None:
+        self.order_index = order_index  # position of the range in document order
+        self.meta = meta                # the range the token belongs to
+        self.offset = offset            # token offset inside the range
+        self.pos = pos                  # physical position
+        self.record = record            # the encoded token
+        self.kind = kind
+        #: Id of the most recent node-starting token within this range,
+        #: *after* processing this token (None before the first node start).
+        self.last_id = last_id
+        self._token: Optional[Token] = None
+
+    @property
+    def token(self) -> Token:
+        token = self._token
+        if token is None:
+            token = self._token = decode_token(self.record)
+        return token
+
+    @property
+    def starts_node(self) -> bool:
+        return _STARTS_NODE[self.kind]
+
+    @property
+    def is_begin(self) -> bool:
+        return _DEPTH_STEP[self.kind] > 0
+
+    @property
+    def is_end(self) -> bool:
+        return _DEPTH_STEP[self.kind] < 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"ScanItem(range={self.meta.range_id}, offset={self.offset}, "
+            f"pos={tuple(self.pos)}, kind={self.kind.name}, last_id={self.last_id})"
+        )
 
 
 @dataclass
@@ -128,55 +193,16 @@ class Locator:
         )
 
     # -- scanning -----------------------------------------------------------------
+    #
+    # Every walk below is header-only: it reads ``record[0]``, looks the kind
+    # bits up in the tables above, and advances the id cursor from the kind.
+    # ``_segments`` is the one place that follows the chain across blocks and
+    # ranges; the three loops over it differ only in what they do per token.
 
     def scan(self, start_order_index: int = 0) -> Iterator[ScanItem]:
         """Scan tokens in document order from the given range onward,
         regenerating node identifiers per range."""
-        total_ranges = len(self.ranges)
-        if start_order_index >= total_ranges:
-            return
-        first_meta = None
-        for order_index in range(start_order_index, total_ranges):
-            meta = self.ranges.at_order(order_index)
-            if meta.token_count:
-                first_meta = meta
-                first_index = order_index
-                break
-        if first_meta is None:
-            return
-        records = self.layout.iter_from(first_meta.start)
-        order_index = first_index
-        meta = first_meta
-        offset = 0
-        last_id: Optional[int] = None
-        for pos, record in records:
-            while offset >= meta.token_count:
-                order_index += 1
-                if order_index >= total_ranges:
-                    raise DocumentOrderError(
-                        "chain has records beyond the last range"
-                    )
-                meta = self.ranges.at_order(order_index)
-                offset = 0
-                last_id = None
-            if offset == 0 and pos != meta.start:
-                raise DocumentOrderError(
-                    f"range {meta.range_id} starts at {tuple(meta.start)}, "
-                    f"scan reached {tuple(pos)}"
-                )
-            token = decode_token(record)
-            if token.starts_node:
-                if last_id is None:
-                    if meta.start_id is None:
-                        raise DocumentOrderError(
-                            f"range {meta.range_id} has node tokens but no interval"
-                        )
-                    last_id = meta.start_id
-                else:
-                    last_id = self.id_scheme.next_id(last_id, token)
-            self.stats.tokens_scanned += 1
-            yield ScanItem(order_index, meta, offset, pos, token, last_id)
-            offset += 1
+        return self._items(self._segments_from_range(start_order_index), None)
 
     def scan_range(self, meta: RangeMeta) -> Iterator[ScanItem]:
         """Scan exactly one range's tokens."""
@@ -192,34 +218,84 @@ class Locator:
         Re-derives the id cursor from the item, so it is exact within the
         item's range and resets at range boundaries like :meth:`scan`.
         """
-        meta = item.meta
-        offset = item.offset + 1
-        last_id = item.last_id
-        order_index = item.order_index
-        total_ranges = len(self.ranges)
-        records = self.layout.iter_from(item.pos)
-        next(records)  # skip the item itself
-        for pos, record in records:
-            while offset >= meta.token_count:
-                order_index += 1
-                if order_index >= total_ranges:
-                    raise DocumentOrderError("chain has records beyond the last range")
-                meta = self.ranges.at_order(order_index)
-                offset = 0
-                last_id = None
-            token = decode_token(record)
-            if token.starts_node:
-                if last_id is None:
-                    if meta.start_id is None:
+        return self._items(self._segments_after(item), item.last_id)
+
+    def _segments_from_range(self, start_order_index: int) -> Iterator[_Segment]:
+        """Segments from the start of the first non-empty range at or after
+        ``start_order_index`` (nothing, and no page touched, if there is none)."""
+        for order_index in range(start_order_index, len(self.ranges)):
+            meta = self.ranges.at_order(order_index)
+            if meta.token_count:
+                return self._segments(order_index, meta, 0, meta.start)
+        return iter(())
+
+    def _segments_after(self, item: ScanItem) -> Iterator[_Segment]:
+        block_no, slot = item.pos
+        return self._segments(
+            item.order_index, item.meta, item.offset + 1, Position(block_no, slot + 1)
+        )
+
+    def _segments(
+        self, order_index: int, meta: RangeMeta, offset: int, start: Position
+    ) -> Iterator[_Segment]:
+        """Cut the chain from ``start`` (token ``offset`` of ``meta``) into
+        maximal runs of records that share a block and a range."""
+        ranges = self.ranges
+        total_ranges = len(ranges)
+        for block_no, slot, page_records in self.layout.runs_from(start):
+            count = len(page_records)
+            while slot < count:
+                while offset >= meta.token_count:
+                    order_index += 1
+                    if order_index >= total_ranges:
                         raise DocumentOrderError(
-                            f"range {meta.range_id} has node tokens but no interval"
+                            "chain has records beyond the last range"
                         )
-                    last_id = meta.start_id
-                else:
-                    last_id = self.id_scheme.next_id(last_id, token)
-            self.stats.tokens_scanned += 1
-            yield ScanItem(order_index, meta, offset, pos, token, last_id)
-            offset += 1
+                    meta = ranges.at_order(order_index)
+                    offset = 0
+                if offset == 0 and (block_no, slot) != meta.start:
+                    raise DocumentOrderError(
+                        f"range {meta.range_id} starts at {tuple(meta.start)}, "
+                        f"scan reached {(block_no, slot)}"
+                    )
+                stop = min(count, slot + meta.token_count - offset)
+                yield order_index, meta, offset, block_no, slot, stop, page_records
+                offset += stop - slot
+                slot = stop
+
+    @staticmethod
+    def _first_id(meta: RangeMeta) -> int:
+        """The id of a range's first node-starting token."""
+        if meta.start_id is None:
+            raise DocumentOrderError(
+                f"range {meta.range_id} has node tokens but no interval"
+            )
+        return meta.start_id
+
+    def _items(
+        self, segments: Iterator[_Segment], last_id: Optional[int]
+    ) -> Iterator[ScanItem]:
+        """One :class:`ScanItem` per token of ``segments``; ``last_id`` is
+        the id cursor at the first of them."""
+        next_id = self.id_scheme.next_id
+        stats = self.stats
+        for order_index, meta, offset, block_no, first, stop, records in segments:
+            if offset == 0:
+                last_id = None
+            for slot in range(first, stop):
+                record = records[slot]
+                kind = peek_kind(record)
+                if _STARTS_NODE[kind]:
+                    if last_id is None:
+                        last_id = self._first_id(meta)
+                    else:
+                        last_id = next_id(last_id, kind)
+                stats.tokens_scanned += 1
+                yield ScanItem(
+                    order_index, meta, offset, Position(block_no, slot),
+                    record, kind, last_id,
+                )
+                offset += 1
 
     # -- resolution ------------------------------------------------------------------
 
@@ -254,19 +330,43 @@ class Locator:
 
     def find_end(self, begin: ScanItem) -> ScanItem:
         """The item of the end token of the node starting at ``begin``."""
-        token = begin.token
-        if not token.starts_node:
-            raise DocumentOrderError(f"{token!r} does not start a node")
-        if not token.is_begin:
+        if not begin.starts_node:
+            raise DocumentOrderError(f"{begin.token!r} does not start a node")
+        if not begin.is_begin:
             return begin
+        kinds, starts_node, depth_step = KIND_TABLE, _STARTS_NODE, _DEPTH_STEP
+        next_id = self.id_scheme.next_id
+        stats = self.stats
         depth = 1
-        for item in self.continue_scan(begin):
-            if item.token.is_begin:
-                depth += 1
-            elif item.token.is_end:
-                depth -= 1
-                if depth == 0:
-                    return item
+        last_id = begin.last_id
+        for order_index, meta, offset, block_no, first, stop, records in (
+            self._segments_after(begin)
+        ):
+            if offset == 0:
+                last_id = None
+            try:
+                for slot in range(first, stop):
+                    raw = records[slot][0] & KIND_MASK
+                    if starts_node[raw]:
+                        if last_id is None:
+                            last_id = self._first_id(meta)
+                        else:
+                            last_id = next_id(last_id, kinds[raw])
+                        depth += depth_step[raw]
+                    elif depth_step[raw]:
+                        depth -= 1
+                        if depth == 0:
+                            stats.tokens_scanned += slot + 1 - first
+                            return ScanItem(
+                                order_index, meta, offset + slot - first,
+                                Position(block_no, slot), records[slot],
+                                kinds[raw], last_id,
+                            )
+                    elif kinds[raw] is None:
+                        peek_kind(records[slot])  # raises the typed error
+            except IndexError:
+                raise CodecError("empty token record") from None
+            stats.tokens_scanned += stop - first
         raise DocumentOrderError(f"node at {tuple(begin.pos)} is never closed")
 
     # -- internals --------------------------------------------------------------------
@@ -280,9 +380,9 @@ class Locator:
             with self.telemetry.span(
                 "locator.scan", node_id=node_id, range_id=meta.range_id
             ):
-                for item in self.scan_range(meta):
-                    if item.token.starts_node and item.last_id == node_id:
-                        return NodeLocation(node_id=node_id, begin=item)
+                begin = self._seek_id(meta, node_id)
+                if begin is not None:
+                    return NodeLocation(node_id=node_id, begin=begin)
         finally:
             scanned = self.stats.tokens_scanned - scanned_before
             self._scan_tokens.observe(scanned)
@@ -300,32 +400,65 @@ class Locator:
             f"node {node_id} was deleted from range {meta.range_id}"
         )
 
+    def _seek_id(self, meta: RangeMeta, node_id: int) -> Optional[ScanItem]:
+        """Walk range ``meta`` for the token that starts ``node_id``."""
+        kinds, starts_node = KIND_TABLE, _STARTS_NODE
+        next_id = self.id_scheme.next_id
+        stats = self.stats
+        last_id = None
+        for order_index, seg_meta, offset, block_no, first, stop, records in (
+            self._segments_from_range(self.ranges.order_index(meta.range_id))
+        ):
+            if seg_meta.range_id != meta.range_id:
+                # the walk learns the range has ended by inspecting the first
+                # token of the next one, and is charged for it
+                if starts_node[peek_kind(records[first])]:
+                    self._first_id(seg_meta)
+                stats.tokens_scanned += 1
+                return None
+            try:
+                for slot in range(first, stop):
+                    raw = records[slot][0] & KIND_MASK
+                    if starts_node[raw]:
+                        if last_id is None:
+                            last_id = self._first_id(seg_meta)
+                        else:
+                            last_id = next_id(last_id, kinds[raw])
+                        if last_id == node_id:
+                            stats.tokens_scanned += slot + 1 - first
+                            return ScanItem(
+                                order_index, seg_meta, offset + slot - first,
+                                Position(block_no, slot), records[slot],
+                                kinds[raw], last_id,
+                            )
+                    elif kinds[raw] is None:
+                        peek_kind(records[slot])  # raises the typed error
+            except IndexError:
+                raise CodecError("empty token record") from None
+            stats.tokens_scanned += stop - first
+        return None
+
     def _location_from_entry(self, entry: LocationEntry) -> NodeLocation:
-        meta = self.ranges.get(entry.range_id)
-        order_index = self.ranges.order_index(entry.range_id)
-        begin_token = decode_token(self.layout.record_at(entry.begin_pos))
-        begin = ScanItem(
-            order_index=order_index,
-            meta=meta,
-            offset=entry.begin_offset,
-            pos=entry.begin_pos,
-            token=begin_token,
-            last_id=entry.node_id,
+        begin = self._item_at(
+            entry.range_id, entry.begin_offset, entry.begin_pos, entry.node_id
         )
         location = NodeLocation(node_id=entry.node_id, begin=begin)
         if entry.has_end and entry.end_range_id is not None:
             assert entry.end_pos is not None and entry.end_offset is not None
-            end_meta = self.ranges.get(entry.end_range_id)
-            end_token = decode_token(self.layout.record_at(entry.end_pos))
-            location.end = ScanItem(
-                order_index=self.ranges.order_index(entry.end_range_id),
-                meta=end_meta,
-                offset=entry.end_offset,
-                pos=entry.end_pos,
-                token=end_token,
-                last_id=entry.end_last_id,
+            location.end = self._item_at(
+                entry.end_range_id, entry.end_offset, entry.end_pos, entry.end_last_id
             )
         return location
+
+    def _item_at(
+        self, range_id: int, offset: int, pos: Position, last_id: Optional[int]
+    ) -> ScanItem:
+        """The scan item for a remembered position (one record read)."""
+        record = self.layout.record_at(pos)
+        return ScanItem(
+            self.ranges.order_index(range_id), self.ranges.get(range_id),
+            offset, pos, record, peek_kind(record), last_id,
+        )
 
     def _memoize(self, location: NodeLocation) -> None:
         if self.partial_index is None or not self.populate_partial:

@@ -69,26 +69,26 @@ def parent_of(store, node_id: int) -> Optional[int]:
     # scan with an open-element stack of (node id) entries
     stack: List[int] = []
     for item in store.locator.scan():
-        token = item.token
-        if token.kind in _ATTRIBUTE_KINDS:
+        kind = item.kind
+        if kind in _ATTRIBUTE_KINDS:
             # attribute and namespace nodes are children of the element
             # whose start tag they appear in (the top of the stack)
-            if token.starts_node and item.last_id == node_id:
+            if item.starts_node and item.last_id == node_id:
                 parent = stack[-1] if stack else None
                 hints.remember(node_id, parent)
                 return parent
             continue
-        if token.starts_node:
+        if item.starts_node:
             assert item.last_id is not None
             parent = stack[-1] if stack else None
             if not hints.knows(item.last_id):
                 hints.remember(item.last_id, parent)
             if item.last_id == node_id:
                 return parent
-        if token.kind == TokenKind.BEGIN_ELEMENT:
+        if kind == TokenKind.BEGIN_ELEMENT:
             assert item.last_id is not None
             stack.append(item.last_id)
-        elif token.kind == TokenKind.END_ELEMENT:
+        elif kind == TokenKind.END_ELEMENT:
             stack.pop()
     raise NodeNotFoundError(f"node {node_id} vanished during the scan (bug)")
 
@@ -113,7 +113,7 @@ def next_sibling_of(store, node_id: int) -> Optional[int]:
     nxt = next(store.locator.continue_scan(location.end), None)
     if nxt is None:
         return None
-    if nxt.token.starts_node:
+    if nxt.starts_node:
         return nxt.last_id
     return None  # an END token: the parent closes here
 
@@ -122,26 +122,25 @@ def children_of(store, node_id: int) -> List[int]:
     """Ids of the node's children (attributes excluded, as on the XPath
     child axis), in document order."""
     location = store.locator.locate(node_id)
-    if not location.begin.token.is_begin:
+    if not location.begin.is_begin:
         return []  # atomic nodes have no children
     children: List[int] = []
     depth = 1
     hints: StructuralHints = store.structural_hints
     for item in store.locator.continue_scan(location.begin):
-        token = item.token
-        if token.kind in _ATTRIBUTE_KINDS:
+        if item.kind in _ATTRIBUTE_KINDS:
             continue
-        if token.is_begin:
+        if item.is_begin:
             if depth == 1:
                 assert item.last_id is not None
                 children.append(item.last_id)
                 hints.remember(item.last_id, node_id)
             depth += 1
-        elif token.is_end:
+        elif item.is_end:
             depth -= 1
             if depth == 0:
                 return children
-        elif token.starts_node and depth == 1:
+        elif item.starts_node and depth == 1:
             assert item.last_id is not None
             children.append(item.last_id)
             hints.remember(item.last_id, node_id)
@@ -151,11 +150,11 @@ def children_of(store, node_id: int) -> List[int]:
 def attributes_of(store, node_id: int) -> List[int]:
     """Ids of the node's attribute nodes, in document order."""
     location = store.locator.locate(node_id)
-    if location.begin.token.kind != TokenKind.BEGIN_ELEMENT:
+    if location.begin.kind != TokenKind.BEGIN_ELEMENT:
         return []
     attributes: List[int] = []
     for item in store.locator.continue_scan(location.begin):
-        kind = item.token.kind
+        kind = item.kind
         if kind == TokenKind.BEGIN_ATTRIBUTE:
             assert item.last_id is not None
             attributes.append(item.last_id)

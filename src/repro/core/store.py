@@ -494,7 +494,7 @@ class XMLStore:
                 self._log(RecordType.REPLACE_CONTENT, node_id, xml_text)
             content_start = self._first_content_item(location.begin)
             point: Optional[_InsertPoint]
-            if content_start.token.is_end and content_start.token.kind == TokenKind.END_ELEMENT:
+            if content_start.kind == TokenKind.END_ELEMENT:
                 # no existing content: check it is *our* end token (depth 0)
                 point = _InsertPoint(
                     content_start.meta,
@@ -842,14 +842,14 @@ class XMLStore:
 
     @staticmethod
     def _require_element_target(location: NodeLocation) -> None:
-        if location.begin.token.kind != TokenKind.BEGIN_ELEMENT:
+        if location.begin.kind != TokenKind.BEGIN_ELEMENT:
             raise InvalidOperationError(
                 f"target node {location.node_id} is not an element"
             )
 
     @staticmethod
     def _require_sibling_target(location: NodeLocation) -> None:
-        if location.begin.token.kind in (
+        if location.begin.kind in (
             TokenKind.BEGIN_ATTRIBUTE,
             TokenKind.NAMESPACE,
         ):
@@ -873,7 +873,7 @@ class XMLStore:
         """The insert point after an element's attribute tokens."""
         previous = begin
         for item in self.locator.continue_scan(begin):
-            if item.token.kind in _ATTRIBUTE_KINDS:
+            if item.kind in _ATTRIBUTE_KINDS:
                 previous = item
                 continue
             last_before = (
@@ -886,7 +886,7 @@ class XMLStore:
 
     def _first_content_item(self, begin: ScanItem) -> ScanItem:
         for item in self.locator.continue_scan(begin):
-            if item.token.kind not in _ATTRIBUTE_KINDS:
+            if item.kind not in _ATTRIBUTE_KINDS:
                 return item
         raise StoreError("element has no end token (bug)")
 
@@ -895,14 +895,14 @@ class XMLStore:
         ``content_start`` (whose enclosing element's end token follows)."""
         depth = 0
         previous = content_start
-        if content_start.token.is_begin:
+        if content_start.is_begin:
             depth = 1
         for item in self.locator.continue_scan(content_start):
-            if depth == 0 and item.token.kind == TokenKind.END_ELEMENT:
+            if depth == 0 and item.kind == TokenKind.END_ELEMENT:
                 return previous
-            if item.token.is_begin:
+            if item.is_begin:
                 depth += 1
-            elif item.token.is_end:
+            elif item.is_end:
                 depth -= 1
             previous = item
         return previous
@@ -1096,7 +1096,7 @@ class XMLStore:
             if not meta.has_interval:
                 continue
             for item in self.locator.scan_range(meta):
-                if not item.token.starts_node:
+                if not item.starts_node:
                     continue
                 assert item.last_id is not None
                 if self.full_index is not None:

@@ -5,10 +5,12 @@ Two roles are separated:
 :class:`StoreIdScheme`
     What the *store* needs from a scheme: allocate a fresh interval of
     identifiers for a bulk insert, advance from one id to the next given a
-    token (the paper's ``idFactory : {ID} x {token} -> {ID}``, which makes
-    id *regeneration* possible so ids need not be stored with tokens), and
-    encode/decode ids for the WAL and catalog.  The store's default is the
-    paper's choice: unique integers assigned at insert time
+    token's kind (the paper's ``idFactory : {ID} x {token} -> {ID}``, which
+    makes id *regeneration* possible so ids need not be stored with tokens;
+    the kind is what a record's header byte carries, so regeneration never
+    decodes a payload), and encode/decode ids for the WAL and catalog.
+    The store's default is the paper's choice: unique integers assigned at
+    insert time
     (:class:`~repro.ids.sequential.SequentialIdScheme`).
 
 :class:`LabelingScheme`
@@ -25,7 +27,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Generic, Iterable, List, Sequence, Tuple, TypeVar
 
-from repro.xmltoken.tokens import Token
+from repro.xmltoken.tokens import TokenKind
 
 IdT = TypeVar("IdT")
 LabelT = TypeVar("LabelT")
@@ -46,9 +48,9 @@ class StoreIdScheme(ABC, Generic[IdT]):
         """
 
     @abstractmethod
-    def next_id(self, current: IdT, token: Token) -> IdT:
+    def next_id(self, current: IdT, kind: TokenKind) -> IdT:
         """The paper's ``idFactory``: the id following ``current`` given
-        the next node-starting token."""
+        the kind of the next node-starting token."""
 
     @abstractmethod
     def encode(self, node_id: IdT) -> bytes:

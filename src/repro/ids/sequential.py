@@ -16,7 +16,7 @@ from typing import Tuple
 
 from repro.errors import IdSchemeError
 from repro.ids.base import StoreIdScheme
-from repro.xmltoken.tokens import Token
+from repro.xmltoken.tokens import TokenKind
 
 _STATE = struct.Struct("<q")
 
@@ -56,8 +56,8 @@ class SequentialIdScheme(StoreIdScheme[int]):
             raise IdSchemeError("sequential ids start at 1")
         self._next = next_id
 
-    def next_id(self, current: int, token: Token) -> int:
-        # The token argument is part of the idFactory signature
+    def next_id(self, current: int, kind: TokenKind) -> int:
+        # The kind argument is part of the idFactory signature
         # (``{ID} x {token} -> {ID}``); sequential ids do not depend on it.
         return current + 1
 

@@ -131,6 +131,7 @@ class AsyncXMLServer:
                             "error": session.error,
                         }
                     )
+            self.server.retire_finished()
 
     # -- connections -----------------------------------------------------------
 

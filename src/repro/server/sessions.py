@@ -402,6 +402,16 @@ class XMLServer:
             self.sessions.append(session)
             self.stats.sessions_admitted += 1
 
+    def retire_finished(self) -> None:
+        """Forget sessions that have run to an outcome.
+
+        A one-shot :meth:`run` keeps them for its report; a long-lived
+        front-end (the socket adapter) calls this once it has answered a
+        batch, so admission, scheduling and reporting stay O(batch)
+        instead of O(every session ever served).
+        """
+        self.sessions = [s for s in self.sessions if not s.finished]
+
     # -- execution -------------------------------------------------------------
 
     def run(self, seed: int = 0, script=None, max_steps: int = 100_000) -> ServerReport:

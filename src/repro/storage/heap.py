@@ -165,10 +165,16 @@ class ChainedFile:
         with self.fetch(block_no) as guard:
             return len(guard.page)
 
-    def records(self, start: Optional[Position] = None) -> Iterator[Tuple[Position, bytes]]:
-        """Iterate ``(position, record)`` pairs in document order.
+    def record_runs(
+        self, start: Optional[Position] = None
+    ) -> Iterator[Tuple[int, int, List[bytes]]]:
+        """Iterate the chain block by block from ``start`` (inclusive) as
+        ``(block_no, first_slot, page_records)``: the block's records in
+        document order are ``page_records[first_slot:]``.
 
-        ``start`` restricts iteration to begin at that position (inclusive).
+        Each block is fetched only when the walk reaches it, and
+        ``page_records`` is a copy of the page's slot list, so callers may
+        mutate the chain between runs.
         """
         if self.head is None:
             return
@@ -176,15 +182,22 @@ class ChainedFile:
             block_no: Optional[int] = self.head
             first_slot = 0
         else:
-            block_no = start.block_no
-            first_slot = start.slot
+            block_no, first_slot = start
         while block_no is not None:
             with self.fetch(block_no) as guard:
                 page_records = guard.page.records()
-            for slot in range(first_slot, len(page_records)):
-                yield Position(block_no, slot), page_records[slot]
+            yield block_no, first_slot, page_records
             first_slot = 0
             block_no = self._links[block_no].next
+
+    def records(self, start: Optional[Position] = None) -> Iterator[Tuple[Position, bytes]]:
+        """Iterate ``(position, record)`` pairs in document order.
+
+        ``start`` restricts iteration to begin at that position (inclusive).
+        """
+        for block_no, first_slot, page_records in self.record_runs(start):
+            for slot in range(first_slot, len(page_records)):
+                yield Position(block_no, slot), page_records[slot]
 
     def split_block(self, block_no: int, slot: int) -> int:
         """Split a block at ``slot``: records ``[slot:]`` move into a fresh

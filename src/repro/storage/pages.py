@@ -290,18 +290,35 @@ class SlottedPage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlottedPage":
+        """Decode a page image.  The slot directory is unpacked and checked
+        against the image once; a directory or payload that overruns the
+        image raises :class:`~repro.errors.StorageError` (with checksums
+        off no CRC stands in front of this)."""
+        data = bytes(data)
         page_size = len(data)
+        if page_size < PAGE_HEADER_SIZE:
+            raise StorageError(f"page image of {page_size} bytes has no header")
         (count,) = _HEADER.unpack_from(data, 0)
-        lengths = []
-        offset = PAGE_HEADER_SIZE
-        for _ in range(count):
-            (length,) = _SLOT.unpack_from(data, offset)
-            lengths.append(length)
-            offset += RECORD_OVERHEAD
+        offset = PAGE_HEADER_SIZE + count * RECORD_OVERHEAD
+        if offset > page_size:
+            raise StorageError(
+                f"slot directory of {count} records overruns the "
+                f"{page_size}-byte page"
+            )
+        lengths = struct.unpack_from(f"<{count}H", data, PAGE_HEADER_SIZE)
+        used = offset + sum(lengths)
+        if used > page_size:
+            raise StorageError(
+                f"records of {used - offset} bytes overrun the "
+                f"{page_size}-byte page"
+            )
         page = cls(page_size)
+        records = page._records
         for length in lengths:
-            page.append(data[offset : offset + length])
-            offset += length
+            end = offset + length
+            records.append(data[offset:end])
+            offset = end
+        page._used = used
         return page
 
     # -- internal -----------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.xmltoken.binary import (
     encode_stream,
     encode_token,
     encode_tokens,
+    peek_kind,
 )
 from repro.xmltoken.datamodel import (
     node_end_offset,
@@ -51,6 +52,7 @@ __all__ = [
     "encode_tokens",
     "iter_tokens",
     "node_end_offset",
+    "peek_kind",
     "serialize",
     "strip_document_tokens",
     "subtree",

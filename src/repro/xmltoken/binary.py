@@ -14,15 +14,24 @@ start id.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CodecError
 from repro.xmltoken.tokens import Token, TokenKind
 
-_KIND_MASK = 0x1F
+#: The header bits that hold the token kind.
+KIND_MASK = 0x1F
 _FLAG_NAME = 0x20
 _FLAG_VALUE = 0x40
 _FLAG_TYPE = 0x80
+
+#: ``header & KIND_MASK`` -> kind, for every value the 5 kind bits can take;
+#: None marks the unassigned ones.  Structural walks (the locator's scans)
+#: index this directly: kind, and with it begin/end/starts-node, is all
+#: they need from a record, and it costs one byte.
+KIND_TABLE: Tuple[Optional[TokenKind], ...] = tuple(
+    map({int(kind): kind for kind in TokenKind}.get, range(KIND_MASK + 1))
+)
 
 
 def encode_varint(value: int) -> bytes:
@@ -95,17 +104,25 @@ def decode_token(data: bytes) -> Token:
     return token
 
 
+def peek_kind(record: bytes) -> TokenKind:
+    """The kind of an encoded token, read from its header byte alone."""
+    if not record:
+        raise CodecError("empty token record")
+    kind = KIND_TABLE[record[0] & KIND_MASK]
+    if kind is None:
+        raise CodecError(f"unknown token kind {record[0] & KIND_MASK}")
+    return kind
+
+
 def decode_token_at(data: bytes, offset: int) -> Tuple[Token, int]:
     """Decode a token at ``offset``; returns (token, next_offset)."""
     if offset >= len(data):
         raise CodecError("empty token record")
     header = data[offset]
     offset += 1
-    kind_value = header & _KIND_MASK
-    try:
-        kind = TokenKind(kind_value)
-    except ValueError:
-        raise CodecError(f"unknown token kind {kind_value}") from None
+    kind = KIND_TABLE[header & KIND_MASK]
+    if kind is None:
+        raise CodecError(f"unknown token kind {header & KIND_MASK}")
     name = value = type_annotation = ""
     if header & _FLAG_NAME:
         name, offset = _decode_string(data, offset)

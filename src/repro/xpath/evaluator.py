@@ -93,13 +93,12 @@ def build_view(store) -> XPathNode:
     stack: List[XPathNode] = [root]
     current_attribute: Optional[XPathNode] = None
     for item in store.locator.scan():
-        token = item.token
-        kind = token.kind
+        kind = item.kind  # the payload is decoded only where it is read
         if kind == TokenKind.BEGIN_ELEMENT:
             node = XPathNode(
                 node_id=item.last_id,
                 kind=kind,
-                name=token.name,
+                name=item.token.name,
                 parent=stack[-1],
                 _store=store,
             )
@@ -111,22 +110,22 @@ def build_view(store) -> XPathNode:
             current_attribute = XPathNode(
                 node_id=item.last_id,
                 kind=kind,
-                name=token.name,
+                name=item.token.name,
                 parent=stack[-1],
                 _store=store,
             )
             stack[-1].attributes.append(current_attribute)
         elif kind == TokenKind.ATTRIBUTE_VALUE:
             if current_attribute is not None:
-                current_attribute.value += token.value
+                current_attribute.value += item.token.value
         elif kind == TokenKind.END_ATTRIBUTE:
             current_attribute = None
         elif kind in (TokenKind.TEXT, TokenKind.COMMENT, TokenKind.PROCESSING_INSTRUCTION):
             node = XPathNode(
                 node_id=item.last_id,
                 kind=kind,
-                name=token.name,
-                value=token.value,
+                name=item.token.name,
+                value=item.token.value,
                 parent=stack[-1],
                 _store=store,
             )

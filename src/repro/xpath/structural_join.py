@@ -49,7 +49,7 @@ def label_elements(store) -> Dict[str, List[LabeledElement]]:
     open_stack: List[Tuple[str, int, int]] = []  # (name, start, node_id)
     counter = 0
     for item in store.locator.scan():
-        kind = item.token.kind
+        kind = item.kind
         if kind == TokenKind.BEGIN_ELEMENT:
             assert item.last_id is not None
             open_stack.append((item.token.name, counter, item.last_id))

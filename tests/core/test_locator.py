@@ -155,3 +155,151 @@ class TestResolutionPaths:
         before = store.locator.stats.tokens_scanned
         store.read(3)
         assert store.locator.stats.tokens_scanned > before
+
+
+def scanned_by(store, action):
+    before = store.locator.stats.tokens_scanned
+    action()
+    return store.locator.stats.tokens_scanned - before
+
+
+class TestScanCharges:
+    """``tokens_scanned`` feeds the simulated clock: the header-only walk
+    must charge exactly what the decoding walk it replaced charged.  The
+    numbers are the ones that walk produced on these two stores."""
+
+    def small_store(self):
+        # one block; ranges of 8 and 6 tokens, ids 1..6 and 7..9
+        store = make_store(
+            policy=IndexingPolicy.RANGE, max_range_tokens=8, page_size=256
+        )
+        store.load_document("<r><a>1</a><b>2</b><c>3</c><d>4</d></r>")
+        return store
+
+    def chained_store(self):
+        # 8 blocks, ranges of 64 tokens (the last 42) that straddle them
+        store = make_store(
+            policy=IndexingPolicy.RANGE,
+            max_range_tokens=64,
+            page_size=256,
+            buffer_pool_capacity=4,
+        )
+        items = "".join(f"<i n='{k}'>v{k}</i>" for k in range(60))
+        store.load_document(f"<r>{items}</r>")
+        return store
+
+    @pytest.mark.parametrize("node_id, charged", [(5, 6), (9, 4)])
+    def test_found(self, node_id, charged):
+        store = self.small_store()
+        assert scanned_by(store, lambda: store.locator.locate(node_id)) == charged
+
+    @pytest.mark.parametrize("node_id, charged", [(4, 7), (6, 10), (1, 14)])
+    def test_found_with_end(self, node_id, charged):
+        # 6 closes in the next range, 1 at the end of the document
+        store = self.small_store()
+        assert scanned_by(store, lambda: store.locator.locate_span(node_id)) == charged
+
+    def test_not_found_mid_chain_pays_for_the_next_ranges_first_token(self):
+        store = self.small_store()
+        first = store.ranges.at_order(0)
+
+        def lookup():
+            with pytest.raises(NodeNotFoundError):
+                store.locator._locate_by_scan(first, 99)
+
+        assert scanned_by(store, lookup) == first.token_count + 1 == 9
+
+    def test_not_found_in_last_range_pays_for_the_range_only(self):
+        store = self.small_store()
+        last = store.ranges.at_order(len(store.ranges) - 1)
+
+        def lookup():
+            with pytest.raises(NodeNotFoundError):
+                store.locator._locate_by_scan(last, 99)
+
+        assert scanned_by(store, lookup) == last.token_count == 6
+
+    def test_across_blocks(self):
+        store = self.chained_store()
+        locator = store.locator
+        assert store.layout.chain.num_blocks == 8
+        assert [m.token_count for m in store.ranges.in_order()] == [64] * 5 + [42]
+        found = {2: 2, 40: 14, 41: 16, 80: 30, 121: 48, 181: 40}
+        for node_id, charged in found.items():
+            assert scanned_by(store, lambda: locator.locate(node_id)) == charged
+        spans = {1: 362, 2: 7, 40: 14, 62: 63}
+        for node_id, charged in spans.items():
+            assert scanned_by(store, lambda: locator.locate_span(node_id)) == charged
+
+        def missing(meta):
+            with pytest.raises(NodeNotFoundError):
+                locator._locate_by_scan(meta, 9999)
+
+        assert scanned_by(store, lambda: missing(store.ranges.at_order(1))) == 65
+        assert scanned_by(store, lambda: missing(store.ranges.at_order(5))) == 42
+
+
+class TestHeaderOnly:
+    """The cost model charges a locate scan for header inspection only
+    (DESIGN.md §2); this holds the code to it."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Counts every full token decode, whoever asks for it."""
+        from repro.xmltoken import binary
+
+        calls = []
+        original = binary.decode_token_at
+
+        def counting(data, offset):
+            calls.append(1)
+            return original(data, offset)
+
+        monkeypatch.setattr(binary, "decode_token_at", counting)
+        return calls
+
+    def coarse_store(self):
+        store = make_store(policy=IndexingPolicy.RANGE, max_range_tokens=4096)
+        items = "".join(f"<i n='{k}'>v{k}</i>" for k in range(1500))
+        store.load_document(f"<r>{items}</r>")
+        return store
+
+    def test_scan_resolved_span_decodes_at_most_begin_and_end(self, decodes):
+        store = self.coarse_store()
+        meta = store.ranges.at_order(0)
+        assert meta.token_count == 4096
+        del decodes[:]
+        node_id = meta.end_id - 1  # resolved by walking nearly the whole range
+        scanned = scanned_by(store, lambda: store.locator.locate_span(node_id))
+        assert scanned > 4000
+        assert store.locator.stats.scan_resolutions == 1
+        assert decodes == []
+        location = store.locator.locate_span(node_id)
+        assert location.begin.token.kind is location.begin.kind
+        assert location.end.token.kind is location.end.kind
+        assert len(decodes) <= 2
+
+    def test_walking_items_decodes_only_the_tokens_asked_for(self, decodes):
+        store = self.coarse_store()
+        del decodes[:]
+        items = list(store.locator.scan())
+        assert len(items) == sum(m.token_count for m in store.ranges.in_order())
+        assert decodes == []
+        assert items[1].token.name == "i"
+        assert items[1].token is items[1].token
+        assert len(decodes) == 1
+
+    def test_corrupt_header_on_the_scan_path_is_a_codec_error(self):
+        from repro.errors import CodecError
+
+        store = make_store(policy=IndexingPolicy.RANGE)
+        store.load_document("<r><a/><b/><c/></r>")
+        pos = store.locator.locate(2).begin.pos
+        for damaged in (b"", bytes([0x1F])):
+            store.layout.chain.replace_record(pos, damaged)
+            with pytest.raises(CodecError):
+                store.locator.locate(4)
+            with pytest.raises(CodecError):
+                store.locator.find_end(store.locator.locate(1).begin)
+            with pytest.raises(CodecError):
+                list(store.locator.scan())

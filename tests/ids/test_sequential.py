@@ -5,7 +5,7 @@ import pytest
 from repro.errors import IdSchemeError
 from repro.ids.sequential import SequentialIdScheme
 from repro.xmltoken.parser import tokenize_fragment
-from repro.xmltoken.tokens import text
+from repro.xmltoken.tokens import TokenKind
 
 
 class TestAllocation:
@@ -45,7 +45,7 @@ class TestAllocation:
 class TestIdFactory:
     def test_factory_increments(self):
         scheme = SequentialIdScheme()
-        assert scheme.next_id(60, text("x")) == 61
+        assert scheme.next_id(60, TokenKind.TEXT) == 61
 
     def test_regeneration_matches_allocation(self):
         """Scanning a range's node-starting tokens regenerates exactly the
@@ -57,7 +57,7 @@ class TestIdFactory:
         current = first
         regenerated = [first]
         for token in node_starts[1:]:
-            current = scheme.next_id(current, token)
+            current = scheme.next_id(current, token.kind)
             regenerated.append(current)
         assert regenerated == list(range(first, last + 1))
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.store import XMLStore
 from repro.server.netadapter import AsyncXMLServer, client_request
-from repro.server.sessions import XMLServer
+from repro.server.sessions import SessionOp, XMLServer
 
 BASE = "<lib><a>one</a><b>two</b></lib>"
 
@@ -143,3 +143,50 @@ def test_shutdown_command_stops_the_loop():
         assert response == {"ok": True, "stopping": True}
         server._thread.join(timeout=10)
         assert not server._thread.is_alive()
+
+
+def test_long_lived_server_retires_answered_sessions():
+    """A served request must not cost O(requests served so far): the
+    adapter drops a batch's finished sessions once it has answered them.
+    The answers are those of a server that forgets nothing."""
+    requests = []
+    for index in range(300):
+        if index % 3 == 0:
+            op = {"op": "insert_into_last", "node_id": 1, "xml": f"<n>{index}</n>"}
+        elif index % 3 == 1:
+            op = {"op": "read", "node_id": 2}
+        else:
+            op = {"op": "delete_node", "node_id": 10_000 + index}  # fails
+        requests.append({"cmd": "session", "ops": [op]})
+
+    # the same programs through a one-shot style server that keeps them all
+    store = XMLStore.open()
+    store.load_document(BASE)
+    keeper = XMLServer(store)
+    expected = []
+    for request in requests:
+        session = keeper.submit([SessionOp.from_dict(op) for op in request["ops"]])
+        keeper.run(seed=0)
+        expected.append(
+            {
+                "ok": session.outcome == "committed",
+                "session": session.session_id,
+                "outcome": session.outcome,
+                "results": session.results,
+                "error": session.error,
+            }
+        )
+    assert len(keeper.sessions) == 300
+
+    with ServerThread() as server:
+        high_water = 0
+        for request, want in zip(requests, expected):
+            assert server.request(request) == want
+            high_water = max(high_water, len(server.adapter.server.sessions))
+        # sequential single-op requests: every batch is one session
+        assert high_water <= 1
+        assert server.adapter.server.active_sessions == 0
+        stats = server.request({"cmd": "stats"})["stats"]
+        assert stats["sessions_submitted"] == 300
+        assert stats["sessions_committed"] == keeper.stats.sessions_committed == 200
+        assert server.store.read() == store.read()

@@ -54,6 +54,17 @@ class TestAdmission:
         assert report.outcomes == {1: "committed"}
         assert "dropped" not in store.read()
 
+    def test_retire_finished_keeps_only_unfinished_sessions(self):
+        store, server = make_server()
+        done = server.submit(write_program("p"))
+        report = server.run()
+        assert report.outcomes == {1: "committed"}  # a run's report sees it
+        pending = server.submit(write_program("q"))
+        server.retire_finished()
+        assert done.finished and server.sessions == [pending]
+        assert server.run().outcomes == {2: "committed"}
+        assert server.stats.sessions_committed == 2
+
     def test_backlog_drains_as_slots_free_up(self):
         store, server = make_server(server_max_sessions=1, server_max_queue_depth=8)
         sessions = [server.submit(write_program(f"t{i}")) for i in range(4)]

@@ -1,8 +1,15 @@
 """Unit tests for the slotted page."""
 
+import struct
+
 import pytest
 
-from repro.errors import PageFullError, RecordTooLargeError, SlotNotFoundError
+from repro.errors import (
+    PageFullError,
+    RecordTooLargeError,
+    SlotNotFoundError,
+    StorageError,
+)
 from repro.storage.pages import PAGE_HEADER_SIZE, RECORD_OVERHEAD, SlottedPage, page_capacity
 
 
@@ -169,6 +176,47 @@ class TestSerialization:
             page.append(b"1234567890")
         back = SlottedPage.from_bytes(page.to_bytes())
         assert back.records() == page.records()
+
+    def test_decoded_page_accounts_space_like_a_built_one(self):
+        page = SlottedPage(128, [b"first", b"", b"third-record"])
+        back = SlottedPage.from_bytes(page.to_bytes())
+        assert back.used_bytes == page.used_bytes
+        assert back.to_bytes() == page.to_bytes()
+        back.append(b"x" * back.free_space)
+        with pytest.raises(PageFullError):
+            back.append(b"y")
+
+    # Damaged images reach from_bytes unguarded when checksums are off
+    # (legacy stores); each must fail typed, never as struct.error and
+    # never as a quietly shorter record.
+
+    def test_slot_directory_overrunning_the_page_is_a_storage_error(self):
+        image = struct.pack("<H", 5000) + b"\0" * 62
+        with pytest.raises(StorageError, match="slot directory"):
+            SlottedPage.from_bytes(image)
+
+    @pytest.mark.parametrize("image", [b"", b"\x01"])
+    def test_image_shorter_than_the_header_is_a_storage_error(self, image):
+        with pytest.raises(StorageError, match="no header"):
+            SlottedPage.from_bytes(image)
+
+    def test_record_length_overrunning_the_page_is_a_storage_error(self):
+        image = struct.pack("<HH", 1, 5000) + b"\0" * 60
+        with pytest.raises(StorageError, match="overrun"):
+            SlottedPage.from_bytes(image)
+
+    def test_last_record_may_end_exactly_at_the_page_end(self):
+        image = struct.pack("<HH", 1, 60) + b"r" * 60
+        assert SlottedPage.from_bytes(image).records() == [b"r" * 60]
+        with pytest.raises(StorageError):
+            SlottedPage.from_bytes(struct.pack("<HH", 1, 61) + b"r" * 60)
+
+    def test_legacy_codec_surfaces_the_typed_error(self):
+        from repro.storage.pages import PageCodec
+
+        codec = PageCodec(64, checksums=False)
+        with pytest.raises(StorageError):
+            codec.decode(struct.pack("<H", 5000) + b"\0" * 62, block_no=3)
 
 
 class TestChecksumCodec:

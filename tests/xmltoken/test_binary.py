@@ -12,6 +12,7 @@ from repro.xmltoken.binary import (
     encode_token,
     encode_tokens,
     encode_varint,
+    peek_kind,
 )
 from repro.xmltoken.parser import tokenize_fragment
 from repro.xmltoken.tokens import (
@@ -93,6 +94,39 @@ class TestTokenCodec:
         good = encode_token(text("hello world"))
         with pytest.raises(CodecError):
             decode_token(good[:-3])
+
+
+class TestPeekKind:
+    """The header byte alone names the kind — what structural scans read."""
+
+    @pytest.mark.parametrize("kind", list(TokenKind))
+    def test_agrees_with_the_full_decode_for_every_kind(self, kind):
+        bare = Token(kind)
+        loaded = Token(kind, name="n", value="v" * 200, type_annotation="xs:string")
+        for token in (bare, loaded):
+            record = encode_token(token)
+            assert peek_kind(record) is kind
+            assert peek_kind(record) is decode_token(record).kind
+
+    def test_never_looks_past_the_header(self):
+        # a payload decode_token rejects is still a well-formed header
+        truncated = encode_token(text("hello world"))[:-3]
+        with pytest.raises(CodecError):
+            decode_token(truncated)
+        assert peek_kind(truncated) is TokenKind.TEXT
+
+    @pytest.mark.parametrize("kind_bits", range(len(TokenKind), 32))
+    @pytest.mark.parametrize("flags", [0x00, 0x20, 0xE0])
+    def test_unassigned_kind_bits_rejected(self, kind_bits, flags):
+        record = bytes([flags | kind_bits]) + b"\x01x"
+        with pytest.raises(CodecError, match=f"unknown token kind {kind_bits}"):
+            peek_kind(record)
+        with pytest.raises(CodecError, match=f"unknown token kind {kind_bits}"):
+            decode_token(record)
+
+    def test_empty_record_rejected(self):
+        with pytest.raises(CodecError, match="empty token record"):
+            peek_kind(b"")
 
 
 class TestSequenceCodecs:
