@@ -481,10 +481,10 @@ def _reachable_index_blocks(tree) -> List[int]:
         out.append(block_no)
         try:
             node = tree._load(block_no)
+            if not node.is_leaf:
+                stack.extend(node.children)
         except ReproError:
             continue
-        if not node.is_leaf:
-            stack.extend(node.children)
     return out
 
 

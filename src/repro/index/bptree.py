@@ -31,6 +31,11 @@ K = TypeVar("K")
 V = TypeVar("V")
 
 _NODE_HEADER = struct.Struct("<Bq")  # is_leaf, next_leaf / first_child
+_KEY_LEN = struct.Struct("<H")
+_CHILD = struct.Struct("<q")
+_NO_LEAF = -1
+#: What a key codec raises on bytes it did not write.
+_KEY_DECODE_ERRORS = (struct.error, ValueError, IndexError)
 
 
 @dataclass(frozen=True)
@@ -69,16 +74,96 @@ BYTES_KEY_CODEC: KeyCodec[bytes] = KeyCodec(encode=bytes, decode=bytes)
 
 
 class _Node(Generic[K]):
-    """Decoded form of one tree node."""
+    """One tree node *as its page stores it*: the header's flag and pointer
+    (next leaf, -1 for none / first child) and the entry records, still
+    encoded — ``u16 key_len | key | value`` in a leaf, ``u16 key_len | key |
+    i64 child`` in an internal node.  Keys, values and child pointers decode
+    on demand, so a binary search decodes log2(n) keys and an update splices
+    one record; a malformed record raises :class:`StorageError` when touched.
+    """
 
-    __slots__ = ("is_leaf", "keys", "values", "children", "next_leaf")
+    __slots__ = ("is_leaf", "pointer", "entries", "block_no", "_decode")
 
-    def __init__(self, is_leaf: bool) -> None:
-        self.is_leaf = is_leaf
-        self.keys: List[K] = []
-        self.values: List[bytes] = []  # leaf only
-        self.children: List[int] = []  # internal only; len == len(keys)+1
-        self.next_leaf: Optional[int] = None
+    def __init__(self, is_leaf, pointer, entries, decode, block_no=None) -> None:
+        self.is_leaf: bool = is_leaf
+        self.pointer: int = pointer
+        self.entries: List[bytes] = entries
+        self.block_no: Optional[int] = block_no  # None until stored
+        self._decode: Callable[[bytes], K] = decode
+
+    def _key_end(self, index: int) -> int:
+        """Offset just past entry ``index``'s key, checked against the
+        record's length (an internal entry ends in exactly 8 child bytes)."""
+        record = self.entries[index]
+        if len(record) >= _KEY_LEN.size:
+            end = _KEY_LEN.size + (record[0] | record[1] << 8)
+            rest = len(record) - end
+            if (rest >= 0) if self.is_leaf else (rest == _CHILD.size):
+                return end
+        raise StorageError(f"malformed entry {index} in index block {self.block_no}")
+
+    def key(self, index: int) -> K:
+        try:
+            return self._decode(
+                self.entries[index][_KEY_LEN.size : self._key_end(index)]
+            )
+        except _KEY_DECODE_ERRORS as error:
+            raise StorageError(
+                f"undecodable key {index} in index block {self.block_no}: {error}"
+            ) from None
+
+    def separator(self, index: int) -> bytes:
+        """Entry ``index``'s ``u16 key_len | key`` prefix, ready to be given
+        a child pointer — moving a key between nodes never re-encodes it."""
+        return self.entries[index][: self._key_end(index)]
+
+    def rekey(self, index: int, separator: bytes) -> None:
+        """Internal only: give entry ``index`` a new key, keeping its child."""
+        self.entries[index] = separator + self.entries[index][self._key_end(index) :]
+
+    def item(self, index: int) -> Tuple[K, bytes]:
+        """Leaf only: the decoded key and the value of entry ``index``."""
+        return self.key(index), self.entries[index][self._key_end(index) :]
+
+    def child(self, index: int) -> int:
+        """Internal only: child ``index`` of ``len(entries) + 1``."""
+        if index == 0:
+            return self.pointer
+        return _CHILD.unpack_from(self.entries[index - 1], self._key_end(index - 1))[0]
+
+    @property
+    def keys(self) -> List[K]:
+        return [self.key(index) for index in range(len(self.entries))]
+
+    @property
+    def children(self) -> List[int]:
+        return [self.child(index) for index in range(len(self.entries) + 1)]
+
+    @property
+    def next_leaf(self) -> Optional[int]:
+        return None if self.pointer == _NO_LEAF else self.pointer
+
+    def lower_bound(self, key: K) -> int:
+        """First index whose key is >= key."""
+        lo, hi = 0, len(self.entries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.key(mid) < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def upper_bound(self, key: K) -> int:
+        """First index whose key is > key."""
+        lo, hi = 0, len(self.entries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if key < self.key(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
 
 class PagedBPlusTree(Generic[K]):
@@ -110,59 +195,32 @@ class PagedBPlusTree(Generic[K]):
         #: by the simulated clock (analogous to tokens scanned).
         self.entries_loaded = 0
         if root_block is None:
-            root = _Node[K](is_leaf=True)
-            with pool.new_page(self.alloc_stream) as guard:
-                self.root_block = guard.block_no
-                self._store(guard, root)
+            self.root_block = self._new_node(self._node(True, _NO_LEAF, []))
         else:
             self.root_block = root_block
 
     # ------------------------------------------------------------------ io --
 
+    def _node(self, is_leaf, pointer, entries, block_no=None) -> _Node[K]:
+        return _Node(is_leaf, pointer, entries, self.key_codec.decode, block_no)
+
     def _load(self, block_no: int) -> _Node[K]:
         with self.pool.fetch(block_no) as guard:
             records = guard.page.records()
+        if not records or len(records[0]) != _NODE_HEADER.size:
+            raise StorageError(f"index block {block_no} has no node header")
         is_leaf_flag, pointer = _NODE_HEADER.unpack(records[0])
-        node = _Node[K](is_leaf=bool(is_leaf_flag))
-        if node.is_leaf:
-            node.next_leaf = None if pointer == -1 else pointer
-            for record in records[1:]:
-                (key_len,) = struct.unpack_from("<H", record, 0)
-                node.keys.append(self.key_codec.decode(record[2 : 2 + key_len]))
-                node.values.append(record[2 + key_len :])
-        else:
-            node.children.append(pointer)
-            for record in records[1:]:
-                (key_len,) = struct.unpack_from("<H", record, 0)
-                node.keys.append(self.key_codec.decode(record[2 : 2 + key_len]))
-                (child,) = struct.unpack_from("<q", record, 2 + key_len)
-                node.children.append(child)
-        self.entries_loaded += len(node.keys)
-        return node
+        del records[0]
+        self.entries_loaded += len(records)
+        return self._node(bool(is_leaf_flag), pointer, records, block_no)
 
     def _save(self, block_no: int, node: _Node[K]) -> None:
         with self.pool.fetch(block_no) as guard:
             self._store(guard, node)
 
     def _store(self, guard, node: _Node[K]) -> None:
-        page = guard.page
-        while len(page):
-            page.delete(len(page) - 1)
-        if node.is_leaf:
-            pointer = -1 if node.next_leaf is None else node.next_leaf
-            page.append(_NODE_HEADER.pack(1, pointer))
-            for key, value in zip(node.keys, node.values):
-                encoded = self.key_codec.encode(key)
-                page.append(struct.pack("<H", len(encoded)) + encoded + value)
-        else:
-            page.append(_NODE_HEADER.pack(0, node.children[0]))
-            for key, child in zip(node.keys, node.children[1:]):
-                encoded = self.key_codec.encode(key)
-                page.append(
-                    struct.pack("<H", len(encoded))
-                    + encoded
-                    + struct.pack("<q", child)
-                )
+        header = _NODE_HEADER.pack(node.is_leaf, node.pointer)
+        guard.page.replace_all([header, *node.entries])
         guard.mark_dirty()
 
     def _new_node(self, node: _Node[K]) -> int:
@@ -175,9 +233,11 @@ class PagedBPlusTree(Generic[K]):
     def get(self, key: K) -> Optional[bytes]:
         """The value stored under ``key``, or None."""
         node = self._load(self._find_leaf(key))
-        index = _lower_bound(node.keys, key)
-        if index < len(node.keys) and node.keys[index] == key:
-            return node.values[index]
+        index = node.lower_bound(key)
+        if index < len(node.entries):
+            found, value = node.item(index)
+            if found == key:
+                return value
         return None
 
     def __contains__(self, key: K) -> bool:
@@ -188,9 +248,9 @@ class PagedBPlusTree(Generic[K]):
         lookup primitive), or None if every key is greater."""
         block_no = self._find_leaf(key)
         node = self._load(block_no)
-        index = _upper_bound(node.keys, key) - 1
+        index = node.upper_bound(key) - 1
         if index >= 0:
-            return node.keys[index], node.values[index]
+            return node.item(index)
         # Everything in this leaf is greater; the floor, if any, is the
         # last entry of the previous leaf.  Leaves are singly linked, so
         # walk down the left spine tracking the predecessor leaf.
@@ -198,22 +258,22 @@ class PagedBPlusTree(Generic[K]):
         if prev is None:
             return None
         prev_node = self._load(prev)
-        if not prev_node.keys:
+        if not prev_node.entries:
             return None
-        return prev_node.keys[-1], prev_node.values[-1]
+        return prev_node.item(-1)
 
     def ceiling_item(self, key: K) -> Optional[Tuple[K, bytes]]:
         """The entry with the smallest key ``>= key``, or None."""
         node = self._load(self._find_leaf(key))
-        index = _lower_bound(node.keys, key)
-        if index < len(node.keys):
-            return node.keys[index], node.values[index]
+        index = node.lower_bound(key)
+        if index < len(node.entries):
+            return node.item(index)
         if node.next_leaf is None:
             return None
         nxt = self._load(node.next_leaf)
-        if not nxt.keys:
+        if not nxt.entries:
             return None
-        return nxt.keys[0], nxt.values[0]
+        return nxt.item(0)
 
     def items(
         self, low: Optional[K] = None, high: Optional[K] = None
@@ -225,9 +285,11 @@ class PagedBPlusTree(Generic[K]):
             block_no = self._find_leaf(low)
         while block_no is not None:
             node = self._load(block_no)
-            for key, value in zip(node.keys, node.values):
-                if low is not None and key < low:
-                    continue
+            # only the first leaf can hold keys below ``low``
+            start = 0 if low is None else node.lower_bound(low)
+            low = None
+            for index in range(start, len(node.entries)):
+                key, value = node.item(index)
                 if high is not None and high < key:
                     return
                 yield key, value
@@ -248,7 +310,7 @@ class PagedBPlusTree(Generic[K]):
         node = self._load(self.root_block)
         while not node.is_leaf:
             levels += 1
-            node = self._load(node.children[0])
+            node = self._load(node.pointer)
         return levels
 
     # ------------------------------------------------------------- mutation --
@@ -257,97 +319,90 @@ class PagedBPlusTree(Generic[K]):
         """Insert or overwrite ``key``."""
         split = self._insert(self.root_block, key, value)
         if split is not None:
-            middle_key, right_block = split
-            new_root = _Node[K](is_leaf=False)
-            new_root.keys = [middle_key]
-            new_root.children = [self.root_block, right_block]
+            separator, right_block = split
+            new_root = self._node(
+                False, self.root_block, [separator + _CHILD.pack(right_block)]
+            )
             self.root_block = self._new_node(new_root)
 
     def delete(self, key: K) -> bool:
         """Remove ``key``; returns whether it was present."""
         removed = self._delete(self.root_block, key)
         root = self._load(self.root_block)
-        if not root.is_leaf and len(root.children) == 1:
+        if not root.is_leaf and not root.entries:
             # shrink the tree: the lone child becomes the root
             old_root = self.root_block
-            self.root_block = root.children[0]
+            self.root_block = root.pointer
             self.pool.free_page(old_root)
         return removed
 
     def clear(self) -> None:
         """Remove every entry (frees all non-root blocks)."""
         self._free_subtree(self.root_block, keep_root=True)
-        root = _Node[K](is_leaf=True)
-        self._save(self.root_block, root)
+        self._save(self.root_block, self._node(True, _NO_LEAF, []))
 
     # ----------------------------------------------------------- insertion --
 
     def _insert(
         self, block_no: int, key: K, value: bytes
-    ) -> Optional[Tuple[K, int]]:
+    ) -> Optional[Tuple[bytes, int]]:
+        """Returns ``(separator, right_block)`` when ``block_no`` split: the
+        encoded ``u16 key_len | key`` to add to the parent, and its child."""
         node = self._load(block_no)
         if node.is_leaf:
-            index = _lower_bound(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                node.values[index] = value
+            index = node.lower_bound(key)
+            encoded = self.key_codec.encode(key)
+            entry = _KEY_LEN.pack(len(encoded)) + encoded + value
+            if index < len(node.entries) and node.key(index) == key:
+                node.entries[index] = entry
             else:
-                node.keys.insert(index, key)
-                node.values.insert(index, value)
-            if len(node.keys) > self.order:
+                node.entries.insert(index, entry)
+            if len(node.entries) > self.order:
                 return self._split_leaf(block_no, node)
             self._save(block_no, node)
             return None
-        index = _upper_bound(node.keys, key)
-        split = self._insert(node.children[index], key, value)
+        index = node.upper_bound(key)
+        split = self._insert(node.child(index), key, value)
         if split is None:
             return None
-        middle_key, right_block = split
-        node.keys.insert(index, middle_key)
-        node.children.insert(index + 1, right_block)
-        if len(node.keys) > self.order:
+        separator, right_block = split
+        node.entries.insert(index, separator + _CHILD.pack(right_block))
+        if len(node.entries) > self.order:
             return self._split_internal(block_no, node)
         self._save(block_no, node)
         return None
 
-    def _split_leaf(self, block_no: int, node: _Node[K]) -> Tuple[K, int]:
-        half = len(node.keys) // 2
-        right = _Node[K](is_leaf=True)
-        right.keys = node.keys[half:]
-        right.values = node.values[half:]
-        right.next_leaf = node.next_leaf
-        node.keys = node.keys[:half]
-        node.values = node.values[:half]
+    def _split_leaf(self, block_no: int, node: _Node[K]) -> Tuple[bytes, int]:
+        half = len(node.entries) // 2
+        right = self._node(True, node.pointer, node.entries[half:])
+        del node.entries[half:]
         right_block = self._new_node(right)
-        node.next_leaf = right_block
+        node.pointer = right_block
         self._save(block_no, node)
-        return right.keys[0], right_block
+        return right.separator(0), right_block
 
-    def _split_internal(self, block_no: int, node: _Node[K]) -> Tuple[K, int]:
-        half = len(node.keys) // 2
-        middle_key = node.keys[half]
-        right = _Node[K](is_leaf=False)
-        right.keys = node.keys[half + 1 :]
-        right.children = node.children[half + 1 :]
-        node.keys = node.keys[:half]
-        node.children = node.children[: half + 1]
+    def _split_internal(self, block_no: int, node: _Node[K]) -> Tuple[bytes, int]:
+        half = len(node.entries) // 2
+        separator = node.separator(half)
+        right = self._node(False, node.child(half + 1), node.entries[half + 1 :])
+        del node.entries[half:]
         right_block = self._new_node(right)
         self._save(block_no, node)
-        return middle_key, right_block
+        return separator, right_block
 
     # ------------------------------------------------------------ deletion --
 
     def _delete(self, block_no: int, key: K) -> bool:
         node = self._load(block_no)
         if node.is_leaf:
-            index = _lower_bound(node.keys, key)
-            if index >= len(node.keys) or node.keys[index] != key:
+            index = node.lower_bound(key)
+            if index >= len(node.entries) or node.key(index) != key:
                 return False
-            del node.keys[index]
-            del node.values[index]
+            del node.entries[index]
             self._save(block_no, node)
             return True
-        index = _upper_bound(node.keys, key)
-        removed = self._delete(node.children[index], key)
+        index = node.upper_bound(key)
+        removed = self._delete(node.child(index), key)
         if removed:
             self._rebalance_child(block_no, index)
         return removed
@@ -357,25 +412,25 @@ class PagedBPlusTree(Generic[K]):
 
     def _rebalance_child(self, parent_block: int, index: int) -> None:
         parent = self._load(parent_block)
-        child_block = parent.children[index]
+        child_block = parent.child(index)
         child = self._load(child_block)
-        if len(child.keys) >= self._min_keys():
+        if len(child.entries) >= self._min_keys():
             return
         # Try borrowing from the left sibling.
         if index > 0:
-            left_block = parent.children[index - 1]
+            left_block = parent.child(index - 1)
             left = self._load(left_block)
-            if len(left.keys) > self._min_keys():
+            if len(left.entries) > self._min_keys():
                 self._borrow_from_left(parent, index, left, child)
                 self._save(left_block, left)
                 self._save(child_block, child)
                 self._save(parent_block, parent)
                 return
         # Try borrowing from the right sibling.
-        if index < len(parent.children) - 1:
-            right_block = parent.children[index + 1]
+        if index < len(parent.entries):
+            right_block = parent.child(index + 1)
             right = self._load(right_block)
-            if len(right.keys) > self._min_keys():
+            if len(right.entries) > self._min_keys():
                 self._borrow_from_right(parent, index, child, right)
                 self._save(right_block, right)
                 self._save(child_block, child)
@@ -391,41 +446,43 @@ class PagedBPlusTree(Generic[K]):
         self, parent: _Node[K], index: int, left: _Node[K], child: _Node[K]
     ) -> None:
         if child.is_leaf:
-            child.keys.insert(0, left.keys.pop())
-            child.values.insert(0, left.values.pop())
-            parent.keys[index - 1] = child.keys[0]
+            child.entries.insert(0, left.entries.pop())
+            parent.rekey(index - 1, child.separator(0))
         else:
-            child.keys.insert(0, parent.keys[index - 1])
-            parent.keys[index - 1] = left.keys.pop()
-            child.children.insert(0, left.children.pop())
+            # rotate: the parent's separator comes down over the child's old
+            # first pointer, left's last key goes up, its child comes across
+            last = len(left.entries) - 1
+            down = parent.separator(index - 1) + _CHILD.pack(child.pointer)
+            child.pointer = left.child(last + 1)
+            child.entries.insert(0, down)
+            parent.rekey(index - 1, left.separator(last))
+            del left.entries[last]
 
     def _borrow_from_right(
         self, parent: _Node[K], index: int, child: _Node[K], right: _Node[K]
     ) -> None:
         if child.is_leaf:
-            child.keys.append(right.keys.pop(0))
-            child.values.append(right.values.pop(0))
-            parent.keys[index] = right.keys[0]
+            child.entries.append(right.entries.pop(0))
+            parent.rekey(index, right.separator(0))
         else:
-            child.keys.append(parent.keys[index])
-            parent.keys[index] = right.keys.pop(0)
-            child.children.append(right.children.pop(0))
+            child.entries.append(parent.separator(index) + _CHILD.pack(right.pointer))
+            parent.rekey(index, right.separator(0))
+            right.pointer = right.child(1)
+            del right.entries[0]
 
     def _merge_children(self, parent_block: int, parent: _Node[K], left_index: int) -> None:
-        left_block = parent.children[left_index]
-        right_block = parent.children[left_index + 1]
+        left_block = parent.child(left_index)
+        right_block = parent.child(left_index + 1)
         left = self._load(left_block)
         right = self._load(right_block)
         if left.is_leaf:
-            left.keys.extend(right.keys)
-            left.values.extend(right.values)
-            left.next_leaf = right.next_leaf
+            left.pointer = right.pointer
         else:
-            left.keys.append(parent.keys[left_index])
-            left.keys.extend(right.keys)
-            left.children.extend(right.children)
-        del parent.keys[left_index]
-        del parent.children[left_index + 1]
+            left.entries.append(
+                parent.separator(left_index) + _CHILD.pack(right.pointer)
+            )
+        left.entries.extend(right.entries)
+        del parent.entries[left_index]
         self._save(left_block, left)
         self._save(parent_block, parent)
         self.pool.free_page(right_block)
@@ -436,7 +493,7 @@ class PagedBPlusTree(Generic[K]):
         block_no = self.root_block
         node = self._load(block_no)
         while not node.is_leaf:
-            block_no = node.children[_upper_bound(node.keys, key)]
+            block_no = node.child(node.upper_bound(key))
             node = self._load(block_no)
         return block_no
 
@@ -444,7 +501,7 @@ class PagedBPlusTree(Generic[K]):
         block_no = self.root_block
         node = self._load(block_no)
         while not node.is_leaf:
-            block_no = node.children[0]
+            block_no = node.pointer
             node = self._load(block_no)
         return block_no
 
@@ -527,32 +584,6 @@ class PagedBPlusTree(Generic[K]):
             leaf_depth.append(depth)
             leaves.append(block_no)
             return
-        if len(node.children) != len(keys) + 1:
-            raise StorageError(f"child count mismatch in block {block_no}")
-        bounds = [low] + list(keys) + [high]
+        bounds = [low] + keys + [high]
         for child, (lo, hi) in zip(node.children, zip(bounds, bounds[1:])):
             self._check_node(child, lo, hi, leaves, depth=depth + 1, leaf_depth=leaf_depth)
-
-
-def _lower_bound(keys: List[K], key: K) -> int:
-    """First index whose key is >= key."""
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _upper_bound(keys: List[K], key: K) -> int:
-    """First index whose key is > key."""
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < keys[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo

@@ -170,8 +170,8 @@ class SlottedPage:
         self.page_size = page_size
         self._records: List[bytes] = []
         self._used = PAGE_HEADER_SIZE
-        for record in records:
-            self.append(record)
+        if records:
+            self.replace_all(records)
 
     # -- capacity -----------------------------------------------------------
 
@@ -259,31 +259,50 @@ class SlottedPage:
         the block moves to a new block chained right after it.
         """
         index = self._check_boundary(slot)
-        tail = SlottedPage(self.page_size)
-        for record in self._records[index:]:
-            tail.append(record)
-        for record in self._records[index:]:
-            self._used -= len(record) + RECORD_OVERHEAD
+        tail = SlottedPage(self.page_size, self._records[index:])
+        self._used -= tail._used - PAGE_HEADER_SIZE
         del self._records[index:]
         return tail
 
     def extend(self, records: Sequence[bytes]) -> None:
         """Append many records; raises before mutating if they do not all
         fit."""
-        need = sum(len(r) + RECORD_OVERHEAD for r in records)
-        if self._used + need > self.page_size:
-            raise PageFullError(f"{len(records)} records need {need} bytes")
-        for record in records:
-            self._records.append(bytes(record))
-        self._used += need
+        added, self._used = self._checked(records, self._used)
+        self._records.extend(added)
+
+    def replace_all(self, records: Sequence[bytes]) -> None:
+        """Make ``records`` the page's whole content, in slot order; raises
+        before mutating if they do not all fit."""
+        self._records, self._used = self._checked(records, PAGE_HEADER_SIZE)
+
+    def _checked(
+        self, records: Sequence[bytes], used: int
+    ) -> Tuple[List[bytes], int]:
+        """The one bulk path: size-check ``records`` against a page with
+        ``used`` bytes taken; returns them as bytes with the new total."""
+        records = list(map(bytes, records))
+        lengths = list(map(len, records))
+        longest = max(lengths, default=0)
+        if longest > page_capacity(self.page_size):
+            raise RecordTooLargeError(
+                f"record of {longest} bytes can never fit in a "
+                f"{self.page_size}-byte page"
+            )
+        need = sum(lengths) + RECORD_OVERHEAD * len(lengths)
+        if used + need > self.page_size:
+            raise PageFullError(
+                f"{len(records)} records need {need} bytes "
+                f"({self.page_size - used} bytes free)"
+            )
+        return records, used + need
 
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        parts = [_HEADER.pack(len(self._records))]
-        parts.extend(_SLOT.pack(len(r)) for r in self._records)
-        parts.extend(self._records)
-        data = b"".join(parts)
+        records = self._records
+        count = len(records)
+        directory = struct.pack(f"<{count + 1}H", count, *map(len, records))
+        data = directory + b"".join(records)
         if len(data) > self.page_size:
             raise StorageError("page serialization exceeded page size (bug)")
         return data + b"\x00" * (self.page_size - len(data))

@@ -160,6 +160,10 @@ class Scrubber:
             out.append((block_no, owner))
             try:
                 node = tree._load(block_no)
+                # entries decode on demand: touch them all here, so that a
+                # malformed one makes this block unreadable
+                node.keys
+                children = [] if node.is_leaf else node.children
             except ChecksumError as error:
                 self._record(
                     ScrubIssue(
@@ -172,8 +176,7 @@ class Scrubber:
             except ReproError:
                 self._record(ScrubIssue(block_no, owner, "unreadable"))
                 continue
-            if not node.is_leaf:
-                stack.extend(reversed(node.children))
+            stack.extend(reversed(children))
         return out
 
     def _record(self, issue: ScrubIssue) -> None:

@@ -3,12 +3,14 @@ rebuild, degraded reads and the directory-store repair entry point."""
 
 import json
 import os
+import struct
 
 import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.repair import (
     SIDECAR_FILE,
+    _reachable_index_blocks,
     degraded_read,
     read_sidecar,
     rebuild_from_wal,
@@ -17,6 +19,7 @@ from repro.core.repair import (
 )
 from repro.core.store import XMLStore
 from repro.errors import ChecksumError
+from repro.storage.pages import SlottedPage
 
 
 def make_store(orders=8, checksums=True):
@@ -93,6 +96,17 @@ class TestRepairStore:
         corrupt_block(store, victim)
         repair_store(store)
         assert store.pool.quarantined_blocks() == []
+
+    def test_index_walk_stops_at_a_malformed_node(self):
+        """Children decode on demand; an internal entry cut off before its
+        child pointer is a corrupt node like any other, not a struct.error."""
+        store, _ = make_store(checksums=False)
+        tree = store.range_index._tree
+        records = [struct.pack("<Bq", 0, tree.root_block + 1), b"\x08\x00" + bytes(8)]
+        image = SlottedPage(store.codec.page_size, records).to_bytes()
+        store.device.write_block(tree.root_block, image)
+        store.pool.drop_all()
+        assert _reachable_index_blocks(tree) == [tree.root_block]
 
     def test_report_to_dict_is_json_ready(self):
         store, _ = make_store()

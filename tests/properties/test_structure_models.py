@@ -1,6 +1,8 @@
 """Model-based tests for the storage substrates: B+-tree vs dict,
 chained file vs list, ORDPATH ordering under random insertion."""
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -11,60 +13,109 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.index.bptree import INT_KEY_CODEC, PagedBPlusTree
+from repro.index.bptree import (
+    BYTES_KEY_CODEC,
+    INT_KEY_CODEC,
+    INT_TUPLE_KEY_CODEC,
+    PagedBPlusTree,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InstrumentedDevice, MemoryBlockDevice
 from repro.storage.heap import ChainedFile, Position
 
 
-class BPlusTreeAgreesWithDict(RuleBasedStateMachine):
-    """Insert/delete/lookup/scan against a dict oracle."""
+#: Per codec: an injective map from the drawn integer to a key, of varying
+#: length where the codec allows (the ``key_len`` arithmetic).
+KEY_SHAPES = {
+    "int": (INT_KEY_CODEC, lambda n: n),
+    "int_tuple": (INT_TUPLE_KEY_CODEC, lambda n: tuple(str(n).encode())),
+    "bytes": (BYTES_KEY_CODEC, lambda n: str(n).encode()),
+}
 
-    @initialize(order=st.sampled_from([3, 4, 8, 32]))
-    def setup(self, order):
+
+KEYS = st.integers(-100, 100)
+PROBES = st.integers(-120, 120)
+
+
+def decode_everything(records, codec):
+    """The eager reference: every field of every record of a node page."""
+    is_leaf, pointer = struct.unpack("<Bq", records[0])
+    keys, payloads = [], []
+    for record in records[1:]:
+        (key_len,) = struct.unpack_from("<H", record)
+        keys.append(codec.decode(record[2 : 2 + key_len]))
+        rest = record[2 + key_len :]
+        payloads.append(rest if is_leaf else struct.unpack("<q", rest)[0])
+    return bool(is_leaf), pointer, keys, payloads
+
+
+class BPlusTreeAgreesWithDict(RuleBasedStateMachine):
+    """Insert/delete/lookup/scan against a dict oracle, and every node's
+    on-demand view against an eager decode of the same page.  Orders 3-6
+    keep nodes small, so both borrows, both merges and root shrink fire."""
+
+    @initialize(order=st.integers(3, 6), shape=st.sampled_from(sorted(KEY_SHAPES)))
+    def setup(self, order, shape):
         device = InstrumentedDevice(MemoryBlockDevice())
-        pool = BufferPool(device, capacity=64)
-        self.tree = PagedBPlusTree(pool, INT_KEY_CODEC, order=order)
+        self.pool = BufferPool(device, capacity=64)
+        self.codec, self.key = KEY_SHAPES[shape]
+        self.tree = PagedBPlusTree(self.pool, self.codec, order=order)
         self.model = {}
 
-    @rule(key=st.integers(-100, 100), value=st.binary(max_size=8))
-    def insert(self, key, value):
-        self.tree.insert(key, value)
-        self.model[key] = value
+    @rule(n=KEYS, value=st.binary(max_size=8))
+    def insert(self, n, value):
+        self.tree.insert(self.key(n), value)
+        self.model[self.key(n)] = value
 
-    @rule(key=st.integers(-100, 100))
-    def delete(self, key):
-        removed = self.tree.delete(key)
-        assert removed == (key in self.model)
-        self.model.pop(key, None)
+    @rule(n=KEYS)
+    def delete(self, n):
+        removed = self.tree.delete(self.key(n))
+        assert removed == (self.key(n) in self.model)
+        self.model.pop(self.key(n), None)
 
-    @rule(key=st.integers(-120, 120))
-    def lookup(self, key):
-        assert self.tree.get(key) == self.model.get(key)
+    # batches grow the tree to three levels and drain it again within one
+    # example, which single-key rules almost never do
 
-    @rule(key=st.integers(-120, 120))
-    def floor(self, key):
-        eligible = [k for k in self.model if k <= key]
-        found = self.tree.floor_item(key)
+    @rule(ns=st.lists(KEYS, min_size=8, max_size=40))
+    def insert_batch(self, ns):
+        for n in ns:
+            self.insert(n, b"%d" % n)
+
+    @precondition(lambda self: self.model)
+    @rule(skip=st.integers(0, 200), count=st.integers(8, 60), stride=st.integers(1, 3))
+    def delete_batch(self, skip, count, stride):
+        present = sorted(self.model)
+        for key in present[skip % len(present) :: stride][:count]:
+            assert self.tree.delete(key)
+            del self.model[key]
+
+    @rule(n=PROBES)
+    def lookup(self, n):
+        assert self.tree.get(self.key(n)) == self.model.get(self.key(n))
+
+    @rule(n=PROBES)
+    def floor(self, n):
+        eligible = [k for k in self.model if k <= self.key(n)]
+        found = self.tree.floor_item(self.key(n))
         if eligible:
             best = max(eligible)
             assert found == (best, self.model[best])
         else:
             assert found is None
 
-    @rule(key=st.integers(-120, 120))
-    def ceiling(self, key):
-        eligible = [k for k in self.model if k >= key]
-        found = self.tree.ceiling_item(key)
+    @rule(n=PROBES)
+    def ceiling(self, n):
+        eligible = [k for k in self.model if k >= self.key(n)]
+        found = self.tree.ceiling_item(self.key(n))
         if eligible:
             best = min(eligible)
             assert found == (best, self.model[best])
         else:
             assert found is None
 
-    @rule(low=st.integers(-120, 120), span=st.integers(0, 60))
-    def range_scan(self, low, span):
-        high = low + span
+    @rule(n=PROBES, span=st.integers(0, 60))
+    def range_scan(self, n, span):
+        low, high = sorted([self.key(n), self.key(n + span)])
         expected = sorted(
             (k, v) for k, v in self.model.items() if low <= k <= high
         )
@@ -77,6 +128,21 @@ class BPlusTreeAgreesWithDict(RuleBasedStateMachine):
     @invariant()
     def full_scan_matches(self):
         assert list(self.tree.items()) == sorted(self.model.items())
+
+    @invariant()
+    def node_views_match_the_eager_decode(self):
+        for block_no in self.tree.block_numbers():
+            with self.pool.fetch(block_no) as guard:
+                records = guard.page.records()
+            is_leaf, pointer, keys, payloads = decode_everything(records, self.codec)
+            node = self.tree._load(block_no)
+            assert (node.is_leaf, node.keys) == (is_leaf, keys)
+            if is_leaf:
+                assert node.next_leaf == (None if pointer == -1 else pointer)
+                items = [node.item(index) for index in range(len(keys))]
+                assert items == list(zip(keys, payloads))
+            else:
+                assert node.children == [pointer] + payloads
 
 
 TestBPlusTree = BPlusTreeAgreesWithDict.TestCase
@@ -207,3 +273,8 @@ def test_slotted_page_roundtrip_property(records):
 
     page = SlottedPage(4096, records)
     assert SlottedPage.from_bytes(page.to_bytes()).records() == records
+    # the layout, spelled out one field at a time
+    image = struct.pack("<H", len(records))
+    image += b"".join(struct.pack("<H", len(record)) for record in records)
+    image += b"".join(records)
+    assert page.to_bytes() == image.ljust(4096, b"\x00")

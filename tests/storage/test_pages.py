@@ -119,6 +119,44 @@ class TestCapacity:
         assert count == (256 - PAGE_HEADER_SIZE) // (2 + RECORD_OVERHEAD)
 
 
+class TestReplaceAll:
+    """The bulk path under ``replace_all``, ``extend``, ``split`` and the
+    constructor: sized once, and nothing changes if it raises."""
+
+    def test_replaces_content_and_accounting(self):
+        page = SlottedPage(256, [b"old-1", b"old-2", b"old-3"])
+        page.replace_all([b"a", bytearray(b"bc")])
+        assert page.records() == [b"a", b"bc"]
+        assert page.used_bytes == SlottedPage(256, [b"a", b"bc"]).used_bytes
+        assert page.to_bytes() == SlottedPage(256, [b"a", b"bc"]).to_bytes()
+        page.replace_all([])
+        assert len(page) == 0 and page.used_bytes == PAGE_HEADER_SIZE
+
+    def test_exact_fit_is_accepted(self):
+        page = SlottedPage(64)
+        page.replace_all([b"x" * 29, b"y" * 29])  # 2 + 2 * (2 + 29) == 64
+        assert page.free_space == 0
+
+    @pytest.mark.parametrize(
+        "records, error",
+        [
+            ([b"x" * 20, b"y" * 20, b"z" * 20], PageFullError),
+            ([b"ok", b"x" * 61], RecordTooLargeError),
+        ],
+    )
+    def test_raises_before_mutating(self, records, error):
+        page = SlottedPage(64, [b"keep", b"these"])
+        image = page.to_bytes()
+        with pytest.raises(error):
+            page.replace_all(records)
+        with pytest.raises(error):
+            page.extend(records)
+        assert page.records() == [b"keep", b"these"]
+        assert page.to_bytes() == image
+        with pytest.raises(error):
+            SlottedPage(64, records)
+
+
 class TestSplit:
     def test_split_moves_tail(self):
         page = SlottedPage(256, [b"a", b"b", b"c", b"d"])

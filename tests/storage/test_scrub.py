@@ -1,11 +1,14 @@
 """Online scrubber (repro.storage.scrub): out-of-band verification of
 every owned block against the raw device image."""
 
+import struct
+
 import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
-from repro.storage.scrub import DATA_CHAIN, Scrubber, scrub_store
+from repro.storage.pages import SlottedPage
+from repro.storage.scrub import DATA_CHAIN, RANGE_INDEX, Scrubber, scrub_store
 
 
 def make_store(checksums=True, orders=6):
@@ -155,6 +158,25 @@ class TestLegacyStores:
         assert report.legacy
         assert report.ok  # raw pages carry no checksum: nothing to verify
         assert "vacuous" in report.render()
+
+    @pytest.mark.parametrize(
+        "records",
+        [[], [b"\x01\x00\x00"], [struct.pack("<Bq", 1, -1), b"\x08\x00abc"]],
+        ids=["no-records", "short-header", "short-entry"],
+    )
+    def test_a_block_that_is_not_an_index_node_is_unreadable(self, records):
+        """No checksum stands in front of a malformed node here: the
+        walker must report it, not die of a struct.error."""
+        store = make_store(checksums=False)
+        victim = store.range_index._tree.root_block
+        image = SlottedPage(store.codec.page_size, records).to_bytes()
+        store.device.write_block(victim, image)
+        store.pool.drop_all()
+        report = scrub_store(store)
+        [issue] = report.issues
+        assert (issue.block_no, issue.owner, issue.kind) == (
+            victim, RANGE_INDEX, "unreadable",
+        )
 
     def test_report_to_dict_is_json_ready(self):
         import json
