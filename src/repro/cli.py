@@ -1499,14 +1499,13 @@ def _dispatch(store, arguments, stdin) -> str:
             )
         return "\n".join(lines)
     if command == "stats":
-        from repro.obs.bridge import snapshot_families, store_families
+        from repro.obs.bridge import metrics_snapshot, store_families
         from repro.obs.exporters import prometheus_text, render_top
         from repro.obs.schema import stamp
 
         if arguments.json:
-            snapshot = snapshot_families(store_families(store))
             return json.dumps(
-                stamp(dict(snapshot.values)), indent=2, sort_keys=True
+                stamp(metrics_snapshot(store).values), indent=2, sort_keys=True
             )
         if arguments.prometheus:
             families = store_families(store)

@@ -40,8 +40,8 @@ from repro.obs.advisor import (
 )
 from repro.obs.bridge import (
     MetricsSnapshot,
+    deterministic_snapshot,
     metrics_snapshot,
-    snapshot_families,
     stats_registry,
     store_families,
     store_registry,
@@ -181,6 +181,7 @@ __all__ = [
     "create_heatmap",
     "create_history",
     "create_telemetry",
+    "deterministic_snapshot",
     "drift_score",
     "drift_series",
     "events_jsonl",
@@ -200,7 +201,6 @@ __all__ = [
     "render_top",
     "run_operation",
     "sample_key",
-    "snapshot_families",
     "stamp",
     "stats_registry",
     "store_families",

@@ -6,8 +6,8 @@ appeared", "the buffer pool is thrashing", "no scrub has completed in a
 long time" — without a human staring at ``stats``.  This module is that
 rule engine, built on the same contract as the rest of :mod:`repro.obs`:
 
-* **deterministic** — rules only see deterministic samples (wall-clock
-  series are filtered with the same predicate workload history uses),
+* **deterministic** — rules only see deterministic samples (the same
+  wall-clock-free snapshot workload history captures),
   plus pseudo-metrics derived from them (workload drift, the simulated
   SLO budget floor).  Two identical runs write byte-identical alert
   logs, which CI diffs;
@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.history import HistorySnapshot, _is_deterministic_key
+from repro.obs.fingerprint import latest_drift
+from repro.obs.history import HistorySnapshot
 from repro.obs.incident import NOOP_INCIDENTS
 from repro.obs.recorder import NOOP_RECORDER
 
@@ -174,25 +175,14 @@ def evaluate_rule(rule: AlertRule, view: AlertView) -> Tuple[bool, float]:
     return value <= rule.bound, value
 
 
-def _latest_drift(snapshots: Sequence[HistorySnapshot]) -> float:
-    from repro.obs.fingerprint import drift_series
-
-    series = drift_series(list(snapshots))
-    return series[-1]["drift"] if series else 0.0
-
-
 def store_view(store) -> AlertView:
     """Build the evaluation view from a live store: deterministic samples
     plus the drift and SLO-budget pseudo-metrics."""
-    from repro.obs.bridge import metrics_snapshot
+    from repro.obs.bridge import deterministic_snapshot
 
-    values = {
-        key: value
-        for key, value in metrics_snapshot(store).values.items()
-        if _is_deterministic_key(key)
-    }
+    values = deterministic_snapshot(store).values
     snapshots = store.history.snapshots()
-    values[DRIFT_KEY] = _latest_drift(snapshots)
+    values[DRIFT_KEY] = latest_drift(snapshots)
     values[SLO_BUDGET_KEY] = store.slo.budget_floor(store)
     return AlertView(
         values=values,
@@ -225,7 +215,7 @@ def cumulative_values(
 def history_view(snapshots: Sequence[HistorySnapshot]) -> AlertView:
     """Evaluation view rebuilt from persisted history alone."""
     values = cumulative_values(snapshots)
-    values[DRIFT_KEY] = _latest_drift(snapshots)
+    values[DRIFT_KEY] = latest_drift(snapshots)
     last = snapshots[-1] if snapshots else None
     return AlertView(
         values=values,

@@ -13,7 +13,14 @@ one uniform metric surface whether telemetry is enabled or not:
   metrics when telemetry is enabled;
 * :func:`metrics_snapshot` / :class:`MetricsSnapshot` — flat
   ``{key: value}`` captures with a ``delta()`` for the bench harness,
-  so every ``BENCH_*.json`` row can carry an exact per-phase breakdown.
+  so every ``BENCH_*.json`` row can carry an exact per-phase breakdown;
+* :func:`deterministic_snapshot` — the same capture without the
+  wall-derived families, which is what workload history, the alert
+  engine and the flight recorder persist.
+
+Both captures read the registries' cached keys
+(:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`): same keys, order
+and kinds as flattening :func:`store_families`, without building it.
 
 Keeping the projection separate from the live registry means span
 metrics are never double-counted against the dataclass counters.
@@ -22,9 +29,16 @@ metrics are never double-counted against the dataclass counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Collection, Dict, List
 
-from repro.obs.metrics import MetricFamily, MetricsRegistry, sample_key
+from repro.obs.metrics import MetricFamily, MetricsRegistry
+from repro.obs.tracing import SPAN_SECONDS
+
+#: Families whose values derive from the wall clock — the one
+#: nondeterministic series the store's metric surface holds
+#: (``repro_span_simulated_seconds`` is *not* one).  Artifacts that CI
+#: diffs byte for byte are built from snapshots that skip them.
+WALL_FAMILIES = frozenset({SPAN_SECONDS})
 
 
 def stats_registry(stats) -> MetricsRegistry:
@@ -203,16 +217,17 @@ class MetricsSnapshot:
         return out
 
 
-def snapshot_families(families: List[MetricFamily]) -> MetricsSnapshot:
-    snapshot = MetricsSnapshot()
-    for family in families:
-        for sample in family.samples:
-            key = sample_key(sample)
-            snapshot.values[key] = sample.value
-            snapshot.kinds[key] = family.kind
-    return snapshot
+def metrics_snapshot(store, skip: Collection[str] = ()) -> MetricsSnapshot:
+    """Capture every sample :func:`store_families` would export (minus
+    the families named in ``skip``) for before/after deltas."""
+    kinds: Dict[str, str] = {}
+    values = store_registry(store).snapshot(kinds, skip)
+    if store.telemetry.enabled:
+        values.update(store.telemetry.registry.snapshot(kinds, skip))
+    return MetricsSnapshot(values, kinds)
 
 
-def metrics_snapshot(store) -> MetricsSnapshot:
-    """Snapshot :func:`store_families` for before/after bench deltas."""
-    return snapshot_families(store_families(store))
+def deterministic_snapshot(store) -> MetricsSnapshot:
+    """:func:`metrics_snapshot` without :data:`WALL_FAMILIES`: a pure
+    function of the operation sequence."""
+    return metrics_snapshot(store, skip=WALL_FAMILIES)

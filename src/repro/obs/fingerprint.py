@@ -158,6 +158,21 @@ def drift_score(
     return total / len(components)
 
 
+def _drift_point(
+    snapshots: Sequence[HistorySnapshot], index: int, window: int
+) -> Dict[str, object]:
+    """The window ending at snapshot ``index`` against the one before it."""
+    earlier = fingerprint_window(
+        snapshots[max(0, index - 2 * window) : index - window + 1]
+    )
+    later = fingerprint_window(snapshots[index - window + 1 : index + 1])
+    return {
+        "seq": snapshots[index].seq,
+        "drift": drift_score(earlier, later),
+        "fingerprint": later.to_dict() if later is not None else None,
+    }
+
+
 def drift_series(
     snapshots: Sequence[HistorySnapshot], window: int = 4
 ) -> List[Dict[str, object]]:
@@ -166,18 +181,20 @@ def drift_series(
     Returns ``[{seq, drift, fingerprint}, ...]`` (deterministic)."""
     if window < 1:
         raise ValueError("window must be at least 1")
-    points: List[Dict[str, object]] = []
-    for index in range(window, len(snapshots)):
-        earlier = fingerprint_window(
-            snapshots[max(0, index - 2 * window) : index - window + 1]
-        )
-        later_window = snapshots[index - window + 1 : index + 1]
-        later = fingerprint_window(later_window)
-        points.append(
-            {
-                "seq": snapshots[index].seq,
-                "drift": drift_score(earlier, later),
-                "fingerprint": later.to_dict() if later is not None else None,
-            }
-        )
-    return points
+    return [
+        _drift_point(snapshots, index, window)
+        for index in range(window, len(snapshots))
+    ]
+
+
+def latest_drift(
+    snapshots: Sequence[HistorySnapshot], window: int = 4
+) -> float:
+    """The drift of :func:`drift_series`' last point (0.0 when it has
+    none), fingerprinting only that point's two windows — what a
+    periodic evaluation over a long retained history should pay."""
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if len(snapshots) <= window:
+        return 0.0
+    return _drift_point(snapshots, len(snapshots) - 1, window)["drift"]

@@ -253,13 +253,13 @@ def _wal_component(store, pending_bound: int) -> HealthComponent:
 
 
 def _drift_component(store, drift_bound: float) -> HealthComponent:
-    from repro.obs.alerts import _latest_drift
+    from repro.obs.fingerprint import latest_drift
 
     if not store.history.enabled:
         return HealthComponent(
             "drift", HEALTHY, "workload history disabled", {"drift": None}
         )
-    drift = _latest_drift(store.history.snapshots())
+    drift = latest_drift(store.history.snapshots())
     detail = {"drift": drift, "bound": drift_bound}
     if drift > drift_bound:
         return HealthComponent(

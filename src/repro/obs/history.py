@@ -49,17 +49,8 @@ from repro.errors import ObservabilityError
 DEFAULT_CAPACITY = 256
 DEFAULT_INTERVAL = 64
 
-#: Metric-sample keys excluded from snapshot deltas because their values
-#: derive from the wall clock (the one nondeterministic series the
-#: registry holds).  ``repro_span_simulated_seconds`` does *not* match.
-_WALL_KEY_PREFIXES = ("repro_span_seconds",)
-
 #: Hottest blocks listed per heat summary.
 _HEAT_TOP = 5
-
-
-def _is_deterministic_key(key: str) -> bool:
-    return not any(key.startswith(prefix) for prefix in _WALL_KEY_PREFIXES)
 
 
 @dataclass
@@ -209,19 +200,14 @@ class WorkloadHistory:
         hook uses it, so closing an untouched store adds no row)."""
         if skip_if_idle and self._ops_since_capture == 0:
             return None
-        from repro.obs.bridge import metrics_snapshot
+        from repro.obs.bridge import deterministic_snapshot
         from repro.obs.heatmap import _partial_efficacy
 
-        current = metrics_snapshot(store)
+        current = deterministic_snapshot(store)
         if self._last_metrics is not None:
             deltas = current.delta(self._last_metrics)
         else:
             deltas = dict(current.values)
-        deltas = {
-            key: value
-            for key, value in deltas.items()
-            if _is_deterministic_key(key)
-        }
         snapshot = HistorySnapshot(
             seq=self._next_seq(),
             label=label,

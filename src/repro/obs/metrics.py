@@ -17,6 +17,14 @@ checksum verification and were quarantined — see
 :meth:`repro.storage.buffer.BufferStats.register_metrics`), so corruption
 detection is visible on the ordinary metrics surface, not a side channel.
 
+Reading is cheap by construction: a leaf time series renders its sample
+names, label tuples and flat ``name{label="value"}`` keys once, when it
+is created (:func:`_render_series`), and both read paths —
+:meth:`_Metric.collect` for the exporters and
+:meth:`MetricsRegistry.snapshot` for the periodic observers — pair those
+cached renderings with the current numbers.  A snapshot is a read: no
+:class:`Sample`, no :func:`format_value`, no string join.
+
 The no-op twins (:data:`NOOP_METRIC`, :data:`NOOP_REGISTRY`) are shared
 singletons with the same call surface; selecting them disables telemetry
 without a single conditional at the instrumentation points.
@@ -26,8 +34,11 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate
 from typing import (
     Callable,
+    Collection,
     Dict,
     List,
     NamedTuple,
@@ -73,12 +84,46 @@ class MetricFamily(NamedTuple):
     samples: Tuple[Sample, ...]
 
 
+LabelPairs = Tuple[Tuple[str, str], ...]
+
+
 def _label_key(labelnames: Sequence[str], labels: Dict[str, object]) -> Tuple[str, ...]:
     if set(labels) != set(labelnames):
         raise ObservabilityError(
             f"labels {sorted(labels)} do not match declared {list(labelnames)}"
         )
     return tuple(str(labels[name]) for name in labelnames)
+
+
+class _Series(NamedTuple):
+    """What one leaf time series exports, rendered once: per value its
+    sample name, its label pairs and its flat key, in export order."""
+
+    names: Tuple[str, ...]
+    labels: Tuple[LabelPairs, ...]
+    keys: Tuple[str, ...]
+
+
+@lru_cache(maxsize=1024)
+def _render_series(
+    name: str, labels: LabelPairs, bounds: Optional[Tuple[float, ...]]
+) -> _Series:
+    """The rendering of a leaf: one sample for a counter or gauge
+    (``bounds`` None); for a histogram one ``_bucket`` per bound plus
+    ``+Inf``, then ``_sum`` and ``_count``.  A pure function of immutable
+    arguments, memoized because :mod:`repro.obs.bridge` projects the
+    store's counters into a *fresh* registry per snapshot: those leaves
+    are re-created every time and must not re-render either."""
+    if bounds is None:
+        samples = [(name, labels)]
+    else:
+        samples = [
+            (name + "_bucket", labels + (("le", format_value(bound)),))
+            for bound in bounds + (float("inf"),)
+        ]
+        samples += [(name + "_sum", labels), (name + "_count", labels)]
+    names, pairs = zip(*samples)
+    return _Series(names, pairs, tuple(map(_flat_key, names, pairs)))
 
 
 class _Metric:
@@ -92,6 +137,9 @@ class _Metric:
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
         self._children: "Dict[Tuple[str, ...], _Metric]" = {}
+        #: how this leaf exports; :meth:`labels` re-renders a child's with
+        #: its label pairs (a labeled parent exports only its children)
+        self._series = self._render(())
 
     def labels(self, **labels: object) -> "_Metric":
         """The child time series for one label combination."""
@@ -101,10 +149,25 @@ class _Metric:
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = type(self)(self.name, self.help)
+                child = self._leaf()
                 child._lock = self._lock  # children share the family lock
+                child._series = child._render(tuple(zip(self.labelnames, key)))
                 self._children[key] = child
             return child
+
+    def existing(self, **labels: object) -> "Optional[_Metric]":
+        """The child for one label combination if it exists, else None —
+        for readers, which must never add a series by looking."""
+        key = _label_key(self.labelnames, labels)
+        with self._lock:
+            return self._children.get(key)
+
+    def _leaf(self) -> "_Metric":
+        """Child factory: a fresh unlabeled metric of this family's kind."""
+        return type(self)(self.name, self.help)
+
+    def _render(self, labels: LabelPairs) -> _Series:
+        return _render_series(self.name, labels, None)
 
     def _require_leaf(self) -> None:
         if self.labelnames:
@@ -112,19 +175,34 @@ class _Metric:
                 f"metric {self.name} is labeled; call .labels(...) first"
             )
 
-    def _own_samples(self, labels: Tuple[Tuple[str, str], ...]) -> List[Sample]:
+    def _leaves(self) -> "Sequence[_Metric]":
+        if not self.labelnames:
+            return (self,)
+        with self._lock:
+            return list(self._children.values())
+
+    def _read(self) -> Sequence[float]:
+        """This leaf's current values, aligned with ``self._series``."""
         raise NotImplementedError
 
     def collect(self) -> MetricFamily:
         samples: List[Sample] = []
-        if self.labelnames:
-            with self._lock:
-                children = list(self._children.items())
-            for key, child in children:
-                samples.extend(child._own_samples(tuple(zip(self.labelnames, key))))
-        else:
-            samples.extend(self._own_samples(()))
+        for leaf in self._leaves():
+            series = leaf._series
+            samples.extend(map(Sample, series.names, series.labels, leaf._read()))
         return MetricFamily(self.name, self.kind, self.help, tuple(samples))
+
+    def read_into(
+        self, values: Dict[str, float], kinds: Optional[Dict[str, str]] = None
+    ) -> None:
+        """The flat read path: ``values[key] = value`` for every sample
+        of this family (and ``kinds[key] = self.kind`` when asked), in
+        :meth:`collect` order."""
+        for leaf in self._leaves():
+            keys = leaf._series.keys
+            values.update(zip(keys, leaf._read()))
+            if kinds is not None:
+                kinds.update(dict.fromkeys(keys, self.kind))
 
 
 class Counter(_Metric):
@@ -147,8 +225,8 @@ class Counter(_Metric):
     def value(self) -> float:
         return self._value
 
-    def _own_samples(self, labels: Tuple[Tuple[str, str], ...]) -> List[Sample]:
-        return [Sample(self.name, labels, self._value)]
+    def _read(self) -> Sequence[float]:
+        return (self._value,)
 
 
 class Gauge(_Metric):
@@ -186,8 +264,8 @@ class Gauge(_Metric):
         function = self._function
         return float(function()) if function is not None else self._value
 
-    def _own_samples(self, labels: Tuple[Tuple[str, str], ...]) -> List[Sample]:
-        return [Sample(self.name, labels, self.value)]
+    def _read(self) -> Sequence[float]:
+        return (self.value,)
 
 
 class Histogram(_Metric):
@@ -206,27 +284,21 @@ class Histogram(_Metric):
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = LATENCY_BUCKETS,
     ) -> None:
-        super().__init__(name, help, labelnames)
         bounds = tuple(sorted(float(bound) for bound in buckets))
         if not bounds:
-            raise ObservabilityError(f"histogram {self.name} needs at least one bucket")
+            raise ObservabilityError(f"histogram {name} needs at least one bucket")
         if len(set(bounds)) != len(bounds):
-            raise ObservabilityError(f"histogram {self.name} has duplicate buckets")
-        self.buckets = bounds
+            raise ObservabilityError(f"histogram {name} has duplicate buckets")
+        self.buckets = bounds  # before super(): rendering the series reads it
+        super().__init__(name, help, labelnames)
         self._counts = [0] * (len(bounds) + 1)  # + the +Inf bucket
         self._sum = 0.0
 
-    def labels(self, **labels: object) -> "Histogram":
-        if not self.labelnames:
-            raise ObservabilityError(f"metric {self.name} declares no labels")
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = Histogram(self.name, self.help, buckets=self.buckets)
-                child._lock = self._lock
-                self._children[key] = child
-            return child  # type: ignore[return-value]
+    def _leaf(self) -> "Histogram":
+        return Histogram(self.name, self.help, buckets=self.buckets)
+
+    def _render(self, labels: LabelPairs) -> _Series:
+        return _render_series(self.name, labels, self.buckets)
 
     def observe(self, value: float) -> None:
         self._require_leaf()
@@ -245,22 +317,16 @@ class Histogram(_Metric):
 
     def bucket_counts(self) -> List[Tuple[float, int]]:
         """Cumulative ``(upper_bound, count)`` pairs, ending at +Inf."""
-        cumulative = 0
-        out: List[Tuple[float, int]] = []
-        for bound, count in zip(self.buckets, self._counts):
-            cumulative += count
-            out.append((bound, cumulative))
-        out.append((float("inf"), cumulative + self._counts[-1]))
-        return out
+        return list(
+            zip(self.buckets + (float("inf"),), accumulate(self._counts))
+        )
 
-    def _own_samples(self, labels: Tuple[Tuple[str, str], ...]) -> List[Sample]:
-        samples: List[Sample] = []
-        for bound, cumulative in self.bucket_counts():
-            le = ("le", format_value(bound))
-            samples.append(Sample(self.name + "_bucket", labels + (le,), cumulative))
-        samples.append(Sample(self.name + "_sum", labels, self._sum))
-        samples.append(Sample(self.name + "_count", labels, float(self.count)))
-        return samples
+    def _read(self) -> Sequence[float]:
+        # cumulative bucket counts (the last is the +Inf bucket, i.e. the
+        # total), then the sum, then the count as a float
+        values: List[float] = list(accumulate(self._counts))
+        values += (self._sum, float(values[-1]))
+        return values
 
 
 def format_value(value: float) -> str:
@@ -274,12 +340,16 @@ def format_value(value: float) -> str:
     return repr(value)
 
 
+def _flat_key(name: str, labels: LabelPairs) -> str:
+    if not labels:
+        return name
+    rendered = ",".join(f'{label}="{value}"' for label, value in labels)
+    return f"{name}{{{rendered}}}"
+
+
 def sample_key(sample: Sample) -> str:
     """Flat ``name{label="value",...}`` key for one sample."""
-    if not sample.labels:
-        return sample.name
-    rendered = ",".join(f'{name}="{value}"' for name, value in sample.labels)
-    return f"{sample.name}{{{rendered}}}"
+    return _flat_key(sample.name, sample.labels)
 
 
 class MetricsRegistry:
@@ -331,12 +401,21 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         return [metric.collect() for metric in metrics]
 
-    def snapshot(self) -> "Dict[str, float]":
-        """Flat ``{key: value}`` view over every sample."""
+    def snapshot(
+        self,
+        kinds: Optional[Dict[str, str]] = None,
+        skip: Collection[str] = (),
+    ) -> "Dict[str, float]":
+        """Flat ``{key: value}`` view over every sample, in
+        :meth:`collect` order, read through each leaf's cached keys.
+        ``kinds``, when given, receives ``{key: family kind}``; families
+        named in ``skip`` are left out whole."""
+        with self._lock:
+            metrics = list(self._metrics.values())
         out: Dict[str, float] = {}
-        for family in self.collect():
-            for sample in family.samples:
-                out[sample_key(sample)] = sample.value
+        for metric in metrics:
+            if metric.name not in skip:
+                metric.read_into(out, kinds)
         return out
 
 

@@ -12,8 +12,8 @@ of :class:`RecorderEntry` rows capturing, on the simulated clock,
   (``wall`` stripped, so entries are pure functions of the workload);
 * alert transitions teed from :class:`~repro.obs.alerts.AlertEngine`;
 * periodic metric counter-delta frames (every ``recorder_interval``
-  Table-1 operations, deterministic keys only — the same filter
-  workload history applies).
+  Table-1 operations, deterministic families only — the same snapshot
+  workload history captures).
 
 When an incident trigger fires (:mod:`repro.obs.incident`), the ring's
 contents are dumped into the bundle — the black box is read out.
@@ -31,8 +31,6 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
-
-from repro.obs.history import _is_deterministic_key
 
 DEFAULT_CAPACITY = 512
 DEFAULT_INTERVAL = 32
@@ -151,18 +149,14 @@ class FlightRecorder:
 
     def frame(self, store, label: str) -> RecorderEntry:
         """Capture one deterministic counter-delta frame now."""
-        from repro.obs.bridge import metrics_snapshot
+        from repro.obs.bridge import deterministic_snapshot
 
-        current = metrics_snapshot(store)
+        current = deterministic_snapshot(store)
         if self._last_metrics is not None:
             deltas = current.delta(self._last_metrics)
         else:
-            deltas = dict(current.values)
-        deltas = {
-            key: value
-            for key, value in deltas.items()
-            if _is_deterministic_key(key) and value
-        }
+            deltas = current.values
+        deltas = {key: value for key, value in deltas.items() if value}
         self._last_metrics = current
         self._ops_since_frame = 0
         operations = store.operations.read_ops + store.operations.updates

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
@@ -200,12 +201,25 @@ def _bucket_counts(
     return buckets, total
 
 
+def _live_bucket_counts(
+    registry, family_name: str, operation: str
+) -> Tuple[List[Tuple[float, float]], int]:
+    """:func:`_bucket_counts` read straight off a live registry's
+    histogram child — which it never creates: evaluating an objective
+    must not add a series to the exposition."""
+    histogram = registry.get(family_name)
+    child = histogram.existing(span=operation) if histogram is not None else None
+    if child is None:
+        return [], 0
+    buckets = child.bucket_counts()
+    return buckets, buckets[-1][1]
+
+
 def _evaluate_target(
-    target: SLOTarget, families: Sequence[MetricFamily]
+    target: SLOTarget, buckets: List[Tuple[float, float]], count: int
 ) -> SLOStatus:
-    buckets, count = _bucket_counts(
-        families, AXIS_FAMILIES[target.axis], target.operation
-    )
+    """One target against its operation's cumulative ``(upper_bound,
+    count)`` pairs and total count."""
     if count == 0:
         return SLOStatus(
             target=target,
@@ -257,27 +271,37 @@ class SLOTracker:
             tuple(targets) if targets is not None else DEFAULT_TARGETS
         )
 
+    def _report(self, axes: Sequence[str], bucket_counts) -> SLOReport:
+        """Every target on ``axes`` against ``bucket_counts(family_name,
+        operation)``."""
+        return SLOReport(
+            statuses=[
+                _evaluate_target(
+                    target,
+                    *bucket_counts(AXIS_FAMILIES[target.axis], target.operation),
+                )
+                for target in self.targets
+                if target.axis in axes
+            ]
+        )
+
     def evaluate_families(
         self,
         families: Sequence[MetricFamily],
         axes: Sequence[str] = DETERMINISTIC_AXES,
     ) -> SLOReport:
-        statuses = [
-            _evaluate_target(target, families)
-            for target in self.targets
-            if target.axis in axes
-        ]
-        return SLOReport(statuses=statuses)
+        """Evaluate against exported families (an offline scrape)."""
+        return self._report(axes, partial(_bucket_counts, families))
 
     def evaluate(
         self, store, axes: Sequence[str] = DETERMINISTIC_AXES
     ) -> SLOReport:
-        """Evaluate against a live store (reads counters only; the span
+        """Evaluate against a live store: reads each target's own
+        histogram child (nothing is collected or parsed; the span
         histograms exist only when telemetry is enabled)."""
-        families = (
-            store.telemetry.collect() if store.telemetry.enabled else []
+        return self._report(
+            axes, partial(_live_bucket_counts, store.telemetry.registry)
         )
-        return self.evaluate_families(families, axes=axes)
 
     def budget_floor(self, store) -> float:
         """Minimum simulated-axis budget_remaining — the alert-rule feed."""

@@ -26,10 +26,12 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.clock import perf_seconds
 from repro.obs.metrics import (
+    Counter,
+    Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
     SIMULATED_COST_BUCKETS,
@@ -127,6 +129,9 @@ class Tracer:
         self._spans_total = None
         self._span_seconds = None
         self._span_simulated = None
+        #: span name -> its (count, wall, simulated) metric children,
+        #: resolved on the name's first span or :meth:`touch`
+        self._span_metrics: Dict[str, Tuple[Counter, Histogram, Histogram]] = {}
         if registry is not None:
             self._spans_total = registry.counter(
                 SPANS_TOTAL, "Completed spans by name.", labelnames=("span",)
@@ -153,9 +158,17 @@ class Tracer:
         """Pre-register the metric children for a span name, so exports
         show the series (at zero) before the first occurrence."""
         if self._spans_total is not None:
-            self._spans_total.labels(span=name)
-            self._span_seconds.labels(span=name)
-            self._span_simulated.labels(span=name)
+            self._metrics_for(name)
+
+    def _metrics_for(self, name: str) -> Tuple[Counter, Histogram, Histogram]:
+        metrics = self._span_metrics.get(name)
+        if metrics is None:
+            metrics = self._span_metrics[name] = (
+                self._spans_total.labels(span=name),
+                self._span_seconds.labels(span=name),
+                self._span_simulated.labels(span=name),
+            )
+        return metrics
 
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
@@ -201,9 +214,10 @@ class Tracer:
                 self.dropped += 1
             self._events.append(event)
         if self._spans_total is not None:
-            self._spans_total.labels(span=span.name).inc()
-            self._span_seconds.labels(span=span.name).observe(wall)
-            self._span_simulated.labels(span=span.name).observe(simulated)
+            count, wall_histogram, simulated_histogram = self._metrics_for(span.name)
+            count.inc()
+            wall_histogram.observe(wall)
+            simulated_histogram.observe(simulated)
 
     # -- inspection ---------------------------------------------------------
 

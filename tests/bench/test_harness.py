@@ -1,5 +1,8 @@
 """Unit tests for the benchmark harness and reporting."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.config import IndexingPolicy, StoreConfig
@@ -13,6 +16,13 @@ from repro.bench.harness import (
     sequential_scan_phase,
 )
 from repro.bench.reporting import format_csv, format_table, phase_dict
+
+
+PINNED_METRICS_DIGESTS = [
+    "f58ea05366b955b729d8a18e1cb7e5178a77060dded2a7206298f1127a1878b1",
+    "e225076d3ad45afdcf44a5abf9d2c6c02680596a80f07b6070ec7f65e3681108",
+    "e470283ef236a7adea866a3e89f87c03098a259926709044a15d070d498812fe",
+]
 
 
 def small_store(**kwargs):
@@ -80,6 +90,37 @@ class TestPhases:
         assert result.metrics['repro_store_operations_total{op="read"}'] == 1
         # deltas cover the phase only, not the setup load
         assert result.metrics['repro_store_operations_total{op="load"}'] == 0
+
+    def test_metrics_delta_rows_are_pinned(self):
+        # keys, key order, values and their int/float types of a row's
+        # ``metrics`` delta, hashed; constants generated before
+        # ``metrics_snapshot`` moved to the cached-key flat path.  Span
+        # wall seconds are the one nondeterministic family: left out.
+        store = small_store(
+            policy=IndexingPolicy.RANGE_PLUS_PARTIAL, telemetry_enabled=True
+        )
+        rows = [
+            insert_phase(store, 1, ["<a/>", "<b>t</b>", "<c/>"]),
+            random_read_phase(store, [2, 2, 4, 40, 2]),
+            sequential_scan_phase(store),
+        ]
+        digests = [
+            hashlib.sha256(
+                json.dumps(
+                    [
+                        (key, value)
+                        for key, value in row.metrics.items()
+                        if not key.startswith("repro_span_seconds")
+                    ]
+                ).encode("utf-8")
+            ).hexdigest()
+            for row in rows
+        ]
+        assert digests == PINNED_METRICS_DIGESTS
+        assert any(
+            key.startswith("repro_span_seconds_bucket{")
+            for key in rows[0].metrics
+        )
 
     def test_metrics_default_none_for_hand_built_results(self):
         result = PhaseResult("p", 2, 2048, 0.5, 0.1, 3, 4, 5)

@@ -8,6 +8,7 @@ from repro.obs.fingerprint import (
     drift_score,
     drift_series,
     fingerprint_window,
+    latest_drift,
 )
 from repro.obs.history import HistorySnapshot
 
@@ -164,3 +165,48 @@ class TestDriftSeries:
         assert flipped > 0.3
         assert all(0.0 <= p["drift"] <= 1.0 for p in points)
         assert points[-1]["fingerprint"]["operations"] == 128.0
+
+
+class TestLatestDrift:
+    """``latest_drift`` fingerprints one window pair; it must read what
+    the full series' last point reads, at every history length."""
+
+    @staticmethod
+    def _timeline(length):
+        # reads, writes and idle rows in an aperiodic order, so the last
+        # point's drift differs from length to length
+        rows = []
+        for seq in range(length):
+            if seq % 5 == 3:
+                rows.append(snap(seq, {}))
+            elif (seq * seq) % 7 < 3:
+                rows.append(write_heavy(seq))
+            else:
+                rows.append(read_heavy(seq, heatmap={"top_decile_share": seq / 20}))
+        return rows
+
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_equals_the_series_last_point(self, window):
+        seen = set()
+        for length in range(0, 3 * window + 1):
+            timeline = self._timeline(length)
+            series = drift_series(timeline, window=window)
+            expected = series[-1]["drift"] if series else 0.0
+            assert latest_drift(timeline, window=window) == expected, length
+            seen.add(expected)
+        assert len(seen) > 1  # not vacuous: the drift moved along the way
+
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError):
+            latest_drift([read_heavy(0)], window=0)
+
+    def test_cost_does_not_grow_with_history(self, monkeypatch):
+        calls = []
+        original = fp.fingerprint_window
+        monkeypatch.setattr(
+            fp,
+            "fingerprint_window",
+            lambda rows: calls.append(len(rows)) or original(rows),
+        )
+        latest_drift(self._timeline(256), window=4)
+        assert calls == [5, 4]  # one window pair, not 252 of them

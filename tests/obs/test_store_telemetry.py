@@ -177,3 +177,86 @@ class TestFromCatalogTelemetry:
         assert reopened.telemetry.enabled
         reopened.read()
         assert any(e.name == "read" for e in reopened.telemetry.events())
+
+
+class TestSnapshotIsARead:
+    """Mechanical form of "keys are rendered once per series": on a warmed
+    store the three periodic observers read the metric surface without
+    rendering a key, formatting a bucket bound or building a Sample.
+    (Before the flat path, each of the three calls rendered every key.)"""
+
+    @staticmethod
+    def _warm_store() -> XMLStore:
+        from repro.server.sessions import SessionOp, XMLServer
+
+        store = XMLStore.open(
+            StoreConfig(
+                policy=IndexingPolicy.RANGE_PLUS_PARTIAL,
+                telemetry_enabled=True,
+                events_enabled=True,
+                heatmap_enabled=True,
+                profiling_enabled=True,
+                history_enabled=True,
+                alerts_enabled=True,
+                recorder_enabled=True,
+            )
+        )
+        root = store.load_document(DOC)
+        # a served write: the projection gains the serving counters and
+        # the custom-bucket group-commit histogram
+        server = XMLServer(store)
+        server.submit([SessionOp("insert_into_last", root, "<order/>")])
+        server.run(seed=0)
+        for _ in range(3):
+            store.read(root + 1)
+            store.insert_into_last(root, "<order><item>nut</item></order>")
+            store.xpath("/orders/order")
+        # first tick of each observer: every series exists from here on
+        store.recorder.frame(store, "warm")
+        store.history.capture(store, "warm")
+        store.alerts.evaluate_store(store, "warm")
+        return store
+
+    def test_observer_ticks_render_nothing(self, monkeypatch):
+        from repro.obs import metrics
+
+        store = self._warm_store()
+        counts = {"format_value": 0, "sample_key": 0, "_flat_key": 0, "Sample": 0}
+
+        def counting(name):
+            original = getattr(metrics, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(metrics, name, counting(name))
+        frame = store.recorder.frame(store, "tick")
+        row = store.history.capture(store, "tick")
+        store.alerts.evaluate_store(store, "tick")
+        assert counts == {"format_value": 0, "sample_key": 0, "_flat_key": 0, "Sample": 0}
+        # and they did read the surface, group-commit histogram included
+        assert 'repro_history_captures_total' in frame.payload["deltas"]
+        assert 'repro_wal_group_commit_batch_size_bucket{le="+Inf"}' in row.deltas
+        assert not any(key.startswith("repro_span_seconds") for key in row.deltas)
+        # the exporters' path still builds Samples (and only there)
+        store_families(store)
+        assert counts["Sample"] > 0
+        assert counts["_flat_key"] == counts["format_value"] == 0
+
+    def test_slo_evaluation_adds_no_series(self):
+        # the alert view reads the SLO budget off the live histograms; a
+        # target whose operation never ran must not appear in the export
+        store = self._warm_store()
+        before = prometheus_text(store_families(store))
+        assert 'span="replace_node"' in before  # Table-1 spans are preregistered
+        from repro.obs.slo import SLOTarget, SLOTracker
+
+        report = SLOTracker(
+            targets=(SLOTarget("never_ran", 0.25), SLOTarget("node_read", 0.25))
+        ).evaluate(store)
+        assert [status.count for status in report.statuses] == [0, 3]
+        assert 'span="never_ran"' not in prometheus_text(store_families(store))

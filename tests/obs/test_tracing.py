@@ -106,6 +106,35 @@ class TestSpanMetrics:
         snapshot = registry.snapshot()
         assert snapshot['repro_spans_total{span="never_run"}'] == 0
 
+    def test_seen_span_name_resolves_no_label_children(self, monkeypatch):
+        # mechanical: a span's three metric children are looked up once
+        # per name (first span or touch), not on every _finish
+        from repro.obs import metrics
+
+        registry = MetricsRegistry()
+        tracer = Tracer(registry=registry)
+        tracer.touch("touched")
+        with tracer.span("seen"):
+            pass
+        calls = []
+        original = metrics._label_key
+        monkeypatch.setattr(
+            metrics,
+            "_label_key",
+            lambda names, labels: calls.append(labels) or original(names, labels),
+        )
+        for name in ("seen", "touched", "seen"):
+            with tracer.span(name):
+                pass
+        assert calls == []
+        with tracer.span("first_time"):
+            pass
+        assert len(calls) == 3  # count, wall histogram, simulated histogram
+        snapshot = registry.snapshot()
+        assert snapshot['repro_spans_total{span="seen"}'] == 3
+        assert snapshot['repro_span_simulated_seconds_count{span="touched"}'] == 1
+        assert snapshot['repro_spans_total{span="first_time"}'] == 1
+
 
 class TestNoopTracer:
     def test_span_returns_shared_singleton(self):
