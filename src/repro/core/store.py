@@ -29,6 +29,7 @@ Internal invariants (checked by :meth:`check_integrity`):
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -62,10 +63,12 @@ from repro.storage.heap import ChainedFile, Position
 from repro.storage.pages import PageCodec
 from repro.storage.recovery import encode_op_payload
 from repro.storage.wal import RecordType, WriteAheadLog
-from repro.xmltoken.binary import decode_token, encode_tokens
+from repro.xmltoken.binary import encode_tokens
 from repro.xmltoken.datamodel import strip_document_tokens, validate_stream
+# perfbench's tracer patches this module's ``serialize`` by name: it has to
+# stay the callable the read path calls
+from repro.xmltoken.emitter import emit as serialize
 from repro.xmltoken.parser import tokenize_fragment
-from repro.xmltoken.serializer import serialize
 from repro.xmltoken.tokens import Token, TokenKind, count_nodes
 
 _ATTRIBUTE_KINDS = frozenset(
@@ -303,57 +306,46 @@ class XMLStore:
 
     def read(self, node_id: Optional[int] = None) -> str:
         """Serialize the whole data source, or the subtree of ``node_id``."""
+        return self.read_bytes(node_id).decode("utf-8")
+
+    def read_bytes(self, node_id: Optional[int] = None) -> bytes:
+        """:meth:`read`'s text as the UTF-8 bytes it is rendered in (what
+        the replication digest hashes)."""
         if node_id is None:
             with self.telemetry.span("read"):
                 self.operations.reads += 1
                 self._observe(is_read=True)
-                return serialize(self.tokens())
+                return serialize(itertools.chain.from_iterable(self._record_runs()))
         with self.telemetry.span("node_read", node_id=node_id):
-            return self._read_node(node_id)
+            self.operations.node_reads += 1
+            self._observe(is_read=True)
+            location = self.locator.locate_span(node_id)
+            # an attribute or namespace node has no XML form of its own:
+            # ``node`` renders it as name="value"
+            records = itertools.chain.from_iterable(self._record_runs(location))
+            return serialize(records, node=True)
 
-    def _read_node(self, node_id: int) -> str:
-        self.operations.node_reads += 1
-        self._observe(is_read=True)
-        location = self.locator.locate_span(node_id)
-        tokens = self._span_tokens(location)
-        first = tokens[0].kind
-        if first == TokenKind.BEGIN_ATTRIBUTE:
-            # attribute nodes serialize as name="value" (they have no
-            # standalone XML form)
-            value = "".join(
-                t.value for t in tokens if t.kind == TokenKind.ATTRIBUTE_VALUE
-            )
-            from repro.xmltoken.serializer import escape_attribute
-
-            return f'{tokens[0].name}="{escape_attribute(value)}"'
-        if first == TokenKind.NAMESPACE:
-            name = f"xmlns:{tokens[0].name}" if tokens[0].name else "xmlns"
-            from repro.xmltoken.serializer import escape_attribute
-
-            return f'{name}="{escape_attribute(tokens[0].value)}"'
-        return serialize(tokens)
-
-    def tokens(self) -> Iterator[Token]:
-        """The store's full token sequence, in document order."""
-        for _, record in self.layout.iter_from(None):
-            self.tokens_emitted += 1
-            yield decode_token(record)
-
-    def node_tokens(self, node_id: int) -> List[Token]:
-        """The complete token sequence of one node."""
-        location = self.locator.locate_span(node_id)
-        return self._span_tokens(location)
-
-    def _span_tokens(self, location: NodeLocation) -> List[Token]:
-        assert location.end is not None
-        begin_pos, end_pos = location.begin.pos, location.end.pos
-        collected: List[Token] = []
-        for pos, record in self.layout.iter_from(begin_pos):
-            collected.append(decode_token(record))
-            self.tokens_emitted += 1
-            if pos == end_pos:
-                return collected
-        raise StoreError("end token not reached (bug)")
+    def _record_runs(self, span: Optional[NodeLocation] = None) -> Iterator[List[bytes]]:
+        """The stored records in document order, block by block: the
+        span of one located node, or the whole data source.  Every record
+        handed out is charged as a token emitted."""
+        if span is None:
+            begin, end = None, None
+        else:
+            assert span.end is not None
+            begin, end = span.begin.pos, span.end.pos
+        for block_no, first_slot, run in self.layout.runs_from(begin):
+            last_block = end is not None and block_no == end.block_no
+            if last_block:
+                run = run[first_slot : end.slot + 1]
+            elif first_slot:
+                run = run[first_slot:]
+            self.tokens_emitted += len(run)
+            yield run
+            if last_block:
+                return
+        if end is not None:
+            raise StoreError("end token not reached (bug)")
 
     def exists(self, node_id: int) -> bool:
         """Whether a node with ``node_id`` is currently in the store."""

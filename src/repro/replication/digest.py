@@ -25,7 +25,7 @@ DIGEST_CHUNK_BYTES = 4096
 
 def digest_chunks(store, chunk_bytes: int = DIGEST_CHUNK_BYTES) -> List[str]:
     """Per-chunk sha256 hex digests of the store's serialized document."""
-    data = store.read().encode("utf-8")
+    data = store.read_bytes()
     return [
         hashlib.sha256(data[offset : offset + chunk_bytes]).hexdigest()
         for offset in range(0, max(len(data), 1), chunk_bytes)

@@ -1,4 +1,5 @@
-"""Token model, pull parser, serializer, binary codec and PSVI support."""
+"""Token model, pull parser, serializer, record emitter, binary codec and
+PSVI support."""
 
 from repro.xmltoken.binary import (
     decode_stream,
@@ -16,6 +17,7 @@ from repro.xmltoken.datamodel import (
     top_level_nodes,
     validate_stream,
 )
+from repro.xmltoken.emitter import emit
 from repro.xmltoken.parser import (
     PullParser,
     iter_tokens,
@@ -47,6 +49,7 @@ __all__ = [
     "decode_token",
     "decode_tokens",
     "element",
+    "emit",
     "encode_stream",
     "encode_token",
     "encode_tokens",

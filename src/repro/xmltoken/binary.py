@@ -71,14 +71,6 @@ def _encode_string(value: str) -> bytes:
     return encode_varint(len(raw)) + raw
 
 
-def _decode_string(data: bytes, offset: int) -> Tuple[str, int]:
-    length, offset = decode_varint(data, offset)
-    end = offset + length
-    if end > len(data):
-        raise CodecError("truncated string payload")
-    return data[offset:end].decode("utf-8"), end
-
-
 def encode_token(token: Token) -> bytes:
     """Serialize one token to its record bytes."""
     header = int(token.kind)
@@ -114,23 +106,57 @@ def peek_kind(record: bytes) -> TokenKind:
     return kind
 
 
+def _field(data: bytes, offset: int) -> Tuple[bytes, int]:
+    """The length-prefixed field at ``offset``; returns (bytes, next_offset)."""
+    if offset < len(data) and data[offset] < 0x80:
+        # a one-byte varint: nearly every field is shorter than 128 bytes
+        length = data[offset]
+        offset += 1
+    else:
+        length, offset = decode_varint(data, offset)
+    end = offset + length
+    if end > len(data):
+        raise CodecError("truncated string payload")
+    field = data[offset:end]
+    if not field.isascii():
+        try:
+            field.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"token field is not valid UTF-8: {exc}") from None
+    return field, end
+
+
+def token_fields(data: bytes, offset: int = 0) -> Tuple[int, bytes, bytes, bytes, int]:
+    """Slice the token record at ``offset`` without building a token:
+    ``(header, name, value, type_annotation, next_offset)``, the three
+    fields as their stored UTF-8 bytes (``b""`` when absent).
+
+    This is the one place that knows the record layout, and every check on
+    it is made here: a record that comes back has a known kind, complete
+    length prefixes and payloads, and fields that are each valid UTF-8.
+    """
+    try:
+        header = data[offset]
+    except IndexError:
+        raise CodecError("empty token record") from None
+    if KIND_TABLE[header & KIND_MASK] is None:
+        raise CodecError(f"unknown token kind {header & KIND_MASK}")
+    offset += 1
+    name = value = type_annotation = b""
+    if header & _FLAG_NAME:
+        name, offset = _field(data, offset)
+    if header & _FLAG_VALUE:
+        value, offset = _field(data, offset)
+    if header & _FLAG_TYPE:
+        type_annotation, offset = _field(data, offset)
+    return header, name, value, type_annotation, offset
+
+
 def decode_token_at(data: bytes, offset: int) -> Tuple[Token, int]:
     """Decode a token at ``offset``; returns (token, next_offset)."""
-    if offset >= len(data):
-        raise CodecError("empty token record")
-    header = data[offset]
-    offset += 1
+    header, name, value, type_annotation, offset = token_fields(data, offset)
     kind = KIND_TABLE[header & KIND_MASK]
-    if kind is None:
-        raise CodecError(f"unknown token kind {header & KIND_MASK}")
-    name = value = type_annotation = ""
-    if header & _FLAG_NAME:
-        name, offset = _decode_string(data, offset)
-    if header & _FLAG_VALUE:
-        value, offset = _decode_string(data, offset)
-    if header & _FLAG_TYPE:
-        type_annotation, offset = _decode_string(data, offset)
-    return Token(kind, name=name, value=value, type_annotation=type_annotation), offset
+    return Token(kind, name.decode(), value.decode(), type_annotation.decode()), offset
 
 
 def encode_tokens(tokens: Iterable[Token]) -> List[bytes]:

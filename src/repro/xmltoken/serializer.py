@@ -8,18 +8,26 @@ from repro.errors import TokenStreamError
 from repro.xmltoken.tokens import Token, TokenKind
 
 
+#: What character data must not contain literally, per context, and the
+#: entity that stands in for it.  "&" leads: the entities themselves contain
+#: it.  The record emitter (:mod:`repro.xmltoken.emitter`) derives its
+#: byte-level escaping from these same tables.
+TEXT_ENTITIES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+ATTRIBUTE_ENTITIES = (("&", "&amp;"), ("<", "&lt;"), ('"', "&quot;"))
+
+
 def escape_text(value: str) -> str:
     """Escape character data for element content."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    for char, entity in TEXT_ENTITIES:
+        value = value.replace(char, entity)
+    return value
 
 
 def escape_attribute(value: str) -> str:
     """Escape character data for a double-quoted attribute value."""
-    return (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace('"', "&quot;")
-    )
+    for char, entity in ATTRIBUTE_ENTITIES:
+        value = value.replace(char, entity)
+    return value
 
 
 def serialize(tokens: Iterable[Token], indent: str = "") -> str:

@@ -413,3 +413,145 @@ class TestStatsAndSnapshots:
         store.load_document("<r/>")
         text = store.stats.summary()
         assert "operations" in text and "partial index" in text
+
+
+RECORD_READ_XML = (
+    '<lib xmlns:p="urn:p" name="main &amp; &quot;annex&quot;">'
+    + "".join(
+        f'<p:book id="b{k}" lang="en"><title>T{k} &amp; co</title>'
+        f"<!--c{k}--><?pi d{k}?>text {k} &lt; {k + 1}</p:book>"
+        for k in range(40)
+    )
+    + "</lib>"
+)
+
+#: node id -> what read(id) returns: an element whose span crosses a block
+#: boundary, a text node, an attribute node and a namespace node.
+RECORD_READ_NODES = {
+    316: '<p:book id="b39" lang="en"><title>T39 &amp; co</title>'
+    "<!--c39--><?pi d39?>text 39 &lt; 40</p:book>",
+    8: "T0 &amp; co",
+    3: 'name="main &amp; &quot;annex&quot;"',
+    2: 'xmlns:p="urn:p"',
+}
+
+
+#: What the token-decoding read path (PR 15's) produced for
+#: ``record_read_ledger``.
+RECORD_READ_LEDGER = {
+    "tokens_emitted": 590,
+    "reads": 1,
+    "node_reads": 4,
+    "simulated_seconds": 0.1690525,
+    "fetched": [
+        64, 69, 65, 66, 67, 70, 68,  # read(): the seven data blocks in chain order
+        0, 0, 70, 70, 68, 70, 68,  # read(316): locate, then the span's two blocks
+        0, 0, 64, 64, 0, 0, 64, 64, 64, 0, 0, 64, 64,
+    ],
+    "after_digest": (1161, 2, 34, 0.21489863636363632),
+}
+RECORD_READ_DIGEST = "bbb0c0b2bb26bb0a110bd1a5145cbc6fc09a654515e40b1ab52ae39314cbb77d"
+
+
+def record_read_ledger():
+    """Whole and point reads on a pool smaller than the document; returns
+    what was read and everything the simulated clock depends on."""
+    from repro.replication.digest import state_digest
+
+    store = make_store(
+        policy=IndexingPolicy.RANGE_PLUS_PARTIAL,
+        page_size=1024,
+        buffer_pool_capacity=4,
+        max_range_tokens=64,
+    )
+    store.load_document(RECORD_READ_XML)
+    store.insert_into_last(4, "<note>n</note>")
+    store.insert_before(316, "<gap/>")
+    fetched = []
+    fetch = store.pool.fetch
+
+    def recording(block_no):
+        fetched.append(block_no)
+        return fetch(block_no)
+
+    store.pool.fetch = recording
+    whole = store.read()
+    nodes = {node_id: store.read(node_id) for node_id in RECORD_READ_NODES}
+    ledger = {
+        "tokens_emitted": store.tokens_emitted,
+        "reads": store.operations.reads,
+        "node_reads": store.operations.node_reads,
+        "simulated_seconds": store.simulated_seconds,
+        "fetched": fetched[:],
+    }
+    digest = state_digest(store)
+    ledger["after_digest"] = (
+        store.tokens_emitted, store.operations.reads, len(fetched), store.simulated_seconds,
+    )
+    return whole, nodes, ledger, digest
+
+
+class TestRecordRead:
+    """The cost model charges a read 20 us per record rendered (DESIGN.md
+    §2) and nothing for building tokens; this holds the code to it.  The
+    constants are what the token-decoding read path (PR 15's) produced for
+    the same calls: the counters, the simulated clock, the fetch sequence
+    and the replication digest did not move when the emitter replaced it."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Counts every token built and every full decode, whoever asks."""
+        from repro.xmltoken import binary
+        from repro.xmltoken.tokens import Token
+
+        calls = []
+        init, decode_at = Token.__init__, binary.decode_token_at
+
+        def counting_init(self, *args, **kwargs):
+            calls.append("Token")
+            init(self, *args, **kwargs)
+
+        def counting_decode(data, offset):
+            calls.append("decode_token_at")
+            return decode_at(data, offset)
+
+        monkeypatch.setattr(Token, "__init__", counting_init)
+        monkeypatch.setattr(binary, "decode_token_at", counting_decode)
+        return calls
+
+    def test_reads_decode_no_token(self, decodes):
+        store = make_store()
+        store.load_document(RECORD_READ_XML)
+        assert decodes  # loading tokenizes: the counter works
+        del decodes[:]
+        assert store.read() == RECORD_READ_XML
+        # the same ids as in the ledger's store: nothing was inserted
+        for node_id, expected in RECORD_READ_NODES.items():
+            assert store.read(node_id) == expected
+        assert decodes == []
+
+    def test_charges_and_fetches_match_the_token_decoding_path(self):
+        whole, nodes, ledger, _ = record_read_ledger()
+        assert whole.startswith('<lib xmlns:p="urn:p" name="main &amp; &quot;annex&quot;"><p:book')
+        assert whole.count("<note>n</note>") == 1 and whole.count("<gap/>") == 1
+        assert nodes == RECORD_READ_NODES
+        assert ledger == RECORD_READ_LEDGER
+
+    def test_state_digest_is_the_one_existing_sidecars_hold(self):
+        assert record_read_ledger()[3] == RECORD_READ_DIGEST
+
+    def test_a_flipped_text_byte_is_a_codec_error(self):
+        # with checksums off nothing stands between a rotten byte and the
+        # codec, which used to let UnicodeDecodeError through
+        from repro.errors import CodecError
+
+        store = make_store(checksums_enabled=False)
+        store.load_document("<r><a>caf\u00e9</a></r>")
+        pos = store.locator.locate(3).begin.pos
+        record = store.layout.record_at(pos)
+        assert record.endswith("\u00e9".encode())
+        store.layout.chain.replace_record(pos, record[:-1] + b"\xff")
+        with pytest.raises(CodecError, match="UTF-8"):
+            store.read()
+        with pytest.raises(CodecError, match="UTF-8"):
+            store.read(3)

@@ -51,6 +51,18 @@ simple_tokens = st.one_of(
         xml_text,
         names,
     ),
+    st.builds(
+        lambda n, t: Token(TokenKind.BEGIN_ELEMENT, name=n, type_annotation=t),
+        names,
+        names,
+    ),
+    st.builds(
+        lambda n, v: Token(TokenKind.NAMESPACE, name=n, value=v),
+        st.one_of(st.just(""), names),  # "" declares the default namespace
+        xml_text,
+    ),
+    st.just(Token(TokenKind.BEGIN_DOCUMENT)),
+    st.just(Token(TokenKind.END_DOCUMENT)),
 )
 
 

@@ -13,7 +13,9 @@ from repro.xmltoken.binary import (
     encode_tokens,
     encode_varint,
     peek_kind,
+    token_fields,
 )
+from repro.xmltoken.emitter import emit
 from repro.xmltoken.parser import tokenize_fragment
 from repro.xmltoken.tokens import (
     Token,
@@ -94,6 +96,78 @@ class TestTokenCodec:
         good = encode_token(text("hello world"))
         with pytest.raises(CodecError):
             decode_token(good[:-3])
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b"\x68\x02\xff\xfe",  # COMMENT name: no such UTF-8 byte
+            b"\x46\x01\xc3",  # TEXT value: a lead byte with nothing to lead
+            b"\x46\x01\xa9",  # TEXT value: a continuation byte on its own
+            b"\x86\x03\xed\xa0\x80",  # type annotation: an encoded surrogate
+        ],
+    )
+    def test_invalid_utf8_is_a_codec_error(self, record):
+        # not UnicodeDecodeError: with checksums off one flipped text byte
+        # reaches the codec, and store.read() must still fail typed
+        for consume in (decode_token, token_fields, lambda r: emit([r])):
+            with pytest.raises(CodecError, match="UTF-8"):
+                consume(record)
+
+    def test_fields_are_validated_one_by_one(self):
+        # joined, the two values are a well-formed "\u00e9": the emitter may
+        # not leave validation to decoding its joined output
+        halves = [b"\x46\x01\xc3", b"\x46\x01\xa9"]
+        assert b"".join(r[2:] for r in halves).decode("utf-8") == "\u00e9"
+        with pytest.raises(CodecError):
+            emit(halves)
+
+
+class TestTokenFields:
+    """The one slicer the decoder and the record emitter share."""
+
+    def test_slices_each_present_field(self):
+        token = Token(TokenKind.TEXT, name="n", value="h\u00e9", type_annotation="xs:string")
+        record = encode_token(token)
+        header, name, value, type_annotation, end = token_fields(record)
+        assert header & 0x1F == TokenKind.TEXT
+        assert (name, value, type_annotation) == (b"n", "h\u00e9".encode(), b"xs:string")
+        assert end == len(record)
+
+    def test_absent_fields_are_empty(self):
+        assert token_fields(encode_token(end_element())) == (3, b"", b"", b"", 1)
+
+    def test_slices_at_an_offset_and_reports_where_it_stopped(self):
+        blob = encode_stream([begin_element("a"), text("x" * 200), end_element()])
+        _, name, _, _, offset = token_fields(blob, 0)
+        assert name == b"a"
+        _, _, value, _, offset = token_fields(blob, offset)  # a two-byte length
+        assert value == b"x" * 200
+        assert token_fields(blob, offset) == (3, b"", b"", b"", len(blob))
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (b"", "empty token record"),
+            (bytes([0x1F]), "unknown token kind 31"),
+            (b"\x46", "truncated varint"),
+            (b"\x46\x80", "truncated varint"),
+            (b"\x46\x05ab", "truncated string payload"),
+            (b"\x46" + b"\xff" * 11, "varint too long"),
+        ],
+    )
+    def test_the_decoders_checks_are_made_here(self, record, message):
+        for consume in (token_fields, decode_token, lambda r: emit([r])):
+            with pytest.raises(CodecError, match=message):
+                consume(record)
+
+    def test_trailing_bytes_are_the_callers_to_judge(self):
+        # a stream decoder continues from next_offset; whole-record readers
+        # (decode_token, the emitter) reject what is left over
+        record = encode_token(text("x")) + b"\x00"
+        assert token_fields(record)[4] == len(record) - 1
+        for consume in (decode_token, lambda r: emit([r])):
+            with pytest.raises(CodecError, match="1 trailing bytes"):
+                consume(record)
 
 
 class TestPeekKind:
