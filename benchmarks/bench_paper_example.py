@@ -60,4 +60,8 @@ def test_partial_index_state_matches_table4(benchmark):
     assert entry is not None
     assert entry.has_end  # begin AND end token locations, as in Table 4
     # the end token lives in a different range than the begin (the split)
-    assert entry.end_range_id != entry.range_id
+    begin_range, _ = store.ranges.resolve(entry.origin, entry.address)
+    end_range, end_offset = store.ranges.resolve(entry.end_origin, entry.end_address)
+    assert end_range.range_id != begin_range.range_id
+    # ... though both tokens still carry the address they were loaded under
+    assert entry.end_origin == entry.origin and end_offset == 0

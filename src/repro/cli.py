@@ -1174,9 +1174,7 @@ def _run_health(arguments, stdin) -> str:
         cost_model=config.cost_model,
     )
     try:
-        store = XMLStore.from_catalog(
-            device, catalog, config=config, repair_mode=True
-        )
+        store = XMLStore.from_catalog(device, catalog, config=config)
         report = health_report(store, store_path=arguments.store)
     finally:
         device.close()
@@ -1259,9 +1257,7 @@ def _run_scrub(arguments) -> str:
         cost_model=config.cost_model,
     )
     try:
-        store = XMLStore.from_catalog(
-            device, catalog, config=config, repair_mode=True
-        )
+        store = XMLStore.from_catalog(device, catalog, config=config)
         report = scrub_store(store, blocks_per_call=arguments.budget)
     finally:
         device.close()

@@ -13,7 +13,8 @@ the combined token run still regenerates exactly ``[start_id .. end_id]``:
 * the right range's interval is empty (the merged interval is the left's).
 
 Merging is purely a metadata operation: extend the left meta, drop the
-right meta and its index entry, and invalidate cached locations for both.
+right meta and its index entry, and move the merged range to a fresh
+origin so that every logical address held for either stops resolving.
 """
 
 from __future__ import annotations
@@ -98,18 +99,12 @@ def _merge_pair(store, left: RangeMeta, right: RangeMeta) -> None:
     left.token_count += right.token_count
     left.start_id = start_id
     left.end_id = end_id
-    left.bump()
-    # the right range's blocks now host the left range's tokens
-    for block_no in store.ranges.blocks_of(right.range_id):
-        store.ranges.add_resident(block_no, left.range_id)
+    store.ranges.rebase(left)
     # index maintenance: one entry keyed by the merged start id
     store.range_index.unregister(old_right_key)
     if left.has_interval:
         store.range_index.rekey(old_left_key, left)
     elif old_left_key is not None:
         store.range_index.unregister(old_left_key)
-    # cached locations into the right range die with it
-    if store.partial_index is not None:
-        store.partial_index.forget_range(right.range_id)
     store.ranges.drop(right.range_id)
     store.operations.ranges_dropped += 1

@@ -5,31 +5,39 @@ However, a full index has two main disadvantages: (a) inserts are
 expensive, and (b) storage requirements are very high."
 
 The full index is a disk-based B+-tree (same buffer pool, same simulated
-clock as everything else) mapping every node id to its physical location,
-stamped with the owning range's version.  Inserting N nodes costs N tree
-insertions — that is the cost Table 5 row 1 pays.  When a relocation bumps
-a range's version, affected entries become stale; they are repaired on
-access by falling back to a range scan and re-stamping, mirroring how the
-paper's position-based full indexes degrade under physical movement.
+clock as everything else) mapping every node id to the logical address of
+its begin token (see :mod:`repro.core.ranges`).  Inserting N nodes costs N
+tree insertions — that is the cost Table 5 row 1 pays.  An address survives
+every split and unrelated update, so the only entries that stop resolving
+are those compaction merged away and those written in the older
+position-based format; both are repaired on access by falling back to a
+range scan.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.core.partial_index import LocationEntry
 from repro.core.ranges import RangeTable
 from repro.index.bptree import INT_KEY_CODEC, PagedBPlusTree
 from repro.obs.events import NOOP_EVENT_LOG
 from repro.storage.buffer import BufferPool
-from repro.storage.heap import Position
 
-_ENTRY = struct.Struct("<qqqqq")  # range_id, version, block, slot, offset
+_ENTRY = struct.Struct("<qq")  # origin, address
+
+
+def _decode(node_id: int, value: bytes) -> Optional[LocationEntry]:
+    """A value of any other length (the 40-byte range/version/position
+    form of older stores) is never decoded: it reads as stale."""
+    if len(value) != _ENTRY.size:
+        return None
+    return LocationEntry(node_id, *_ENTRY.unpack(value))
 
 
 class FullIndex:
-    """node_id -> (range_id, version, position, offset) over a B+-tree."""
+    """node_id -> (origin, address) over a B+-tree."""
 
     def __init__(
         self, pool: BufferPool, order: int = 64, root_block: Optional[int] = None
@@ -46,56 +54,24 @@ class FullIndex:
     def root_block(self) -> int:
         return self._tree.root_block
 
-    def put(
-        self,
-        node_id: int,
-        range_id: int,
-        version: int,
-        pos: Position,
-        offset: int,
-    ) -> None:
-        self._tree.insert(
-            node_id, _ENTRY.pack(range_id, version, pos.block_no, pos.slot, offset)
-        )
-
-    def put_entry(self, entry: LocationEntry) -> None:
-        self.put(
-            entry.node_id,
-            entry.range_id,
-            entry.version,
-            entry.begin_pos,
-            entry.begin_offset,
-        )
+    def put(self, node_id: int, origin: int, address: int) -> None:
+        self._tree.insert(node_id, _ENTRY.pack(origin, address))
 
     def lookup(self, node_id: int, ranges: RangeTable) -> Optional[LocationEntry]:
-        """A *current* location for ``node_id``; stale entries return None
-        (the caller re-locates by scan and calls :meth:`put` to repair)."""
+        """The entry for ``node_id`` if it still resolves; stale entries
+        return None (the caller re-locates by scan and calls :meth:`put`
+        to repair)."""
         self.lookups += 1
         value = self._tree.get(node_id)
-        if value is None:
-            if self.event_log.enabled:
-                self.event_log.emit("full_index", "probe",
-                                    node_id=node_id, outcome="miss")
-            return None
-        range_id, version, block_no, slot, offset = _ENTRY.unpack(value)
-        entry = LocationEntry(
-            node_id=node_id,
-            range_id=range_id,
-            version=version,
-            begin_pos=Position(block_no, slot),
-            begin_offset=offset,
-        )
-        if not entry.is_current(ranges):
+        entry = None if value is None else _decode(node_id, value)
+        if entry is not None and ranges.resolve(entry.origin, entry.address) is None:
+            entry = None
+        if entry is None and value is not None:
             self.stale_lookups += 1
-            if self.event_log.enabled:
-                self.event_log.emit("full_index", "probe",
-                                    node_id=node_id, outcome="stale",
-                                    range_id=range_id)
-            return None
         if self.event_log.enabled:
+            outcome = "hit" if entry else "miss" if value is None else "stale"
             self.event_log.emit("full_index", "probe",
-                                node_id=node_id, outcome="hit",
-                                range_id=range_id)
+                                node_id=node_id, outcome=outcome)
         return entry
 
     def remove(self, node_id: int) -> bool:
@@ -115,5 +91,9 @@ class FullIndex:
     def __len__(self) -> int:
         return len(self._tree)
 
-    def node_ids(self) -> Iterator[int]:
-        return (node_id for node_id, _ in self._tree.items())
+    def entries(self) -> Iterator[LocationEntry]:
+        """Every entry of the current format, in id order."""
+        for node_id, value in self._tree.items():
+            entry = _decode(node_id, value)
+            if entry is not None:
+                yield entry

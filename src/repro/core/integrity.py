@@ -13,13 +13,15 @@ payload, JSON-able and renderable):
 * ``id-density`` — replaying each range's tokens regenerates exactly its
   dense id interval ``[start_id, end_id]`` (the soundness condition of
   the paper's id-regeneration trick, §4.3);
-* ``partial-memo`` — every *current* partial-index entry agrees with a
-  from-scratch probe: the memoized (range, offset) really holds the
-  node's begin token at the memoized position.  Stale entries (version
-  mismatch) are legal — invalidation-by-version drops them on probe —
-  but a *current* entry pointing at the wrong token would silently
-  corrupt reads, which is exactly what the crash-consistency harness
-  hunts for;
+* ``partial-memo`` — every partial-index entry that *resolves* agrees
+  with a from-scratch scan: the token at the (range, offset) its logical
+  address resolves to is the begin token whose regenerated id is the
+  entry's key, and it lives where the chain's block counts say it does.
+  Entries that no longer resolve are legal — they are dropped on probe —
+  but a resolving entry naming the wrong token would silently corrupt
+  reads, which is exactly what the crash-consistency harness hunts for;
+* ``full-index`` — the same, for every entry of the full index (vacuous
+  when the policy maintains none);
 * ``block-checksum`` — an out-of-band scrub pass: every owned block's
   raw device image verifies against its checksum frame (vacuous on a
   legacy no-checksum store, and dirty/pending-free blocks are skipped —
@@ -132,47 +134,64 @@ def _check_id_density(store) -> Dict[str, int]:
     return {"ranges": ranges}
 
 
+def _check_addresses(store, entries, what: str) -> Dict[str, int]:
+    """Every entry that resolves must name the begin token of its node."""
+    #: range id -> {offset: ids of the nodes whose entries resolve to it},
+    #: so that each range is scanned once however many entries it holds
+    claims: Dict[int, Dict[int, List[int]]] = {}
+    stale = 0
+    for entry in entries:
+        resolved = store.ranges.resolve(entry.origin, entry.address)
+        if resolved is None:
+            stale += 1  # legal: dropped (or repaired) on the next lookup
+            continue
+        meta, offset = resolved
+        claims.setdefault(meta.range_id, {}).setdefault(offset, []).append(
+            entry.node_id
+        )
+    checked = 0
+    for range_id, offsets in claims.items():
+        meta = store.ranges.get(range_id)
+        for item in store.locator.scan_range(meta):
+            node_ids = offsets.get(item.offset)
+            if node_ids is None:
+                continue
+            for node_id in node_ids:
+                if not item.starts_node or item.last_id != node_id:
+                    found = (
+                        f"node {item.last_id}"
+                        if item.starts_node
+                        else "a non-node token"
+                    )
+                    raise StoreError(
+                        f"{what} entry for node {node_id} resolves to {found} "
+                        f"(offset {item.offset} of {meta!r})"
+                    )
+            derived = store.layout.position_of(meta, item.offset)
+            if derived != item.pos:
+                raise StoreError(
+                    f"block counts place offset {item.offset} of {meta!r} at "
+                    f"{tuple(derived)} but the token lives at {tuple(item.pos)}"
+                )
+            checked += len(node_ids)
+    return {"entries": checked, "stale": stale}
+
+
 def _check_partial_memo(store) -> Dict[str, int]:
-    """Every current memo entry must match a from-scratch range probe."""
     if store.partial_index is None:
         return {"entries": 0}
-    checked = 0
-    stale = 0
-    for node_id, entry in list(store.partial_index._entries.items()):
+    for node_id, entry in store.partial_index._entries.items():
         if entry.node_id != node_id:
             raise StoreError(
                 f"memo keyed {node_id} holds entry for node {entry.node_id}"
             )
-        if not entry.is_current(store.ranges):
-            stale += 1  # legal: dropped on next probe
-            continue
-        meta = store.ranges.get(entry.range_id)
-        if entry.begin_offset >= meta.token_count:
-            raise StoreError(
-                f"memo for node {node_id} points at offset "
-                f"{entry.begin_offset} past {meta!r}"
-            )
-        for item in store.locator.scan_range(meta):
-            if item.offset < entry.begin_offset:
-                continue
-            if not item.starts_node:
-                raise StoreError(
-                    f"memo for node {node_id} points at a non-node token "
-                    f"(offset {entry.begin_offset} of {meta!r})"
-                )
-            if item.last_id != node_id:
-                raise StoreError(
-                    f"memo for node {node_id} resolves to node "
-                    f"{item.last_id} (offset {entry.begin_offset} of {meta!r})"
-                )
-            if item.pos != entry.begin_pos:
-                raise StoreError(
-                    f"memo for node {node_id} records position "
-                    f"{entry.begin_pos} but the token lives at {item.pos}"
-                )
-            break
-        checked += 1
-    return {"entries": checked, "stale": stale}
+    return _check_addresses(store, store.partial_index._entries.values(), "memo")
+
+
+def _check_full_index(store) -> Dict[str, int]:
+    if store.full_index is None:
+        return {"entries": 0}
+    return _check_addresses(store, store.full_index.entries(), "full-index")
 
 
 def integrity_report(store) -> IntegrityReport:
@@ -228,8 +247,13 @@ def integrity_report(store) -> IntegrityReport:
         ),
         (
             "partial-memo",
-            "current memo entries agree with a from-scratch probe",
+            "memo entries that resolve agree with a from-scratch scan",
             lambda: _check_partial_memo(store),
+        ),
+        (
+            "full-index",
+            "full-index entries that resolve agree with a from-scratch scan",
+            lambda: _check_full_index(store),
         ),
         (
             "block-checksum",

@@ -6,17 +6,16 @@ place that mutates the chain on behalf of the store, because every
 physical move must be mirrored in range bookkeeping:
 
 * when a block is **split**, ranges *starting* in the moved tail get a new
-  start position, and every range resident in the block gets its version
-  bumped (cached locations are now stale);
+  start position;
 * when records are **deleted**, later slots in the same block shift left,
-  so surviving range starts in that block are shifted and residents are
-  bumped;
+  so surviving range starts in that block are shifted;
 * **insertions** are engineered to never move existing records: the insert
   point is first turned into a block boundary (via a split), after which
   new records only ever fill tail free space or brand-new blocks.
 
-The layout returns the positions of inserted records so the caller can
-register residency and (eagerly) index them.
+A range's ``start`` is the only physical coordinate anything remembers:
+:meth:`TokenLayout.position_of` derives every other position from it and
+the chain's in-memory block counts, so neither move invalidates anything.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.errors import StoreError
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import ChainedFile, Position
-from repro.core.ranges import RangeTable
+from repro.core.ranges import RangeMeta, RangeTable
 
 
 class InsertResult:
@@ -77,6 +76,21 @@ class TokenLayout:
     def record_at(self, pos: Position) -> bytes:
         return self.chain.read_record(pos)
 
+    def position_of(self, meta: RangeMeta, offset: int) -> Position:
+        """Where token ``offset`` of range ``meta`` lives: ``meta.start``
+        advanced over the chain's block counts (no page is touched)."""
+        return self.chain.advance(meta.start, offset)
+
+    def blocks_of(self, meta: RangeMeta) -> List[int]:
+        """The blocks holding ``meta``'s tokens, in chain order."""
+        if not meta.token_count:
+            return []
+        last = self.position_of(meta, meta.token_count - 1).block_no
+        blocks = [meta.start.block_no]
+        while blocks[-1] != last:
+            blocks.append(self.chain.next_block(blocks[-1]))
+        return blocks
+
     @property
     def is_empty(self) -> bool:
         return self.chain.head is None
@@ -84,9 +98,13 @@ class TokenLayout:
     # -- insertion -----------------------------------------------------------------
 
     def insert_before(
-        self, pos: Optional[Position], records: Sequence[bytes]
+        self,
+        pos: Optional[Position],
+        records: Sequence[bytes],
+        meta: Optional[RangeMeta] = None,
     ) -> InsertResult:
-        """Insert ``records`` immediately before the record at ``pos``.
+        """Insert ``records`` immediately before the record at ``pos``,
+        a token of range ``meta``.
 
         ``pos=None`` appends at the end of the document.  Existing records
         never move except for the single block split needed when ``pos``
@@ -97,18 +115,18 @@ class TokenLayout:
             raise StoreError("insert_before called with no records")
         if self.chain.head is None:
             first_block = self.chain.append_block()
-            positions = self._fill_from(first_block, records)
+            positions = self.chain.append_after(first_block, records)
             return InsertResult(positions, None)
         if pos is None:
             tail = self.chain.tail
             assert tail is not None
-            positions = self._fill_from(tail, records)
+            positions = self.chain.append_after(tail, records)
             return InsertResult(positions, None)
         block_no, slot = pos
         if slot == 0:
             return self._insert_at_block_front(block_no, records)
-        following = self._make_boundary(block_no, slot)
-        positions = self._fill_from(block_no, records)
+        following = self._make_boundary(block_no, slot, meta)
+        positions = self.chain.append_after(block_no, records)
         return InsertResult(positions, following)
 
     def _insert_at_block_front(
@@ -119,55 +137,47 @@ class TokenLayout:
         prev = self.chain.prev_block(block_no)
         if prev is None:
             prev = self.chain.insert_block_before(block_no)
-        positions = self._fill_from(prev, records)
+        positions = self.chain.append_after(prev, records)
         return InsertResult(positions, Position(block_no, 0))
 
-    def _make_boundary(self, block_no: int, slot: int) -> Position:
-        """Split ``block_no`` at ``slot`` so the insert point becomes the
-        end of the block; returns the new position of the displaced record
-        and performs all relocation accounting."""
+    def _make_boundary(self, block_no: int, slot: int, meta: RangeMeta) -> Position:
+        """Split ``block_no`` at ``slot`` (a token of ``meta``) so the insert
+        point becomes the end of the block; returns the new position of the
+        displaced record and fixes the start of every range that began in
+        the moved tail."""
         new_block = self.chain.split_block(block_no, slot)
-        self.ranges.copy_residents(block_no, new_block)
-        # every resident's cached positions may now be wrong
-        self.ranges.bump_block(block_no)
-        # ranges that *started* in the moved tail get their start fixed
-        for range_id in self.ranges.residents(block_no):
-            meta = self.ranges.get(range_id)
-            if meta.start.block_no == block_no and meta.start.slot >= slot:
-                meta.start = Position(new_block, meta.start.slot - slot)
-                self.ranges.add_resident(new_block, range_id)
+        # those ranges are consecutive in document order: ``meta`` itself if
+        # the split point is its first token, then its successors
+        index = self.ranges.order_index(meta.range_id)
+        if meta.start != (block_no, slot):
+            index += 1
+        self._shift_starts(index, block_no, new_block, slot)
         return Position(new_block, 0)
 
-    def _fill_from(self, anchor_block: int, records: Sequence[bytes]) -> List[Position]:
-        """Append records into ``anchor_block``'s tail free space, then
-        into fresh blocks chained right after it, in order."""
-        positions: List[Position] = []
-        current = anchor_block
-        for record in records:
-            with self.chain.fetch(current) as guard:
-                if guard.page.fits(record):
-                    slot = guard.page.append(record)
-                    guard.mark_dirty()
-                    positions.append(Position(current, slot))
-                    continue
-            current = self.chain.insert_block_after(current)
-            with self.chain.fetch(current) as guard:
-                # raises RecordTooLargeError for records that can never fit
-                slot = guard.page.append(record)
-                guard.mark_dirty()
-            positions.append(Position(current, slot))
-        return positions
+    def _shift_starts(self, first: int, block_no: int, to_block: int, by: int) -> None:
+        """Ranges from document-order index ``first`` on that start in
+        ``block_no`` now start ``by`` slots earlier, in ``to_block``."""
+        ranges = self.ranges
+        for index in range(first, len(ranges)):
+            meta = ranges.at_order(index)
+            if meta.start.block_no != block_no:
+                break
+            meta.start = Position(to_block, meta.start.slot - by)
 
     # -- deletion -------------------------------------------------------------------
 
-    def delete_run(self, start: Position, count: int) -> Optional[Position]:
+    def delete_run(
+        self, start: Position, count: int, first_after: int
+    ) -> Optional[Position]:
         """Delete ``count`` consecutive records starting at ``start``.
 
         Returns the (new) position of the first surviving record after the
         run, or None if the run reached the end of the document.  Shifts
-        surviving range starts and bumps resident versions; range starts
-        *inside* the deleted run are the caller's responsibility (it knows
-        which ranges the run covered).
+        the starts of the ranges that begin after the run in its last block
+        — the ranges from document-order index ``first_after`` on; range
+        starts *inside* the deleted run, and that of a range whose front
+        the run removed, are the caller's responsibility (it knows which
+        ranges the run covered).
         """
         if count <= 0:
             raise StoreError(f"delete_run of {count} records")
@@ -178,8 +188,7 @@ class TokenLayout:
         while remaining > 0:
             if block_no is None:
                 raise StoreError("delete_run ran past the end of the chain")
-            with self.chain.fetch(block_no) as guard:
-                available = len(guard.page) - slot
+            available = self.chain.block_record_count(block_no) - slot
             if available < 0:
                 raise StoreError(f"delete_run start slot {slot} out of range")
             take = min(remaining, available)
@@ -187,23 +196,16 @@ class TokenLayout:
                 self.chain.delete_record(Position(block_no, slot))
             remaining -= take
             next_block = self.chain.next_block(block_no)
-            self.ranges.bump_block(block_no)
-            # shift surviving starts in this block left by `take`
-            for range_id in list(self.ranges.residents(block_no)):
-                meta = self.ranges.get(range_id)
-                if meta.start.block_no == block_no and meta.start.slot >= slot + take:
-                    meta.start = Position(block_no, meta.start.slot - take)
-            with self.chain.fetch(block_no) as guard:
-                now_empty = len(guard.page) == 0
-            if now_empty:
+            if remaining == 0:
+                # only the run's last block has survivors after the run
+                self._shift_starts(first_after, block_no, block_no, take)
+            left = self.chain.block_record_count(block_no)
+            if left == 0:
                 self.chain.remove_block(block_no)
-                self.ranges.forget_block(block_no)
-            elif remaining == 0:
-                with self.chain.fetch(block_no) as guard:
-                    if slot < len(guard.page):
-                        after = Position(block_no, slot)
-                        break
-            if remaining == 0 and after is None:
+            elif remaining == 0 and slot < left:
+                after = Position(block_no, slot)
+                break
+            if remaining == 0:
                 after = Position(next_block, 0) if next_block is not None else None
                 break
             block_no = next_block

@@ -12,6 +12,11 @@ Implements the lookup discipline of §4–§5.  A node id is resolved by:
 Every successful scan is memoized back into the partial index (lazy
 population), which is precisely what makes the store adaptive: positions
 the workload keeps touching become cheap, untouched ones cost nothing.
+
+Both indexes hold a token's logical address (:mod:`repro.core.ranges`), and
+a lookup writes back only what it *learned*: a begin found by scan goes to
+both, an end found by scan to the partial index (the full index has nowhere
+to keep one); a read answered by an index writes nothing.
 """
 
 from __future__ import annotations
@@ -93,6 +98,11 @@ class ScanItem:
         if token is None:
             token = self._token = decode_token(self.record)
         return token
+
+    @property
+    def address(self) -> Tuple[int, int]:
+        """The token's logical address: (origin, offset under the origin)."""
+        return self.meta.origin, self.meta.lo + self.offset
 
     @property
     def starts_node(self) -> bool:
@@ -317,7 +327,7 @@ class Locator:
         if meta is None:
             raise NodeNotFoundError(f"no node with id {node_id}")
         location = self._locate_by_scan(meta, node_id)
-        self._memoize(location)
+        self._memoize(location, found_begin=True)
         return location
 
     def locate_span(self, node_id: int) -> NodeLocation:
@@ -325,7 +335,7 @@ class Locator:
         location = self.locate(node_id)
         if location.end is None:
             location.end = self.find_end(location.begin)
-            self._memoize(location)
+            self._memoize(location, found_begin=False)
         return location
 
     def find_end(self, begin: ScanItem) -> ScanItem:
@@ -439,61 +449,49 @@ class Locator:
         return None
 
     def _location_from_entry(self, entry: LocationEntry) -> NodeLocation:
-        begin = self._item_at(
-            entry.range_id, entry.begin_offset, entry.begin_pos, entry.node_id
-        )
-        location = NodeLocation(node_id=entry.node_id, begin=begin)
-        if entry.has_end and entry.end_range_id is not None:
-            assert entry.end_pos is not None and entry.end_offset is not None
-            location.end = self._item_at(
-                entry.end_range_id, entry.end_offset, entry.end_pos, entry.end_last_id
-            )
+        """The location an entry that a probe just validated stands for."""
+        begin = self.ranges.resolve(entry.origin, entry.address)
+        assert begin is not None
+        location = NodeLocation(entry.node_id, self._item_at(*begin, entry.node_id))
+        if entry.has_end:
+            end = self.ranges.resolve(entry.end_origin, entry.end_address)
+            if end is None:
+                entry.drop_end()
+            else:
+                location.end = self._item_at(*end, entry.end_last_id)
         return location
 
     def _item_at(
-        self, range_id: int, offset: int, pos: Position, last_id: Optional[int]
+        self, meta: RangeMeta, offset: int, last_id: Optional[int]
     ) -> ScanItem:
-        """The scan item for a remembered position (one record read)."""
+        """The scan item for token ``offset`` of ``meta`` (one record read).
+
+        ``last_id`` was remembered in the frame of the range the token was
+        in then; since a split or delete the token may sit in a tail piece
+        that starts after that node, where the id cursor has not started.
+        """
+        if last_id is not None and (
+            meta.start_id is None or last_id < meta.start_id
+        ):
+            last_id = None
+        pos = self.layout.position_of(meta, offset)
         record = self.layout.record_at(pos)
         return ScanItem(
-            self.ranges.order_index(range_id), self.ranges.get(range_id),
+            self.ranges.order_index(meta.range_id), meta,
             offset, pos, record, peek_kind(record), last_id,
         )
 
-    def _memoize(self, location: NodeLocation) -> None:
-        if self.partial_index is None or not self.populate_partial:
-            if self.full_index is not None:
-                self._repair_full(location)
-            return
-        begin = location.begin
-        entry = LocationEntry(
-            node_id=location.node_id,
-            range_id=begin.meta.range_id,
-            version=begin.meta.version,
-            begin_pos=begin.pos,
-            begin_offset=begin.offset,
-        )
-        if location.end is not None:
-            # The end token may sit in a later range (paper Table 4); it is
-            # stamped with that range's own version and validated
-            # independently on probe.
+    def _memoize(self, location: NodeLocation, found_begin: bool) -> None:
+        """Write back what a scan learned: ``found_begin`` says the begin
+        token came from a scan (else only the end did)."""
+        origin, address = location.begin.address
+        if self.partial_index is not None and self.populate_partial:
+            entry = LocationEntry(location.node_id, origin, address)
             end = location.end
-            entry.end_range_id = end.meta.range_id
-            entry.end_version = end.meta.version
-            entry.end_pos = end.pos
-            entry.end_offset = end.offset
-            entry.end_last_id = end.last_id
-        self.partial_index.remember(entry)
-        if self.full_index is not None:
-            self._repair_full(location)
-
-    def _repair_full(self, location: NodeLocation) -> None:
-        assert self.full_index is not None
-        begin = location.begin
-        self.full_index.put(
-            location.node_id,
-            begin.meta.range_id,
-            begin.meta.version,
-            begin.pos,
-            begin.offset,
-        )
+            if end is not None:
+                # the end token may sit in a later range (paper Table 4)
+                entry.end_origin, entry.end_address = end.address
+                entry.end_last_id = end.last_id
+            self.partial_index.remember(entry)
+        if found_begin and self.full_index is not None:
+            self.full_index.put(location.node_id, origin, address)

@@ -13,10 +13,11 @@ Characteristics, per the paper:
   present, and a capacity bound evicts the least recently used entry;
 * **lazy** — populated as a side effect of lookups, never ahead of them
   (the eager variant exists only as the Ablation C strawman);
-* **invalidation by version** — every entry records the range version it
-  observed; relocations bump the range version, so stale entries are
-  detected on probe and dropped (cache semantics: correctness never
-  depends on the partial index).
+* **nothing to invalidate** — an entry holds a token's *logical address*
+  (see :mod:`repro.core.ranges`), which no split, insert or unrelated
+  delete changes; it stops resolving only when the token itself is deleted
+  or its range is merged away, and is then dropped on probe (cache
+  semantics: correctness never depends on the partial index).
 """
 
 from __future__ import annotations
@@ -27,54 +28,37 @@ from typing import Optional
 
 from repro.core.ranges import RangeTable
 from repro.obs.events import NOOP_EVENT_LOG
-from repro.storage.heap import Position
 
 
 @dataclass
 class LocationEntry:
-    """Memoized location of one node's begin (and optionally end) token.
+    """Memoized logical address of one node's begin (and optionally end)
+    token — what both the partial index and the full index hold.
 
     The end token may live in a *different* range than the begin token —
     the paper's Table 4 shows exactly that (node 60: begin in range 1, end
-    in range 3) — so the end location carries its own range id and version
-    stamp and is validated independently.
+    in range 3) — so it carries its own address and resolves independently.
     """
 
     node_id: int
-    range_id: int
-    version: int
-    begin_pos: Position
-    begin_offset: int  # token offset inside the range
-    end_range_id: Optional[int] = None
-    end_version: Optional[int] = None
-    end_pos: Optional[Position] = None
-    end_offset: Optional[int] = None
+    origin: int
+    address: int
+    end_origin: Optional[int] = None
+    end_address: Optional[int] = None
     #: id of the last node-starting token at/before the end token within
-    #: the end token's range (None if there is none); lets update
-    #: operations reuse the memoized end without rescanning.
+    #: the range the end token was in *when remembered* (None if there was
+    #: none); lets update operations reuse the memoized end without
+    #: rescanning.  The locator re-frames it to the range the end resolves
+    #: into now.
     end_last_id: Optional[int] = None
 
     @property
     def has_end(self) -> bool:
-        return self.end_pos is not None
-
-    def is_current(self, ranges: RangeTable) -> bool:
-        if self.range_id not in ranges:
-            return False
-        return ranges.get(self.range_id).version == self.version
-
-    def is_end_current(self, ranges: RangeTable) -> bool:
-        if self.end_range_id is None or self.end_version is None:
-            return False
-        if self.end_range_id not in ranges:
-            return False
-        return ranges.get(self.end_range_id).version == self.end_version
+        return self.end_origin is not None
 
     def drop_end(self) -> None:
-        self.end_range_id = None
-        self.end_version = None
-        self.end_pos = None
-        self.end_offset = None
+        self.end_origin = None
+        self.end_address = None
         self.end_last_id = None
 
 
@@ -133,9 +117,9 @@ class PartialIndex:
         return len(self._entries)
 
     def probe(self, node_id: int, ranges: RangeTable) -> Optional[LocationEntry]:
-        """A *current* entry for ``node_id``, or None.  Stale entries are
-        dropped on probe; an entry whose begin is current but whose end
-        went stale survives with the end information stripped."""
+        """The entry for ``node_id`` if its begin still resolves, or None.
+        Stale entries are dropped on probe; whether a remembered *end*
+        still resolves is for the caller to find out (and ``drop_end``)."""
         entry = self._entries.get(node_id)
         if entry is None:
             self.stats.misses += 1
@@ -143,41 +127,37 @@ class PartialIndex:
                 self.event_log.emit("partial_index", "probe",
                                     node_id=node_id, outcome="miss")
             return None
-        if not entry.is_current(ranges):
+        resolved = ranges.resolve(entry.origin, entry.address)
+        if resolved is None:
             self.stats.stale_hits += 1
             del self._entries[node_id]
             if self.event_log.enabled:
                 self.event_log.emit("partial_index", "probe",
                                     node_id=node_id, outcome="stale",
-                                    range_id=entry.range_id)
+                                    origin=entry.origin)
             return None
-        if entry.has_end and not entry.is_end_current(ranges):
-            entry.drop_end()
         self.stats.hits += 1
         self._entries.move_to_end(node_id)
         if self.event_log.enabled:
             self.event_log.emit("partial_index", "probe",
                                 node_id=node_id, outcome="hit",
-                                range_id=entry.range_id)
+                                range_id=resolved[0].range_id)
         return entry
 
     def remember(self, entry: LocationEntry) -> None:
         """Memoize a lookup result (lazy population, §5)."""
         existing = self._entries.get(entry.node_id)
-        if existing is not None and existing.version == entry.version:
-            # keep any end-token knowledge the newer entry lacks
-            if not entry.has_end and existing.has_end:
-                entry.end_range_id = existing.end_range_id
-                entry.end_version = existing.end_version
-                entry.end_pos = existing.end_pos
-                entry.end_offset = existing.end_offset
-                entry.end_last_id = existing.end_last_id
+        if existing is not None and existing.has_end and not entry.has_end:
+            # keep the end-token knowledge the newer entry lacks
+            entry.end_origin = existing.end_origin
+            entry.end_address = existing.end_address
+            entry.end_last_id = existing.end_last_id
         self._entries[entry.node_id] = entry
         self._entries.move_to_end(entry.node_id)
         self.stats.inserts += 1
         if self.event_log.enabled:
             self.event_log.emit("partial_index", "remember",
-                                node_id=entry.node_id, range_id=entry.range_id,
+                                node_id=entry.node_id, origin=entry.origin,
                                 has_end=entry.has_end)
         if self.capacity is not None:
             while len(self._entries) > self.capacity:
@@ -190,16 +170,6 @@ class PartialIndex:
     def forget(self, node_id: int) -> None:
         self._entries.pop(node_id, None)
 
-    def forget_range(self, range_id: int) -> None:
-        """Drop every entry whose begin points into ``range_id`` (used
-        when a range disappears entirely); entries whose *end* pointed
-        there keep their begin and lose the end."""
-        for node_id, entry in list(self._entries.items()):
-            if entry.range_id == range_id:
-                del self._entries[node_id]
-            elif entry.end_range_id == range_id:
-                entry.drop_end()
-
     def clear(self) -> None:
         self._entries.clear()
 
@@ -210,7 +180,7 @@ class PartialIndex:
         stale = [
             node_id
             for node_id, entry in self._entries.items()
-            if not entry.is_current(ranges)
+            if ranges.resolve(entry.origin, entry.address) is None
         ]
         for node_id in stale:
             del self._entries[node_id]

@@ -11,24 +11,35 @@ chain's record sequence.
 ``[start_id, end_id]`` (the Range Index key material — ids inside a range
 are contiguous and document-ordered because they were allocated densely at
 the range's insert), its physical start :class:`~repro.storage.heap.Position`,
-its token count and a *version* that is bumped whenever any of its tokens
-may have moved — the invalidation handle for partial/full index entries.
+its token count, and the *logical address* of its first token: the range it
+was first inserted under (``origin``) and its offset there (``lo``).
 
-:class:`RangeTable` owns all range metadata plus the document-order list
-and the per-block residency sets used for relocation accounting.
+A token's logical address ``(origin, lo + offset)`` is what an index entry
+stores, because nothing that happens to *other* tokens changes it: ranges
+only ever shrink or get cut (a cut-off tail is a new range with the same
+origin), so the surviving *pieces* of one origin cover disjoint address
+intervals and :meth:`RangeTable.resolve` turns an address back into
+``(range, offset)`` — or into ``None`` once the token is gone.  Nothing is
+versioned and no write invalidates anything (DESIGN.md §10).
+
+:class:`RangeTable` owns all range metadata, the document-order list and the
+per-origin piece lists.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from bisect import bisect_right, insort
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.storage.heap import Position
 
-_META = struct.Struct("<qqqqqqqq")  # id, start_id(-1), end_id(-1), block, slot, count, version, reserved
+_META = struct.Struct("<qqqqqqqq")  # id, start_id(-1), end_id(-1), block, slot, count, origin, lo
 _HEADER = struct.Struct("<qI")  # next_range_id, count
+_LO = attrgetter("lo")
 
 
 @dataclass
@@ -43,9 +54,10 @@ class RangeMeta:
     #: tokens produced by a split).
     start_id: Optional[int] = None
     end_id: Optional[int] = None
-    #: Bumped whenever the range's tokens may have been relocated; cached
-    #: locations carry the version they observed.
-    version: int = 0
+    #: Logical address of the range's first token: the id of the range its
+    #: tokens were first inserted under, and the offset they had there.
+    origin: int = 0
+    lo: int = 0
 
     @property
     def has_interval(self) -> bool:
@@ -59,26 +71,22 @@ class RangeMeta:
             and self.start_id <= node_id <= self.end_id
         )
 
-    def bump(self) -> None:
-        self.version += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ids = f"[{self.start_id},{self.end_id}]" if self.has_interval else "[]"
         return (
             f"Range(#{self.range_id} ids={ids} tokens={self.token_count} "
-            f"at={tuple(self.start)} v{self.version})"
+            f"at={tuple(self.start)} addr={self.origin}+{self.lo})"
         )
 
 
 class RangeTable:
-    """All ranges, their document order, and block-residency accounting."""
+    """All ranges, their document order, and the pieces of each origin."""
 
     def __init__(self) -> None:
         self._by_id: Dict[int, RangeMeta] = {}
         self._order: List[int] = []
-        #: block_no -> range ids that *may* have tokens in the block
-        #: (a conservative superset; used only to bump versions).
-        self._residents: Dict[int, Set[int]] = {}
+        #: origin -> its surviving ranges, ascending by ``lo``
+        self._pieces: Dict[int, List[RangeMeta]] = {}
         self._next_range_id = 1
 
     # -- basic access ---------------------------------------------------------
@@ -142,21 +150,29 @@ class RangeTable:
         end_id: Optional[int],
         after: Optional[int] = None,
         before: Optional[int] = None,
+        cut_from: Optional[RangeMeta] = None,
+        cut_at: int = 0,
     ) -> RangeMeta:
         """Create a range and place it in document order.
 
         ``after``/``before`` name an existing range id; omitting both
-        appends at the end of the document.
+        appends at the end of the document.  A range of freshly inserted
+        tokens is its own origin; the tail a split or delete cuts off
+        ``cut_from`` at token offset ``cut_at`` keeps that range's origin.
         """
+        range_id = self._next_range_id
         meta = RangeMeta(
-            range_id=self._next_range_id,
+            range_id=range_id,
             start=start,
             token_count=token_count,
             start_id=start_id,
             end_id=end_id,
+            origin=range_id if cut_from is None else cut_from.origin,
+            lo=0 if cut_from is None else cut_from.lo + cut_at,
         )
         self._next_range_id += 1
-        self._by_id[meta.range_id] = meta
+        self._by_id[range_id] = meta
+        insort(self._pieces.setdefault(meta.origin, []), meta, key=_LO)
         if after is not None:
             self._order.insert(self.order_index(after) + 1, meta.range_id)
         elif before is not None:
@@ -169,43 +185,39 @@ class RangeTable:
         meta = self.get(range_id)
         self._order.remove(range_id)
         del self._by_id[range_id]
-        for residents in self._residents.values():
-            residents.discard(range_id)
+        self._unlist(meta)
 
-    # -- residency / relocation accounting ------------------------------------------
+    def _unlist(self, meta: RangeMeta) -> None:
+        pieces = self._pieces[meta.origin]
+        pieces.remove(meta)
+        if not pieces:
+            del self._pieces[meta.origin]
 
-    def add_resident(self, block_no: int, range_id: int) -> None:
-        self._residents.setdefault(block_no, set()).add(range_id)
+    # -- logical addresses ------------------------------------------------------
 
-    def residents(self, block_no: int) -> Set[int]:
-        return self._residents.get(block_no, set())
+    def resolve(self, origin: int, address: int) -> Optional[Tuple[RangeMeta, int]]:
+        """The range now holding the token at logical ``address`` of
+        ``origin`` and the token's offset in it, or None if it is gone."""
+        pieces = self._pieces.get(origin)
+        if pieces is None:
+            return None
+        index = bisect_right(pieces, address, key=_LO) - 1 if len(pieces) > 1 else 0
+        if index < 0:
+            return None
+        meta = pieces[index]
+        offset = address - meta.lo
+        if 0 <= offset < meta.token_count:
+            return meta, offset
+        return None
 
-    def copy_residents(self, source_block: int, target_block: int) -> None:
-        """After a block split, the new block may hold tokens of any range
-        resident in the source (conservative superset)."""
-        if source_block in self._residents:
-            self._residents.setdefault(target_block, set()).update(
-                self._residents[source_block]
-            )
-
-    def blocks_of(self, range_id: int) -> List[int]:
-        """Blocks in which ``range_id`` may have tokens (superset)."""
-        return [
-            block_no
-            for block_no, residents in self._residents.items()
-            if range_id in residents
-        ]
-
-    def forget_block(self, block_no: int) -> None:
-        self._residents.pop(block_no, None)
-
-    def bump_block(self, block_no: int) -> None:
-        """Invalidate cached locations for every range resident in the
-        block (called on any relocation within it)."""
-        for range_id in self._residents.get(block_no, ()):
-            meta = self._by_id.get(range_id)
-            if meta is not None:
-                meta.bump()
+    def rebase(self, meta: RangeMeta) -> None:
+        """Move ``meta`` to a fresh origin (its tokens are about to be
+        renumbered by a merge): every address held for them stops resolving."""
+        self._unlist(meta)
+        meta.origin = self._next_range_id
+        meta.lo = 0
+        self._next_range_id += 1
+        self._pieces[meta.origin] = [meta]
 
     # -- integrity ----------------------------------------------------------------
 
@@ -228,6 +240,14 @@ class RangeTable:
                 raise StoreError(f"negative token count in {meta!r}")
             if meta.has_interval and meta.end_id < meta.start_id:
                 raise StoreError(f"inverted interval in {meta!r}")
+        listed = 0
+        for pieces in self._pieces.values():
+            listed += len(pieces)
+            for left, right in zip(pieces, pieces[1:]):
+                if left.lo + left.token_count > right.lo:
+                    raise StoreError(f"overlapping addresses: {left!r} and {right!r}")
+        if listed != len(self._by_id):
+            raise StoreError("piece lists and range map disagree")
 
     # -- catalog ---------------------------------------------------------------------
 
@@ -243,14 +263,17 @@ class RangeTable:
                     meta.start.block_no,
                     meta.start.slot,
                     meta.token_count,
-                    meta.version,
-                    0,
+                    meta.origin,
+                    meta.lo,
                 )
             )
         return b"".join(parts)
 
     @classmethod
-    def from_catalog(cls, data: bytes) -> "RangeTable":
+    def from_catalog(cls, data: bytes, addressed: bool = True) -> "RangeTable":
+        """Rebuild the table; ``addressed=False`` reads a catalog written
+        before ranges had logical addresses (those two slots held a version
+        and zero), where every range is its own origin."""
         table = cls()
         table._next_range_id, count = _HEADER.unpack_from(data, 0)
         offset = _HEADER.size
@@ -262,18 +285,22 @@ class RangeTable:
                 block_no,
                 slot,
                 token_count,
-                version,
-                _reserved,
+                origin,
+                lo,
             ) = _META.unpack_from(data, offset)
             offset += _META.size
+            if not addressed:
+                origin, lo = range_id, 0
             meta = RangeMeta(
                 range_id=range_id,
                 start=Position(block_no, slot),
                 token_count=token_count,
                 start_id=None if start_id == -1 else start_id,
                 end_id=None if end_id == -1 else end_id,
-                version=version,
+                origin=origin,
+                lo=lo,
             )
             table._by_id[range_id] = meta
             table._order.append(range_id)
+            insort(table._pieces.setdefault(origin, []), meta, key=_LO)
         return table

@@ -234,7 +234,6 @@ def repair_store(
 
     if not bad:
         result.mode = "clean"
-        store._rebuild_residency()
         result.ranges_after = result.ranges_before
         result.records_kept = sum(len(r) for r in block_records.values())
         result.integrity_ok = integrity_report(store).ok
@@ -397,8 +396,6 @@ def repair_store(
             after=previous,
         )
         new_range_index.register(meta)
-        for pos in positions:
-            new_ranges.add_resident(pos.block_no, meta.range_id)
         previous = meta.range_id
 
     store.ranges = new_ranges
@@ -739,9 +736,7 @@ def repair_directory(path: str, config: Optional[StoreConfig] = None) -> RepairR
     )
     wal = WriteAheadLog(wal_path) if os.path.exists(wal_path) else WriteAheadLog()
     try:
-        store = XMLStore.from_catalog(
-            device, catalog, config=config, wal=wal, repair_mode=True
-        )
+        store = XMLStore.from_catalog(device, catalog, config=config, wal=wal)
         try:
             tail = wal.records_after_last_checkpoint()
         except ReproError:

@@ -90,6 +90,10 @@ _CATALOG_HEADER = struct.Struct("<qqqI")  # range_root, full_root(-1), scheme_le
 _FORMAT_SECTION = struct.Struct("<HH")
 PAGE_FORMAT_VERSION = 1
 _FORMAT_CHECKSUMS = 1  # flags bit 0
+#: flags bit 1: the range catalog's last two slots are (origin, lo).  A
+#: catalog without it predates logical addresses: every range opens as its
+#: own origin and whatever its full index holds reads as stale.
+_FORMAT_ADDRESSES = 2
 
 #: Span names pre-registered at store setup so exporters show every
 #: Table-1 operation (plus the maintenance entry points) even at zero.
@@ -130,24 +134,14 @@ class _InsertPoint:
 def effective_btree_order(configured: int, page_size: int) -> int:
     """Cap the B+-tree order so a full node serializes into one page.
 
-    The widest node record is a full-index leaf entry: 2-byte slot length
-    + 2-byte key length + 8-byte key + 40-byte packed location = 52 bytes,
-    plus the node-header record and the page header.
+    The widest node record is a full-index leaf entry of the older
+    position-based format, which a reopened store may still hold: 2-byte
+    slot length + 2-byte key length + 8-byte key + 40-byte packed location
+    = 52 bytes, plus the node-header record and the page header.
     """
     widest_entry = 52
     fits = max(3, (page_size - 16) // widest_entry)
     return max(3, min(configured, fits))
-
-
-@dataclass
-class _InsertOutcome:
-    """What an internal fragment insert produced."""
-
-    first_id: Optional[int]
-    #: Post-insert home of the token the fragment displaced (the token
-    #: that was *at* the insert point): (range, position).  None when the
-    #: fragment was appended at the end of the document.
-    displaced: Optional[Tuple[RangeMeta, Position]] = None
 
 
 class XMLStore:
@@ -375,7 +369,7 @@ class XMLStore:
                 self.wal.append(
                     RecordType.LOAD_DOCUMENT, encode_op_payload(b"", xml_text)
                 )
-            first_id = self._insert_fragment(None, tokens).first_id
+            first_id = self._insert_fragment(None, tokens)
             self.operations.loads += 1
             self._observe(is_read=False)
             return first_id
@@ -397,7 +391,7 @@ class XMLStore:
                 else None
             )
             point = _InsertPoint(begin.meta, begin.offset, begin.pos, last_before)
-            first_id = self._insert_fragment(point, tokens).first_id
+            first_id = self._insert_fragment(point, tokens)
             self.operations.inserts += 1
             self._observe(is_read=False)
             return first_id
@@ -412,7 +406,7 @@ class XMLStore:
                 self._log(RecordType.INSERT_AFTER, node_id, xml_text)
             end = self._end_item(location)
             point = self._point_after(end)
-            first_id = self._insert_fragment(point, tokens).first_id
+            first_id = self._insert_fragment(point, tokens)
             self.operations.inserts += 1
             self._observe(is_read=False)
             return first_id
@@ -427,7 +421,7 @@ class XMLStore:
             if log:
                 self._log(RecordType.INSERT_INTO_FIRST, node_id, xml_text)
             point = self._point_after_attributes(location.begin)
-            first_id = self._insert_fragment(point, tokens).first_id
+            first_id = self._insert_fragment(point, tokens)
             self.operations.inserts += 1
             self._observe(is_read=False)
             return first_id
@@ -443,13 +437,12 @@ class XMLStore:
                 self._log(RecordType.INSERT_INTO_LAST, node_id, xml_text)
             end = self._end_item(location)
             point = _InsertPoint(end.meta, end.offset, end.pos, end.last_id)
-            outcome = self._insert_fragment(point, tokens)
-            # Table 4 discipline: the lookups this update performed are kept,
-            # updated to the post-split locations of the target's tokens.
-            self._refresh_entry_after_insert(location, outcome)
+            # Table 4 discipline: the lookups this update performed are kept;
+            # the split below changes neither token's logical address.
+            first_id = self._insert_fragment(point, tokens)
             self.operations.inserts += 1
             self._observe(is_read=False)
-            return outcome.first_id
+            return first_id
 
     def delete_node(self, node_id: int, log: bool = True) -> None:
         """Remove the node and its entire subtree."""
@@ -471,7 +464,7 @@ class XMLStore:
                 self._log(RecordType.REPLACE_NODE, node_id, xml_text)
             end = self._end_item(location)
             point = self._delete_span(location.begin, end)
-            first_id = self._insert_fragment(point, tokens).first_id
+            first_id = self._insert_fragment(point, tokens)
             self.operations.replaces += 1
             self._observe(is_read=False)
             return first_id
@@ -557,13 +550,15 @@ class XMLStore:
 
     def partial_snapshot(self) -> List[Tuple[int, int]]:
         """Rows shaped like the paper's Table 4: (NodeId, Range) of each
-        memoized begin token."""
+        memoized begin token that still resolves."""
         if self.partial_index is None:
             return []
-        return sorted(
-            (entry.node_id, entry.range_id)
-            for entry in self.partial_index._entries.values()
-        )
+        rows = []
+        for entry in self.partial_index._entries.values():
+            resolved = self.ranges.resolve(entry.origin, entry.address)
+            if resolved is not None:
+                rows.append((entry.node_id, resolved[0].range_id))
+        return sorted(rows)
 
     def check_integrity(self) -> None:
         """Verify every store invariant; raises on the first broken one.
@@ -594,7 +589,7 @@ class XMLStore:
 
     def to_catalog(self) -> bytes:
         scheme_state = self.id_scheme.to_catalog()
-        flags = _FORMAT_CHECKSUMS if self.codec.checksums else 0
+        flags = _FORMAT_ADDRESSES | (_FORMAT_CHECKSUMS if self.codec.checksums else 0)
         sections = [
             self.layout.chain.to_catalog(),
             self.ranges.to_catalog(),
@@ -622,17 +617,14 @@ class XMLStore:
         catalog: bytes,
         config: Optional[StoreConfig] = None,
         wal: Optional[WriteAheadLog] = None,
-        repair_mode: bool = False,
     ) -> "XMLStore":
         """Reopen a store from its device + catalog (last checkpoint state).
 
         The catalog's format section — not ``config.checksums_enabled`` —
         decides how block images are decoded: a legacy two-section
         catalog always opens via the raw read path, a framed store is
-        always verified.  ``repair_mode=True`` skips the residency
-        rebuild (which walks the whole chain and would raise on the
-        first corrupt block); :func:`repro.core.repair.repair_store`
-        rebuilds residency itself once the chain is clean.
+        always verified.  No block is read: a store with corrupt blocks
+        opens, and fails where it touches them.
         """
         config = config if config is not None else StoreConfig()
         store = cls.__new__(cls)
@@ -651,17 +643,19 @@ class XMLStore:
             offset += 4
             sections.append(catalog[offset : offset + length])
             offset += length
-        checksums = False
+        flags = 0
         if len(sections) > 2:
             _version, flags = _FORMAT_SECTION.unpack_from(sections[2], 0)
-            checksums = bool(flags & _FORMAT_CHECKSUMS)
+        checksums = bool(flags & _FORMAT_CHECKSUMS)
         store.codec = PageCodec(device.block_size, checksums=checksums)
         store.pool = BufferPool(
             device, capacity=config.buffer_pool_capacity, codec=store.codec
         )
         store.wal = wal if wal is not None else WriteAheadLog()
         chain = ChainedFile.from_catalog(store.pool, sections[0])
-        store.ranges = RangeTable.from_catalog(sections[1])
+        store.ranges = RangeTable.from_catalog(
+            sections[1], addressed=bool(flags & _FORMAT_ADDRESSES)
+        )
         store.layout = TokenLayout(store.pool, store.ranges, chain)
         order = effective_btree_order(config.btree_order, store.codec.page_size)
         store.range_index = RangeIndex(
@@ -700,8 +694,6 @@ class XMLStore:
 
         store.structural_hints = StructuralHints()
         store._setup_telemetry()
-        if not repair_mode:
-            store._rebuild_residency()
         return store
 
     @classmethod
@@ -719,16 +711,6 @@ class XMLStore:
         store = cls(config=config, device=device, wal=wal)
         replay_all(store, wal)
         return store
-
-    def _rebuild_residency(self) -> None:
-        cursor = self.layout.iter_from(None)
-        for meta in self.ranges.in_order():
-            for _ in range(meta.token_count):
-                try:
-                    pos, _ = next(cursor)
-                except StopIteration:
-                    raise StoreError("chain shorter than range table") from None
-                self.ranges.add_resident(pos.block_no, meta.range_id)
 
     def decode_node_id(self, id_bytes: bytes) -> int:
         """WAL-replay hook: decode an id serialized by this store."""
@@ -821,7 +803,7 @@ class XMLStore:
                     return refreshed.end
         end = self.locator.find_end(location.begin)
         location.end = end
-        self.locator._memoize(location)
+        self.locator._memoize(location, found_begin=False)
         return end
 
     def _ingest(self, xml_text: str, require_content: bool = False) -> List[Token]:
@@ -903,22 +885,22 @@ class XMLStore:
 
     def _insert_fragment(
         self, point: Optional[_InsertPoint], tokens: Sequence[Token]
-    ) -> _InsertOutcome:
+    ) -> Optional[int]:
         """Insert ``tokens`` as one-or-more fresh ranges at ``point``
-        (None = end of document)."""
+        (None = end of document); returns the first inserted node's id."""
         if not tokens:
-            return _InsertOutcome(first_id=None)
+            return None
         records = encode_tokens(tokens)
         node_count = count_nodes(tokens)
         first_id: Optional[int] = None
-        last_id: Optional[int] = None
         if node_count:
-            first_id, last_id = self.id_scheme.allocate_interval(node_count)
+            first_id, _ = self.id_scheme.allocate_interval(node_count)
         # ---- physical placement
-        target_pos = point.pos if point is not None else None
-        result = self.layout.insert_before(target_pos, records)
+        if point is None:
+            result = self.layout.insert_before(None, records)
+        else:
+            result = self.layout.insert_before(point.pos, records, point.meta)
         # ---- logical range bookkeeping
-        displaced: Optional[Tuple[RangeMeta, Position]] = None
         if point is None:
             anchor_after = self.ranges.last.range_id if len(self.ranges) else None
             new_metas = self._create_ranges(
@@ -929,50 +911,16 @@ class XMLStore:
                 records, tokens, result.positions, first_id,
                 before=point.meta.range_id,
             )
-            assert result.following is not None
-            displaced = (point.meta, result.following)
         else:
-            new_metas, tail_meta = self._split_and_insert(
+            new_metas = self._split_and_insert(
                 point, result, records, tokens, first_id
             )
-            displaced = (tail_meta, tail_meta.start)
         self.operations.ranges_created += len(new_metas)
         self.operations.nodes_inserted += node_count
         # ---- eager indexing (FULL policy / Ablation C)
         if self.full_index is not None or self.config.eager_partial_index:
             self._index_inserted(new_metas)
-        return _InsertOutcome(first_id=first_id, displaced=displaced)
-
-    def _refresh_entry_after_insert(
-        self, location: NodeLocation, outcome: _InsertOutcome
-    ) -> None:
-        """Re-memoize the insert target's begin/end locations with their
-        post-split coordinates (the paper's Table 4: the partial index is
-        updated, not just invalidated, by the update operation)."""
-        if (
-            self.partial_index is None
-            or not self.locator.populate_partial
-            or outcome.displaced is None
-        ):
-            return
-        begin = location.begin
-        end_meta, end_pos = outcome.displaced
-        # the begin token never moves during an insert after it, so its
-        # position and offset are still valid against the *new* version
-        self.partial_index.remember(
-            LocationEntry(
-                node_id=location.node_id,
-                range_id=begin.meta.range_id,
-                version=begin.meta.version,
-                begin_pos=begin.pos,
-                begin_offset=begin.offset,
-                end_range_id=end_meta.range_id,
-                end_version=end_meta.version,
-                end_pos=end_pos,
-                end_offset=0,
-                end_last_id=None,
-            )
-        )
+        return first_id
 
     def _chunk_counts(self, total_tokens: int) -> List[int]:
         limit = self.config.max_range_tokens
@@ -996,7 +944,7 @@ class XMLStore:
         before: Optional[int] = None,
     ) -> List[RangeMeta]:
         """Create range metas (one per granularity chunk) over freshly
-        inserted records, register them, and record residency."""
+        inserted records and register them."""
         metas: List[RangeMeta] = []
         offset = 0
         next_id = first_id
@@ -1018,8 +966,6 @@ class XMLStore:
                 before=before if anchor_after is None else None,
             )
             self.range_index.register(meta)
-            for pos in positions[offset : offset + chunk_tokens]:
-                self.ranges.add_resident(pos.block_no, meta.range_id)
             metas.append(meta)
             anchor_after = meta.range_id
             offset += chunk_tokens
@@ -1032,7 +978,7 @@ class XMLStore:
         records: Sequence[bytes],
         tokens: Sequence[Token],
         first_id: Optional[int],
-    ) -> Tuple[List[RangeMeta], RangeMeta]:
+    ) -> List[RangeMeta]:
         """Interior insert: split ``point.meta`` into head + tail around
         the fresh ranges (the paper's §4.5 walk-through)."""
         meta = point.meta
@@ -1052,7 +998,6 @@ class XMLStore:
             meta.end_id = None
         else:
             meta.end_id = last_before
-        meta.bump()
         # fresh ranges for the inserted fragment
         new_metas = self._create_ranges(
             records, tokens, result.positions, first_id, after=meta.range_id
@@ -1073,14 +1018,12 @@ class XMLStore:
             start_id=tail_start_id if tail_nodes_remain else None,
             end_id=old_end_id if tail_nodes_remain else None,
             after=new_metas[-1].range_id,
+            cut_from=meta,
+            cut_at=point.offset,
         )
         self.range_index.register(tail_meta)
-        self.ranges.add_resident(tail_pos.block_no, tail_meta.range_id)
-        # conservative: tail may span every block the old range touched
-        for block_no in self.ranges.blocks_of(meta.range_id):
-            self.ranges.add_resident(block_no, tail_meta.range_id)
         self.operations.ranges_split += 1
-        return new_metas, tail_meta
+        return new_metas
 
     def _index_inserted(self, new_metas: Sequence[RangeMeta]) -> None:
         """Eagerly index every node of freshly created ranges."""
@@ -1092,18 +1035,10 @@ class XMLStore:
                     continue
                 assert item.last_id is not None
                 if self.full_index is not None:
-                    self.full_index.put(
-                        item.last_id, meta.range_id, meta.version, item.pos, item.offset
-                    )
+                    self.full_index.put(item.last_id, *item.address)
                 if self.config.eager_partial_index and self.partial_index is not None:
                     self.partial_index.remember(
-                        LocationEntry(
-                            node_id=item.last_id,
-                            range_id=meta.range_id,
-                            version=meta.version,
-                            begin_pos=item.pos,
-                            begin_offset=item.offset,
-                        )
+                        LocationEntry(item.last_id, *item.address)
                     )
 
     # ----------------------------------------------------------- delete engine --
@@ -1174,10 +1109,10 @@ class XMLStore:
             elif head_count == 0:
                 # the range *becomes* its tail
                 old_key = first_meta.start_id
+                first_meta.lo += end.offset + 1
                 first_meta.token_count = tail_count
                 first_meta.start_id = tail_start_id if tail_has_interval else None
                 first_meta.end_id = tail_end_id if tail_has_interval else None
-                first_meta.bump()
                 self.range_index.rekey(old_key, first_meta)
                 if not first_meta.has_interval:
                     self.range_index.unregister(old_key)
@@ -1190,7 +1125,6 @@ class XMLStore:
                     self.range_index.unregister(first_meta.start_id)
                     first_meta.start_id = None
                     first_meta.end_id = None
-                first_meta.bump()
             else:
                 first_meta.token_count = head_count
                 if head_keeps_interval:
@@ -1199,13 +1133,14 @@ class XMLStore:
                     self.range_index.unregister(first_meta.start_id)
                     first_meta.start_id = None
                     first_meta.end_id = None
-                first_meta.bump()
                 tail_meta = self.ranges.new_range(
                     start=end.pos,  # placeholder; fixed after the physical delete
                     token_count=tail_count,
                     start_id=tail_start_id if tail_has_interval else None,
                     end_id=tail_end_id if tail_has_interval else None,
                     after=first_meta.range_id,
+                    cut_from=first_meta,
+                    cut_at=end.offset + 1,
                 )
                 self.range_index.register(tail_meta)
         else:
@@ -1221,7 +1156,6 @@ class XMLStore:
                     self.range_index.unregister(first_meta.start_id)
                     first_meta.start_id = None
                     first_meta.end_id = None
-                first_meta.bump()
             for middle in middles:
                 self.range_index.unregister(middle.start_id)
                 self._drop_range(middle)
@@ -1230,24 +1164,27 @@ class XMLStore:
                 self._drop_range(last_meta)
             else:
                 old_key = last_meta.start_id
+                last_meta.lo += end.offset + 1
                 last_meta.token_count = tail_count
                 last_meta.start_id = tail_start_id if tail_has_interval else None
                 last_meta.end_id = tail_end_id if tail_has_interval else None
-                last_meta.bump()
                 if last_meta.has_interval:
                     self.range_index.rekey(old_key, last_meta)
                 else:
                     self.range_index.unregister(old_key)
                 tail_meta = last_meta
         # ---- physical delete
-        after = self.layout.delete_run(begin.pos, span)
+        # document-order index of whatever follows the run: the surviving
+        # tail if there is one, else the first range wholly after it
+        follower = begin.order_index + (head_count > 0)
+        after = self.layout.delete_run(
+            begin.pos, span, first_after=follower + (tail_meta is not None)
+        )
         # fix the tail's start to the post-delete coordinates
         if tail_meta is not None:
             if after is None:
                 raise StoreError("surviving tail but no record after the run (bug)")
             tail_meta.start = after
-            self.ranges.add_resident(after.block_no, tail_meta.range_id)
-            tail_meta.bump()
         # ---- index maintenance
         deleted_nodes = 0
         for low, high in deleted_intervals:
@@ -1262,13 +1199,12 @@ class XMLStore:
         if after is None:
             return None
         # the run ended exactly at a surviving later range's head
-        for meta in self.ranges.in_order():
-            if meta.token_count and meta.start == after:
+        if follower < len(self.ranges):
+            meta = self.ranges.at_order(follower)
+            if meta.start == after:
                 return _InsertPoint(meta, 0, after, None)
         raise StoreError("post-delete position matches no range head (bug)")
 
     def _drop_range(self, meta: RangeMeta) -> None:
-        if self.partial_index is not None:
-            self.partial_index.forget_range(meta.range_id)
         self.ranges.drop(meta.range_id)
         self.operations.ranges_dropped += 1

@@ -112,8 +112,14 @@ def heatmap_report(store, top: int = 10) -> Dict[str, object]:
     from repro.obs.schema import SCHEMA_VERSION
 
     counts = store.heatmap.counts()
-    blocks = _block_rows(store, counts, top)
-    ranges = _range_rows(store, counts, top)
+    # the exact block<->range join, derived here from each range's start,
+    # its token count and the chain's block counts
+    blocks_of = {
+        meta.range_id: store.layout.blocks_of(meta)
+        for meta in store.ranges.in_order()
+    }
+    blocks = _block_rows(blocks_of, counts, top)
+    ranges = _range_rows(store, blocks_of, counts, top)
     return {
         "schema_version": SCHEMA_VERSION,
         "blocks_touched": len(counts),
@@ -177,10 +183,14 @@ def render_heatmap(store, top: int = 10) -> str:
     return "\n".join(lines)
 
 
-def _block_rows(store, counts, top: int) -> List[Dict[str, object]]:
+def _block_rows(blocks_of, counts, top: int) -> List[Dict[str, object]]:
+    ranges_in: Dict[int, List[int]] = {}
+    for range_id, blocks in blocks_of.items():
+        for block_no in blocks:
+            ranges_in.setdefault(block_no, []).append(range_id)
     rows = []
     for block_no, heat in counts.items():
-        residents = sorted(store.ranges.residents(block_no))
+        residents = sorted(ranges_in.get(block_no, ()))
         rows.append(
             {
                 "block": block_no,
@@ -195,10 +205,10 @@ def _block_rows(store, counts, top: int) -> List[Dict[str, object]]:
     return rows[:top]
 
 
-def _range_rows(store, counts, top: int) -> List[Dict[str, object]]:
+def _range_rows(store, blocks_of, counts, top: int) -> List[Dict[str, object]]:
     rows = []
     for meta in store.ranges.in_order():
-        blocks = store.ranges.blocks_of(meta.range_id)
+        blocks = blocks_of[meta.range_id]
         fetches = sum(counts[b].fetches for b in blocks if b in counts)
         misses = sum(counts[b].misses for b in blocks if b in counts)
         writes = sum(counts[b].writes for b in blocks if b in counts)

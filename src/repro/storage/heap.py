@@ -16,7 +16,10 @@ records can be inserted into the middle of the sequence.
 
 Chain links are kept in memory and serialized via :meth:`ChainedFile.to_catalog`
 into the store's catalog, which the store persists and WAL-logs; the blocks
-themselves are persisted through the buffer pool.
+themselves are persisted through the buffer pool.  The chain also keeps each
+block's record count in memory (never persisted: a reopened chain learns a
+block's count the first time it is asked), so a position "``n`` records after
+this one" is arithmetic over the links, not a walk over pages.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ class ChainedFile:
     def __init__(self, pool: BufferPool) -> None:
         self.pool = pool
         self._links: Dict[int, _Link] = {}
+        #: block_no -> records in the block, for every block this chain has
+        #: created or looked at; every mutation below keeps it equal to
+        #: ``len(page)``.
+        self._counts: Dict[int, int] = {}
         self.head: Optional[int] = None
         self.tail: Optional[int] = None
 
@@ -88,6 +95,7 @@ class ChainedFile:
             new_no = guard.block_no
             guard.mark_dirty()
         self._links[new_no] = _Link(prev=block_no, next=link.next)
+        self._counts[new_no] = 0
         self._links[block_no] = _Link(prev=link.prev, next=new_no)
         if link.next is not None:
             after = self._links[link.next]
@@ -105,6 +113,7 @@ class ChainedFile:
             new_no = guard.block_no
             guard.mark_dirty()
         self._links[new_no] = _Link(prev=None, next=block_no)
+        self._counts[new_no] = 0
         self._links[block_no] = _Link(prev=new_no, next=link.next)
         self.head = new_no
         return new_no
@@ -135,12 +144,14 @@ class ChainedFile:
         else:
             self.tail = link.prev
         del self._links[block_no]
+        self._counts.pop(block_no, None)
 
     def _first_block(self) -> int:
         with self.pool.new_page() as guard:
             block_no = guard.block_no
             guard.mark_dirty()
         self._links[block_no] = _Link(prev=None, next=None)
+        self._counts[block_no] = 0
         self.head = self.tail = block_no
         return block_no
 
@@ -162,8 +173,32 @@ class ChainedFile:
             return guard.page.record(pos.slot)
 
     def block_record_count(self, block_no: int) -> int:
-        with self.fetch(block_no) as guard:
-            return len(guard.page)
+        """Records in ``block_no``, from memory; only a block of a reopened
+        chain that nothing has asked about yet costs a page fetch, once."""
+        count = self._counts.get(block_no)
+        if count is None:
+            with self.fetch(block_no) as guard:
+                count = self._counts[block_no] = len(guard.page)
+        return count
+
+    def advance(self, pos: Position, distance: int) -> Position:
+        """The position ``distance`` records after ``pos`` in document
+        order, by arithmetic over the block counts (no page is touched)."""
+        block_no, slot = pos
+        slot += distance
+        counts, links = self._counts, self._links
+        while True:
+            count = counts.get(block_no)
+            if count is None:
+                count = self.block_record_count(block_no)
+            if slot < count:
+                return Position(block_no, slot)
+            slot -= count
+            block_no = links[block_no].next
+            if block_no is None:
+                raise StorageError(
+                    f"no record {distance} after {tuple(pos)}: the chain ends first"
+                )
 
     def record_runs(
         self, start: Optional[Position] = None
@@ -209,6 +244,8 @@ class ChainedFile:
             target.page.extend(tail.records())
             source.mark_dirty()
             target.mark_dirty()
+            self._counts[block_no] = len(source.page)
+            self._counts[new_no] = len(target.page)
         return new_no
 
     def insert_records(self, pos: Position, records: Sequence[bytes]) -> List[Position]:
@@ -253,6 +290,7 @@ class ChainedFile:
             if guard.page.fits(record):
                 guard.page.insert(slot, record)
                 guard.mark_dirty()
+                self._counts[block_no] = len(guard.page)
                 return block_no, slot
             record_count = len(guard.page)
         if slot < record_count:
@@ -262,6 +300,7 @@ class ChainedFile:
                 if guard.page.fits(record):
                     guard.page.insert(slot, record)
                     guard.mark_dirty()
+                    self._counts[block_no] = len(guard.page)
                     return block_no, slot
         # Appending at the end of a full block: go to (or create) a block
         # after it and insert at its front.
@@ -269,6 +308,7 @@ class ChainedFile:
         with self.fetch(next_no) as guard:
             guard.page.insert(0, record)
             guard.mark_dirty()
+        self._counts[next_no] = 1
         return next_no, 0
 
     def append_records(self, records: Sequence[bytes]) -> List[Position]:
@@ -280,12 +320,36 @@ class ChainedFile:
             end = len(guard.page)
         return self.insert_records(Position(self.tail, end), records)
 
+    def append_after(self, block_no: int, records: Sequence[bytes]) -> List[Position]:
+        """Append ``records`` into ``block_no``'s tail free space, then into
+        fresh blocks chained right after it, in order; no existing record
+        moves.  Returns the positions of the appended records."""
+        positions: List[Position] = []
+        current = block_no
+        for record in records:
+            with self.fetch(current) as guard:
+                if guard.page.fits(record):
+                    slot = guard.page.append(record)
+                    guard.mark_dirty()
+                    self._counts[current] = slot + 1
+                    positions.append(Position(current, slot))
+                    continue
+            current = self.insert_block_after(current)
+            with self.fetch(current) as guard:
+                # raises RecordTooLargeError for records that can never fit
+                slot = guard.page.append(record)
+                guard.mark_dirty()
+            self._counts[current] = slot + 1
+            positions.append(Position(current, slot))
+        return positions
+
     def delete_record(self, pos: Position) -> bytes:
         """Delete the record at ``pos`` (later slots shift left).  Empty
         blocks are *not* removed automatically; callers decide."""
         with self.fetch(pos.block_no) as guard:
             record = guard.page.delete(pos.slot)
             guard.mark_dirty()
+            self._counts[pos.block_no] = len(guard.page)
         return record
 
     def replace_record(self, pos: Position, record: bytes) -> None:

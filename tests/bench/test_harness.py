@@ -19,7 +19,10 @@ from repro.bench.reporting import format_csv, format_table, phase_dict
 
 
 PINNED_METRICS_DIGESTS = [
-    "f58ea05366b955b729d8a18e1cb7e5178a77060dded2a7206298f1127a1878b1",
+    # re-pinned once since: the insert row's only moved key is
+    # ``repro_partial_index_inserts_total`` 5 -> 2 (an ``insert_into_last``
+    # no longer re-remembers the target's entry after its own split)
+    "c82c0e40f39316946f5ea5813401a962fb4b66e42d3ea09597cbf5f075c85567",
     "e225076d3ad45afdcf44a5abf9d2c6c02680596a80f07b6070ec7f65e3681108",
     "e470283ef236a7adea866a3e89f87c03098a259926709044a15d070d498812fe",
 ]

@@ -14,6 +14,7 @@ CHECK_NAMES = (
     "range-index",
     "id-density",
     "partial-memo",
+    "full-index",
     "block-checksum",
     "quarantine",
 )
@@ -106,7 +107,7 @@ class TestCorruptedStore:
 
 
 class TestPartialMemo:
-    """The partial-memo check: current entries vs. a from-scratch probe."""
+    """The partial-memo check: resolving entries vs. a from-scratch scan."""
 
     def _store_with_memos(self):
         store = _store()
@@ -126,11 +127,11 @@ class TestPartialMemo:
         assert by_name["partial-memo"].detail["entries"] > 0
 
     def test_stale_entries_are_legal(self):
-        # bump the version of every memoized range: the entries go stale,
-        # which invalidation-by-version handles — not an integrity failure
+        # merge every memoized range away: the addresses stop resolving,
+        # which the next probe handles — not an integrity failure
         store = self._store_with_memos()
-        for entry in store.partial_index._entries.values():
-            store.ranges.get(entry.range_id).version += 1
+        assert store.compact().merges > 0
+        assert len(store.ranges) == 1
         report = integrity_report(store)
         by_name = {check.name: check for check in report.checks}
         assert by_name["partial-memo"].ok
@@ -140,8 +141,7 @@ class TestPartialMemo:
     def test_current_entry_at_wrong_offset_fails(self):
         store = self._store_with_memos()
         entry = next(iter(store.partial_index._entries.values()))
-        meta = store.ranges.get(entry.range_id)
-        entry.begin_offset = meta.token_count + 5  # points past the range
+        entry.address += 1  # the token after the node's begin token
         report = integrity_report(store)
         failed_names = [check.name for check in report.failed()]
         assert failed_names == ["partial-memo"]
@@ -150,12 +150,34 @@ class TestPartialMemo:
         store = self._store_with_memos()
         entries = list(store.partial_index._entries.values())
         a, b = entries[0], entries[1]
-        # graft b's location onto a's entry: current version, wrong node
-        a.range_id, a.version = b.range_id, b.version
-        a.begin_pos, a.begin_offset = b.begin_pos, b.begin_offset
+        # graft b's address onto a's entry: it resolves, to the wrong node
+        a.origin, a.address = b.origin, b.address
         report = integrity_report(store)
         assert [check.name for check in report.failed()] == ["partial-memo"]
         assert "resolves to node" in report.failed()[0].error
+
+    def test_full_index_entries_are_held_to_the_same_check(self):
+        from repro.core.config import IndexingPolicy
+
+        store = XMLStore.open(
+            StoreConfig(policy=IndexingPolicy.FULL, max_range_tokens=32)
+        )
+        root = store.load_document(
+            "<r>" + "".join(f"<a n='{i}'><b/></a>" for i in range(10)) + "</r>"
+        )
+        store.insert_into_first(root, "<x/>")
+        report = integrity_report(store)
+        by_name = {check.name: check for check in report.checks}
+        assert by_name["full-index"].ok
+        assert by_name["full-index"].detail["entries"] == len(store.full_index)
+        # an entry that resolves to another node's token is caught
+        origin, address = next(
+            (e.origin, e.address) for e in store.full_index.entries() if e.node_id == 5
+        )
+        store.full_index.put(2, origin, address)
+        report = integrity_report(store)
+        assert [check.name for check in report.failed()] == ["full-index"]
+        assert "resolves to node 5" in report.failed()[0].error
 
     def test_no_partial_index_reports_zero_entries(self):
         from repro.core.config import IndexingPolicy

@@ -79,44 +79,57 @@ class TestInteriorInsert:
         layout, ranges = make_layout()
         result0 = layout.insert_before(None, [b"a", b"c"])
         meta = ranges.new_range(result0.positions[0], 2, 1, 2)
-        ranges.add_resident(result0.positions[0].block_no, meta.range_id)
         pos_c = result0.positions[1]
-        result = layout.insert_before(pos_c, [b"b"])
+        result = layout.insert_before(pos_c, [b"b"], meta)
         assert contents(layout) == [b"a", b"b", b"c"]
         assert result.following is not None
         assert layout.record_at(result.following) == b"c"
 
-    def test_interior_insert_bumps_resident_versions(self):
+    def test_interior_insert_keeps_derived_positions_right(self):
+        # the split moves "c" to a new block; nothing recorded that, yet
+        # offset 1 of the range is found where "c" now lives
         layout, ranges = make_layout()
         result0 = layout.insert_before(None, [b"a", b"c"])
         meta = ranges.new_range(result0.positions[0], 2, 1, 2)
-        ranges.add_resident(result0.positions[0].block_no, meta.range_id)
-        v = meta.version
-        layout.insert_before(result0.positions[1], [b"b"])
-        assert meta.version > v
+        result = layout.insert_before(result0.positions[1], [b"b"], meta)
+        meta.token_count = 1
+        tail = ranges.new_range(
+            result.following, 1, 2, 2, after=meta.range_id, cut_from=meta, cut_at=1
+        )
+        found, offset = ranges.resolve(meta.origin, 1)
+        assert found is tail
+        assert layout.record_at(layout.position_of(found, offset)) == b"c"
 
     def test_interior_insert_fixes_relocated_range_starts(self):
         layout, ranges = make_layout()
         result0 = layout.insert_before(None, [b"a", b"b", b"c", b"d"])
-        block = result0.positions[0].block_no
         first = ranges.new_range(result0.positions[0], 2, 1, 2)
         second = ranges.new_range(result0.positions[2], 2, 3, 4)
-        for meta in (first, second):
-            ranges.add_resident(block, meta.range_id)
         # insert before "c" (start of the second range)
-        layout.insert_before(result0.positions[2], [b"x"])
+        layout.insert_before(result0.positions[2], [b"x"], second)
         assert contents(layout) == [b"a", b"b", b"x", b"c", b"d"]
         # second range's start must still point at "c"
         assert layout.record_at(second.start) == b"c"
         assert layout.record_at(first.start) == b"a"
 
+    def test_interior_insert_fixes_starts_after_the_cut_range_only(self):
+        layout, ranges = make_layout()
+        result0 = layout.insert_before(None, [b"a", b"b", b"c", b"d", b"e"])
+        metas = [
+            ranges.new_range(result0.positions[i], 1, i + 1, i + 1) for i in range(3)
+        ]
+        last = ranges.new_range(result0.positions[3], 2, 4, 5)
+        # cut into the last range, before "e": no range starts in the moved tail
+        layout.insert_before(result0.positions[4], [b"x"], last)
+        assert contents(layout) == [b"a", b"b", b"c", b"d", b"x", b"e"]
+        assert [m.start for m in metas + [last]] == list(result0.positions[:4])
+
     def test_large_interior_insert(self):
         layout, ranges = make_layout(block_size=64)
         result0 = layout.insert_before(None, [b"HEAD" * 4, b"TAIL" * 4])
         meta = ranges.new_range(result0.positions[0], 2, 1, 2)
-        ranges.add_resident(result0.positions[0].block_no, meta.range_id)
         run = [bytes([97 + i]) * 15 for i in range(12)]
-        result = layout.insert_before(result0.positions[1], run)
+        result = layout.insert_before(result0.positions[1], run, meta)
         assert contents(layout) == [b"HEAD" * 4] + run + [b"TAIL" * 4]
         assert layout.record_at(result.following) == b"TAIL" * 4
 
@@ -129,13 +142,13 @@ class TestDeleteRun:
 
     def test_delete_within_block(self):
         layout, _, positions = self.setup_layout([b"a", b"b", b"c", b"d"], 256)
-        after = layout.delete_run(positions[1], 2)
+        after = layout.delete_run(positions[1], 2, first_after=0)
         assert contents(layout) == [b"a", b"d"]
         assert layout.record_at(after) == b"d"
 
     def test_delete_to_end_returns_none(self):
         layout, _, positions = self.setup_layout([b"a", b"b"], 256)
-        after = layout.delete_run(positions[0], 2)
+        after = layout.delete_run(positions[0], 2, first_after=0)
         assert after is None
         assert contents(layout) == []
 
@@ -143,7 +156,7 @@ class TestDeleteRun:
         records = [bytes([65 + i]) * 20 for i in range(8)]
         layout, _, positions = self.setup_layout(records)
         assert layout.chain.num_blocks > 2
-        after = layout.delete_run(positions[1], 5)
+        after = layout.delete_run(positions[1], 5, first_after=0)
         assert contents(layout) == [records[0]] + records[6:]
         assert layout.record_at(after) == records[6]
 
@@ -151,7 +164,7 @@ class TestDeleteRun:
         records = [bytes([65 + i]) * 20 for i in range(8)]
         layout, _, positions = self.setup_layout(records)
         blocks_before = layout.chain.num_blocks
-        layout.delete_run(positions[0], 7)
+        layout.delete_run(positions[0], 7, first_after=0)
         assert layout.chain.num_blocks < blocks_before
         layout.chain.check_integrity()
 
@@ -159,29 +172,31 @@ class TestDeleteRun:
         layout, ranges, positions = self.setup_layout(
             [b"a", b"b", b"c", b"d"], block_size=256
         )
-        block = positions[0].block_no
+        head_range = ranges.new_range(positions[0], 1, 1, 1)
+        # (the caller has already dropped the range the run covers)
         tail_range = ranges.new_range(positions[3], 1, 10, 10)
-        ranges.add_resident(block, tail_range.range_id)
-        layout.delete_run(positions[1], 2)
+        layout.delete_run(positions[1], 2, first_after=1)
         assert layout.record_at(tail_range.start) == b"d"
+        assert head_range.start == positions[0]
 
-    def test_delete_bumps_versions(self):
-        layout, ranges, positions = self.setup_layout([b"a", b"b"], block_size=256)
-        meta = ranges.new_range(positions[0], 2, 1, 2)
-        ranges.add_resident(positions[0].block_no, meta.range_id)
-        v = meta.version
-        layout.delete_run(positions[1], 1)
-        assert meta.version > v
+    def test_delete_keeps_block_counts_equal_to_the_pages(self):
+        records = [bytes([65 + i]) * 20 for i in range(8)]
+        layout, _, positions = self.setup_layout(records)
+        layout.delete_run(positions[1], 5, first_after=0)
+        chain = layout.chain
+        for block_no in chain.blocks():
+            with chain.fetch(block_no) as guard:
+                assert chain.block_record_count(block_no) == len(guard.page)
 
     def test_delete_zero_records_rejected(self):
         layout, _, positions = self.setup_layout([b"a"], block_size=256)
         with pytest.raises(StoreError):
-            layout.delete_run(positions[0], 0)
+            layout.delete_run(positions[0], 0, first_after=0)
 
     def test_delete_past_end_rejected(self):
         layout, _, positions = self.setup_layout([b"a"], block_size=256)
         with pytest.raises(StoreError):
-            layout.delete_run(positions[0], 5)
+            layout.delete_run(positions[0], 5, first_after=0)
 
 
 class TestIntegrity:

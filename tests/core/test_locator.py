@@ -104,15 +104,24 @@ class TestResolutionPaths:
         assert store.locator.stats.partial_resolutions == 1
 
     def test_partial_entry_invalidated_by_update(self):
+        # only by an update that removes the node: an interior insert that
+        # splits the node's range, and moves it to a new range, does not
         store = make_store()
-        root = store.load_document("<r><a/><b/></r>")
-        store.locator.locate(3)
-        # an interior insert splits the range and bumps versions
+        store.load_document("<r><a/><b/><c/></r>")
+        store.read(3)
+        store.read(4)
+        scans = store.locator.stats.scan_resolutions
         store.insert_before(3, "<new/>")
-        store.locator.locate(3)
-        # the stale entry was dropped; resolution went through a scan again
-        assert store.locator.stats.scan_resolutions >= 2
         assert store.read(3) == "<b/>"
+        assert store.read(4) == "<c/>"
+        assert store.locator.stats.scan_resolutions == scans
+        assert store.partial_index.stats.stale_hits == 0
+        store.delete_node(3)
+        assert store.read(4) == "<c/>"
+        assert store.locator.stats.scan_resolutions == scans
+        with pytest.raises(NodeNotFoundError):
+            store.read(3)
+        assert store.partial_index.stats.stale_hits == 1
 
     def test_locate_after_deletion_raises(self):
         store = make_store()
@@ -125,11 +134,16 @@ class TestResolutionPaths:
     def test_full_index_repair_after_relocation(self):
         store = make_store(policy=IndexingPolicy.FULL)
         store.load_document("<r><a/><b/><c/></r>")
-        store.insert_before(3, "<new/>")  # bumps versions -> entries stale
-        assert store.read(4) == "<c/>"  # falls back to scan, then repairs
-        scans = store.locator.stats.scan_resolutions
+        store.insert_before(3, "<new/>")  # splits the range, moves <c/>
+        assert store.read(4) == "<c/>"  # the entry survived the split
+        assert store.locator.stats.scan_resolutions == 0
+        # an entry that cannot be used (here: the older 40-byte format) is
+        # a scan, which repairs it
+        store.full_index._tree.insert(4, bytes(40))
+        assert store.read(4) == "<c/>"
+        assert store.locator.stats.scan_resolutions == 1
         assert store.read(4) == "<c/>"  # repaired entry serves this one
-        assert store.locator.stats.scan_resolutions == scans
+        assert store.locator.stats.scan_resolutions == 1
 
     def test_populate_partial_flag(self):
         store = make_store()
@@ -147,7 +161,20 @@ class TestResolutionPaths:
         store.read(2)  # locate_span memoizes begin and end
         entry = store.partial_index.probe(2, store.ranges)
         assert entry is not None
-        assert entry.end_pos is not None
+        assert entry.end_origin == entry.origin
+        assert entry.end_address == entry.address + 1
+
+    def test_unresolvable_end_is_dropped_and_found_again(self):
+        store = make_store()
+        store.load_document("<r><a><b/></a><c/></r>")
+        store.read(2)
+        entry = store.partial_index._entries[2]
+        entry.end_address += 1000  # as if a merge had renumbered the end's range
+        location = store.locator.locate(2)
+        assert location.end is None and not entry.has_end
+        assert store.locator.stats.scan_resolutions == 1  # the begin still hit
+        assert store.read(2) == "<a><b/></a>"
+        assert store.partial_index._entries[2].has_end
 
     def test_tokens_scanned_counter_grows(self):
         store = make_store()

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import StoreError
+from repro.core.layout import TokenLayout
 from repro.core.ranges import RangeMeta, RangeTable
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import InstrumentedDevice, MemoryBlockDevice
 from repro.storage.heap import Position
 
 
@@ -26,12 +29,10 @@ class TestRangeMeta:
         assert not meta.has_interval
         assert not meta.covers(1)
 
-    def test_bump_increments_version(self):
+    def test_new_range_is_its_own_origin(self):
         table = RangeTable()
         meta = make_meta(table)
-        v = meta.version
-        meta.bump()
-        assert meta.version == v + 1
+        assert (meta.origin, meta.lo) == (meta.range_id, 0)
 
 
 class TestOrdering:
@@ -91,51 +92,141 @@ class TestOrdering:
         assert b.range_id != a.range_id
 
 
-class TestResidency:
-    def test_add_and_query(self):
-        table = RangeTable()
-        a = make_meta(table)
-        table.add_resident(5, a.range_id)
-        assert a.range_id in table.residents(5)
-        assert table.residents(6) == set()
+class TestAddresses:
+    """``resolve(origin, address)``: ranges only shrink or get cut, so an
+    address names one token for as long as the token exists."""
 
-    def test_bump_block_bumps_residents(self):
+    def test_own_addresses_resolve(self):
         table = RangeTable()
-        a = make_meta(table, 1, 10)
+        a = make_meta(table, count=20)
+        assert table.resolve(a.origin, 0) == (a, 0)
+        assert table.resolve(a.origin, 19) == (a, 19)
+        assert table.resolve(a.origin, 20) is None
+        assert table.resolve(a.origin, -1) is None
+        assert table.resolve(a.origin + 1, 0) is None
+
+    def test_split_keeps_every_address(self):
+        table = RangeTable()
+        head = make_meta(table, count=20)
+        head.token_count = 8
+        tail = table.new_range(
+            Position(0, 8), 12, None, None, after=head.range_id,
+            cut_from=head, cut_at=8,
+        )
+        assert (tail.origin, tail.lo) == (head.origin, 8)
+        assert table.resolve(head.origin, 7) == (head, 7)
+        assert table.resolve(head.origin, 8) == (tail, 0)
+        assert table.resolve(head.origin, 19) == (tail, 11)
+        # a second cut, of the tail
+        tail.token_count = 2
+        last = table.new_range(
+            Position(0, 10), 10, None, None, after=tail.range_id,
+            cut_from=tail, cut_at=2,
+        )
+        assert table.resolve(head.origin, 9) == (tail, 1)
+        assert table.resolve(head.origin, 10) == (last, 0)
+        table.check_integrity()
+
+    def test_shrinking_unresolves_only_the_removed_tokens(self):
+        table = RangeTable()
+        a = make_meta(table, count=20)
+        # a delete removed the front five tokens and the last three
+        a.lo += 5
+        a.token_count = 12
+        assert table.resolve(a.origin, 4) is None
+        assert table.resolve(a.origin, 5) == (a, 0)
+        assert table.resolve(a.origin, 16) == (a, 11)
+        assert table.resolve(a.origin, 17) is None
+
+    def test_hole_between_pieces_does_not_resolve(self):
+        table = RangeTable()
+        head = make_meta(table, count=20)
+        head.token_count = 4
+        tail = table.new_range(
+            Position(0, 4), 10, None, None, after=head.range_id,
+            cut_from=head, cut_at=10,
+        )
+        assert table.resolve(head.origin, 3) == (head, 3)
+        assert table.resolve(head.origin, 4) is None
+        assert table.resolve(head.origin, 9) is None
+        assert table.resolve(head.origin, 10) == (tail, 0)
+
+    def test_rebase_moves_to_an_unused_origin(self):
+        table = RangeTable()
+        a = make_meta(table, count=20)
+        old = a.origin
+        table.rebase(a)
+        assert table.resolve(old, 3) is None
+        assert table.resolve(a.origin, 3) == (a, 3)
         b = make_meta(table, 11, 20)
-        table.add_resident(3, a.range_id)
-        va, vb = a.version, b.version
-        table.bump_block(3)
-        assert a.version == va + 1
-        assert b.version == vb
+        assert b.range_id not in (old, a.origin)
 
-    def test_copy_residents(self):
+    def test_overlapping_pieces_detected(self):
         table = RangeTable()
-        a = make_meta(table)
-        table.add_resident(1, a.range_id)
-        table.copy_residents(1, 2)
-        assert a.range_id in table.residents(2)
+        head = make_meta(table, count=20)
+        table.new_range(
+            Position(0, 8), 12, None, None, after=head.range_id,
+            cut_from=head, cut_at=8,
+        )  # head was not shrunk
+        with pytest.raises(StoreError, match="overlapping addresses"):
+            table.check_integrity()
+
+
+class TestResidency:
+    """Which blocks a range's tokens reside in is derived — from its start,
+    its token count and the chain's block counts — never recorded."""
+
+    def layout(self, block_size=64):
+        device = InstrumentedDevice(MemoryBlockDevice(block_size=block_size))
+        table = RangeTable()
+        return TokenLayout(BufferPool(device, capacity=16), table), table
+
+    def test_add_and_query(self):
+        layout, table = self.layout()
+        positions = layout.insert_before(None, [b"a", b"b"]).positions
+        a = table.new_range(positions[0], 2, 1, 2)
+        assert layout.blocks_of(a) == [positions[0].block_no]
+        assert layout.position_of(a, 1) == positions[1]
 
     def test_blocks_of(self):
-        table = RangeTable()
-        a = make_meta(table)
-        table.add_resident(1, a.range_id)
-        table.add_resident(4, a.range_id)
-        assert sorted(table.blocks_of(a.range_id)) == [1, 4]
+        layout, table = self.layout()
+        records = [bytes([65 + i]) * 20 for i in range(8)]
+        positions = layout.insert_before(None, records).positions
+        a = table.new_range(positions[0], 3, 1, 3)
+        b = table.new_range(positions[3], 5, 4, 8)
+        blocks = list(layout.chain.blocks())
+        assert len(blocks) > 2
+        assert layout.blocks_of(a) == sorted({p.block_no for p in positions[:3]})
+        assert layout.blocks_of(b) == sorted({p.block_no for p in positions[3:]})
+        for offset in range(5):
+            assert layout.position_of(b, offset) == positions[3 + offset]
+
+    def test_copy_residents(self):
+        # a block split copies a range's tail records into a new block
+        layout, table = self.layout(block_size=256)
+        positions = layout.insert_before(None, [b"a", b"b", b"c"]).positions
+        a = table.new_range(positions[0], 3, 1, 3)
+        new_block = layout.chain.split_block(positions[0].block_no, 1)
+        assert layout.blocks_of(a) == [positions[0].block_no, new_block]
+        assert layout.position_of(a, 2) == Position(new_block, 1)
 
     def test_drop_removes_residency(self):
         table = RangeTable()
         a = make_meta(table)
-        table.add_resident(1, a.range_id)
         table.drop(a.range_id)
-        assert table.residents(1) == set()
+        assert table.resolve(a.origin, 0) is None
+        table.check_integrity()
 
     def test_forget_block(self):
-        table = RangeTable()
-        a = make_meta(table)
-        table.add_resident(1, a.range_id)
-        table.forget_block(1)
-        assert table.residents(1) == set()
+        layout, table = self.layout()
+        records = [bytes([65 + i]) * 20 for i in range(8)]
+        positions = layout.insert_before(None, records).positions
+        a = table.new_range(positions[0], 1, 1, 1)
+        first, last = positions[0].block_no, positions[-1].block_no
+        # delete everything after the first record: the emptied blocks go
+        layout.delete_run(positions[1], 7, first_after=1)
+        assert not layout.chain.contains_block(last)
+        assert layout.blocks_of(a) == [first]
 
 
 class TestIntegrityAndCatalog:
@@ -158,17 +249,37 @@ class TestIntegrityAndCatalog:
         a = make_meta(table, 1, 70, count=140, block=1)
         b = table.new_range(Position(2, 3), 80, 101, 140, after=a.range_id)
         empty = table.new_range(Position(3, 0), 2, None, None)
-        a.bump()
+        a.token_count = 100
+        cut = table.new_range(
+            Position(1, 100), 40, None, None, after=a.range_id,
+            cut_from=a, cut_at=100,
+        )
         restored = RangeTable.from_catalog(table.to_catalog())
         assert [m.range_id for m in restored.in_order()] == [
             m.range_id for m in table.in_order()
         ]
         ra = restored.get(a.range_id)
         assert ra.start == Position(1, 0)
-        assert ra.version == a.version
         assert (ra.start_id, ra.end_id) == (1, 70)
+        assert restored.resolve(a.origin, 99) == (ra, 99)
+        assert restored.resolve(a.origin, 139) == (restored.get(cut.range_id), 39)
         re = restored.get(empty.range_id)
         assert not re.has_interval
+
+    def test_catalog_without_addresses_opens_every_range_as_its_own_origin(self):
+        table = RangeTable()
+        a = make_meta(table, 1, 70, count=140)
+        a.token_count = 100
+        cut = table.new_range(
+            Position(0, 100), 40, None, None, after=a.range_id,
+            cut_from=a, cut_at=100,
+        )
+        # in an older catalog those two slots are (version, 0): not addresses
+        restored = RangeTable.from_catalog(table.to_catalog(), addressed=False)
+        rcut = restored.get(cut.range_id)
+        assert (rcut.origin, rcut.lo) == (cut.range_id, 0)
+        assert restored.resolve(a.origin, 100) is None
+        assert restored.resolve(cut.range_id, 0) == (rcut, 0)
 
     def test_catalog_preserves_next_range_id(self):
         table = RangeTable()

@@ -195,9 +195,7 @@ class TestRepairDirectory:
         device = FileBlockDevice(
             os.path.join(path, DEVICE_FILE), block_size=config.page_size
         )
-        store = XMLStore.from_catalog(
-            device, catalog, config=config, repair_mode=True
-        )
+        store = XMLStore.from_catalog(device, catalog, config=config)
         victim = next(iter(store.layout.chain.blocks()))
         image = bytearray(device.read_block(victim))
         image[-1] ^= 0x10

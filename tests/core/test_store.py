@@ -437,18 +437,20 @@ RECORD_READ_NODES = {
 
 
 #: What the token-decoding read path (PR 15's) produced for
-#: ``record_read_ledger``.
+#: ``record_read_ledger``, less the two range-index fetches of read(316):
+#: the memo ``insert_before(316)`` left survives its own split, so that
+#: read is a partial-index hit where it was a stale entry and a scan.
 RECORD_READ_LEDGER = {
     "tokens_emitted": 590,
     "reads": 1,
     "node_reads": 4,
-    "simulated_seconds": 0.1690525,
+    "simulated_seconds": 0.16878749999999998,
     "fetched": [
         64, 69, 65, 66, 67, 70, 68,  # read(): the seven data blocks in chain order
-        0, 0, 70, 70, 68, 70, 68,  # read(316): locate, then the span's two blocks
+        70, 70, 68, 70, 68,  # read(316): begin record, end walk, the span's two blocks
         0, 0, 64, 64, 0, 0, 64, 64, 64, 0, 0, 64, 64,
     ],
-    "after_digest": (1161, 2, 34, 0.21489863636363632),
+    "after_digest": (1161, 2, 32, 0.2146336363636363),
 }
 RECORD_READ_DIGEST = "bbb0c0b2bb26bb0a110bd1a5145cbc6fc09a654515e40b1ab52ae39314cbb77d"
 

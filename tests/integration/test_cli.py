@@ -77,7 +77,9 @@ class TestCLI:
         assert values['repro_spans_total{span="load_document"}'] == 0
         assert "repro_buffer_hit_rate" in values
         assert "repro_wal_appends_total" in values
-        assert values['repro_disk_io_total{op="read",pattern="random"}'] >= 1
+        # ... and nothing walked the chain: reopening reads no block
+        assert values['repro_disk_io_total{op="read",pattern="random"}'] == 0
+        assert values['repro_disk_io_total{op="read",pattern="sequential"}'] == 0
 
     def test_stats_prometheus(self, store_dir):
         run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
@@ -137,7 +139,7 @@ class TestCLI:
         assert payload["ok"] is True
         assert [c["name"] for c in payload["checks"]] == [
             "layout", "range-index", "id-density", "partial-memo",
-            "block-checksum", "quarantine",
+            "full-index", "block-checksum", "quarantine",
         ]
 
     def test_error_surfaces_as_repro_error(self, store_dir):
@@ -447,9 +449,7 @@ class TestScrubRepairCLI:
         device = FileBlockDevice(
             os.path.join(store_dir, DEVICE_FILE), block_size=config.page_size
         )
-        store = XMLStore.from_catalog(
-            device, catalog, config=config, repair_mode=True
-        )
+        store = XMLStore.from_catalog(device, catalog, config=config)
         victim = next(iter(store.layout.chain.blocks()))
         image = bytearray(device.read_block(victim))
         image[-1] ^= 0x33

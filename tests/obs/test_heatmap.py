@@ -130,21 +130,53 @@ class TestReports:
             assert set(row["ranges"]) <= live
 
     def test_range_rows_equal_the_block_join(self):
-        # a range row must be exactly the sum of its blocks' heat
-        store = _store()
+        # a range row must be exactly the sum of the heat of the blocks its
+        # tokens are in, and a block row must list exactly the ranges with a
+        # token in it — both held to a walk of the chain, after enough
+        # inserts, splits and a delete to spread ranges over shared blocks
+        store = XMLStore.open(
+            StoreConfig(
+                policy=IndexingPolicy.RANGE_PLUS_PARTIAL,
+                page_size=512,
+                heatmap_enabled=True,
+            )
+        )
+        root = store.load_document(
+            "<doc>" + "".join(f"<item n='{i}'>t{i}</item>" for i in range(30)) + "</doc>"
+        )
+        for target in (5, 41, 77, 5, 62):  # item elements are ids 2, 5, 8, ...
+            store.insert_into_last(target, "<sub>s</sub>")
+        store.insert_into_last(root, "<item>last</item>")
+        store.delete_node(41)
         store.read(5)
         store.read()
+        blocks_of = {}
+        walk = store.layout.iter_from(None)
+        for meta in store.ranges.in_order():
+            for _ in range(meta.token_count):
+                pos, _record = next(walk)
+                blocks = blocks_of.setdefault(meta.range_id, [])
+                if pos.block_no not in blocks:
+                    blocks.append(pos.block_no)
+        assert next(walk, None) is None
+        assert max(len(blocks) for blocks in blocks_of.values()) > 1
+        assert len(store.ranges) > len(set().union(*blocks_of.values()))
         counts = store.heatmap.counts()
         report = heatmap_report(store, top=1000)
-        assert report["ranges"]
+        assert {row["range_id"] for row in report["ranges"]} == set(blocks_of)
         for row in report["ranges"]:
-            blocks = store.ranges.blocks_of(row["range_id"])
+            blocks = blocks_of[row["range_id"]]
             assert row["blocks"] == len(blocks)
             for field in ("fetches", "misses", "writes"):
                 joined = sum(
                     getattr(counts[b], field) for b in blocks if b in counts
                 )
                 assert row[field] == joined, (row["range_id"], field)
+        for row in report["blocks"]:
+            assert row["ranges"] == sorted(
+                range_id for range_id, blocks in blocks_of.items()
+                if row["block"] in blocks
+            )
 
     def test_join_survives_range_splits(self):
         # granular cap so the bulk load splits ranges many times; the

@@ -108,9 +108,7 @@ class TestBundleDump:
         device = FileBlockDevice(
             str(path / DEVICE_FILE), block_size=config.page_size
         )
-        repair_view = XMLStore.from_catalog(
-            device, catalog, config=config, repair_mode=True
-        )
+        repair_view = XMLStore.from_catalog(device, catalog, config=config)
         block = next(iter(repair_view.layout.chain.blocks()))
         image = bytearray(device.read_block(block))
         image[-1] ^= 0x55
@@ -125,9 +123,7 @@ class TestBundleDump:
             recorder_enabled=True,
             recorder_incidents_dir=str(path / INCIDENTS_DIR),
         )
-        store = XMLStore.from_catalog(
-            device, catalog, config=scrub_config, repair_mode=True
-        )
+        store = XMLStore.from_catalog(device, catalog, config=scrub_config)
         report = scrub_store(store)
         device.close()
         return path, store, report, block

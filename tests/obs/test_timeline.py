@@ -51,9 +51,7 @@ def _fault_store(tmp_path, repair=False):
     device = FileBlockDevice(
         str(path / DEVICE_FILE), block_size=config.page_size
     )
-    view = XMLStore.from_catalog(
-        device, catalog, config=config, repair_mode=True
-    )
+    view = XMLStore.from_catalog(device, catalog, config=config)
     block = next(iter(view.layout.chain.blocks()))
     image = bytearray(device.read_block(block))
     image[-1] ^= 0x55
@@ -71,7 +69,6 @@ def _fault_store(tmp_path, repair=False):
             recorder_enabled=True,
             recorder_incidents_dir=str(path / INCIDENTS_DIR),
         ),
-        repair_mode=True,
     )
     scrub_store(scrub_view)
     device.close()
