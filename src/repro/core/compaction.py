@@ -12,15 +12,16 @@ the combined token run still regenerates exactly ``[start_id .. end_id]``:
   so the merged range's first node-start is the right range's), or
 * the right range's interval is empty (the merged interval is the left's).
 
-Merging is purely a metadata operation: extend the left meta, drop the
-right meta and its index entry, and move the merged range to a fresh
-origin so that every logical address held for either stops resolving.
+Merging is purely a metadata operation, :meth:`RangeTable.merge`: extend
+the left meta, drop the right meta and its index entry, and move the merged
+range to a fresh origin so that every logical address held for either stops
+resolving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.core.ranges import RangeMeta
 
@@ -48,17 +49,6 @@ def can_merge(left: RangeMeta, right: RangeMeta) -> bool:
     return right.start_id == left.end_id + 1
 
 
-def merged_interval(
-    left: RangeMeta, right: RangeMeta
-) -> Tuple[Optional[int], Optional[int]]:
-    """The id interval of the merged range."""
-    if not left.has_interval:
-        return right.start_id, right.end_id
-    if not right.has_interval:
-        return left.start_id, left.end_id
-    return left.start_id, right.end_id
-
-
 def compact(store, max_tokens: Optional[int] = None) -> CompactionReport:
     """Greedily merge adjacent mergeable ranges of ``store``.
 
@@ -78,7 +68,8 @@ def compact(store, max_tokens: Optional[int] = None) -> CompactionReport:
             can_merge(left, right)
             and (max_tokens is None or combined <= max_tokens)
         ):
-            _merge_pair(store, left, right)
+            ranges.merge(left, right)
+            store.operations.ranges_dropped += 1
             merges += 1
             # stay at the same index: the new neighbour may merge too
         else:
@@ -86,25 +77,3 @@ def compact(store, max_tokens: Optional[int] = None) -> CompactionReport:
     return CompactionReport(
         ranges_before=before, ranges_after=len(ranges), merges=merges
     )
-
-
-def _merge_pair(store, left: RangeMeta, right: RangeMeta) -> None:
-    old_left_key = left.start_id
-    old_right_key = right.start_id
-    start_id, end_id = merged_interval(left, right)
-    # the merged range may start at the right range's position when the
-    # left one is empty (e.g. a fully deleted head)
-    if left.token_count == 0:
-        left.start = right.start
-    left.token_count += right.token_count
-    left.start_id = start_id
-    left.end_id = end_id
-    store.ranges.rebase(left)
-    # index maintenance: one entry keyed by the merged start id
-    store.range_index.unregister(old_right_key)
-    if left.has_interval:
-        store.range_index.rekey(old_left_key, left)
-    elif old_left_key is not None:
-        store.range_index.unregister(old_left_key)
-    store.ranges.drop(right.range_id)
-    store.operations.ranges_dropped += 1

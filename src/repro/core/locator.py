@@ -73,7 +73,7 @@ class ScanItem:
 
     def __init__(
         self,
-        order_index: int,
+        order_index: Optional[int],
         meta: RangeMeta,
         offset: int,
         pos: Position,
@@ -81,7 +81,9 @@ class ScanItem:
         kind: TokenKind,
         last_id: Optional[int],
     ) -> None:
-        self.order_index = order_index  # position of the range in document order
+        #: Position of the range in document order, as a scan knew it; None
+        #: on an item an index answered (:meth:`Locator.order_of` asks).
+        self.order_index = order_index
         self.meta = meta                # the range the token belongs to
         self.offset = offset            # token offset inside the range
         self.pos = pos                  # physical position
@@ -239,10 +241,18 @@ class Locator:
                 return self._segments(order_index, meta, 0, meta.start)
         return iter(())
 
+    def order_of(self, item: ScanItem) -> int:
+        """The document-order index of ``item``'s range.  Only a scan that
+        continues from the item and the update engine need it, so an item
+        built from an index entry finds out here, not on every read."""
+        if item.order_index is None:
+            item.order_index = self.ranges.order_index(item.meta.range_id)
+        return item.order_index
+
     def _segments_after(self, item: ScanItem) -> Iterator[_Segment]:
         block_no, slot = item.pos
         return self._segments(
-            item.order_index, item.meta, item.offset + 1, Position(block_no, slot + 1)
+            self.order_of(item), item.meta, item.offset + 1, Position(block_no, slot + 1)
         )
 
     def _segments(
@@ -333,10 +343,16 @@ class Locator:
     def locate_span(self, node_id: int) -> NodeLocation:
         """Resolve ``node_id`` including its end token."""
         location = self.locate(node_id)
+        self.complete(location)
+        return location
+
+    def complete(self, location: NodeLocation) -> ScanItem:
+        """The end-token item of a located node: the memoized one if the
+        lookup had it (paper Table 4), else found by scan and remembered."""
         if location.end is None:
             location.end = self.find_end(location.begin)
             self._memoize(location, found_begin=False)
-        return location
+        return location.end
 
     def find_end(self, begin: ScanItem) -> ScanItem:
         """The item of the end token of the node starting at ``begin``."""
@@ -476,10 +492,7 @@ class Locator:
             last_id = None
         pos = self.layout.position_of(meta, offset)
         record = self.layout.record_at(pos)
-        return ScanItem(
-            self.ranges.order_index(meta.range_id), meta,
-            offset, pos, record, peek_kind(record), last_id,
-        )
+        return ScanItem(None, meta, offset, pos, record, peek_kind(record), last_id)
 
     def _memoize(self, location: NodeLocation, found_begin: bool) -> None:
         """Write back what a scan learned: ``found_begin`` says the begin

@@ -10,6 +10,9 @@ so its maintenance cost is charged to the same simulated clock — a few
 entries per *insert operation* instead of one per *node*, which is the
 whole point (§4.1: "fewer entries are inserted to the range index — a big
 step forward in comparison to the full index approach").
+
+The entries are kept by :class:`~repro.core.ranges.RangeTable`, whose verbs
+are the only callers of ``register``/``unregister``/``rekey``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ class RangeIndex:
             self._tree.delete(start_id)
 
     def rekey(self, old_start_id: Optional[int], meta: RangeMeta) -> None:
-        """A range's interval changed its start: move its entry."""
+        """A range's interval changed its start, or emptied: move its entry,
+        or drop it."""
         if old_start_id is not None and old_start_id != meta.start_id:
             self._tree.delete(old_start_id)
         self.register(meta)

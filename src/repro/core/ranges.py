@@ -23,7 +23,13 @@ intervals and :meth:`RangeTable.resolve` turns an address back into
 versioned and no write invalidates anything (DESIGN.md §10).
 
 :class:`RangeTable` owns all range metadata, the document-order list and the
-per-origin piece lists.
+per-origin piece lists — and every way a range changes shape.  An update is
+a sequence of a few verbs (DESIGN.md §11): :meth:`~RangeTable.new_range`,
+:meth:`~RangeTable.split` + :meth:`~RangeTable.place`,
+:meth:`~RangeTable.truncate`, :meth:`~RangeTable.behead`,
+:meth:`~RangeTable.drop` and :meth:`~RangeTable.merge`.  Each keeps a range's
+token count, id interval, address piece and Range Index key consistent, so
+nothing outside this module assigns those fields or touches the key.
 """
 
 from __future__ import annotations
@@ -32,14 +38,26 @@ import struct
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.storage.heap import Position
 
+if TYPE_CHECKING:  # range_index imports this module
+    from repro.core.range_index import RangeIndex
+
 _META = struct.Struct("<qqqqqqqq")  # id, start_id(-1), end_id(-1), block, slot, count, origin, lo
 _HEADER = struct.Struct("<qI")  # next_range_id, count
 _LO = attrgetter("lo")
+
+
+def _interval_after(
+    last_id: int, end_id: Optional[int]
+) -> Tuple[Optional[int], Optional[int]]:
+    """What is left of an interval ending at ``end_id`` past ``last_id``."""
+    if end_id is None or last_id >= end_id:
+        return None, None
+    return last_id + 1, end_id
 
 
 @dataclass
@@ -82,7 +100,10 @@ class RangeMeta:
 class RangeTable:
     """All ranges, their document order, and the pieces of each origin."""
 
-    def __init__(self) -> None:
+    def __init__(self, index: Optional["RangeIndex"] = None) -> None:
+        #: The Range Index, kept keyed by every range's ``start_id`` (None:
+        #: a bare table, whose verbs do everything but that).
+        self.index = index
         self._by_id: Dict[int, RangeMeta] = {}
         self._order: List[int] = []
         #: origin -> its surviving ranges, ascending by ``lo``
@@ -150,28 +171,20 @@ class RangeTable:
         end_id: Optional[int],
         after: Optional[int] = None,
         before: Optional[int] = None,
-        cut_from: Optional[RangeMeta] = None,
-        cut_at: int = 0,
     ) -> RangeMeta:
-        """Create a range and place it in document order.
-
-        ``after``/``before`` name an existing range id; omitting both
-        appends at the end of the document.  A range of freshly inserted
-        tokens is its own origin; the tail a split or delete cuts off
-        ``cut_from`` at token offset ``cut_at`` keeps that range's origin.
-        """
-        range_id = self._next_range_id
+        """Create a range of freshly inserted tokens (its own origin) and
+        place it in document order: ``after``/``before`` name an existing
+        range id; omitting both appends at the end of the document."""
         meta = RangeMeta(
-            range_id=range_id,
-            start=start,
-            token_count=token_count,
-            start_id=start_id,
-            end_id=end_id,
-            origin=range_id if cut_from is None else cut_from.origin,
-            lo=0 if cut_from is None else cut_from.lo + cut_at,
+            self._next_range_id, start, token_count, start_id, end_id,
+            origin=self._next_range_id,
         )
+        self._enter(meta, after, before)
+        return meta
+
+    def _enter(self, meta: RangeMeta, after: Optional[int], before: Optional[int]) -> None:
         self._next_range_id += 1
-        self._by_id[range_id] = meta
+        self._by_id[meta.range_id] = meta
         insort(self._pieces.setdefault(meta.origin, []), meta, key=_LO)
         if after is not None:
             self._order.insert(self.order_index(after) + 1, meta.range_id)
@@ -179,12 +192,87 @@ class RangeTable:
             self._order.insert(self.order_index(before), meta.range_id)
         else:
             self._order.append(meta.range_id)
-        return meta
+        if self.index is not None:
+            self.index.register(meta)
+
+    def truncate(self, meta: RangeMeta, count: int, last_id: Optional[int]) -> None:
+        """``meta`` keeps only its first ``count`` tokens, ``last_id`` being
+        the last node id among them (None: they start no node, so the
+        range's interval empties and it leaves the Range Index)."""
+        meta.token_count = count
+        if last_id is not None:
+            meta.end_id = last_id
+            return
+        if self.index is not None:
+            self.index.unregister(meta.start_id)
+        meta.start_id = meta.end_id = None
+
+    def behead(self, meta: RangeMeta, count: int, last_id: Optional[int]) -> None:
+        """``meta`` loses its first ``count`` tokens — it *becomes* its tail,
+        at the same origin — ``last_id`` being the last node id among those
+        lost (None: they started no node, the interval stands).  The caller
+        moves ``meta.start`` once the tokens are physically gone."""
+        old_key = meta.start_id
+        meta.lo += count
+        meta.token_count -= count
+        if last_id is not None:
+            meta.start_id, meta.end_id = _interval_after(last_id, meta.end_id)
+        if self.index is not None:
+            self.index.rekey(old_key, meta)
+
+    def split(self, meta: RangeMeta, at: int, last_id: Optional[int]) -> RangeMeta:
+        """Cut ``meta`` before token ``at``: it is truncated to ``[0, at)``
+        and the tail ``[at, count)`` is returned, carrying the rest of the
+        interval at the same origin.  The tail is not yet in the table:
+        :meth:`place` it, after whatever goes in between (the ranges of an
+        interior insert draw their ids, and enter the Range Index, first)."""
+        start_id, end_id = meta.start_id, meta.end_id
+        if last_id is not None:
+            start_id, end_id = _interval_after(last_id, end_id)
+        tail = RangeMeta(
+            0, meta.start, meta.token_count - at, start_id, end_id,
+            origin=meta.origin, lo=meta.lo + at,
+        )
+        self.truncate(meta, at, last_id)
+        return tail
+
+    def place(self, tail: RangeMeta, start: Position, after: int) -> None:
+        """Make a :meth:`split` tail, whose tokens now begin at ``start``,
+        the range following range ``after``."""
+        tail.range_id = self._next_range_id
+        tail.start = start
+        self._enter(tail, after, None)
 
     def drop(self, range_id: int) -> None:
+        """The range's tokens are all deleted."""
         meta = self.get(range_id)
-        self._order.remove(range_id)
-        del self._by_id[range_id]
+        if self.index is not None:
+            self.index.unregister(meta.start_id)
+        self._remove(meta)
+
+    def merge(self, left: RangeMeta, right: RangeMeta) -> None:
+        """``left`` absorbs ``right``, its document-order successor whose
+        interval continues its own (compaction's test).  Their tokens are
+        renumbered under one range, so the merged range moves to a fresh
+        origin and every address held for either stops resolving."""
+        old_left_key, old_right_key = left.start_id, right.start_id
+        # an empty left range (a fully deleted head) starts where right does
+        if left.token_count == 0:
+            left.start = right.start
+        left.token_count += right.token_count
+        if not left.has_interval:
+            left.start_id, left.end_id = right.start_id, right.end_id
+        elif right.has_interval:
+            left.end_id = right.end_id
+        self.rebase(left)
+        if self.index is not None:
+            self.index.unregister(old_right_key)
+            self.index.rekey(old_left_key, left)
+        self._remove(right)
+
+    def _remove(self, meta: RangeMeta) -> None:
+        self._order.remove(meta.range_id)
+        del self._by_id[meta.range_id]
         self._unlist(meta)
 
     def _unlist(self, meta: RangeMeta) -> None:
@@ -270,11 +358,14 @@ class RangeTable:
         return b"".join(parts)
 
     @classmethod
-    def from_catalog(cls, data: bytes, addressed: bool = True) -> "RangeTable":
-        """Rebuild the table; ``addressed=False`` reads a catalog written
-        before ranges had logical addresses (those two slots held a version
-        and zero), where every range is its own origin."""
-        table = cls()
+    def from_catalog(
+        cls, data: bytes, addressed: bool = True, index: Optional["RangeIndex"] = None
+    ) -> "RangeTable":
+        """Rebuild the table over ``index``, which already holds its keys;
+        ``addressed=False`` reads a catalog written before ranges had
+        logical addresses (those two slots held a version and zero), where
+        every range is its own origin."""
+        table = cls(index)
         table._next_range_id, count = _HEADER.unpack_from(data, 0)
         offset = _HEADER.size
         for _ in range(count):

@@ -379,9 +379,9 @@ def repair_store(
     )
     order = effective_btree_order(store.config.btree_order, store.codec.page_size)
     new_chain = ChainedFile(store.pool)
-    new_ranges = RangeTable()
-    new_layout = TokenLayout(store.pool, new_ranges, new_chain)
     new_range_index = RangeIndex(store.pool, order=order)
+    new_ranges = RangeTable(new_range_index)
+    new_layout = TokenLayout(store.pool, new_ranges, new_chain)
     new_full = (
         FullIndex(store.pool, order=order) if store.full_index is not None else None
     )
@@ -395,7 +395,6 @@ def repair_store(
             end_id=end_id,
             after=previous,
         )
-        new_range_index.register(meta)
         previous = meta.range_id
 
     store.ranges = new_ranges

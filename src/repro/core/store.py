@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import (
     InvalidOperationError,
@@ -130,6 +130,52 @@ class _InsertPoint:
     pos: Position
     last_id_before: Optional[int]
 
+    @classmethod
+    def before(cls, item: ScanItem) -> "_InsertPoint":
+        """The point that displaces ``item``."""
+        return cls(item.meta, item.offset, item.pos, _last_id_before(item))
+
+
+def _last_id_before(item: ScanItem) -> Optional[int]:
+    """The id of the last node-starting token strictly before ``item`` in
+    its range.  Ids are dense within a range, so it is the item's cursor,
+    less the item itself if it starts a node — nothing at the range's first."""
+    last_id = item.last_id
+    if last_id is not None and item.starts_node:
+        assert item.meta.start_id is not None
+        last_id = last_id - 1 if last_id > item.meta.start_id else None
+    return last_id
+
+
+class _Catalog(NamedTuple):
+    """What a catalog holds (:meth:`XMLStore.to_catalog`'s inverse)."""
+
+    range_root: int
+    full_root: int  # -1: the store keeps no full index
+    scheme_state: bytes
+    chain: bytes
+    ranges: bytes
+    flags: int  # the format section's; 0 for a two-section catalog
+
+    @classmethod
+    def parse(cls, data: bytes) -> "_Catalog":
+        range_root, full_root, scheme_len, n_sections = _CATALOG_HEADER.unpack_from(
+            data, 0
+        )
+        offset = _CATALOG_HEADER.size
+        scheme_state = data[offset : offset + scheme_len]
+        offset += scheme_len
+        sections = []
+        for _ in range(n_sections):
+            (length,) = struct.unpack_from("<I", data, offset)
+            offset += 4
+            sections.append(data[offset : offset + length])
+            offset += length
+        flags = 0
+        if len(sections) > 2:
+            _version, flags = _FORMAT_SECTION.unpack_from(sections[2], 0)
+        return cls(range_root, full_root, scheme_state, sections[0], sections[1], flags)
+
 
 def effective_btree_order(configured: int, page_size: int) -> int:
     """Cap the B+-tree order so a full node serializes into one page.
@@ -153,35 +199,78 @@ class XMLStore:
         device: Optional[BlockDevice] = None,
         wal: Optional[WriteAheadLog] = None,
     ) -> None:
-        self.config = config if config is not None else StoreConfig()
+        config = config if config is not None else StoreConfig()
         if device is None:
-            backend = MemoryBlockDevice(block_size=self.config.page_size)
-            device = InstrumentedDevice(backend, cost_model=self.config.cost_model)
-        if device.block_size != self.config.page_size:
+            backend = MemoryBlockDevice(block_size=config.page_size)
+            device = InstrumentedDevice(backend, cost_model=config.cost_model)
+        if device.block_size != config.page_size:
             raise StoreError(
                 f"device block size {device.block_size} != configured "
-                f"page size {self.config.page_size}"
+                f"page size {config.page_size}"
             )
+        self._assemble(config, device, wal)
+
+    def _assemble(
+        self,
+        config: StoreConfig,
+        device: BlockDevice,
+        wal: Optional[WriteAheadLog],
+        catalog: Optional[_Catalog] = None,
+    ) -> None:
+        """Wire the component graph — the one place that does — over an
+        empty device, or over the chain, range table and index roots a
+        ``catalog`` names.
+
+        The catalog, not ``config``, says what is on the device: whether
+        block images are checksum-framed, whether ranges carry addresses,
+        and whether there is a full index.  A full index the catalog roots
+        is attached and maintained under any policy: opened without it, it
+        would miss the inserts made meanwhile and lose its root at the next
+        checkpoint.
+        """
+        self.config = config
         self.device = device
+        policy = config.policy
+        fresh = catalog is None
         self.codec = PageCodec(
-            self.config.page_size, checksums=self.config.checksums_enabled
+            device.block_size,
+            checksums=config.checksums_enabled
+            if fresh
+            else bool(catalog.flags & _FORMAT_CHECKSUMS),
         )
         self.pool = BufferPool(
-            device, capacity=self.config.buffer_pool_capacity, codec=self.codec
+            device, capacity=config.buffer_pool_capacity, codec=self.codec
         )
         self.wal = wal if wal is not None else WriteAheadLog()
         self.id_scheme = SequentialIdScheme()
-        self.ranges = RangeTable()
-        self.layout = TokenLayout(self.pool, self.ranges)
-        order = effective_btree_order(self.config.btree_order, self.codec.page_size)
-        self.range_index = RangeIndex(self.pool, order=order)
-        policy = self.config.policy
+        order = effective_btree_order(config.btree_order, self.codec.page_size)
+        if fresh:
+            chain = full_root = None
+            has_full_index = policy is IndexingPolicy.FULL
+            self.range_index = RangeIndex(self.pool, order=order)
+            self.ranges = RangeTable(self.range_index)
+        else:
+            full_root = catalog.full_root
+            has_full_index = full_root != -1
+            if policy is IndexingPolicy.FULL and not has_full_index:
+                raise StoreError("catalog has no full-index root for FULL policy")
+            self.id_scheme.restore_catalog(catalog.scheme_state)
+            chain = ChainedFile.from_catalog(self.pool, catalog.chain)
+            self.range_index = RangeIndex(
+                self.pool, order=order, root_block=catalog.range_root
+            )
+            self.ranges = RangeTable.from_catalog(
+                catalog.ranges,
+                addressed=bool(catalog.flags & _FORMAT_ADDRESSES),
+                index=self.range_index,
+            )
+        self.layout = TokenLayout(self.pool, self.ranges, chain)
         self.partial_index: Optional[PartialIndex] = None
         self.full_index: Optional[FullIndex] = None
         if policy in (IndexingPolicy.RANGE_PLUS_PARTIAL, IndexingPolicy.ADAPTIVE):
-            self.partial_index = PartialIndex(self.config.partial_index_capacity)
-        if policy is IndexingPolicy.FULL:
-            self.full_index = FullIndex(self.pool, order=order)
+            self.partial_index = PartialIndex(config.partial_index_capacity)
+        if has_full_index:
+            self.full_index = FullIndex(self.pool, order=order, root_block=full_root)
         self.locator = Locator(
             layout=self.layout,
             ranges=self.ranges,
@@ -196,8 +285,8 @@ class XMLStore:
                 self.locator,
                 self.partial_index,
                 self.ranges,
-                window=self.config.adaptive_window,
-                read_threshold=self.config.adaptive_read_threshold,
+                window=config.adaptive_window,
+                read_threshold=config.adaptive_read_threshold,
             )
         self.operations = OperationCounts()
         #: tokens decoded for serialization (part of the simulated CPU cost)
@@ -378,68 +467,61 @@ class XMLStore:
 
     def insert_before(self, node_id: int, xml_text: str, log: bool = True) -> Optional[int]:
         """Insert ``xml_text`` as the preceding sibling(s) of ``node_id``."""
-        with self.telemetry.span("insert_before", node_id=node_id):
-            tokens = self._ingest(xml_text, require_content=True)
-            location = self.locator.locate(node_id)
-            self._require_sibling_target(location)
-            if log:
-                self._log(RecordType.INSERT_BEFORE, node_id, xml_text)
-            begin = location.begin
-            last_before = (
-                node_id - 1
-                if begin.meta.start_id is not None and node_id > begin.meta.start_id
-                else None
-            )
-            point = _InsertPoint(begin.meta, begin.offset, begin.pos, last_before)
-            first_id = self._insert_fragment(point, tokens)
-            self.operations.inserts += 1
-            self._observe(is_read=False)
-            return first_id
+        return self._insert(
+            "insert_before", RecordType.INSERT_BEFORE, node_id, xml_text, log,
+            self._require_sibling_target,
+            lambda location: _InsertPoint.before(location.begin),
+        )
 
     def insert_after(self, node_id: int, xml_text: str, log: bool = True) -> Optional[int]:
         """Insert ``xml_text`` as the following sibling(s) of ``node_id``."""
-        with self.telemetry.span("insert_after", node_id=node_id):
-            tokens = self._ingest(xml_text, require_content=True)
-            location = self.locator.locate(node_id)
-            self._require_sibling_target(location)
-            if log:
-                self._log(RecordType.INSERT_AFTER, node_id, xml_text)
-            end = self._end_item(location)
-            point = self._point_after(end)
-            first_id = self._insert_fragment(point, tokens)
-            self.operations.inserts += 1
-            self._observe(is_read=False)
-            return first_id
+        return self._insert(
+            "insert_after", RecordType.INSERT_AFTER, node_id, xml_text, log,
+            self._require_sibling_target,
+            lambda location: self._point_after(self._end_item(location)),
+        )
 
     def insert_into_first(self, node_id: int, xml_text: str, log: bool = True) -> Optional[int]:
         """Insert ``xml_text`` as the first child(ren) of element
         ``node_id`` (after its attributes)."""
-        with self.telemetry.span("insert_into_first", node_id=node_id):
-            tokens = self._ingest(xml_text, require_content=True)
-            location = self.locator.locate(node_id)
-            self._require_element_target(location)
-            if log:
-                self._log(RecordType.INSERT_INTO_FIRST, node_id, xml_text)
-            point = self._point_after_attributes(location.begin)
-            first_id = self._insert_fragment(point, tokens)
-            self.operations.inserts += 1
-            self._observe(is_read=False)
-            return first_id
+        return self._insert(
+            "insert_into_first", RecordType.INSERT_INTO_FIRST, node_id, xml_text, log,
+            self._require_element_target,
+            lambda location: _InsertPoint.before(
+                self._first_content_item(location.begin)
+            ),
+        )
 
     def insert_into_last(self, node_id: int, xml_text: str, log: bool = True) -> Optional[int]:
         """Insert ``xml_text`` as the last child(ren) of element
-        ``node_id`` — the paper's running example (§4.5)."""
-        with self.telemetry.span("insert_into_last", node_id=node_id):
+        ``node_id`` — the paper's running example (§4.5).  Table 4
+        discipline: the lookups this update performed are kept; the split
+        changes neither token's logical address."""
+        return self._insert(
+            "insert_into_last", RecordType.INSERT_INTO_LAST, node_id, xml_text, log,
+            self._require_element_target,
+            lambda location: _InsertPoint.before(self._end_item(location)),
+        )
+
+    def _insert(
+        self,
+        op: str,
+        record_type: int,
+        node_id: int,
+        xml_text: str,
+        log: bool,
+        require: Callable[[NodeLocation], None],
+        point_of: Callable[[NodeLocation], Optional[_InsertPoint]],
+    ) -> Optional[int]:
+        """What the four inserts share: they differ in which targets they
+        ``require`` and in where, relative to the target, the point is."""
+        with self.telemetry.span(op, node_id=node_id):
             tokens = self._ingest(xml_text, require_content=True)
             location = self.locator.locate(node_id)
-            self._require_element_target(location)
+            require(location)
             if log:
-                self._log(RecordType.INSERT_INTO_LAST, node_id, xml_text)
-            end = self._end_item(location)
-            point = _InsertPoint(end.meta, end.offset, end.pos, end.last_id)
-            # Table 4 discipline: the lookups this update performed are kept;
-            # the split below changes neither token's logical address.
-            first_id = self._insert_fragment(point, tokens)
+                self._log(record_type, node_id, xml_text)
+            first_id = self._insert_fragment(point_of(location), tokens)
             self.operations.inserts += 1
             self._observe(is_read=False)
             return first_id
@@ -480,13 +562,8 @@ class XMLStore:
             content_start = self._first_content_item(location.begin)
             point: Optional[_InsertPoint]
             if content_start.kind == TokenKind.END_ELEMENT:
-                # no existing content: check it is *our* end token (depth 0)
-                point = _InsertPoint(
-                    content_start.meta,
-                    content_start.offset,
-                    content_start.pos,
-                    content_start.last_id,
-                )
+                # no existing content: this is the element's own end token
+                point = _InsertPoint.before(content_start)
             else:
                 last_content = self._last_item_before_end(content_start)
                 point = self._delete_span(content_start, last_content)
@@ -623,77 +700,17 @@ class XMLStore:
         The catalog's format section — not ``config.checksums_enabled`` —
         decides how block images are decoded: a legacy two-section
         catalog always opens via the raw read path, a framed store is
-        always verified.  No block is read: a store with corrupt blocks
-        opens, and fails where it touches them.
+        always verified; likewise a full index the catalog roots is kept
+        whatever ``config.policy`` says.  No block is read: a store with
+        corrupt blocks opens, and fails where it touches them.
         """
-        config = config if config is not None else StoreConfig()
         store = cls.__new__(cls)
-        store.config = config
-        store.device = device
-        range_root, full_root, scheme_len, n_sections = _CATALOG_HEADER.unpack_from(
-            catalog, 0
+        store._assemble(
+            config if config is not None else StoreConfig(),
+            device,
+            wal,
+            _Catalog.parse(catalog),
         )
-        offset = _CATALOG_HEADER.size
-        store.id_scheme = SequentialIdScheme()
-        store.id_scheme.restore_catalog(catalog[offset : offset + scheme_len])
-        offset += scheme_len
-        sections = []
-        for _ in range(n_sections):
-            (length,) = struct.unpack_from("<I", catalog, offset)
-            offset += 4
-            sections.append(catalog[offset : offset + length])
-            offset += length
-        flags = 0
-        if len(sections) > 2:
-            _version, flags = _FORMAT_SECTION.unpack_from(sections[2], 0)
-        checksums = bool(flags & _FORMAT_CHECKSUMS)
-        store.codec = PageCodec(device.block_size, checksums=checksums)
-        store.pool = BufferPool(
-            device, capacity=config.buffer_pool_capacity, codec=store.codec
-        )
-        store.wal = wal if wal is not None else WriteAheadLog()
-        chain = ChainedFile.from_catalog(store.pool, sections[0])
-        store.ranges = RangeTable.from_catalog(
-            sections[1], addressed=bool(flags & _FORMAT_ADDRESSES)
-        )
-        store.layout = TokenLayout(store.pool, store.ranges, chain)
-        order = effective_btree_order(config.btree_order, store.codec.page_size)
-        store.range_index = RangeIndex(
-            store.pool, order=order, root_block=range_root
-        )
-        store.partial_index = None
-        store.full_index = None
-        if config.policy in (IndexingPolicy.RANGE_PLUS_PARTIAL, IndexingPolicy.ADAPTIVE):
-            store.partial_index = PartialIndex(config.partial_index_capacity)
-        if config.policy is IndexingPolicy.FULL:
-            if full_root == -1:
-                raise StoreError("catalog has no full-index root for FULL policy")
-            store.full_index = FullIndex(
-                store.pool, order=order, root_block=full_root
-            )
-        store.locator = Locator(
-            layout=store.layout,
-            ranges=store.ranges,
-            range_index=store.range_index,
-            id_scheme=store.id_scheme,
-            partial_index=store.partial_index,
-            full_index=store.full_index,
-        )
-        store.adaptive = None
-        if config.policy is IndexingPolicy.ADAPTIVE:
-            store.adaptive = AdaptiveController(
-                store.locator,
-                store.partial_index,
-                store.ranges,
-                window=config.adaptive_window,
-                read_threshold=config.adaptive_read_threshold,
-            )
-        store.operations = OperationCounts()
-        store.tokens_emitted = 0
-        from repro.core.navigation import StructuralHints
-
-        store.structural_hints = StructuralHints()
-        store._setup_telemetry()
         return store
 
     @classmethod
@@ -789,22 +806,13 @@ class XMLStore:
             encode_op_payload(self.id_scheme.encode(node_id), xml_text),
         )
 
-
     def _end_item(self, location: NodeLocation) -> ScanItem:
-        """The end-token item of a located node, reusing a memoized end
-        when the partial index has a current one (paper Table 4)."""
-        if location.end is not None:
-            return location.end
-        if self.partial_index is not None:
-            cached = self.partial_index.probe(location.node_id, self.ranges)
-            if cached is not None and cached.has_end:
-                refreshed = self.locator._location_from_entry(cached)
-                if refreshed.end is not None:
-                    return refreshed.end
-        end = self.locator.find_end(location.begin)
-        location.end = end
-        self.locator._memoize(location, found_begin=False)
-        return end
+        """The end-token item of a node ``locate`` just found."""
+        if location.end is None and self.partial_index is not None:
+            # learns nothing ``locate`` did not; kept because the probe
+            # counters and events it adds are pinned (ROADMAP item 8)
+            self.partial_index.probe(location.node_id, self.ranges)
+        return self.locator.complete(location)
 
     def _ingest(self, xml_text: str, require_content: bool = False) -> List[Token]:
         tokens = strip_document_tokens(tokenize_fragment(xml_text))
@@ -832,33 +840,13 @@ class XMLStore:
             )
 
     def _point_after(self, end: ScanItem) -> Optional[_InsertPoint]:
-        """The insert point immediately following ``end``."""
+        """The insert point immediately following ``end`` (None = the end
+        of the document)."""
         nxt = next(self.locator.continue_scan(end), None)
-        if nxt is None:
-            return None
-        last_before = end.last_id if nxt.order_index == end.order_index else None
-        # nxt's own last_id may include nxt itself (if it starts a node);
-        # tokens strictly before nxt within its range end at `end`.
-        if nxt.offset == 0:
-            last_before = None
-        return _InsertPoint(nxt.meta, nxt.offset, nxt.pos, last_before)
-
-    def _point_after_attributes(self, begin: ScanItem) -> _InsertPoint:
-        """The insert point after an element's attribute tokens."""
-        previous = begin
-        for item in self.locator.continue_scan(begin):
-            if item.kind in _ATTRIBUTE_KINDS:
-                previous = item
-                continue
-            last_before = (
-                previous.last_id
-                if item.order_index == previous.order_index and item.offset > 0
-                else None
-            )
-            return _InsertPoint(item.meta, item.offset, item.pos, last_before)
-        raise StoreError("element has no end token (bug)")
+        return None if nxt is None else _InsertPoint.before(nxt)
 
     def _first_content_item(self, begin: ScanItem) -> ScanItem:
+        """The first token after an element's attribute tokens."""
         for item in self.locator.continue_scan(begin):
             if item.kind not in _ATTRIBUTE_KINDS:
                 return item
@@ -900,21 +888,25 @@ class XMLStore:
             result = self.layout.insert_before(None, records)
         else:
             result = self.layout.insert_before(point.pos, records, point.meta)
-        # ---- logical range bookkeeping
+        # ---- logical range bookkeeping: the fresh ranges go at the end,
+        # before the displaced range, or — the paper's §4.5 walk-through —
+        # between the two halves of the range the point is inside
+        after = before = tail = None
         if point is None:
-            anchor_after = self.ranges.last.range_id if len(self.ranges) else None
-            new_metas = self._create_ranges(
-                records, tokens, result.positions, first_id, after=anchor_after
-            )
+            after = self.ranges.last.range_id if len(self.ranges) else None
         elif point.offset == 0:
-            new_metas = self._create_ranges(
-                records, tokens, result.positions, first_id,
-                before=point.meta.range_id,
-            )
+            before = point.meta.range_id
         else:
-            new_metas = self._split_and_insert(
-                point, result, records, tokens, first_id
-            )
+            if result.following is None:
+                raise StoreError("interior insert did not displace a record (bug)")
+            tail = self.ranges.split(point.meta, point.offset, point.last_id_before)
+            after = point.meta.range_id
+        new_metas = self._create_ranges(
+            records, tokens, result.positions, first_id, after=after, before=before
+        )
+        if tail is not None:
+            self.ranges.place(tail, result.following, after=new_metas[-1].range_id)
+            self.operations.ranges_split += 1
         self.operations.ranges_created += len(new_metas)
         self.operations.nodes_inserted += node_count
         # ---- eager indexing (FULL policy / Ablation C)
@@ -943,8 +935,8 @@ class XMLStore:
         after: Optional[int] = None,
         before: Optional[int] = None,
     ) -> List[RangeMeta]:
-        """Create range metas (one per granularity chunk) over freshly
-        inserted records and register them."""
+        """Create ranges (one per granularity chunk) over freshly inserted
+        records."""
         metas: List[RangeMeta] = []
         offset = 0
         next_id = first_id
@@ -965,65 +957,10 @@ class XMLStore:
                 after=anchor_after,
                 before=before if anchor_after is None else None,
             )
-            self.range_index.register(meta)
             metas.append(meta)
             anchor_after = meta.range_id
             offset += chunk_tokens
         return metas
-
-    def _split_and_insert(
-        self,
-        point: _InsertPoint,
-        result,
-        records: Sequence[bytes],
-        tokens: Sequence[Token],
-        first_id: Optional[int],
-    ) -> List[RangeMeta]:
-        """Interior insert: split ``point.meta`` into head + tail around
-        the fresh ranges (the paper's §4.5 walk-through)."""
-        meta = point.meta
-        old_start_id = meta.start_id
-        old_end_id = meta.end_id
-        old_count = meta.token_count
-        tail_pos = result.following
-        if tail_pos is None:
-            raise StoreError("interior insert did not displace a record (bug)")
-        # head keeps tokens [0, offset)
-        meta.token_count = point.offset
-        last_before = point.last_id_before
-        if last_before is None:
-            # head has no node-starting tokens: its interval empties
-            self.range_index.unregister(old_start_id)
-            meta.start_id = None
-            meta.end_id = None
-        else:
-            meta.end_id = last_before
-        # fresh ranges for the inserted fragment
-        new_metas = self._create_ranges(
-            records, tokens, result.positions, first_id, after=meta.range_id
-        )
-        # tail takes tokens [offset, old_count)
-        tail_nodes_remain = (
-            old_end_id is not None
-            and (last_before if last_before is not None else (old_start_id or 0) - 1)
-            < old_end_id
-        )
-        if last_before is None:
-            tail_start_id: Optional[int] = old_start_id
-        else:
-            tail_start_id = last_before + 1
-        tail_meta = self.ranges.new_range(
-            start=tail_pos,
-            token_count=old_count - point.offset,
-            start_id=tail_start_id if tail_nodes_remain else None,
-            end_id=old_end_id if tail_nodes_remain else None,
-            after=new_metas[-1].range_id,
-            cut_from=meta,
-            cut_at=point.offset,
-        )
-        self.range_index.register(tail_meta)
-        self.operations.ranges_split += 1
-        return new_metas
 
     def _index_inserted(self, new_metas: Sequence[RangeMeta]) -> None:
         """Eagerly index every node of freshly created ranges."""
@@ -1046,137 +983,49 @@ class XMLStore:
     def _delete_span(
         self, begin: ScanItem, end: ScanItem
     ) -> Optional[_InsertPoint]:
-        """Delete tokens from ``begin`` to ``end`` inclusive; returns the
-        insert point at the deletion site (None = document end)."""
-        same_range = end.order_index == begin.order_index
-        first_meta = begin.meta
-        last_meta = end.meta
-        # token count of the span
-        if same_range:
-            span = end.offset - begin.offset + 1
-        else:
-            span = first_meta.token_count - begin.offset
-            for index in range(begin.order_index + 1, end.order_index):
-                span += self.ranges.at_order(index).token_count
-            span += end.offset + 1
-        # deleted id intervals (dense by the range-density invariant)
+        """Delete tokens from ``begin`` (which starts a node) to ``end``
+        inclusive; returns the insert point at the deletion site (None =
+        document end)."""
+        ranges = self.ranges
+        first = self.locator.order_of(begin)
+        covered = [
+            ranges.at_order(index)
+            for index in range(first, self.locator.order_of(end) + 1)
+        ]
+        head_last = _last_id_before(begin)
+        # ---- logical updates before the physical delete: each covered
+        # range keeps its head, its tail, both or nothing
+        span = 0
         deleted_intervals: List[Tuple[int, int]] = []
-        begin_id = begin.last_id
-        assert begin_id is not None  # begin token starts the target node
-        head_last = begin_id - 1
-        head_keeps_interval = (
-            first_meta.start_id is not None and head_last >= first_meta.start_id
-        )
-        if same_range:
-            assert end.last_id is not None
-            deleted_intervals.append((begin_id, end.last_id))
-            tail_start_id = end.last_id + 1
-            tail_has_interval = (
-                first_meta.end_id is not None and tail_start_id <= first_meta.end_id
-            )
-            tail_end_id = first_meta.end_id
-            tail_count = first_meta.token_count - end.offset - 1
-        else:
-            if first_meta.end_id is not None:
-                deleted_intervals.append((begin_id, first_meta.end_id))
-            middles = [
-                self.ranges.at_order(index)
-                for index in range(begin.order_index + 1, end.order_index)
-            ]
-            for middle in middles:
-                if middle.has_interval:
-                    assert middle.start_id is not None and middle.end_id is not None
-                    deleted_intervals.append((middle.start_id, middle.end_id))
-            if end.last_id is not None:
-                if last_meta.start_id is not None:
-                    deleted_intervals.append((last_meta.start_id, end.last_id))
-                tail_start_id = end.last_id + 1
-                tail_has_interval = (
-                    last_meta.end_id is not None and tail_start_id <= last_meta.end_id
-                )
-            else:
-                tail_start_id = last_meta.start_id if last_meta.start_id is not None else 0
-                tail_has_interval = last_meta.has_interval
-            tail_end_id = last_meta.end_id
-            tail_count = last_meta.token_count - end.offset - 1
-        # ---- logical updates before the physical delete
         tail_meta: Optional[RangeMeta] = None
-        if same_range:
-            head_count = begin.offset
-            if head_count == 0 and tail_count == 0:
-                self.range_index.unregister(first_meta.start_id)
-                self._drop_range(first_meta)
-            elif head_count == 0:
-                # the range *becomes* its tail
-                old_key = first_meta.start_id
-                first_meta.lo += end.offset + 1
-                first_meta.token_count = tail_count
-                first_meta.start_id = tail_start_id if tail_has_interval else None
-                first_meta.end_id = tail_end_id if tail_has_interval else None
-                self.range_index.rekey(old_key, first_meta)
-                if not first_meta.has_interval:
-                    self.range_index.unregister(old_key)
-                tail_meta = first_meta
-            elif tail_count == 0:
-                first_meta.token_count = head_count
-                if head_keeps_interval:
-                    first_meta.end_id = head_last
+        for meta in covered:
+            cut_from = begin.offset if meta is begin.meta else 0
+            cut_to = end.offset + 1 if meta is end.meta else meta.token_count
+            span += cut_to - cut_from
+            # the ids that go with the tokens (dense by the range-density
+            # invariant)
+            low = begin.last_id if meta is begin.meta else meta.start_id
+            high = end.last_id if meta is end.meta else meta.end_id
+            if low is not None and high is not None:
+                deleted_intervals.append((low, high))
+            if cut_to < meta.token_count:
+                if cut_from:
+                    tail_meta = ranges.split(meta, cut_to, end.last_id)
+                    ranges.truncate(meta, cut_from, head_last)
+                    # its start is a placeholder until the physical delete
+                    ranges.place(tail_meta, end.pos, after=meta.range_id)
                 else:
-                    self.range_index.unregister(first_meta.start_id)
-                    first_meta.start_id = None
-                    first_meta.end_id = None
+                    ranges.behead(meta, cut_to, end.last_id)
+                    tail_meta = meta
+            elif cut_from:
+                ranges.truncate(meta, cut_from, head_last)
             else:
-                first_meta.token_count = head_count
-                if head_keeps_interval:
-                    first_meta.end_id = head_last
-                else:
-                    self.range_index.unregister(first_meta.start_id)
-                    first_meta.start_id = None
-                    first_meta.end_id = None
-                tail_meta = self.ranges.new_range(
-                    start=end.pos,  # placeholder; fixed after the physical delete
-                    token_count=tail_count,
-                    start_id=tail_start_id if tail_has_interval else None,
-                    end_id=tail_end_id if tail_has_interval else None,
-                    after=first_meta.range_id,
-                    cut_from=first_meta,
-                    cut_at=end.offset + 1,
-                )
-                self.range_index.register(tail_meta)
-        else:
-            head_count = begin.offset
-            if head_count == 0:
-                self.range_index.unregister(first_meta.start_id)
-                self._drop_range(first_meta)
-            else:
-                first_meta.token_count = head_count
-                if head_keeps_interval:
-                    first_meta.end_id = head_last
-                else:
-                    self.range_index.unregister(first_meta.start_id)
-                    first_meta.start_id = None
-                    first_meta.end_id = None
-            for middle in middles:
-                self.range_index.unregister(middle.start_id)
-                self._drop_range(middle)
-            if tail_count == 0:
-                self.range_index.unregister(last_meta.start_id)
-                self._drop_range(last_meta)
-            else:
-                old_key = last_meta.start_id
-                last_meta.lo += end.offset + 1
-                last_meta.token_count = tail_count
-                last_meta.start_id = tail_start_id if tail_has_interval else None
-                last_meta.end_id = tail_end_id if tail_has_interval else None
-                if last_meta.has_interval:
-                    self.range_index.rekey(old_key, last_meta)
-                else:
-                    self.range_index.unregister(old_key)
-                tail_meta = last_meta
+                ranges.drop(meta.range_id)
+                self.operations.ranges_dropped += 1
         # ---- physical delete
         # document-order index of whatever follows the run: the surviving
         # tail if there is one, else the first range wholly after it
-        follower = begin.order_index + (head_count > 0)
+        follower = first + (begin.offset > 0)
         after = self.layout.delete_run(
             begin.pos, span, first_after=follower + (tail_meta is not None)
         )
@@ -1186,25 +1035,17 @@ class XMLStore:
                 raise StoreError("surviving tail but no record after the run (bug)")
             tail_meta.start = after
         # ---- index maintenance
-        deleted_nodes = 0
         for low, high in deleted_intervals:
-            deleted_nodes += high - low + 1
+            self.operations.nodes_deleted += high - low + 1
             if self.full_index is not None:
                 self.full_index.remove_interval(low, high)
-        self.operations.nodes_deleted += deleted_nodes
         # ---- where did the deleted content live?  (for replace_*)
-        if tail_meta is not None:
-            assert after is not None
-            return _InsertPoint(tail_meta, 0, after, None)
         if after is None:
             return None
-        # the run ended exactly at a surviving later range's head
-        if follower < len(self.ranges):
-            meta = self.ranges.at_order(follower)
+        # the run ended exactly at the head of a range: the tail, or a
+        # surviving later one
+        if follower < len(ranges):
+            meta = ranges.at_order(follower)
             if meta.start == after:
                 return _InsertPoint(meta, 0, after, None)
         raise StoreError("post-delete position matches no range head (bug)")
-
-    def _drop_range(self, meta: RangeMeta) -> None:
-        self.ranges.drop(meta.range_id)
-        self.operations.ranges_dropped += 1

@@ -193,6 +193,44 @@ class TestAReadNeverWrites:
         assert store.partial_index.stats.inserts == inserts + 1
 
 
+class TestOrderIndexOnDemand:
+    """A range's document-order index costs a ``list.index`` over every
+    range; only a scan that continues from an item, and the update engine,
+    need it, so an index-answered read does not ask."""
+
+    def counted(self, store, monkeypatch):
+        calls = []
+        real = store.ranges.order_index
+        monkeypatch.setattr(
+            store.ranges, "order_index", lambda rid: calls.append(rid) or real(rid)
+        )
+        return calls
+
+    def test_a_partial_hit_with_a_memoized_end_never_asks(self, monkeypatch):
+        store = make_store(IndexingPolicy.RANGE_PLUS_PARTIAL)
+        store.load_document(orders_document())
+        targets = order_ids(store)
+        store.insert_into_last(targets[3], "<item>split</item>")
+        expected = {node_id: store.read(node_id) for node_id in targets}
+        calls = self.counted(store, monkeypatch)
+        scans = store.locator.stats.scan_resolutions
+        for node_id in targets:
+            assert store.read(node_id) == expected[node_id]
+        assert store.locator.stats.scan_resolutions == scans
+        assert calls == []
+
+    def test_a_full_index_hit_asks_once_to_scan_for_the_end(self, monkeypatch):
+        store = make_store(IndexingPolicy.FULL)
+        store.load_document(orders_document())
+        targets = order_ids(store)
+        calls = self.counted(store, monkeypatch)
+        store.locator.locate(targets[2])
+        assert calls == []
+        store.read(targets[2])
+        assert len(calls) == 1
+        assert store.locator.stats.scan_resolutions == 0
+
+
 class TestEndLastIdIsReframed:
     """``end_last_id`` is remembered in the frame of the range the end
     token was in; after a split the end may sit in a tail piece that

@@ -114,11 +114,8 @@ def entry(node_id, meta, offset=0):
 
 def cut(table, meta, at):
     """Split ``meta`` at token ``at`` the way an interior insert does."""
-    tail = table.new_range(
-        Position(9, 0), meta.token_count - at, None, None,
-        after=meta.range_id, cut_from=meta, cut_at=at,
-    )
-    meta.token_count = at
+    tail = table.split(meta, at, meta.start_id)
+    table.place(tail, Position(9, 0), after=meta.range_id)
     return tail
 
 
@@ -147,7 +144,7 @@ class TestPartialIndex:
         table, r1, *_ = make_table_with_paper_ranges()
         partial = PartialIndex()
         partial.remember(entry(60, r1, 59))
-        r1.token_count = 50  # a delete removed the node's tokens
+        table.truncate(r1, 50, 25)  # a delete removed the node's tokens
         assert partial.probe(60, table) is None
         assert partial.stats.stale_hits == 1
         assert len(partial) == 0

@@ -92,10 +92,8 @@ class TestInteriorInsert:
         result0 = layout.insert_before(None, [b"a", b"c"])
         meta = ranges.new_range(result0.positions[0], 2, 1, 2)
         result = layout.insert_before(result0.positions[1], [b"b"], meta)
-        meta.token_count = 1
-        tail = ranges.new_range(
-            result.following, 1, 2, 2, after=meta.range_id, cut_from=meta, cut_at=1
-        )
+        tail = ranges.split(meta, 1, 1)
+        ranges.place(tail, result.following, after=meta.range_id)
         found, offset = ranges.resolve(meta.origin, 1)
         assert found is tail
         assert layout.record_at(layout.position_of(found, offset)) == b"c"

@@ -108,21 +108,17 @@ class TestAddresses:
     def test_split_keeps_every_address(self):
         table = RangeTable()
         head = make_meta(table, count=20)
-        head.token_count = 8
-        tail = table.new_range(
-            Position(0, 8), 12, None, None, after=head.range_id,
-            cut_from=head, cut_at=8,
-        )
-        assert (tail.origin, tail.lo) == (head.origin, 8)
+        tail = table.split(head, 8, 4)
+        table.place(tail, Position(0, 8), after=head.range_id)
+        assert (tail.origin, tail.lo, tail.token_count) == (head.origin, 8, 12)
+        assert (head.token_count, head.start_id, head.end_id) == (8, 1, 4)
+        assert (tail.start_id, tail.end_id) == (5, 10)
         assert table.resolve(head.origin, 7) == (head, 7)
         assert table.resolve(head.origin, 8) == (tail, 0)
         assert table.resolve(head.origin, 19) == (tail, 11)
         # a second cut, of the tail
-        tail.token_count = 2
-        last = table.new_range(
-            Position(0, 10), 10, None, None, after=tail.range_id,
-            cut_from=tail, cut_at=2,
-        )
+        last = table.split(tail, 2, 5)
+        table.place(last, Position(0, 10), after=tail.range_id)
         assert table.resolve(head.origin, 9) == (tail, 1)
         assert table.resolve(head.origin, 10) == (last, 0)
         table.check_integrity()
@@ -131,8 +127,9 @@ class TestAddresses:
         table = RangeTable()
         a = make_meta(table, count=20)
         # a delete removed the front five tokens and the last three
-        a.lo += 5
-        a.token_count = 12
+        table.behead(a, 5, 2)
+        table.truncate(a, 12, 8)
+        assert (a.start_id, a.end_id) == (3, 8)
         assert table.resolve(a.origin, 4) is None
         assert table.resolve(a.origin, 5) == (a, 0)
         assert table.resolve(a.origin, 16) == (a, 11)
@@ -141,11 +138,9 @@ class TestAddresses:
     def test_hole_between_pieces_does_not_resolve(self):
         table = RangeTable()
         head = make_meta(table, count=20)
-        head.token_count = 4
-        tail = table.new_range(
-            Position(0, 4), 10, None, None, after=head.range_id,
-            cut_from=head, cut_at=10,
-        )
+        tail = table.split(head, 10, 5)
+        table.truncate(head, 4, 2)
+        table.place(tail, Position(0, 4), after=head.range_id)
         assert table.resolve(head.origin, 3) == (head, 3)
         assert table.resolve(head.origin, 4) is None
         assert table.resolve(head.origin, 9) is None
@@ -164,10 +159,9 @@ class TestAddresses:
     def test_overlapping_pieces_detected(self):
         table = RangeTable()
         head = make_meta(table, count=20)
-        table.new_range(
-            Position(0, 8), 12, None, None, after=head.range_id,
-            cut_from=head, cut_at=8,
-        )  # head was not shrunk
+        tail = table.split(head, 8, 4)
+        table.place(tail, Position(0, 8), after=head.range_id)
+        head.token_count = 20  # as if the head had not been shrunk
         with pytest.raises(StoreError, match="overlapping addresses"):
             table.check_integrity()
 
@@ -249,11 +243,8 @@ class TestIntegrityAndCatalog:
         a = make_meta(table, 1, 70, count=140, block=1)
         b = table.new_range(Position(2, 3), 80, 101, 140, after=a.range_id)
         empty = table.new_range(Position(3, 0), 2, None, None)
-        a.token_count = 100
-        cut = table.new_range(
-            Position(1, 100), 40, None, None, after=a.range_id,
-            cut_from=a, cut_at=100,
-        )
+        cut = table.split(a, 100, 70)
+        table.place(cut, Position(1, 100), after=a.range_id)
         restored = RangeTable.from_catalog(table.to_catalog())
         assert [m.range_id for m in restored.in_order()] == [
             m.range_id for m in table.in_order()
@@ -269,11 +260,8 @@ class TestIntegrityAndCatalog:
     def test_catalog_without_addresses_opens_every_range_as_its_own_origin(self):
         table = RangeTable()
         a = make_meta(table, 1, 70, count=140)
-        a.token_count = 100
-        cut = table.new_range(
-            Position(0, 100), 40, None, None, after=a.range_id,
-            cut_from=a, cut_at=100,
-        )
+        cut = table.split(a, 100, 70)
+        table.place(cut, Position(0, 100), after=a.range_id)
         # in an older catalog those two slots are (version, 0): not addresses
         restored = RangeTable.from_catalog(table.to_catalog(), addressed=False)
         rcut = restored.get(cut.range_id)

@@ -123,6 +123,28 @@ class TestCLI:
         assert "compacted" in out
         assert run([store_dir, "verify"]).splitlines()[-1] == "integrity ok"
 
+    def test_full_index_outlives_an_open_under_another_policy(self, store_dir):
+        # the CLI opens every directory under its default policy; a store
+        # built under FULL must keep its index, maintained, through that
+        from repro.core.config import IndexingPolicy, StoreConfig
+        from repro.core.filestore import close_directory, open_directory
+
+        full = StoreConfig(policy=IndexingPolicy.FULL)
+        store = open_directory(store_dir, full)
+        store.load_document("<r><a/></r>")
+        close_directory(store_dir, store)
+        assert "first node id = 3" in run([store_dir, "insert-last", "1", "<b>new</b>"])
+        assert run([store_dir, "verify"]).splitlines()[-1] == "integrity ok"
+        store = open_directory(store_dir, full)
+        try:
+            assert [entry.node_id for entry in store.full_index.entries()] == [1, 2, 3, 4]
+            assert store.read(3) == "<b>new</b>"
+            stats = store.locator.stats
+            assert (stats.full_resolutions, stats.scan_resolutions) == (1, 0)
+            store.check_integrity()
+        finally:
+            close_directory(store_dir, store)
+
     def test_verify(self, store_dir):
         run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
         out = run([store_dir, "verify"])
