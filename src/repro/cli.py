@@ -23,8 +23,7 @@ Commands:
     profile <op> [args...]     run one operation and report where its
                                cost went (call tree, component table;
                                --format top|collapsed|speedscope|
-                               components|json, --sample for the
-                               wall-clock stack sampler)
+                               components|json)
     heatmap [--top N]          per-block access counts and hot ranges
     compact                    merge adjacent ranges
     verify [--json]            run every integrity check and report each
@@ -227,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Runs <op> exactly like the plain command would, and reports "
             "a deterministic cost profile: the span call tree and a per-"
-            "component table on both the simulated and the wall axis.  "
-            "--sample switches to the statistical wall-clock stack "
-            "sampler (collapsed/speedscope formats only)."
+            "component table on both the simulated and the wall axis."
         ),
     )
     profile.add_argument(
@@ -249,11 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("simulated", "wall"),
         default="simulated",
         help="which clock weights collapsed/speedscope output",
-    )
-    profile.add_argument(
-        "--sample",
-        action="store_true",
-        help="use the wall-clock stack sampler instead of span folding",
     )
     profile.add_argument(
         "--output", default=None, help="write to FILE instead of stdout"
@@ -1532,7 +1524,6 @@ def _dispatch(store, arguments, stdin) -> str:
             text = report.render()
         return _deliver(text, arguments.output)
     if command == "profile":
-        from repro.obs.explain import run_operation
         from repro.obs.profile_export import (
             collapsed_stacks,
             render_profile_top,
@@ -1540,23 +1531,6 @@ def _dispatch(store, arguments, stdin) -> str:
         )
         from repro.obs.profiler import profile_operation
 
-        if arguments.sample:
-            from repro.obs.sampler import StackSampler
-
-            if arguments.format not in ("collapsed", "speedscope"):
-                raise ReproError(
-                    "--sample emits raw stacks; use --format collapsed "
-                    "or speedscope"
-                )
-            with StackSampler(store.config.sampler_interval) as sampler:
-                run_operation(store, arguments.op, arguments.op_args)
-            if arguments.format == "collapsed":
-                text = sampler.collapsed().rstrip("\n")
-            else:
-                text = sampler.speedscope_json(
-                    name=f"{arguments.op} (sampled)"
-                )
-            return _deliver(text, arguments.output)
         profile = profile_operation(store, arguments.op, arguments.op_args)
         if arguments.format == "collapsed":
             text = collapsed_stacks(profile, axis=arguments.axis).rstrip("\n")

@@ -143,11 +143,6 @@ class StoreConfig:
     #: profiling on or off (``tests/bench/test_profiler_zero_cost.py``).
     profiling_enabled: bool = False
 
-    #: Wall-clock stack-sampler interval in seconds (``repro profile
-    #: --sample`` and the bench ``--profile`` flag).  The sampler is
-    #: statistical and never touches the simulated clock.
-    sampler_interval: float = 0.005
-
     #: Record workload-history snapshots (see :mod:`repro.obs.history`):
     #: the longitudinal telemetry the drift detector and tuning advisor
     #: read.  Off by default under the same zero-cost contract as the
@@ -277,8 +272,6 @@ class StoreConfig:
             raise ValueError("telemetry_ring_capacity must be at least 1")
         if self.events_capacity < 1:
             raise ValueError("events_capacity must be at least 1")
-        if self.sampler_interval <= 0:
-            raise ValueError("sampler_interval must be positive")
         if self.history_interval < 1:
             raise ValueError("history_interval must be at least 1")
         if self.history_capacity < 2:

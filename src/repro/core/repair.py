@@ -58,16 +58,10 @@ from repro.errors import (
     TokenStreamError,
 )
 from repro.core.config import StoreConfig
-from repro.core.full_index import FullIndex
-from repro.core.indexing import AdaptiveController
 from repro.core.integrity import integrity_report
-from repro.core.layout import TokenLayout
-from repro.core.locator import Locator
-from repro.core.range_index import RangeIndex
-from repro.core.ranges import RangeMeta, RangeTable
+from repro.core.ranges import RangeMeta
 from repro.log import get_logger
 from repro.obs.incident import record_directory_incident
-from repro.storage.heap import ChainedFile
 from repro.storage.scrub import ScrubReport, scrub_store
 from repro.storage.wal import LogRecord, WriteAheadLog
 from repro.xmltoken.binary import decode_token
@@ -372,23 +366,14 @@ def repair_store(
     store.pool.clear_quarantine()
 
     # -- rebuild: fresh chain, fresh ranges, fresh indexes ------------------
-    from repro.core.store import effective_btree_order
-
-    result.memos_dropped = (
-        len(store.partial_index._entries) if store.partial_index is not None else 0
-    )
-    order = effective_btree_order(store.config.btree_order, store.codec.page_size)
-    new_chain = ChainedFile(store.pool)
-    new_range_index = RangeIndex(store.pool, order=order)
-    new_ranges = RangeTable(new_range_index)
-    new_layout = TokenLayout(store.pool, new_ranges, new_chain)
-    new_full = (
-        FullIndex(store.pool, order=order) if store.full_index is not None else None
-    )
+    if store.partial_index is not None:
+        result.memos_dropped = len(store.partial_index)
+        store.partial_index.clear()
+    store._assemble_logical(has_full_index=store.full_index is not None)
     previous: Optional[int] = None
     for records, start_id, end_id in specs:
-        positions = new_chain.append_records(records)
-        meta = new_ranges.new_range(
+        positions = store.layout.chain.append_records(records)
+        meta = store.ranges.new_range(
             start=positions[0],
             token_count=len(records),
             start_id=start_id,
@@ -396,40 +381,9 @@ def repair_store(
             after=previous,
         )
         previous = meta.range_id
-
-    store.ranges = new_ranges
-    store.layout = new_layout
-    store.range_index = new_range_index
-    store.full_index = new_full
-    if store.partial_index is not None:
-        store.partial_index.clear()
-    store.locator = Locator(
-        layout=new_layout,
-        ranges=new_ranges,
-        range_index=new_range_index,
-        id_scheme=store.id_scheme,
-        partial_index=store.partial_index,
-        full_index=new_full,
-    )
-    store.locator.attach_telemetry(store.telemetry)
-    store.locator.event_log = store.event_log
-    new_range_index.event_log = store.event_log
-    if new_full is not None:
-        new_full.event_log = store.event_log
-    from repro.core.navigation import StructuralHints
-
-    store.structural_hints = StructuralHints()
-    if store.adaptive is not None:
-        store.adaptive = AdaptiveController(
-            store.locator,
-            store.partial_index,
-            store.ranges,
-            window=store.config.adaptive_window,
-            read_threshold=store.config.adaptive_read_threshold,
-        )
-    if new_full is not None or store.config.eager_partial_index:
-        store._index_inserted(list(new_ranges.in_order()))
-    result.ranges_after = len(list(new_ranges.in_order()))
+    if store.full_index is not None or store.config.eager_partial_index:
+        store._index_inserted(list(store.ranges.in_order()))
+    result.ranges_after = len(store.ranges)
 
     # -- splice the WAL tail, tolerantly -----------------------------------
     if wal_records:

@@ -44,6 +44,7 @@ from repro.core.full_index import FullIndex
 from repro.core.indexing import AdaptiveController
 from repro.core.layout import TokenLayout
 from repro.core.locator import Locator, NodeLocation, ScanItem
+from repro.core.navigation import StructuralHints
 from repro.core.partial_index import LocationEntry, PartialIndex
 from repro.core.range_index import RangeIndex
 from repro.core.ranges import RangeMeta, RangeTable
@@ -217,9 +218,9 @@ class XMLStore:
         wal: Optional[WriteAheadLog],
         catalog: Optional[_Catalog] = None,
     ) -> None:
-        """Wire the component graph — the one place that does — over an
-        empty device, or over the chain, range table and index roots a
-        ``catalog`` names.
+        """Wire the component graph — with :meth:`_assemble_logical`, the
+        one place that does — over an empty device, or over the chain,
+        range table and index roots a ``catalog`` names.
 
         The catalog, not ``config``, says what is on the device: whether
         block images are checksum-framed, whether ranges carry addresses,
@@ -243,18 +244,41 @@ class XMLStore:
         )
         self.wal = wal if wal is not None else WriteAheadLog()
         self.id_scheme = SequentialIdScheme()
-        order = effective_btree_order(config.btree_order, self.codec.page_size)
         if fresh:
-            chain = full_root = None
             has_full_index = policy is IndexingPolicy.FULL
+        else:
+            has_full_index = catalog.full_root != -1
+            if policy is IndexingPolicy.FULL and not has_full_index:
+                raise StoreError("catalog has no full-index root for FULL policy")
+            self.id_scheme.restore_catalog(catalog.scheme_state)
+        self.partial_index: Optional[PartialIndex] = None
+        if policy in (IndexingPolicy.RANGE_PLUS_PARTIAL, IndexingPolicy.ADAPTIVE):
+            self.partial_index = PartialIndex(config.partial_index_capacity)
+        self.operations = OperationCounts()
+        #: tokens decoded for serialization (part of the simulated CPU cost)
+        self.tokens_emitted = 0
+        self._setup_telemetry()
+        self._assemble_logical(has_full_index, catalog)
+
+    def _assemble_logical(
+        self, has_full_index: bool, catalog: Optional[_Catalog] = None
+    ) -> None:
+        """Wire what sits on the chain — range table and Range Index,
+        layout, full index, locator, adaptive controller, structural
+        hints — empty or over what ``catalog`` names, and attach the
+        store's telemetry and event log to it.
+
+        Repair calls it again to rebuild the store around the records that
+        survive: the pool, WAL, id scheme, counters and the memory-based
+        partial index are left as they are.
+        """
+        order = effective_btree_order(self.config.btree_order, self.codec.page_size)
+        if catalog is None:
+            chain = full_root = None
             self.range_index = RangeIndex(self.pool, order=order)
             self.ranges = RangeTable(self.range_index)
         else:
             full_root = catalog.full_root
-            has_full_index = full_root != -1
-            if policy is IndexingPolicy.FULL and not has_full_index:
-                raise StoreError("catalog has no full-index root for FULL policy")
-            self.id_scheme.restore_catalog(catalog.scheme_state)
             chain = ChainedFile.from_catalog(self.pool, catalog.chain)
             self.range_index = RangeIndex(
                 self.pool, order=order, root_block=catalog.range_root
@@ -265,10 +289,7 @@ class XMLStore:
                 index=self.range_index,
             )
         self.layout = TokenLayout(self.pool, self.ranges, chain)
-        self.partial_index: Optional[PartialIndex] = None
         self.full_index: Optional[FullIndex] = None
-        if policy in (IndexingPolicy.RANGE_PLUS_PARTIAL, IndexingPolicy.ADAPTIVE):
-            self.partial_index = PartialIndex(config.partial_index_capacity)
         if has_full_index:
             self.full_index = FullIndex(self.pool, order=order, root_block=full_root)
         self.locator = Locator(
@@ -280,25 +301,26 @@ class XMLStore:
             full_index=self.full_index,
         )
         self.adaptive: Optional[AdaptiveController] = None
-        if policy is IndexingPolicy.ADAPTIVE:
+        if self.config.policy is IndexingPolicy.ADAPTIVE:
             self.adaptive = AdaptiveController(
                 self.locator,
                 self.partial_index,
                 self.ranges,
-                window=config.adaptive_window,
-                read_threshold=config.adaptive_read_threshold,
+                window=self.config.adaptive_window,
+                read_threshold=self.config.adaptive_read_threshold,
             )
-        self.operations = OperationCounts()
-        #: tokens decoded for serialization (part of the simulated CPU cost)
-        self.tokens_emitted = 0
         #: never-stale parent-link memo (see repro.core.navigation)
-        from repro.core.navigation import StructuralHints
-
         self.structural_hints = StructuralHints()
-        self._setup_telemetry()
+        self.locator.attach_telemetry(self.telemetry)
+        self.locator.event_log = self.event_log
+        self.range_index.event_log = self.event_log
+        if self.full_index is not None:
+            self.full_index.event_log = self.event_log
 
     def _setup_telemetry(self) -> None:
-        """Select the live or no-op recorder and attach it everywhere."""
+        """Select the live or no-op recorders and attach them to the pool,
+        WAL, partial index and device (:meth:`_assemble_logical` attaches
+        the rest)."""
         self.telemetry = create_telemetry(
             # the profiler folds spans, so profiling implies telemetry
             self.config.telemetry_enabled or self.config.profiling_enabled,
@@ -306,7 +328,6 @@ class XMLStore:
             ring_capacity=self.config.telemetry_ring_capacity,
         )
         self.telemetry.preregister_spans(TABLE1_SPANS)
-        self.locator.attach_telemetry(self.telemetry)
         self.wal.telemetry = self.telemetry
         # the cost model prices sync barriers (0.0 by default, so the
         # committed baselines are untouched); the WAL charges it per flush
@@ -356,12 +377,8 @@ class XMLStore:
         if self.alerts.enabled:
             self.alerts.recorder = self.recorder
             self.alerts.incidents = self.incidents
-        self.locator.event_log = self.event_log
-        self.range_index.event_log = self.event_log
         if self.partial_index is not None:
             self.partial_index.event_log = self.event_log
-        if self.full_index is not None:
-            self.full_index.event_log = self.event_log
         self.wal.event_log = self.event_log
         # fault-injection layer (if any): crash/torn-write events land in
         # the same log so EXPLAIN can attribute recovery work to faults
@@ -478,7 +495,7 @@ class XMLStore:
         return self._insert(
             "insert_after", RecordType.INSERT_AFTER, node_id, xml_text, log,
             self._require_sibling_target,
-            lambda location: self._point_after(self._end_item(location)),
+            lambda location: self._point_after(self.locator.complete(location)),
         )
 
     def insert_into_first(self, node_id: int, xml_text: str, log: bool = True) -> Optional[int]:
@@ -500,7 +517,7 @@ class XMLStore:
         return self._insert(
             "insert_into_last", RecordType.INSERT_INTO_LAST, node_id, xml_text, log,
             self._require_element_target,
-            lambda location: _InsertPoint.before(self._end_item(location)),
+            lambda location: _InsertPoint.before(self.locator.complete(location)),
         )
 
     def _insert(
@@ -532,7 +549,7 @@ class XMLStore:
             location = self.locator.locate(node_id)
             if log:
                 self._log(RecordType.DELETE_NODE, node_id, "")
-            end = self._end_item(location)
+            end = self.locator.complete(location)
             self._delete_span(location.begin, end)
             self.operations.deletes += 1
             self._observe(is_read=False)
@@ -544,7 +561,7 @@ class XMLStore:
             location = self.locator.locate(node_id)
             if log:
                 self._log(RecordType.REPLACE_NODE, node_id, xml_text)
-            end = self._end_item(location)
+            end = self.locator.complete(location)
             point = self._delete_span(location.begin, end)
             first_id = self._insert_fragment(point, tokens)
             self.operations.replaces += 1
@@ -574,11 +591,6 @@ class XMLStore:
             return node_id
 
     # =============================================================== inspection ==
-
-    @property
-    def tokens_processed(self) -> int:
-        """Tokens scanned by lookups plus tokens emitted by reads."""
-        return self.locator.stats.tokens_scanned + self.tokens_emitted
 
     @property
     def index_entries_loaded(self) -> int:
@@ -805,14 +817,6 @@ class XMLStore:
             record_type,
             encode_op_payload(self.id_scheme.encode(node_id), xml_text),
         )
-
-    def _end_item(self, location: NodeLocation) -> ScanItem:
-        """The end-token item of a node ``locate`` just found."""
-        if location.end is None and self.partial_index is not None:
-            # learns nothing ``locate`` did not; kept because the probe
-            # counters and events it adds are pinned (ROADMAP item 8)
-            self.partial_index.probe(location.node_id, self.ranges)
-        return self.locator.complete(location)
 
     def _ingest(self, xml_text: str, require_content: bool = False) -> List[Token]:
         tokens = strip_document_tokens(tokenize_fragment(xml_text))

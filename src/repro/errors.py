@@ -237,10 +237,6 @@ class SessionLimitError(ConcurrencyError):
     """
 
 
-class LockTimeoutError(ConcurrencyError):
-    """A lock could not be granted within the configured bound."""
-
-
 class TransactionStateError(ConcurrencyError):
     """A transaction was used after commit/abort, or nested illegally."""
 

@@ -22,18 +22,9 @@ from typing import List
 
 import time as _time
 
-#: Modules (relative to the scanned root) allowed to touch ``time``.
-#: The stack sampler is the one sanctioned wall-clock consumer besides
-#: this module: sampling *is* wall-clock work (interval waits and
-#: elapsed-time accounting), and routing it through perf_seconds() would
-#: only obscure that.  Anything else that imports ``time`` still fails
-#: the lint.
-ALLOWED_CLOCK_MODULES = frozenset(
-    {
-        ("obs", "clock.py"),
-        ("obs", "sampler.py"),
-    }
-)
+#: Modules (relative to the scanned root) allowed to touch ``time``: this
+#: one.  Anything else that imports ``time`` fails the lint.
+ALLOWED_CLOCK_MODULES = frozenset({("obs", "clock.py")})
 
 _FORBIDDEN = re.compile(
     r"^\s*(?:import\s+time\b|from\s+time\s+import\b)|\btime\.time\s*\(",

@@ -136,10 +136,6 @@ def render_top(families: Iterable[MetricFamily], limit: int = 15) -> str:
 
 # ------------------------------------------------------- classic summary view --
 
-def _sample_value(registry: MetricsRegistry, key: str) -> float:
-    return registry.snapshot().get(key, 0.0)
-
-
 def render_classic_summary(registry: MetricsRegistry) -> str:
     """The historical ``StoreStatistics.summary()`` text, rebuilt from a
     projected registry (see :mod:`repro.obs.bridge`).  Output format is

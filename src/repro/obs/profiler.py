@@ -154,7 +154,7 @@ class ComponentCost:
     cost constant (the exact multiplication the simulated clock
     performs), so it reconciles with the registry without tolerance.
     ``wall_seconds`` is the wall total of the component's spans, or None
-    when no span covers the component (the sampler fills that gap).
+    when no span covers the component.
     """
 
     component: str

@@ -116,7 +116,3 @@ class SnapshotManager:
     def _forget(self, snapshot: Snapshot) -> None:
         if snapshot in self._lazy:
             self._lazy.remove(snapshot)
-
-    @property
-    def open_lazy(self) -> int:
-        return len(self._lazy)

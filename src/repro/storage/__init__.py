@@ -16,7 +16,6 @@ from repro.storage.disk import (
     InstrumentedDevice,
     MemoryBlockDevice,
 )
-from repro.storage.freespace import FreeSpaceMap
 from repro.storage.heap import ChainedFile, Position
 from repro.storage.pages import SlottedPage, page_capacity
 from repro.storage.recovery import replay, replay_record
@@ -32,7 +31,6 @@ __all__ = [
     "DiskStats",
     "FaultInjector",
     "FileBlockDevice",
-    "FreeSpaceMap",
     "InstrumentedDevice",
     "LogRecord",
     "MemoryBlockDevice",

@@ -345,11 +345,6 @@ class BufferPool:
         """
         return [no for no, frame in self._frames.items() if frame.dirty]
 
-    @property
-    def pending_frees(self) -> int:
-        """Blocks logically freed but not yet released to the device."""
-        return len(self._pending_frees)
-
     def pending_free_blocks(self) -> list:
         """The deferred-free block numbers themselves (scrubber: their
         device images are garbage-to-be and must not be verified)."""

@@ -191,9 +191,9 @@ class FileBlockDevice(BlockDevice):
     """Block device backed by a single binary file.
 
     The file grows on demand.  A small free list is kept in memory only; a
-    production system would persist it, but the store's own free-space map
-    (see :mod:`repro.storage.freespace`) already records which blocks are
-    live, so the device-level free list is reconstructible.
+    production system would persist it, but the store's catalog (its chain
+    and index roots) already names every live block, so the device-level
+    free list is reconstructible.
     """
 
     def __init__(self, path: str, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
@@ -315,10 +315,6 @@ class DiskStats:
     @property
     def random_writes(self) -> int:
         return self.writes - self.sequential_writes
-
-    @property
-    def total_ios(self) -> int:
-        return self.reads + self.writes
 
     def snapshot(self) -> "DiskStats":
         return DiskStats(**self.__dict__)

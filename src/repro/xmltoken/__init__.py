@@ -1,5 +1,4 @@
-"""Token model, pull parser, serializer, record emitter, binary codec and
-PSVI support."""
+"""Token model, pull parser, serializer, record emitter and binary codec."""
 
 from repro.xmltoken.binary import (
     decode_stream,
@@ -24,26 +23,13 @@ from repro.xmltoken.parser import (
     tokenize_document,
     tokenize_fragment,
 )
-from repro.xmltoken.psvi import (
-    BUILTIN_TYPES,
-    Schema,
-    SchemaValidationError,
-    SimpleType,
-    annotate,
-    typed_value,
-)
 from repro.xmltoken.serializer import serialize
 from repro.xmltoken.tokens import Token, TokenKind, count_nodes, element
 
 __all__ = [
-    "BUILTIN_TYPES",
     "PullParser",
-    "Schema",
-    "SchemaValidationError",
-    "SimpleType",
     "Token",
     "TokenKind",
-    "annotate",
     "count_nodes",
     "decode_stream",
     "decode_token",
@@ -62,6 +48,5 @@ __all__ = [
     "tokenize_document",
     "tokenize_fragment",
     "top_level_nodes",
-    "typed_value",
     "validate_stream",
 ]

@@ -4,8 +4,8 @@ A *token* is the most granular unit of the store's XML representation —
 more granular than an element, because an element is a *sequence* of
 tokens.  The model follows the BEA/XQRL representation the paper builds on
 [7]: it is richer than plain SAX in that attributes are separated from
-their element and given their own begin/end tokens, and every token can
-carry a PSVI type annotation.
+their element and given their own begin/end tokens, and every token has a
+slot for a PSVI type annotation.
 
 Figure 1 of the paper maps::
 
@@ -90,9 +90,9 @@ class Token:
         Character data for TEXT/ATTRIBUTE_VALUE/COMMENT tokens, data for
         processing instructions, URI for namespace tokens; empty otherwise.
     ``type_annotation``
-        PSVI simple-type annotation (e.g. ``"xs:decimal"``), attached by
-        :mod:`repro.xmltoken.psvi` after schema validation; empty when the
-        document is untyped.
+        PSVI simple-type annotation (e.g. ``"xs:decimal"``).  The binary
+        codec stores it, so it is part of the on-disk format; no schema
+        pass fills it, and it is empty for every token the parser makes.
     """
 
     kind: TokenKind

@@ -49,10 +49,6 @@ class XPathNode:
     _store: Optional[object] = None
 
     @property
-    def is_element(self) -> bool:
-        return self.kind == TokenKind.BEGIN_ELEMENT
-
-    @property
     def string_value(self) -> str:
         """XPath string-value: concatenated descendant text."""
         if self.kind in (TokenKind.TEXT, TokenKind.COMMENT):

@@ -19,12 +19,16 @@ from repro.bench.reporting import format_csv, format_table, phase_dict
 
 
 PINNED_METRICS_DIGESTS = [
-    # re-pinned once since: the insert row's only moved key is
+    # re-pinned twice since: the insert row's only moved key was
     # ``repro_partial_index_inserts_total`` 5 -> 2 (an ``insert_into_last``
-    # no longer re-remembers the target's entry after its own split)
-    "c82c0e40f39316946f5ea5813401a962fb4b66e42d3ea09597cbf5f075c85567",
-    "e225076d3ad45afdcf44a5abf9d2c6c02680596a80f07b6070ec7f65e3681108",
-    "e470283ef236a7adea866a3e89f87c03098a259926709044a15d070d498812fe",
+    # no longer re-remembers the target's entry after its own split); then
+    # an update stopped probing the partial index a second time after its
+    # own locate, so the insert row's ``repro_partial_index_probes_total
+    # {result="hit"}`` went 3 -> 2 and the cumulative
+    # ``repro_partial_index_hit_rate`` gauge moved in all three rows
+    "a421a1a166d88a132fddb5b80166bfb167b755ce28656770fdabd84adc413371",
+    "d27e98f2bb798d72f7da6356c2088d5d0395472368d18dc67d1e76c0e4f5e9f6",
+    "3e972603991c3b2d14d7af7a0eb10f62dfc1ac38df4f6d4f968024f9e7488a6c",
 ]
 
 

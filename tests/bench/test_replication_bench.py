@@ -1,27 +1,17 @@
-"""Replication's zero-cost pin and its catch-up throughput trajectory.
+"""Replication's zero-cost pin and its catch-up throughput phase.
 
 A store that never replicates pays nothing: the Table 5 bench stays
 byte-identical with the replication package loaded, tailing the WAL as a
 change stream moves no primary bytes and no simulated time, and the
 config flag defaults off.  When replication *is* used, catch-up
-throughput is a first-class bench phase: deterministic per seed and fed
-to the trend sentry (``BENCH_trajectory.jsonl``) so a regression in the
-apply path trips the same tripwire as the storage benches.
+throughput is a bench phase, deterministic per seed.
 """
-
-import pytest
 
 import repro.replication  # noqa: F401  — the zero-cost pin is with this loaded
 from repro.bench.reporting import format_table5
 from repro.bench.table5 import Table5Config, run_table5
 from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
-from repro.obs.schema import stamp
-from repro.obs.trend import (
-    append_record,
-    detect_regressions,
-    load_trajectory,
-)
 from repro.replication.changestream import ChangeStream
 from repro.replication.channel import ChannelFaultConfig, ReplicationChannel
 from repro.replication.replica import Replica
@@ -50,7 +40,7 @@ def _primary():
 
 
 def _catch_up_phase():
-    """One honest catch-up run → the trajectory phase cell."""
+    """One honest catch-up run → its simulated cost and throughput."""
     primary = _primary()
     replica = Replica(XMLStore.open())
     channel = ReplicationChannel(
@@ -93,36 +83,3 @@ class TestCatchUpThroughput:
         assert first == second
         assert first["simulated_seconds"] > 0
         assert first["kb_per_second"] > 0
-
-    def test_throughput_feeds_the_trend_sentry(self, tmp_path):
-        path = str(tmp_path / "BENCH_trajectory.jsonl")
-        phase = _catch_up_phase()
-        for index in range(4):
-            append_record(
-                path,
-                stamp(
-                    {
-                        "label": f"repl-{index + 1}",
-                        "phases": {"replication/catch_up": dict(phase)},
-                    }
-                ),
-            )
-        # a healthy trajectory stays silent
-        assert detect_regressions(load_trajectory(path)) == []
-        # a 2x slowdown in the apply path trips the sentry
-        slow = {
-            "simulated_seconds": phase["simulated_seconds"] * 2.0,
-            "kb_per_second": phase["kb_per_second"] / 2.0,
-        }
-        append_record(
-            path,
-            stamp(
-                {
-                    "label": "repl-slow",
-                    "phases": {"replication/catch_up": slow},
-                }
-            ),
-        )
-        (regression,) = detect_regressions(load_trajectory(path))
-        assert regression.key == "replication/catch_up"
-        assert regression.ratio == pytest.approx(2.0)

@@ -1,6 +1,7 @@
 """Self-healing repair (repro.core.repair): structural salvage, full-log
 rebuild, degraded reads and the directory-store repair entry point."""
 
+import ast
 import json
 import os
 import struct
@@ -20,6 +21,7 @@ from repro.core.repair import (
 from repro.core.store import XMLStore
 from repro.errors import ChecksumError
 from repro.storage.pages import SlottedPage
+from tests.core.test_range_surgery import modules_where
 
 
 def make_store(orders=8, checksums=True):
@@ -118,6 +120,49 @@ class TestRepairStore:
         assert payload["lost_ids"] == sum(
             high - low + 1 for low, high in payload["lost_intervals"]
         )
+
+
+#: What the store's logical half is built from (``XMLStore._assemble_logical``)
+LOGICAL_COMPONENTS = {
+    "AdaptiveController",
+    "FullIndex",
+    "Locator",
+    "RangeIndex",
+    "StructuralHints",
+    "TokenLayout",
+}
+
+
+def constructs_a_logical_component(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in LOGICAL_COMPONENTS
+    )
+
+
+class TestOneAssembly:
+    """A salvage rebuilds the store's logical half through the store's own
+    assembly rather than a hand-wired copy of it."""
+
+    def test_only_the_store_constructs_its_logical_components(self):
+        assert modules_where(constructs_a_logical_component) == {"core/store.py"}
+
+    def test_salvage_keeps_the_partial_index_and_its_counters(self):
+        store, root = make_store(orders=30)
+        for node_id in (root, 2, 5, root, 2):
+            store.read(node_id)
+        partial = store.partial_index
+        memos = len(partial)
+        counters = vars(partial.stats).copy()
+        assert memos and counters["hits"]
+        corrupt_block(store, list(store.layout.chain.blocks())[1])
+        report = repair_store(store)
+        assert report.mode == "salvage"
+        assert report.memos_dropped == memos
+        assert store.partial_index is partial and len(partial) == 0
+        assert vars(partial.stats) == counters
+        assert store.locator.partial_index is partial
 
 
 class TestRebuildFromWAL:

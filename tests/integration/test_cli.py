@@ -304,29 +304,6 @@ class TestProfileCommand:
         run([store_dir, "profile", "read", "--format", "collapsed",
              "--axis", "wall"])
 
-    def test_sample_requires_a_stack_format(self, store_dir):
-        from repro.errors import ReproError
-
-        run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
-        with pytest.raises(ReproError, match="--sample"):
-            run([store_dir, "profile", "read", "--sample"])
-
-    def test_sample_collapsed_runs(self, store_dir):
-        run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
-        out = run([store_dir, "profile", "read", "--sample",
-                   "--format", "collapsed"])
-        # a fast op may yield zero samples; the command must still succeed
-        assert isinstance(out, str)
-
-    def test_sample_speedscope_runs(self, store_dir):
-        import json
-
-        run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
-        out = run([store_dir, "profile", "read", "--sample",
-                   "--format", "speedscope"])
-        payload = json.loads(out)
-        assert payload["profiles"][0]["type"] == "sampled"
-
     def test_profile_unknown_op_fails(self, store_dir):
         from repro.errors import InvalidOperationError
 

@@ -41,22 +41,27 @@ def test_lint_allowlists_the_clock_module(tmp_path):
     assert check_clock_discipline(str(tmp_path)) == []
 
 
-def test_lint_allowlists_the_stack_sampler(tmp_path):
-    """obs/sampler.py is the one sanctioned wall-clock consumer besides
-    the clock module itself (sampling *is* wall-clock work)."""
+def test_lint_rejects_time_in_any_other_obs_module(tmp_path):
+    """obs/clock.py is the only module allowed to touch ``time``: a
+    neighbour in obs/ that imports it fails like any other module."""
     obs = tmp_path / "obs"
     obs.mkdir()
-    (obs / "sampler.py").write_text("import time as _time\n")
-    assert check_clock_discipline(str(tmp_path)) == []
+    (obs / "clock.py").write_text("import time as _time\n")
+    for name in ("sampler.py", "profiler.py", "timeline.py"):
+        (obs / name).write_text("import time as _time\n")
+    violations = check_clock_discipline(str(tmp_path))
+    assert len(violations) == 3
+    clock = os.path.join("obs", "clock.py")
+    assert not any(v.startswith(clock) for v in violations)
 
 
 def test_allowlist_matches_the_exact_path_only(tmp_path):
     obs = tmp_path / "obs"
     obs.mkdir()
     # same filename, wrong directory: not allowlisted
-    (tmp_path / "sampler.py").write_text("import time\n")
+    (tmp_path / "clock.py").write_text("import time\n")
     # same directory, different filename: not allowlisted
-    (obs / "sampler2.py").write_text("import time\n")
+    (obs / "clock2.py").write_text("import time\n")
     violations = check_clock_discipline(str(tmp_path))
     assert len(violations) == 2
 

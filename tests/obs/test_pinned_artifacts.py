@@ -5,10 +5,14 @@
 a pure function of the seeded workload, so a change to *how* the surface
 is read (cached keys, a flat snapshot path, SLO reading its histograms
 directly) must leave them identical.  The constants below were generated
-on the commit before the flat snapshot path existed, and regenerated once
-since, when index entries began to survive range splits (the partial-index
+on the commit before the flat snapshot path existed, and regenerated twice
+since: once when index entries began to survive range splits (the partial-index
 hit counters, the simulated clock the alert lines carry and the recorder's
-event ring all moved with that); the workload runs
+event ring all moved with that), and again when an update stopped probing
+the partial index a second time after its own locate (the history's probe
+and hit-rate values, and the recorder's probe events, its dropped count
+and the metric frames' hit counters moved; the alert log did not); the
+workload runs
 ``repro serve``'s store config on a directory store, drives part of its
 ops through ``XMLServer`` sessions (so the group-commit batch histogram
 and the serving counters are on the surface), shifts from reads to
@@ -32,9 +36,9 @@ SEED = 11
 #: op index before which the admission backlog is overfilled once
 BURST_AT = 100
 
-HISTORY_SHA256 = "89256faed3a1faf8ae5a753ea8fc1f3a7458f8bf473e243503cc49f72e21dfa2"
+HISTORY_SHA256 = "dfd7ab43b53572f36a07a94721d32ebcb384575b135ae467b0ac4b7d68dc9e35"
 ALERTS_SHA256 = "96e4aef545506c86bb6b66ea3897099cd7513d240a7180364541c29c2ad923ab"
-RECORDER_SHA256 = "9abc10b199f335b735ed78ce218d0cd603ae0e9ce5805470e01b70d639b5126e"
+RECORDER_SHA256 = "4154bfe865b6b5d65c4c6f612263e52bf75abf0e7906e6694d09de0c9916e7e8"
 
 
 def _overfill_backlog(server, rng, items) -> None:

@@ -8,11 +8,10 @@ mixed.  Run from the repository root::
     PYTHONPATH=src python tools/check_clock_discipline.py
 
 Exits non-zero (listing the violations) if any module imports ``time``
-or calls ``time.time`` outside the allowlisted modules
-(``repro.obs.clock.ALLOWED_CLOCK_MODULES``): the clock module itself and
-the wall-clock stack sampler (``obs/sampler.py``), whose entire job is
-wall-clock work.  Adding a module to the allowlist is a reviewed code
-change, not something this lint will ever do silently.
+or calls ``time.time`` outside the allowlist
+(``repro.obs.clock.ALLOWED_CLOCK_MODULES``), which holds the clock module
+itself and nothing else.  Adding a module to the allowlist is a reviewed
+code change, not something this lint will ever do silently.
 """
 
 from __future__ import annotations
