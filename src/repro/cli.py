@@ -752,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-attempts",
         type=_positive_int,
         default=None,
-        help="fetch attempts per batch before giving up (default from config)",
+        help="fetch attempts per batch before giving up (default: RetryPolicy's)",
     )
     replicate.add_argument(
         "--no-resync",
@@ -792,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stale-after",
         type=_positive_int,
         default=None,
-        help="staleness bound in operations (default from config)",
+        help="staleness bound in operations (default: STALE_AFTER_OPS)",
     )
     lag.add_argument("--json", action="store_true", help="machine-readable report")
     lag.add_argument("--output", default=None, help="write the report to a file")
@@ -991,7 +991,6 @@ def _run_replicate(arguments) -> str:
     primary_wal = WriteAheadLog.from_bytes(image)
     primary_state = XMLStore.recover(WriteAheadLog.from_bytes(image))
     stream = ChangeStream(primary_wal)
-    config = StoreConfig()
     faults = ChannelFaultConfig.from_classes(
         arguments.channel_faults,
         seed=arguments.seed,
@@ -999,14 +998,10 @@ def _run_replicate(arguments) -> str:
         max_faults=arguments.max_faults,
     )
     channel = ReplicationChannel(stream, faults)
-    retry = RetryPolicy(
-        max_attempts=(
-            arguments.max_attempts
-            if arguments.max_attempts is not None
-            else config.replication_max_attempts
-        ),
-        base_delay=config.replication_backoff_base,
-        max_delay=config.replication_backoff_max,
+    retry = (
+        RetryPolicy(max_attempts=arguments.max_attempts)
+        if arguments.max_attempts is not None
+        else RetryPolicy()
     )
     store = open_directory(replica_dir, config=_cli_store_config())
     replica = None
@@ -1031,7 +1026,7 @@ def _run_replicate(arguments) -> str:
             batch_size=(
                 arguments.batch_size
                 if arguments.batch_size is not None
-                else config.replication_batch_size
+                else StoreConfig().replication_batch_size
             ),
             retry=retry,
             auto_resync=not arguments.no_resync,
@@ -1062,7 +1057,11 @@ def _run_replicate(arguments) -> str:
 def _run_lag(arguments) -> str:
     from repro.obs.schema import stamp
     from repro.replication.replica import read_checkpoint
-    from repro.replication.service import list_replicas, stream_head_of
+    from repro.replication.service import (
+        STALE_AFTER_OPS,
+        list_replicas,
+        stream_head_of,
+    )
 
     replicas = list_replicas(arguments.store)
     head = stream_head_of(arguments.store)
@@ -1073,7 +1072,7 @@ def _run_lag(arguments) -> str:
     stale_after = (
         arguments.stale_after
         if arguments.stale_after is not None
-        else StoreConfig().replication_stale_after_ops
+        else STALE_AFTER_OPS
     )
     rows = []
     for entry in replicas:

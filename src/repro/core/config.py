@@ -5,7 +5,7 @@ XML usage pattern (§2.1), so the store must expose *which* structures it
 maintains — and how eagerly — as configuration, with an adaptive mode that
 tunes itself to the observed workload.  :class:`IndexingPolicy` names the
 four strategies compared in Table 5 plus the adaptive controller, and
-:class:`StoreConfig` carries every knob the benchmarks sweep.
+:class:`StoreConfig` carries the knobs the benchmarks and the CLI turn.
 """
 
 from __future__ import annotations
@@ -45,7 +45,12 @@ class IndexingPolicy(Enum):
 
 @dataclass
 class StoreConfig:
-    """Every tuning knob of the store, with paper-faithful defaults."""
+    """The store's tuning knobs, with paper-faithful defaults.
+
+    Each field is set by some non-test caller (the CLI, a benchmark, an
+    example; ``tests/test_config_knobs.py`` checks).  A value nothing
+    varies is a constant in the one module that uses it instead.
+    """
 
     #: Block/page size in bytes for data, range-index and full-index pages.
     page_size: int = 4096
@@ -71,9 +76,6 @@ class StoreConfig:
     #: granularity sweep (Ablation A) sets it explicitly.
     max_range_tokens: Optional[int] = None
 
-    #: Maximum keys per B+-tree node (range and full indexes).
-    btree_order: int = 64
-
     #: Frame every block image with a self-verifying checksum header
     #: (CRC32 over payload + block number; see
     #: :class:`repro.storage.pages.PageCodec`).  Catches bit rot and
@@ -86,51 +88,18 @@ class StoreConfig:
     #: Cost model charged for every simulated block access.
     cost_model: DiskCostModel = field(default_factory=DiskCostModel)
 
-    #: Simulated seconds charged per token *emitted* (decoded and
-    #: serialized on the read path).  Models the per-record processing
-    #: cost of the paper's Java/JDBC-over-MySQL prototype; disk transfer
-    #: alone would make record processing unrealistically close to free.
-    cpu_cost_per_token: float = 20e-6
-
-    #: Simulated seconds charged per token *skipped over* by a locate scan.
-    #: Id regeneration only inspects the token header (does it start a
-    #: node?), not the payload, so scanning is cheaper per token than
-    #: emission — but it is exactly the cost the Range Index pays and the
-    #: Partial Index exists to avoid (§5).
-    cpu_cost_per_scan_token: float = 5e-6
-
-    #: Simulated seconds charged per B+-tree entry decoded during index
-    #: probes and maintenance — the index-side counterpart of the token
-    #: costs, so index-heavy strategies pay their CPU too.
-    cpu_cost_per_index_entry: float = 10e-6
-
     #: ADAPTIVE policy: number of recent operations considered.
     adaptive_window: int = 256
-
-    #: ADAPTIVE policy: fraction of reads in the window above which the
-    #: partial index is populated (read-optimized); below ``1 - this`` the
-    #: store stops populating and sheds entries (update-optimized).
-    adaptive_read_threshold: float = 0.5
-
-    #: Validate inserted token streams against the data model rules.
-    #: Costs CPU only; disable for large synthetic bulk loads.
-    validate_input: bool = True
 
     #: Record tracing spans and span metrics (see :mod:`repro.obs`).
     #: Off by default: the benchmarks must measure the store, not the
     #: telemetry, so the disabled path is a shared no-op recorder.
     telemetry_enabled: bool = False
 
-    #: Completed spans retained in the in-memory ring buffer.
-    telemetry_ring_capacity: int = 1024
-
     #: Record structured events (see :mod:`repro.obs.events`): the per-
     #: operation fact stream EXPLAIN reports are assembled from.  Off by
     #: default for the same reason as telemetry.
     events_enabled: bool = False
-
-    #: Events retained in the in-memory event ring buffer.
-    events_capacity: int = 4096
 
     #: Record per-block access counts in the buffer pool (see
     #: :mod:`repro.obs.heatmap`).  Off by default.
@@ -149,13 +118,6 @@ class StoreConfig:
     #: rest of :mod:`repro.obs`.
     history_enabled: bool = False
 
-    #: Capture one history snapshot every this many Table-1 operations.
-    history_interval: int = 64
-
-    #: History snapshots retained before the oldest rows merge (see
-    #: :class:`repro.obs.history.WorkloadHistory`).
-    history_capacity: int = 256
-
     #: JSONL file the history persists to (``None`` = in-memory only;
     #: :func:`repro.core.filestore.open_directory` points it next to the
     #: store's device file).
@@ -167,10 +129,6 @@ class StoreConfig:
     #: :mod:`repro.obs`: evaluation only reads counters, and the
     #: disabled twin keeps the hot path at one attribute check.
     alerts_enabled: bool = False
-
-    #: Evaluate the alert rules every this many Table-1 operations
-    #: (plus once at every checkpoint).
-    alerts_interval: int = 64
 
     #: JSONL file alert transitions append to (``None`` = in-memory
     #: only; :func:`repro.core.filestore.open_directory` points it next
@@ -184,21 +142,10 @@ class StoreConfig:
     #: the hot path at one attribute check).
     recorder_enabled: bool = False
 
-    #: Ring capacity: recorder entries retained before the oldest drop.
-    recorder_capacity: int = 512
-
-    #: Capture a metric counter-delta frame every this many Table-1
-    #: operations.
-    recorder_interval: int = 32
-
     #: Directory incident bundles dump into (``None`` = in-memory
     #: incident records only; :func:`repro.core.filestore.open_directory`
     #: points it at ``store.incidents`` next to the device file).
     recorder_incidents_dir: Optional[str] = None
-
-    #: Incidents recorded per store instance before further triggers
-    #: are suppressed (a rotting device must not dump bundles forever).
-    recorder_incident_limit: int = 16
 
     #: Serving layer (:mod:`repro.server`): logical sessions allowed to
     #: run concurrently under the cooperative scheduler.
@@ -225,37 +172,8 @@ class StoreConfig:
     #: ordinary transactions that queue behind writers.
     server_snapshot_reads: bool = True
 
-    #: Replication (:mod:`repro.replication`): tail this store's WAL as
-    #: a logical change stream and keep read replicas caught up.  Off by
-    #: default under the zero-cost contract — a store that never
-    #: replicates pays nothing and stays byte-identical
-    #: (``tests/bench/test_replication_bench.py``).
-    replication_enabled: bool = False
-
     #: Change records fetched per channel round trip during catch-up.
     replication_batch_size: int = 64
-
-    #: Verify the primary-vs-replica state digest every this many applied
-    #: change records (and always once at the end of catch-up).
-    replication_digest_interval: int = 256
-
-    #: A configured replica whose checkpoint trails the primary's stream
-    #: by more than this many operations with no apply progress is
-    #: *stale* — the absence alert ``replication-stale`` and the health
-    #: component flag it.
-    replication_stale_after_ops: int = 128
-
-    #: Channel fetch attempts per batch before catch-up gives up with a
-    #: typed :class:`repro.errors.ReplicationChannelError`.
-    replication_max_attempts: int = 8
-
-    #: Deterministic exponential backoff between channel retries,
-    #: accumulated on the *simulated* clock: ``base * 2**(attempt-1)``
-    #: capped at ``max`` (seconds).  Never a wall-clock sleep.
-    replication_backoff_base: float = 0.01
-
-    #: Upper bound on a single backoff interval (seconds).
-    replication_backoff_max: float = 1.0
 
     def __post_init__(self) -> None:
         if self.page_size < 256:
@@ -266,24 +184,6 @@ class StoreConfig:
             raise ValueError("partial_index_capacity must be positive or None")
         if self.max_range_tokens is not None and self.max_range_tokens < 4:
             raise ValueError("max_range_tokens must be at least 4 or None")
-        if not 0.0 <= self.adaptive_read_threshold <= 1.0:
-            raise ValueError("adaptive_read_threshold must be in [0, 1]")
-        if self.telemetry_ring_capacity < 1:
-            raise ValueError("telemetry_ring_capacity must be at least 1")
-        if self.events_capacity < 1:
-            raise ValueError("events_capacity must be at least 1")
-        if self.history_interval < 1:
-            raise ValueError("history_interval must be at least 1")
-        if self.history_capacity < 2:
-            raise ValueError("history_capacity must be at least 2")
-        if self.alerts_interval < 1:
-            raise ValueError("alerts_interval must be at least 1")
-        if self.recorder_capacity < 1:
-            raise ValueError("recorder_capacity must be at least 1")
-        if self.recorder_interval < 1:
-            raise ValueError("recorder_interval must be at least 1")
-        if self.recorder_incident_limit < 1:
-            raise ValueError("recorder_incident_limit must be at least 1")
         if self.server_max_sessions < 1:
             raise ValueError("server_max_sessions must be at least 1")
         if self.server_max_queue_depth < 0:
@@ -292,15 +192,3 @@ class StoreConfig:
             raise ValueError("server_group_commit_max_batch must be at least 1")
         if self.replication_batch_size < 1:
             raise ValueError("replication_batch_size must be at least 1")
-        if self.replication_digest_interval < 1:
-            raise ValueError("replication_digest_interval must be at least 1")
-        if self.replication_stale_after_ops < 1:
-            raise ValueError("replication_stale_after_ops must be at least 1")
-        if self.replication_max_attempts < 1:
-            raise ValueError("replication_max_attempts must be at least 1")
-        if self.replication_backoff_base < 0:
-            raise ValueError("replication_backoff_base must be >= 0")
-        if self.replication_backoff_max < self.replication_backoff_base:
-            raise ValueError(
-                "replication_backoff_max must be >= replication_backoff_base"
-            )

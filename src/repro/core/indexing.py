@@ -48,6 +48,9 @@ class AdaptiveController:
         self.partial_index = partial_index
         self.ranges = ranges
         self.window = window
+        #: read fraction of the window at or above which the partial index
+        #: populates (read-optimized); below ``1 - this`` the store stops
+        #: populating and sheds entries (update-optimized)
         self.read_threshold = read_threshold
         self._recent: Deque[bool] = deque(maxlen=window)  # True = read
         self._reads_in_window = 0

@@ -167,17 +167,17 @@ class TokenLayout:
     # -- deletion -------------------------------------------------------------------
 
     def delete_run(
-        self, start: Position, count: int, first_after: int
+        self, start: Position, count: int, following: Optional[RangeMeta]
     ) -> Optional[Position]:
         """Delete ``count`` consecutive records starting at ``start``.
 
         Returns the (new) position of the first surviving record after the
         run, or None if the run reached the end of the document.  Shifts
         the starts of the ranges that begin after the run in its last block
-        — the ranges from document-order index ``first_after`` on; range
-        starts *inside* the deleted run, and that of a range whose front
-        the run removed, are the caller's responsibility (it knows which
-        ranges the run covered).
+        — ``following``, the first range wholly after the run (None: there
+        is none), and its successors; range starts *inside* the deleted
+        run, and that of a range whose front the run removed, are the
+        caller's responsibility (it knows which ranges the run covered).
         """
         if count <= 0:
             raise StoreError(f"delete_run of {count} records")
@@ -196,9 +196,10 @@ class TokenLayout:
                 self.chain.delete_record(Position(block_no, slot))
             remaining -= take
             next_block = self.chain.next_block(block_no)
-            if remaining == 0:
+            if remaining == 0 and following is not None:
                 # only the run's last block has survivors after the run
-                self._shift_starts(first_after, block_no, block_no, take)
+                first = self.ranges.order_index(following.range_id)
+                self._shift_starts(first, block_no, block_no, take)
             left = self.chain.block_record_count(block_no)
             if left == 0:
                 self.chain.remove_block(block_no)

@@ -178,8 +178,28 @@ class _Catalog(NamedTuple):
         return cls(range_root, full_root, scheme_state, sections[0], sections[1], flags)
 
 
-def effective_btree_order(configured: int, page_size: int) -> int:
-    """Cap the B+-tree order so a full node serializes into one page.
+#: Simulated seconds charged per token *emitted* (decoded and serialized
+#: on the read path).  Models the per-record processing cost of the
+#: paper's Java/JDBC-over-MySQL prototype; disk transfer alone would make
+#: record processing unrealistically close to free.
+CPU_COST_PER_TOKEN = 20e-6
+
+#: Simulated seconds charged per token *skipped over* by a locate scan.
+#: Id regeneration only inspects the token header (does it start a node?),
+#: not the payload, so scanning is cheaper per token than emission — but
+#: it is exactly the cost the Range Index pays and the Partial Index
+#: exists to avoid (§5).
+CPU_COST_PER_SCAN_TOKEN = 5e-6
+
+#: Simulated seconds charged per B+-tree entry decoded during index probes
+#: and maintenance — the index-side counterpart of the token costs, so
+#: index-heavy strategies pay their CPU too.
+CPU_COST_PER_INDEX_ENTRY = 10e-6
+
+
+def effective_btree_order(page_size: int) -> int:
+    """The B+-tree order: 64 keys per node, capped so a full node
+    serializes into one page.
 
     The widest node record is a full-index leaf entry of the older
     position-based format, which a reopened store may still hold: 2-byte
@@ -187,8 +207,7 @@ def effective_btree_order(configured: int, page_size: int) -> int:
     = 52 bytes, plus the node-header record and the page header.
     """
     widest_entry = 52
-    fits = max(3, (page_size - 16) // widest_entry)
-    return max(3, min(configured, fits))
+    return min(64, max(3, (page_size - 16) // widest_entry))
 
 
 class XMLStore:
@@ -272,7 +291,7 @@ class XMLStore:
         survive: the pool, WAL, id scheme, counters and the memory-based
         partial index are left as they are.
         """
-        order = effective_btree_order(self.config.btree_order, self.codec.page_size)
+        order = effective_btree_order(self.codec.page_size)
         if catalog is None:
             chain = full_root = None
             self.range_index = RangeIndex(self.pool, order=order)
@@ -307,7 +326,6 @@ class XMLStore:
                 self.partial_index,
                 self.ranges,
                 window=self.config.adaptive_window,
-                read_threshold=self.config.adaptive_read_threshold,
             )
         #: never-stale parent-link memo (see repro.core.navigation)
         self.structural_hints = StructuralHints()
@@ -325,7 +343,6 @@ class XMLStore:
             # the profiler folds spans, so profiling implies telemetry
             self.config.telemetry_enabled or self.config.profiling_enabled,
             simulated_clock=lambda: self.simulated_seconds,
-            ring_capacity=self.config.telemetry_ring_capacity,
         )
         self.telemetry.preregister_spans(TABLE1_SPANS)
         self.wal.telemetry = self.telemetry
@@ -334,32 +351,21 @@ class XMLStore:
         self.wal.sync_cost = self.config.cost_model.sync_seconds
         self.event_log = create_event_log(
             self.config.events_enabled,
-            capacity=self.config.events_capacity,
             simulated_clock=lambda: self.simulated_seconds,
             tracer=self.telemetry.tracer,
         )
         self.heatmap = create_heatmap(self.config.heatmap_enabled)
         self.history = create_history(
-            self.config.history_enabled,
-            path=self.config.history_path,
-            capacity=self.config.history_capacity,
-            interval=self.config.history_interval,
+            self.config.history_enabled, path=self.config.history_path
         )
         self.slo = create_slo(self.config.alerts_enabled)
         self.alerts = create_alerts(
-            self.config.alerts_enabled,
-            path=self.config.alerts_path,
-            interval=self.config.alerts_interval,
+            self.config.alerts_enabled, path=self.config.alerts_path
         )
-        self.recorder = create_recorder(
-            self.config.recorder_enabled,
-            capacity=self.config.recorder_capacity,
-            interval=self.config.recorder_interval,
-        )
+        self.recorder = create_recorder(self.config.recorder_enabled)
         self.incidents = create_incidents(
             self.config.recorder_enabled,
             directory=self.config.recorder_incidents_dir,
-            limit=self.config.recorder_incident_limit,
         )
         self.incidents.attach(self)
         #: scrub recency (bridge-exported, health-checked): completed
@@ -609,9 +615,9 @@ class XMLStore:
         return (
             disk_seconds
             + self.wal.simulated_sync_seconds
-            + self.tokens_emitted * self.config.cpu_cost_per_token
-            + self.locator.stats.tokens_scanned * self.config.cpu_cost_per_scan_token
-            + self.index_entries_loaded * self.config.cpu_cost_per_index_entry
+            + self.tokens_emitted * CPU_COST_PER_TOKEN
+            + self.locator.stats.tokens_scanned * CPU_COST_PER_SCAN_TOKEN
+            + self.index_entries_loaded * CPU_COST_PER_INDEX_ENTRY
         )
 
     @property
@@ -820,8 +826,7 @@ class XMLStore:
 
     def _ingest(self, xml_text: str, require_content: bool = False) -> List[Token]:
         tokens = strip_document_tokens(tokenize_fragment(xml_text))
-        if self.config.validate_input:
-            validate_stream(tokens, allow_document=False)
+        validate_stream(tokens, allow_document=False)
         if require_content and not tokens:
             raise InvalidOperationError("the inserted fragment is empty")
         return tokens
@@ -991,11 +996,14 @@ class XMLStore:
         inclusive; returns the insert point at the deletion site (None =
         document end)."""
         ranges = self.ranges
-        first = self.locator.order_of(begin)
         covered = [
             ranges.at_order(index)
-            for index in range(first, self.locator.order_of(end) + 1)
+            for index in range(
+                self.locator.order_of(begin), self.locator.order_of(end) + 1
+            )
         ]
+        # the first range wholly after the run: the surgery below keeps it
+        following = ranges.successor(end.meta.range_id)
         head_last = _last_id_before(begin)
         # ---- logical updates before the physical delete: each covered
         # range keeps its head, its tail, both or nothing
@@ -1027,12 +1035,7 @@ class XMLStore:
                 ranges.drop(meta.range_id)
                 self.operations.ranges_dropped += 1
         # ---- physical delete
-        # document-order index of whatever follows the run: the surviving
-        # tail if there is one, else the first range wholly after it
-        follower = first + (begin.offset > 0)
-        after = self.layout.delete_run(
-            begin.pos, span, first_after=follower + (tail_meta is not None)
-        )
+        after = self.layout.delete_run(begin.pos, span, following)
         # fix the tail's start to the post-delete coordinates
         if tail_meta is not None:
             if after is None:
@@ -1046,10 +1049,9 @@ class XMLStore:
         # ---- where did the deleted content live?  (for replace_*)
         if after is None:
             return None
-        # the run ended exactly at the head of a range: the tail, or a
-        # surviving later one
-        if follower < len(ranges):
-            meta = ranges.at_order(follower)
-            if meta.start == after:
-                return _InsertPoint(meta, 0, after, None)
+        # the run ended exactly at the head of a range: the tail, or the
+        # first range wholly after the run
+        head = tail_meta if tail_meta is not None else following
+        if head is not None and head.start == after:
+            return _InsertPoint(head, 0, after, None)
         raise StoreError("post-delete position matches no range head (bug)")

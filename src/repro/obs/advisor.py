@@ -250,16 +250,17 @@ def _rule_split_ranges(
     current = store.config.max_range_tokens
     if current is not None and current <= 2 * target:
         return None
-    config = store.config
+    from repro.core.store import CPU_COST_PER_INDEX_ENTRY, CPU_COST_PER_SCAN_TOKEN
+
     # what-if: a scan inside a `target`-token range averages target/2
     # tokens, plus the extra index descent the finer ranges cost
     total_tokens = max(1, _total_tokens(store))
     projected_ranges = max(2, -(-total_tokens // target))
     extra_entries = max(1, projected_ranges.bit_length())
-    current_cost = tokens * config.cpu_cost_per_scan_token
+    current_cost = tokens * CPU_COST_PER_SCAN_TOKEN
     projected_cost = scans * (
-        (target / 2.0) * config.cpu_cost_per_scan_token
-        + extra_entries * config.cpu_cost_per_index_entry
+        (target / 2.0) * CPU_COST_PER_SCAN_TOKEN
+        + extra_entries * CPU_COST_PER_INDEX_ENTRY
     )
     window = _window_of(snapshots)
     return Recommendation(
@@ -324,9 +325,11 @@ def _rule_partial_resize(
         # what-if: an entry that survives instead of being evicted turns
         # one future scan-miss into a memo hit
         avoided = min(evictions, misses)
-        current_cost = misses * avg_depth * config.cpu_cost_per_scan_token
+        from repro.core.store import CPU_COST_PER_SCAN_TOKEN
+
+        current_cost = misses * avg_depth * CPU_COST_PER_SCAN_TOKEN
         projected_cost = (
-            max(0.0, misses - avoided) * avg_depth * config.cpu_cost_per_scan_token
+            max(0.0, misses - avoided) * avg_depth * CPU_COST_PER_SCAN_TOKEN
         )
         return Recommendation(
             rule="grow-partial-index",

@@ -594,16 +594,11 @@ class NoopAlerts:
 NOOP_ALERTS = NoopAlerts()
 
 
-def create_alerts(
-    enabled: bool,
-    path: Optional[str] = None,
-    interval: int = DEFAULT_INTERVAL,
-    rules: Optional[Sequence[AlertRule]] = None,
-):
+def create_alerts(enabled: bool, path: Optional[str] = None):
     """The configured engine: live when enabled, shared no-op otherwise."""
     if not enabled:
         return NOOP_ALERTS
-    return AlertEngine(rules=rules, path=path, interval=interval)
+    return AlertEngine(path=path)
 
 
 def read_alert_log(path: str) -> List[Dict[str, object]]:

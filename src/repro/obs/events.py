@@ -243,7 +243,6 @@ NOOP_EVENT_LOG = NoopEventLog()
 
 def create_event_log(
     enabled: bool,
-    capacity: int = DEFAULT_EVENT_CAPACITY,
     simulated_clock: Optional[Callable[[], float]] = None,
     tracer=None,
 ):
@@ -251,4 +250,4 @@ def create_event_log(
     singleton otherwise."""
     if not enabled:
         return NOOP_EVENT_LOG
-    return EventLog(capacity=capacity, simulated_clock=simulated_clock, tracer=tracer)
+    return EventLog(simulated_clock=simulated_clock, tracer=tracer)

@@ -300,7 +300,11 @@ def _slo_component(store) -> HealthComponent:
 
 
 def _replication_component(store, store_path: Optional[str]) -> HealthComponent:
-    from repro.replication.service import ReplicationMonitor, list_replicas
+    from repro.replication.service import (
+        STALE_AFTER_OPS,
+        ReplicationMonitor,
+        list_replicas,
+    )
 
     if store_path is None or not list_replicas(store_path):
         return HealthComponent(
@@ -315,7 +319,7 @@ def _replication_component(store, store_path: Optional[str]) -> HealthComponent:
     lags = monitor.replica_lags()
     detail = {
         "head": monitor.head(),
-        "stale_after_ops": store.config.replication_stale_after_ops,
+        "stale_after_ops": STALE_AFTER_OPS,
         "replicas": [
             {
                 "name": lag.name,

@@ -11,7 +11,7 @@ block-heat summary.
 
 Capture points:
 
-* every ``history_interval`` Table-1 operations (wired into
+* every :data:`DEFAULT_INTERVAL` Table-1 operations (wired into
   ``XMLStore._observe``, the same hook the adaptive controller uses);
 * every checkpoint (so a closed store's file always ends on a complete
   picture);
@@ -19,7 +19,7 @@ Capture points:
 
 Persistence is an optional JSONL file next to the store's device file
 (one stamped snapshot per line, ``schema_version`` checked on read).
-Retention is bounded by ``history_capacity``: when the sequence
+Retention is bounded by :data:`DEFAULT_CAPACITY`: when the sequence
 overflows, the two *oldest* rows merge into one (deltas summed,
 cumulatives kept from the later row), so old history loses resolution
 gradually instead of vanishing — the standard telemetry-downsampling
@@ -308,16 +308,11 @@ class NoopHistory:
 NOOP_HISTORY = NoopHistory()
 
 
-def create_history(
-    enabled: bool,
-    path: Optional[str] = None,
-    capacity: int = DEFAULT_CAPACITY,
-    interval: int = DEFAULT_INTERVAL,
-):
+def create_history(enabled: bool, path: Optional[str] = None):
     """The configured history: live when enabled, shared no-op otherwise."""
     if not enabled:
         return NOOP_HISTORY
-    return WorkloadHistory(path=path, capacity=capacity, interval=interval)
+    return WorkloadHistory(path=path)
 
 
 def read_history(path: str) -> List[Dict[str, object]]:

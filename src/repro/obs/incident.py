@@ -25,7 +25,7 @@ Trigger kinds (:data:`TRIGGER_KINDS`):
 
 Each ``(kind, key)`` pair fires **once per store instance** (a rotted
 chain does not dump a hundred identical bundles), bounded overall by
-``recorder_incident_limit``.  Bundles land in
+:data:`DEFAULT_LIMIT`.  Bundles land in
 ``store.incidents/incident-<seq>/`` as a set of individually
 schema-stamped JSON files: the recorder ring dump, the health verdict,
 the integrity report, the effective configuration, a WAL tail summary
@@ -363,16 +363,12 @@ class NoopIncidents:
 NOOP_INCIDENTS = NoopIncidents()
 
 
-def create_incidents(
-    enabled: bool,
-    directory: Optional[str] = None,
-    limit: int = DEFAULT_LIMIT,
-):
+def create_incidents(enabled: bool, directory: Optional[str] = None):
     """The configured manager: live when enabled, shared no-op twin
     otherwise."""
     if not enabled:
         return NOOP_INCIDENTS
-    return IncidentManager(directory=directory, limit=limit)
+    return IncidentManager(directory=directory)
 
 
 def record_directory_incident(

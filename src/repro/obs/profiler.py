@@ -260,8 +260,13 @@ class ProfileRecorder:
         wall_seconds = perf_seconds() - self._wall_start
         if exc_type is not None:
             return  # propagate; no profile for a failed window
+        from repro.core.store import (
+            CPU_COST_PER_INDEX_ENTRY,
+            CPU_COST_PER_SCAN_TOKEN,
+            CPU_COST_PER_TOKEN,
+        )
+
         store = self.store
-        config = store.config
         tracer = store.telemetry.tracer
         spans = [
             event for event in tracer.events()
@@ -281,19 +286,19 @@ class ProfileRecorder:
         components = [
             ComponentCost(
                 "token-replay",
-                scanned * config.cpu_cost_per_scan_token,
+                scanned * CPU_COST_PER_SCAN_TOKEN,
                 span_wall("locator.scan"),
                 {"tokens_scanned": scanned},
             ),
             ComponentCost(
                 "token-emit",
-                emitted * config.cpu_cost_per_token,
+                emitted * CPU_COST_PER_TOKEN,
                 None,
                 {"tokens_emitted": emitted},
             ),
             ComponentCost(
                 "range-index",
-                range_entries * config.cpu_cost_per_index_entry,
+                range_entries * CPU_COST_PER_INDEX_ENTRY,
                 None,
                 {
                     "entries_loaded": range_entries,
@@ -309,7 +314,7 @@ class ProfileRecorder:
             components.append(
                 ComponentCost(
                     "full-index",
-                    full_entries * config.cpu_cost_per_index_entry,
+                    full_entries * CPU_COST_PER_INDEX_ENTRY,
                     None,
                     {"entries_loaded": full_entries},
                 )

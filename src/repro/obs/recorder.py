@@ -11,7 +11,7 @@ of :class:`RecorderEntry` rows capturing, on the simulated clock,
 * structured events teed from :class:`~repro.obs.events.EventLog`
   (``wall`` stripped, so entries are pure functions of the workload);
 * alert transitions teed from :class:`~repro.obs.alerts.AlertEngine`;
-* periodic metric counter-delta frames (every ``recorder_interval``
+* periodic metric counter-delta frames (every :data:`DEFAULT_INTERVAL`
   Table-1 operations, deterministic families only — the same snapshot
   workload history captures).
 
@@ -250,13 +250,9 @@ class NoopRecorder:
 NOOP_RECORDER = NoopRecorder()
 
 
-def create_recorder(
-    enabled: bool,
-    capacity: int = DEFAULT_CAPACITY,
-    interval: int = DEFAULT_INTERVAL,
-):
+def create_recorder(enabled: bool):
     """The configured recorder: live when enabled, shared no-op twin
     otherwise."""
     if not enabled:
         return NOOP_RECORDER
-    return FlightRecorder(capacity=capacity, interval=interval)
+    return FlightRecorder()

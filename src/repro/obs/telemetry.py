@@ -25,7 +25,6 @@ from repro.obs.metrics import (
     NoopRegistry,
 )
 from repro.obs.tracing import (
-    DEFAULT_RING_CAPACITY,
     NOOP_TRACER,
     NoopTracer,
     SpanEvent,
@@ -38,17 +37,9 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(
-        self,
-        simulated_clock: Optional[Callable[[], float]] = None,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-    ) -> None:
+    def __init__(self, simulated_clock: Optional[Callable[[], float]] = None) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(
-            simulated_clock=simulated_clock,
-            capacity=ring_capacity,
-            registry=self.registry,
-        )
+        self.tracer = Tracer(simulated_clock=simulated_clock, registry=self.registry)
 
     def span(self, name: str, **fields: object):
         return self.tracer.span(name, **fields)
@@ -115,12 +106,10 @@ NOOP_TELEMETRY = NoopTelemetry()
 
 
 def create_telemetry(
-    enabled: bool,
-    simulated_clock: Optional[Callable[[], float]] = None,
-    ring_capacity: int = DEFAULT_RING_CAPACITY,
+    enabled: bool, simulated_clock: Optional[Callable[[], float]] = None
 ):
     """The configured telemetry object: live when enabled, shared no-op
     singleton otherwise."""
     if not enabled:
         return NOOP_TELEMETRY
-    return Telemetry(simulated_clock=simulated_clock, ring_capacity=ring_capacity)
+    return Telemetry(simulated_clock=simulated_clock)

@@ -392,14 +392,17 @@ def _replication_staleness(store_path: str) -> Optional[Dict[str, object]]:
     """Stale-replica evidence from files alone, or None when healthy.
 
     A store with a replica registry whose replicas' persisted
-    checkpoints trail the primary's stream head beyond the configured
-    staleness bound has silently stopped replicating — ``diagnose`` must
+    checkpoints trail the primary's stream head beyond the staleness
+    bound has silently stopped replicating — ``diagnose`` must
     not call that clean (the absence-rule alert fires on the live store;
     this is the post-mortem, file-only view of the same condition).
     """
-    from repro.core.config import StoreConfig
     from repro.replication.replica import read_checkpoint
-    from repro.replication.service import list_replicas, stream_head_of
+    from repro.replication.service import (
+        STALE_AFTER_OPS,
+        list_replicas,
+        stream_head_of,
+    )
 
     replicas = list_replicas(store_path)
     if not replicas:
@@ -407,13 +410,12 @@ def _replication_staleness(store_path: str) -> Optional[Dict[str, object]]:
     head = stream_head_of(store_path)
     if head is None:
         return None
-    stale_after = StoreConfig().replication_stale_after_ops
     stale = []
     for entry in replicas:
         checkpoint = read_checkpoint(entry.get("path", ""))
         cursor = int(checkpoint["cursor"]) if checkpoint else 0
         lag = max(0, head - cursor)
-        if lag > stale_after:
+        if lag > STALE_AFTER_OPS:
             stale.append(
                 {
                     "name": entry.get("name", "?"),
@@ -426,7 +428,7 @@ def _replication_staleness(store_path: str) -> Optional[Dict[str, object]]:
         return None
     return {
         "head": head,
-        "stale_after_ops": stale_after,
+        "stale_after_ops": STALE_AFTER_OPS,
         "stale_replicas": stale,
         "configured_replicas": len(replicas),
     }

@@ -43,6 +43,10 @@ from repro.replication.replica import Replica, read_checkpoint
 #: Primary-side registry of configured replicas.
 REPLICAS_FILE = "store.replicas.json"
 
+#: A replica whose checkpoint trails the stream head by more operations is
+#: *stale*: alert ``replication-stale``, health, ``repro lag``, diagnose.
+STALE_AFTER_OPS = 128
+
 
 # ---------------------------------------------------------------------------
 # The replica registry (primary side)
@@ -302,7 +306,6 @@ class ReplicationMonitor:
 
     def replica_lags(self) -> List[ReplicaLag]:
         head = self.head()
-        stale_after = self.store.config.replication_stale_after_ops
         lags: List[ReplicaLag] = []
         for entry in list_replicas(self.primary_dir):
             checkpoint = read_checkpoint(entry.get("path", ""))
@@ -314,7 +317,7 @@ class ReplicationMonitor:
                     path=entry.get("path", ""),
                     cursor=cursor,
                     lag=lag,
-                    stale=lag > stale_after,
+                    stale=lag > STALE_AFTER_OPS,
                     has_checkpoint=checkpoint is not None,
                 )
             )

@@ -26,7 +26,6 @@ def _base_config() -> StoreConfig:
     return StoreConfig(
         policy=IndexingPolicy.RANGE_PLUS_PARTIAL,
         history_enabled=True,
-        history_interval=32,
     )
 
 
@@ -34,6 +33,7 @@ def _run_workload(config: StoreConfig):
     """Bulk load, then a skewed point-read stream from a cold cache;
     returns (store, read-phase simulated seconds)."""
     store = XMLStore.open(config)
+    store.history.interval = 32
     store.load_document(purchase_orders_document(60, 4, seed=SEED))
     item_ids = [
         node.node_id

@@ -70,9 +70,9 @@ def test_alert_evaluation_reads_but_never_advances_the_clock():
 
 def test_interval_evaluations_do_not_charge_the_workload():
     def run(enabled):
-        store = XMLStore.open(
-            StoreConfig(alerts_enabled=enabled, alerts_interval=2)
-        )
+        store = XMLStore.open(StoreConfig(alerts_enabled=enabled))
+        if enabled:
+            store.alerts.interval = 2
         root = store.load_document("<r><a>x</a><b>y</b></r>")
         for _ in range(10):
             store.read(root + 1)

@@ -76,12 +76,10 @@ def test_recording_reads_but_never_advances_the_clock():
 def test_interval_frames_do_not_charge_the_workload():
     def run(enabled):
         store = XMLStore.open(
-            StoreConfig(
-                recorder_enabled=enabled,
-                events_enabled=True,
-                recorder_interval=2,
-            )
+            StoreConfig(recorder_enabled=enabled, events_enabled=True)
         )
+        if enabled:
+            store.recorder.interval = 2
         root = store.load_document("<r><a>x</a><b>y</b></r>")
         for _ in range(10):
             store.read(root + 1)

@@ -2,15 +2,14 @@
 
 A store that never replicates pays nothing: the Table 5 bench stays
 byte-identical with the replication package loaded, tailing the WAL as a
-change stream moves no primary bytes and no simulated time, and the
-config flag defaults off.  When replication *is* used, catch-up
+change stream moves no primary bytes and no simulated time.  When
+replication *is* used, catch-up
 throughput is a bench phase, deterministic per seed.
 """
 
 import repro.replication  # noqa: F401  — the zero-cost pin is with this loaded
 from repro.bench.reporting import format_table5
 from repro.bench.table5 import Table5Config, run_table5
-from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
 from repro.replication.changestream import ChangeStream
 from repro.replication.channel import ChannelFaultConfig, ReplicationChannel
@@ -57,9 +56,6 @@ def _catch_up_phase():
 
 
 class TestZeroCost:
-    def test_replication_is_off_by_default(self):
-        assert StoreConfig().replication_enabled is False
-
     def test_table5_is_byte_identical_with_replication_loaded(self):
         config = Table5Config(**MICRO)
         assert format_table5(run_table5(config)) == format_table5(

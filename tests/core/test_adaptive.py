@@ -5,13 +5,11 @@ from repro.core.store import XMLStore
 
 
 def make_adaptive_store(window=16, threshold=0.5):
-    return XMLStore.open(
-        StoreConfig(
-            policy=IndexingPolicy.ADAPTIVE,
-            adaptive_window=window,
-            adaptive_read_threshold=threshold,
-        )
+    store = XMLStore.open(
+        StoreConfig(policy=IndexingPolicy.ADAPTIVE, adaptive_window=window)
     )
+    store.adaptive.read_threshold = threshold
+    return store
 
 
 class TestAdaptiveSwitching:

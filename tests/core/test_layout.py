@@ -140,13 +140,13 @@ class TestDeleteRun:
 
     def test_delete_within_block(self):
         layout, _, positions = self.setup_layout([b"a", b"b", b"c", b"d"], 256)
-        after = layout.delete_run(positions[1], 2, first_after=0)
+        after = layout.delete_run(positions[1], 2, following=None)
         assert contents(layout) == [b"a", b"d"]
         assert layout.record_at(after) == b"d"
 
     def test_delete_to_end_returns_none(self):
         layout, _, positions = self.setup_layout([b"a", b"b"], 256)
-        after = layout.delete_run(positions[0], 2, first_after=0)
+        after = layout.delete_run(positions[0], 2, following=None)
         assert after is None
         assert contents(layout) == []
 
@@ -154,7 +154,7 @@ class TestDeleteRun:
         records = [bytes([65 + i]) * 20 for i in range(8)]
         layout, _, positions = self.setup_layout(records)
         assert layout.chain.num_blocks > 2
-        after = layout.delete_run(positions[1], 5, first_after=0)
+        after = layout.delete_run(positions[1], 5, following=None)
         assert contents(layout) == [records[0]] + records[6:]
         assert layout.record_at(after) == records[6]
 
@@ -162,7 +162,7 @@ class TestDeleteRun:
         records = [bytes([65 + i]) * 20 for i in range(8)]
         layout, _, positions = self.setup_layout(records)
         blocks_before = layout.chain.num_blocks
-        layout.delete_run(positions[0], 7, first_after=0)
+        layout.delete_run(positions[0], 7, following=None)
         assert layout.chain.num_blocks < blocks_before
         layout.chain.check_integrity()
 
@@ -173,14 +173,14 @@ class TestDeleteRun:
         head_range = ranges.new_range(positions[0], 1, 1, 1)
         # (the caller has already dropped the range the run covers)
         tail_range = ranges.new_range(positions[3], 1, 10, 10)
-        layout.delete_run(positions[1], 2, first_after=1)
+        layout.delete_run(positions[1], 2, following=tail_range)
         assert layout.record_at(tail_range.start) == b"d"
         assert head_range.start == positions[0]
 
     def test_delete_keeps_block_counts_equal_to_the_pages(self):
         records = [bytes([65 + i]) * 20 for i in range(8)]
         layout, _, positions = self.setup_layout(records)
-        layout.delete_run(positions[1], 5, first_after=0)
+        layout.delete_run(positions[1], 5, following=None)
         chain = layout.chain
         for block_no in chain.blocks():
             with chain.fetch(block_no) as guard:
@@ -189,12 +189,12 @@ class TestDeleteRun:
     def test_delete_zero_records_rejected(self):
         layout, _, positions = self.setup_layout([b"a"], block_size=256)
         with pytest.raises(StoreError):
-            layout.delete_run(positions[0], 0, first_after=0)
+            layout.delete_run(positions[0], 0, following=None)
 
     def test_delete_past_end_rejected(self):
         layout, _, positions = self.setup_layout([b"a"], block_size=256)
         with pytest.raises(StoreError):
-            layout.delete_run(positions[0], 5, first_after=0)
+            layout.delete_run(positions[0], 5, following=None)
 
 
 class TestIntegrity:

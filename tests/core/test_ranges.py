@@ -218,7 +218,7 @@ class TestResidency:
         a = table.new_range(positions[0], 1, 1, 1)
         first, last = positions[0].block_no, positions[-1].block_no
         # delete everything after the first record: the emptied blocks go
-        layout.delete_run(positions[1], 7, first_after=1)
+        layout.delete_run(positions[1], 7, following=None)
         assert not layout.chain.contains_block(last)
         assert layout.blocks_of(a) == [first]
 

@@ -4,7 +4,7 @@ from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.locator import LocatorStats
 from repro.core.partial_index import PartialIndexStats
 from repro.core.stats import OperationCounts, StoreStatistics
-from repro.core.store import XMLStore
+from repro.core.store import CPU_COST_PER_SCAN_TOKEN, CPU_COST_PER_TOKEN, XMLStore
 from repro.storage.buffer import BufferStats
 from repro.storage.disk import DiskStats
 
@@ -93,8 +93,7 @@ class TestSimulatedClock:
         assert t0 <= t1 <= t2
 
     def test_scan_tokens_cost_less_than_emitted(self):
-        config = StoreConfig()
-        assert config.cpu_cost_per_scan_token < config.cpu_cost_per_token
+        assert CPU_COST_PER_SCAN_TOKEN < CPU_COST_PER_TOKEN
 
     def test_index_entries_counted_under_full_policy(self):
         store = XMLStore.open(StoreConfig(policy=IndexingPolicy.FULL))

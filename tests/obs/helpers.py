@@ -1,0 +1,16 @@
+"""Test helpers for the observability facilities."""
+
+from repro.obs.recorder import FlightRecorder
+
+
+def swap_recorder(store, **kwargs):
+    """Give ``store`` a fresh :class:`FlightRecorder` built with ``kwargs``
+    — the ring's size is fixed at construction — attached wherever the
+    store attaches its own.  Returns the new recorder."""
+    recorder = FlightRecorder(**kwargs)
+    store.recorder = recorder
+    if store.event_log.enabled:
+        store.event_log.recorder = recorder
+    if store.alerts.enabled:
+        store.alerts.recorder = recorder
+    return recorder

@@ -28,10 +28,12 @@ def snap(seq, deltas, partial_index=None, heatmap=None):
     )
 
 
-def _loaded_store(**overrides):
+def _loaded_store(interval=None, **overrides):
     config = dict(policy=IndexingPolicy.RANGE_PLUS_PARTIAL)
     config.update(overrides)
     store = XMLStore.open(StoreConfig(**config))
+    if interval is not None:
+        store.history.interval = interval
     store.load_document(
         "<doc>"
         + "".join(f"<item n='{i}'>t{i}</item>" for i in range(20))
@@ -58,7 +60,7 @@ class TestVacuousByDesign:
         assert "no workload history" in report.vacuous_reason
 
     def test_insufficient_operations(self):
-        store = _loaded_store(history_enabled=True, history_interval=1)
+        store = _loaded_store(history_enabled=True, interval=1)
         store.read()  # far below MIN_OPERATIONS
         report = advise(store)
         assert report.vacuous

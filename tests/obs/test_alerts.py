@@ -8,6 +8,7 @@ from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
 from repro.errors import ChecksumError, ObservabilityError
 from repro.obs.alerts import (
+    DEFAULT_INTERVAL,
     DRIFT_KEY,
     NOOP_ALERTS,
     SLO_BUDGET_KEY,
@@ -266,9 +267,8 @@ class TestStoreIntegration:
         assert view.operations == store.operations.read_ops + store.operations.updates
 
     def test_interval_evaluation_via_observe(self):
-        store = XMLStore.open(
-            StoreConfig(alerts_enabled=True, alerts_interval=4)
-        )
+        store = XMLStore.open(StoreConfig(alerts_enabled=True))
+        store.alerts.interval = 4
         root = store.load_document("<r><a>x</a></r>")
         before = store.alerts.evaluations
         for _ in range(8):
@@ -360,10 +360,9 @@ class TestFactoryAndDefaults:
         assert create_alerts(False, path="/ignored") is NOOP_ALERTS
 
     def test_create_alerts_enabled_builds_a_live_engine(self, tmp_path):
-        engine = create_alerts(True, path=str(tmp_path / "a.jsonl"),
-                               interval=16)
+        engine = create_alerts(True, path=str(tmp_path / "a.jsonl"))
         assert isinstance(engine, AlertEngine)
-        assert engine.interval == 16
+        assert engine.interval == DEFAULT_INTERVAL
 
     def test_default_rules_are_valid_and_unique(self):
         rules = default_rules()

@@ -215,10 +215,10 @@ class TestNoopEventLog:
         assert not hasattr(NoopEventLog(), "__dict__")
 
     def test_create_enabled(self):
-        log = create_event_log(True, capacity=9)
+        log = create_event_log(True)
         assert log.enabled
-        assert log.capacity == 9
-        assert EventLog().capacity == DEFAULT_EVENT_CAPACITY
+        assert log.capacity == DEFAULT_EVENT_CAPACITY
+        assert EventLog(capacity=9).capacity == 9
 
 
 class TestStoreIntegration:
@@ -235,10 +235,6 @@ class TestStoreIntegration:
         assert store.event_log is NOOP_EVENT_LOG
         store.load_document("<r/>")
         assert store.event_log.events() == []
-
-    def test_events_capacity_validated(self):
-        with pytest.raises(ValueError):
-            StoreConfig(events_enabled=True, events_capacity=0)
 
     def test_xpath_summary_event(self):
         store = XMLStore.open(StoreConfig(events_enabled=True))

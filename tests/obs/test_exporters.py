@@ -127,9 +127,9 @@ class TestHistoryCounterExposition:
         from repro.core.config import StoreConfig
         from repro.core.store import XMLStore
 
-        store = XMLStore.open(
-            StoreConfig(history_enabled=enabled, history_interval=2)
-        )
+        store = XMLStore.open(StoreConfig(history_enabled=enabled))
+        if enabled:
+            store.history.interval = 2
         root = store.load_document("<r><a>x</a><b>y</b></r>")
         for _ in range(4):
             store.read(root + 1)

@@ -21,14 +21,17 @@ K_LOAD = 'repro_store_operations_total{op="load"}'
 K_READ = 'repro_store_operations_total{op="node_read"}'
 
 
-def _store(**overrides):
-    config = dict(
-        policy=IndexingPolicy.RANGE_PLUS_PARTIAL,
-        history_enabled=True,
-        history_interval=4,
+def _store(interval=4, capacity=None, **overrides):
+    store = XMLStore.open(
+        StoreConfig(
+            policy=IndexingPolicy.RANGE_PLUS_PARTIAL,
+            history_enabled=True,
+            **overrides,
+        )
     )
-    config.update(overrides)
-    store = XMLStore.open(StoreConfig(**config))
+    store.history.interval = interval
+    if capacity is not None:
+        store.history.capacity = capacity
     root = store.load_document(
         "<doc>"
         + "".join(f"<item n='{i}'>t{i}</item>" for i in range(12))
@@ -39,7 +42,7 @@ def _store(**overrides):
 
 class TestCapture:
     def test_interval_captures(self):
-        store, root = _store(history_interval=4)
+        store, root = _store(interval=4)
         for _ in range(8):
             store.read(root + 1)
         labels = [snap.label for snap in store.history.snapshots()]
@@ -55,7 +58,7 @@ class TestCapture:
         assert snapshot.simulated_seconds == store.simulated_seconds
 
     def test_deltas_are_per_window(self):
-        store, root = _store(history_interval=1000)
+        store, root = _store(interval=1000)
         store.history.capture(store, "baseline")
         for _ in range(3):
             store.read(root + 1)
@@ -64,7 +67,7 @@ class TestCapture:
         assert snapshot.delta(K_LOAD) == 0.0  # consumed by the baseline row
 
     def test_checkpoint_captures_once_then_skips_idle(self):
-        store, _ = _store(history_interval=1000)
+        store, _ = _store(interval=1000)
         store.checkpoint()
         rows = len(store.history)
         assert rows >= 1
@@ -73,7 +76,7 @@ class TestCapture:
         assert len(store.history) == rows
 
     def test_wall_clock_keys_are_filtered(self):
-        store, root = _store(telemetry_enabled=True, history_interval=1000)
+        store, root = _store(telemetry_enabled=True, interval=1000)
         store.read(root + 1)
         snapshot = store.history.capture(store, "manual")
         wall = [k for k in snapshot.deltas if k.startswith("repro_span_seconds")]
@@ -106,7 +109,7 @@ class TestCapture:
 
 class TestRetention:
     def test_overflow_merges_the_two_oldest_rows(self):
-        store, root = _store(history_capacity=2, history_interval=1)
+        store, root = _store(capacity=2, interval=1)
         for _ in range(5):
             store.read(root + 1)
         history = store.history
@@ -119,7 +122,7 @@ class TestRetention:
 
     def test_merged_row_sums_deltas(self):
         history = WorkloadHistory(capacity=2)
-        store, root = _store(history_interval=1000)
+        store, root = _store(interval=1000)
         history.capture(store, "one")  # cumulative baseline
         store.read(root + 1)
         history.capture(store, "two")
@@ -135,7 +138,7 @@ class TestRetention:
 class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "history.jsonl")
-        store, root = _store(history_interval=1000, history_path=path)
+        store, root = _store(interval=1000, history_path=path)
         store.history.capture(store, "manual")
         store.read(root + 1)
         store.history.capture(store, "manual")
@@ -148,18 +151,18 @@ class TestPersistence:
 
     def test_reopen_continues_the_sequence(self, tmp_path):
         path = str(tmp_path / "history.jsonl")
-        store, _ = _store(history_interval=1000, history_path=path)
+        store, _ = _store(interval=1000, history_path=path)
         store.history.capture(store, "manual")
         successor = WorkloadHistory(path=path)
         assert len(successor) == 1
-        fresh_store, _ = _store(history_interval=1000)
+        fresh_store, _ = _store(interval=1000)
         snapshot = successor.capture(fresh_store, "later")
         assert snapshot.seq == 1
 
     def test_compaction_rewrites_the_file(self, tmp_path):
         path = str(tmp_path / "history.jsonl")
         store, root = _store(
-            history_capacity=2, history_interval=1, history_path=path
+            capacity=2, interval=1, history_path=path
         )
         for _ in range(5):
             store.read(root + 1)

@@ -1,7 +1,7 @@
 """Incident triggers, bundle dumps, and crash safety.
 
 The manager's contract: every trigger kind fires at most once per
-``(kind, key)`` per store instance, bounded by the configured limit;
+``(kind, key)`` per store instance, bounded by the manager's limit;
 on directory stores each incident dumps a schema-stamped bundle under
 ``store.incidents/`` written strictly outside the store's pages and
 WAL — so a crash mid-dump can never corrupt the store, only leave an
@@ -18,6 +18,7 @@ from repro.core.filestore import close_directory, open_directory
 from repro.core.store import XMLStore
 from repro.errors import ChecksumError, ObservabilityError
 from repro.obs.incident import (
+    DEFAULT_LIMIT,
     INCIDENTS_DIR,
     NOOP_INCIDENTS,
     IncidentManager,
@@ -88,7 +89,7 @@ class TestTriggering:
 
     def test_factory_returns_the_twin_when_disabled(self):
         assert create_incidents(False) is NOOP_INCIDENTS
-        assert create_incidents(True, limit=3).limit == 3
+        assert create_incidents(True).limit == DEFAULT_LIMIT
 
 
 class TestBundleDump:

@@ -12,18 +12,19 @@ import json
 from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
 from repro.obs.recorder import (
+    DEFAULT_CAPACITY,
+    DEFAULT_INTERVAL,
     NOOP_RECORDER,
     FlightRecorder,
     create_recorder,
 )
 
 
-def _store(**overrides):
-    defaults = dict(
-        events_enabled=True, recorder_enabled=True, recorder_interval=4
+def _store(interval=4, **overrides):
+    store = XMLStore.open(
+        StoreConfig(events_enabled=True, recorder_enabled=True, **overrides)
     )
-    defaults.update(overrides)
-    store = XMLStore.open(StoreConfig(**defaults))
+    store.recorder.interval = interval
     store.load_document("<r><a>x</a><b>y</b></r>")
     return store
 
@@ -90,7 +91,7 @@ class TestFeeds:
         assert "schema_version" not in alerts[0].payload
 
     def test_metric_frames_capture_deterministic_deltas(self):
-        store = _store(recorder_interval=2)
+        store = _store(interval=2)
         for _ in range(4):
             store.read()
         frames = [
@@ -115,7 +116,7 @@ class TestFeeds:
 
 class TestDeterminism:
     def _dump(self):
-        store = _store(recorder_interval=2)
+        store = _store(interval=2)
         for _ in range(3):
             store.read()
         store.event_log.emit("test", "poke", severity="info")
@@ -132,5 +133,6 @@ class TestDeterminism:
 
 def test_create_recorder_factory():
     assert create_recorder(False) is NOOP_RECORDER
-    live = create_recorder(True, capacity=7, interval=3)
-    assert live.enabled and live.capacity == 7 and live.interval == 3
+    live = create_recorder(True)
+    assert live.enabled and live.capacity == DEFAULT_CAPACITY
+    assert live.interval == DEFAULT_INTERVAL

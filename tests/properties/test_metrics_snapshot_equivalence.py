@@ -27,6 +27,7 @@ from repro.obs.bridge import (
 from repro.obs.exporters import prometheus_text
 from repro.obs.metrics import Histogram, MetricFamily, Sample
 from repro.server.sessions import SessionOp, XMLServer
+from tests.obs.helpers import swap_recorder
 
 DOC = (
     "<orders>"
@@ -130,14 +131,13 @@ def open_store():
             heatmap_enabled=True,
             profiling_enabled=True,
             history_enabled=True,
-            history_interval=3,
             alerts_enabled=True,
-            alerts_interval=4,
             recorder_enabled=True,
-            recorder_interval=2,
-            recorder_capacity=8,
         )
     )
+    store.history.interval = 3
+    store.alerts.interval = 4
+    swap_recorder(store, capacity=8, interval=2)
     root = store.load_document(DOC)
     calls = [0]
 

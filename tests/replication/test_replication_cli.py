@@ -11,6 +11,7 @@ from repro.cli import run
 from repro.core.filestore import StoreDirectory
 from repro.errors import ReplicaDivergenceError, ReproError, StoreDegradedError
 from repro.obs.schema import SCHEMA_VERSION
+from repro.replication.service import STALE_AFTER_OPS
 
 
 @pytest.fixture
@@ -129,13 +130,13 @@ class TestStalenessSurfacing:
 
     def test_stale_checkpoint_degrades_health(self, primary, replica):
         run([primary, "replicate", replica])
-        _advance(primary, 130)  # past replication_stale_after_ops (128)
+        _advance(primary, STALE_AFTER_OPS + 2)
         with pytest.raises(StoreDegradedError, match="replication"):
             run([primary, "health"])
 
     def test_stale_checkpoint_degrades_diagnose(self, primary, replica, tmp_path):
         run([primary, "replicate", replica])
-        _advance(primary, 130)
+        _advance(primary, STALE_AFTER_OPS + 2)
         report_path = str(tmp_path / "diag.json")
         with pytest.raises(StoreDegradedError, match="replication stale"):
             run([primary, "diagnose", "--json", "--output", report_path])
@@ -159,7 +160,7 @@ class TestStalenessSurfacing:
         from repro.obs.metrics import sample_key
 
         run([primary, "replicate", replica])
-        _advance(primary, 130)
+        _advance(primary, STALE_AFTER_OPS + 2)
         with StoreDirectory(primary) as store:
             store.read()  # absence rules stay silent on zero-op stores
             values = {
@@ -168,7 +169,7 @@ class TestStalenessSurfacing:
                 for sample in family.samples
             }
             assert values["repro_replication_replicas"] == 1.0
-            assert values["repro_replication_lag_ops"] > 128.0
+            assert values["repro_replication_lag_ops"] > STALE_AFTER_OPS
             # stalled: the absence-rule sentinel value
             assert values["repro_replication_apply_progress"] == -1.0
             view = store_view(store)
