@@ -22,7 +22,7 @@ def pytest_addoption(parser):
             "attach cost profiles (repro.obs.profiler) to every Table-5 "
             "phase row and write the profile artifact; the simulated "
             "numbers are byte-identical either way (the zero-cost "
-            "contract pinned by tests/bench/test_profiler_zero_cost.py)"
+            "contract pinned by tests/bench/test_obs_zero_cost.py)"
         ),
     )
 

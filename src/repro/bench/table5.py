@@ -84,17 +84,17 @@ class Table5Config:
     #: record workload-history snapshots (one per phase, plus the
     #: periodic interval captures; see :mod:`repro.obs.history`).  Off by
     #: default under the usual contract: history on or off, the simulated
-    #: numbers are byte-identical (tests/bench/test_history_zero_cost.py).
+    #: numbers are byte-identical (tests/bench/test_obs_zero_cost.py).
     history: bool = False
     #: evaluate alert rules and SLO budgets (see :mod:`repro.obs.alerts`
     #: / :mod:`repro.obs.slo`) during the run.  Off by default under the
     #: same contract: alerts on or off, the simulated numbers are
-    #: byte-identical (tests/bench/test_alerts_zero_cost.py).
+    #: byte-identical (tests/bench/test_obs_zero_cost.py).
     alerts: bool = False
     #: keep the black-box flight recorder (see :mod:`repro.obs.recorder`)
     #: during the run.  Off by default under the same contract: recorder
     #: on or off, the simulated numbers are byte-identical
-    #: (tests/bench/test_recorder_zero_cost.py).
+    #: (tests/bench/test_obs_zero_cost.py).
     recorder: bool = False
     #: write checksum-framed pages (see :mod:`repro.storage.pages`).  Off
     #: here — unlike the store default — so the benchmark numbers stay

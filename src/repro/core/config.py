@@ -93,7 +93,7 @@ class StoreConfig:
 
     #: Record tracing spans and span metrics (see :mod:`repro.obs`).
     #: Off by default: the benchmarks must measure the store, not the
-    #: telemetry, so the disabled path is a shared no-op recorder.
+    #: telemetry, so the disabled facade hands out shared null spans.
     telemetry_enabled: bool = False
 
     #: Record structured events (see :mod:`repro.obs.events`): the per-
@@ -109,7 +109,7 @@ class StoreConfig:
     #: Implies live telemetry spans (the profiler folds them into its
     #: call tree).  Off by default under the same contract as the rest of
     #: :mod:`repro.obs`: the simulated numbers are byte-identical with
-    #: profiling on or off (``tests/bench/test_profiler_zero_cost.py``).
+    #: profiling on or off (``tests/bench/test_obs_zero_cost.py``).
     profiling_enabled: bool = False
 
     #: Record workload-history snapshots (see :mod:`repro.obs.history`):
@@ -127,7 +127,7 @@ class StoreConfig:
     #: and track SLO budgets (:mod:`repro.obs.slo`).  Off by default
     #: under the same zero-cost contract as the rest of
     #: :mod:`repro.obs`: evaluation only reads counters, and the
-    #: disabled twin keeps the hot path at one attribute check.
+    #: disabled engine keeps the hot path at one attribute check.
     alerts_enabled: bool = False
 
     #: JSONL file alert transitions append to (``None`` = in-memory
@@ -138,8 +138,8 @@ class StoreConfig:
     #: Keep a black-box flight recorder (see :mod:`repro.obs.recorder`):
     #: a bounded ring of recent events, alert transitions and metric
     #: counter-delta frames that incident bundles dump on failure.  Off
-    #: by default under the zero-cost contract (the disabled twin keeps
-    #: the hot path at one attribute check).
+    #: by default under the zero-cost contract (the disabled recorder
+    #: keeps the hot path at one attribute check).
     recorder_enabled: bool = False
 
     #: Directory incident bundles dump into (``None`` = in-memory

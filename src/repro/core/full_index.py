@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 from repro.core.partial_index import LocationEntry
 from repro.core.ranges import RangeTable
 from repro.index.bptree import INT_KEY_CODEC, PagedBPlusTree
-from repro.obs.events import NOOP_EVENT_LOG
+from repro.obs.events import EventLog
 from repro.storage.buffer import BufferPool
 
 _ENTRY = struct.Struct("<qq")  # origin, address
@@ -47,8 +47,8 @@ class FullIndex:
         )
         self.lookups = 0
         self.stale_lookups = 0
-        #: Structured event log (no-op unless the store attaches one).
-        self.event_log = NOOP_EVENT_LOG
+        #: Structured event log (disabled until the store attaches its own).
+        self.event_log = EventLog(enabled=False)
 
     @property
     def root_block(self) -> int:

@@ -31,9 +31,9 @@ from repro.core.partial_index import LocationEntry, PartialIndex
 from repro.core.range_index import RangeIndex
 from repro.core.ranges import RangeMeta, RangeTable
 from repro.ids.base import StoreIdScheme
-from repro.obs.events import NOOP_EVENT_LOG
-from repro.obs.metrics import NOOP_METRIC, TOKEN_COUNT_BUCKETS
-from repro.obs.telemetry import NOOP_TELEMETRY
+from repro.obs.events import EventLog
+from repro.obs.metrics import TOKEN_COUNT_BUCKETS
+from repro.obs.telemetry import Telemetry
 from repro.storage.heap import Position
 from repro.xmltoken.binary import KIND_MASK, KIND_TABLE, decode_token, peek_kind
 from repro.xmltoken.tokens import (
@@ -189,11 +189,10 @@ class Locator:
         #: When False, successful scans are not memoized (the adaptive
         #: controller flips this in update-optimized mode).
         self.populate_partial = True
-        #: Telemetry facade (no-op unless the store attaches a live one).
-        self.telemetry = NOOP_TELEMETRY
-        self._scan_tokens = NOOP_METRIC
-        #: Structured event log (no-op unless the store attaches one).
-        self.event_log = NOOP_EVENT_LOG
+        #: Telemetry facade and structured event log (disabled until the
+        #: store attaches its own).
+        self.attach_telemetry(Telemetry(enabled=False))
+        self.event_log = EventLog(enabled=False)
 
     def attach_telemetry(self, telemetry) -> None:
         """Record per-resolution scan lengths through ``telemetry``."""
@@ -401,7 +400,7 @@ class Locator:
         self.stats.scan_resolutions += 1
         scanned_before = self.stats.tokens_scanned
         # the span gives token replay its own frame in cost profiles
-        # (both clocks); a NoopTelemetry span costs one attribute check
+        # (both clocks); a disabled telemetry's span is the shared no-op
         try:
             with self.telemetry.span(
                 "locator.scan", node_id=node_id, range_id=meta.range_id

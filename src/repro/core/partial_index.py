@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.ranges import RangeTable
-from repro.obs.events import NOOP_EVENT_LOG
+from repro.obs.events import EventLog
 
 
 @dataclass
@@ -110,8 +110,8 @@ class PartialIndex:
         self.capacity = capacity
         self.stats = PartialIndexStats()
         self._entries: "OrderedDict[int, LocationEntry]" = OrderedDict()
-        #: Structured event log (no-op unless the store attaches one).
-        self.event_log = NOOP_EVENT_LOG
+        #: Structured event log (disabled until the store attaches its own).
+        self.event_log = EventLog(enabled=False)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Tuple
 
 from repro.core.ranges import RangeMeta, RangeTable
 from repro.index.bptree import INT_KEY_CODEC, PagedBPlusTree
-from repro.obs.events import NOOP_EVENT_LOG
+from repro.obs.events import EventLog
 from repro.storage.buffer import BufferPool
 
 _VALUE = struct.Struct("<q")
@@ -38,8 +38,8 @@ class RangeIndex:
             pool, INT_KEY_CODEC, order=order, root_block=root_block
         )
         self.lookups = 0
-        #: Structured event log (no-op unless the store attaches one).
-        self.event_log = NOOP_EVENT_LOG
+        #: Structured event log (disabled until the store attaches its own).
+        self.event_log = EventLog(enabled=False)
 
     @property
     def root_block(self) -> int:

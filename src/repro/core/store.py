@@ -50,14 +50,14 @@ from repro.core.range_index import RangeIndex
 from repro.core.ranges import RangeMeta, RangeTable
 from repro.core.stats import OperationCounts, StoreStatistics
 from repro.ids.sequential import SequentialIdScheme
-from repro.obs.alerts import create_alerts
-from repro.obs.incident import create_incidents
-from repro.obs.recorder import create_recorder
-from repro.obs.events import create_event_log
-from repro.obs.heatmap import create_heatmap
-from repro.obs.history import create_history
-from repro.obs.slo import create_slo
-from repro.obs.telemetry import create_telemetry
+from repro.obs.alerts import AlertEngine
+from repro.obs.incident import IncidentManager
+from repro.obs.recorder import FlightRecorder
+from repro.obs.events import EventLog
+from repro.obs.heatmap import BlockHeatmap
+from repro.obs.history import WorkloadHistory
+from repro.obs.slo import SLOTracker
+from repro.obs.telemetry import Telemetry
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import BlockDevice, InstrumentedDevice, MemoryBlockDevice
 from repro.storage.heap import ChainedFile, Position
@@ -336,36 +336,37 @@ class XMLStore:
             self.full_index.event_log = self.event_log
 
     def _setup_telemetry(self) -> None:
-        """Select the live or no-op recorders and attach them to the pool,
-        WAL, partial index and device (:meth:`_assemble_logical` attaches
-        the rest)."""
-        self.telemetry = create_telemetry(
-            # the profiler folds spans, so profiling implies telemetry
-            self.config.telemetry_enabled or self.config.profiling_enabled,
+        """Build the observability facilities, each enabled or not as the
+        config says, and attach them to the pool, WAL, partial index and
+        device (:meth:`_assemble_logical` attaches the rest)."""
+        config = self.config
+        self.telemetry = Telemetry(
             simulated_clock=lambda: self.simulated_seconds,
+            # the profiler folds spans, so profiling implies telemetry
+            enabled=config.telemetry_enabled or config.profiling_enabled,
         )
         self.telemetry.preregister_spans(TABLE1_SPANS)
         self.wal.telemetry = self.telemetry
         # the cost model prices sync barriers (0.0 by default, so the
         # committed baselines are untouched); the WAL charges it per flush
         self.wal.sync_cost = self.config.cost_model.sync_seconds
-        self.event_log = create_event_log(
-            self.config.events_enabled,
+        self.event_log = EventLog(
             simulated_clock=lambda: self.simulated_seconds,
             tracer=self.telemetry.tracer,
+            enabled=config.events_enabled,
         )
-        self.heatmap = create_heatmap(self.config.heatmap_enabled)
-        self.history = create_history(
-            self.config.history_enabled, path=self.config.history_path
+        self.heatmap = BlockHeatmap(enabled=config.heatmap_enabled)
+        self.history = WorkloadHistory(
+            path=config.history_path, enabled=config.history_enabled
         )
-        self.slo = create_slo(self.config.alerts_enabled)
-        self.alerts = create_alerts(
-            self.config.alerts_enabled, path=self.config.alerts_path
+        self.slo = SLOTracker(enabled=config.alerts_enabled)
+        self.alerts = AlertEngine(
+            path=config.alerts_path, enabled=config.alerts_enabled
         )
-        self.recorder = create_recorder(self.config.recorder_enabled)
-        self.incidents = create_incidents(
-            self.config.recorder_enabled,
-            directory=self.config.recorder_incidents_dir,
+        self.recorder = FlightRecorder(enabled=config.recorder_enabled)
+        self.incidents = IncidentManager(
+            directory=config.recorder_incidents_dir,
+            enabled=config.recorder_enabled,
         )
         self.incidents.attach(self)
         #: scrub recency (bridge-exported, health-checked): completed
@@ -376,13 +377,9 @@ class XMLStore:
         self.pool.event_log = self.event_log
         self.pool.heatmap = self.heatmap
         self.pool.incidents = self.incidents
-        # the tee/trigger attachments assign attributes, which the
-        # slotted no-op twins refuse by design: guard on .enabled
-        if self.event_log.enabled:
-            self.event_log.recorder = self.recorder
-        if self.alerts.enabled:
-            self.alerts.recorder = self.recorder
-            self.alerts.incidents = self.incidents
+        self.event_log.recorder = self.recorder
+        self.alerts.recorder = self.recorder
+        self.alerts.incidents = self.incidents
         if self.partial_index is not None:
             self.partial_index.event_log = self.event_log
         self.wal.event_log = self.event_log

@@ -3,11 +3,12 @@
 See DESIGN.md ("Observability") for the architecture.  Quick tour:
 
 * :mod:`repro.obs.metrics` — thread-safe counters/gauges/histograms
-  with labeled children, plus the shared no-op twins;
+  with labeled children, plus the :data:`NOOP_METRIC` null object;
 * :mod:`repro.obs.tracing` — nested context-manager spans recording
   wall-clock *and* simulated disk seconds into a bounded ring buffer;
-* :mod:`repro.obs.telemetry` — the facade the store holds
-  (:func:`create_telemetry` picks live vs. no-op from configuration);
+* :mod:`repro.obs.telemetry` — the facade the store holds (disabled by
+  a constructor argument, not by a second class: every facility here is
+  one class whose ``enabled`` flag the call sites check);
 * :mod:`repro.obs.bridge` — projects the always-on dataclass stats
   into a registry and snapshots it for the bench harness;
 * :mod:`repro.obs.exporters` — Prometheus text, JSON-lines events,
@@ -51,9 +52,6 @@ from repro.obs.events import (
     DEFAULT_EVENT_CAPACITY,
     Event,
     EventLog,
-    NOOP_EVENT_LOG,
-    NoopEventLog,
-    create_event_log,
     events_log_jsonl,
 )
 from repro.obs.explain import (
@@ -78,19 +76,13 @@ from repro.obs.fingerprint import (
 from repro.obs.heatmap import (
     BlockHeat,
     BlockHeatmap,
-    NOOP_HEATMAP,
-    NoopHeatmap,
-    create_heatmap,
     heatmap_json,
     heatmap_report,
     render_heatmap,
 )
 from repro.obs.history import (
     HistorySnapshot,
-    NOOP_HISTORY,
-    NoopHistory,
     WorkloadHistory,
-    create_history,
     load_snapshots,
     read_history,
 )
@@ -102,8 +94,6 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
     NOOP_METRIC,
-    NOOP_REGISTRY,
-    NoopRegistry,
     SIMULATED_COST_BUCKETS,
     Sample,
     TOKEN_COUNT_BUCKETS,
@@ -111,17 +101,10 @@ from repro.obs.metrics import (
     sample_key,
 )
 from repro.obs.schema import SCHEMA_VERSION, check_schema_version, stamp
-from repro.obs.telemetry import (
-    NOOP_TELEMETRY,
-    NoopTelemetry,
-    Telemetry,
-    create_telemetry,
-)
+from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import (
     DEFAULT_RING_CAPACITY,
     NOOP_SPAN,
-    NOOP_TRACER,
-    NoopTracer,
     Span,
     SpanEvent,
     Tracer,
@@ -147,20 +130,8 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "NOOP_EVENT_LOG",
-    "NOOP_HEATMAP",
-    "NOOP_HISTORY",
     "NOOP_METRIC",
-    "NOOP_REGISTRY",
     "NOOP_SPAN",
-    "NOOP_TELEMETRY",
-    "NOOP_TRACER",
-    "NoopEventLog",
-    "NoopHeatmap",
-    "NoopHistory",
-    "NoopRegistry",
-    "NoopTelemetry",
-    "NoopTracer",
     "Recommendation",
     "SCHEMA_VERSION",
     "SIMULATED_COST_BUCKETS",
@@ -177,10 +148,6 @@ __all__ = [
     "apply_recommendations",
     "check_clock_discipline",
     "check_schema_version",
-    "create_event_log",
-    "create_heatmap",
-    "create_history",
-    "create_telemetry",
     "deterministic_snapshot",
     "drift_score",
     "drift_series",

@@ -11,9 +11,10 @@ rule engine, built on the same contract as the rest of :mod:`repro.obs`:
   plus pseudo-metrics derived from them (workload drift, the simulated
   SLO budget floor).  Two identical runs write byte-identical alert
   logs, which CI diffs;
-* **zero-cost when off** — the shared :data:`NOOP_ALERTS` twin keeps
-  the hot path at one attribute check, and evaluation itself only
-  *reads* counters (the simulated clock never moves);
+* **zero-cost when off** — an engine built with ``enabled=False`` (no
+  log restored, nothing evaluated) keeps the hot path at one attribute
+  check, and evaluation itself only *reads* counters (the simulated
+  clock never moves);
 * **append-only JSONL** — state *transitions* (fired / cleared), one
   stamped line each, in ``store.alerts.jsonl`` next to the device file.
   Steady state writes nothing; the active set and the sequence number
@@ -48,8 +49,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ObservabilityError
 from repro.obs.fingerprint import latest_drift
 from repro.obs.history import HistorySnapshot
-from repro.obs.incident import NOOP_INCIDENTS
-from repro.obs.recorder import NOOP_RECORDER
+from repro.obs.incident import IncidentManager
+from repro.obs.recorder import FlightRecorder
 
 DEFAULT_INTERVAL = 64
 DEFAULT_CLEAR_AFTER = 2
@@ -395,23 +396,24 @@ def default_rules() -> Tuple[AlertRule, ...]:
 
 
 class AlertEngine:
-    """Live engine: rule state machines plus the append-only log."""
-
-    enabled = True
+    """Rule state machines plus the append-only log."""
 
     def __init__(
         self,
         rules: Optional[Sequence[AlertRule]] = None,
         path: Optional[str] = None,
         interval: int = DEFAULT_INTERVAL,
+        enabled: bool = True,
     ) -> None:
+        self.enabled = enabled
         self.rules: Tuple[AlertRule, ...] = (
             tuple(rules) if rules is not None else default_rules()
         )
         names = [rule.name for rule in self.rules]
         if len(set(names)) != len(names):
             raise ObservabilityError("alert rule names must be unique")
-        self.path = path
+        #: a disabled engine neither restores nor appends to its log
+        self.path = path if enabled else None
         self.interval = interval
         self.evaluations = 0
         self._ops_since_eval = 0
@@ -421,11 +423,11 @@ class AlertEngine:
         #: events emitted (or restored) through this engine instance
         self._events: List[AlertEvent] = []
         #: flight recorder transitions tee into / incident manager that
-        #: critical firings trigger (the owning store attaches live ones)
-        self.recorder = NOOP_RECORDER
-        self.incidents = NOOP_INCIDENTS
-        if path is not None and os.path.exists(path):
-            for payload in read_alert_log(path):
+        #: critical firings trigger (the owning store attaches its own)
+        self.recorder = FlightRecorder(enabled=False)
+        self.incidents = IncidentManager(enabled=False)
+        if self.path is not None and os.path.exists(self.path):
+            for payload in read_alert_log(self.path):
                 event = AlertEvent.from_dict(payload)
                 self._next_seq = event.seq + 1
                 self._events.append(event)
@@ -551,54 +553,6 @@ class AlertEngine:
 
     def __len__(self) -> int:
         return len(self._events)
-
-
-class NoopAlerts:
-    """Disabled engine: recording is a no-op, reads are empty."""
-
-    __slots__ = ()
-    enabled = False
-    rules: Tuple[AlertRule, ...] = ()
-    evaluations = 0
-    path = None
-    interval = DEFAULT_INTERVAL
-    recorder = NOOP_RECORDER
-    incidents = NOOP_INCIDENTS
-
-    def observe(self, store) -> None:
-        pass
-
-    def evaluate_store(
-        self, store, label: str = "manual", skip_if_idle: bool = False
-    ) -> List[AlertEvent]:
-        return []
-
-    def evaluate(
-        self, view: AlertView, label: str = "manual"
-    ) -> List[AlertEvent]:
-        return []
-
-    def active(self) -> List[AlertEvent]:
-        return []
-
-    def events(self) -> List[AlertEvent]:
-        return []
-
-    def worst_active_severity(self) -> Optional[str]:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-
-NOOP_ALERTS = NoopAlerts()
-
-
-def create_alerts(enabled: bool, path: Optional[str] = None):
-    """The configured engine: live when enabled, shared no-op otherwise."""
-    if not enabled:
-        return NOOP_ALERTS
-    return AlertEngine(path=path)
 
 
 def read_alert_log(path: str) -> List[Dict[str, object]]:

@@ -4,8 +4,8 @@ Spans (:mod:`repro.obs.tracing`) time *brackets* of work; events record
 *facts inside* them — "partial index probe missed node 42", "range 3
 scanned 211 tokens", "WAL appended insert_into_last".  Every component on
 the lookup path (locator, partial index, range index, full index, buffer
-pool, WAL, xpath evaluator) holds an ``event_log`` attribute — the shared
-no-op singleton unless the store attaches a live log — and emits into it.
+pool, WAL, xpath evaluator) holds an ``event_log`` attribute — a disabled
+log of its own until the store attaches the store's — and emits into it.
 
 Each :class:`Event` carries:
 
@@ -29,10 +29,11 @@ Each :class:`Event` carries:
 * ``wall``/``simulated`` — both store clocks at emit time;
 * ``fields`` — free-form payload (node ids, ranges, token counts...).
 
-Like the rest of :mod:`repro.obs`, the disabled path is a shared no-op
-twin (:data:`NOOP_EVENT_LOG`): component emit sites guard on
-``event_log.enabled``, so a store without events performs one attribute
-check and nothing else.
+Like the rest of :mod:`repro.obs`, off is a state, not a class: a log
+built with ``enabled=False`` stays empty because every emit site guards
+on ``event_log.enabled`` (``tests/obs/test_disabled_facilities.py`` lints
+that), so a store without events performs one attribute check and
+nothing else.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.clock import perf_seconds
-from repro.obs.recorder import NOOP_RECORDER
+from repro.obs.recorder import FlightRecorder
 
 DEFAULT_EVENT_CAPACITY = 4096
 
@@ -97,20 +98,22 @@ def events_log_jsonl(events: List[Event]) -> str:
 class EventLog:
     """Bounded, thread-safe ring buffer of :class:`Event` records."""
 
-    enabled = True
-
     def __init__(
         self,
         capacity: int = DEFAULT_EVENT_CAPACITY,
         simulated_clock: Optional[Callable[[], float]] = None,
         tracer=None,
+        enabled: bool = True,
     ) -> None:
+        self.enabled = enabled
         if capacity < 1:
             capacity = 1
         self.capacity = capacity
-        self.simulated_clock = simulated_clock
+        # a disabled log emits nothing, so it keeps neither the clock nor
+        # the tracer (nor, through them, the store that owns it)
+        self.simulated_clock = simulated_clock if enabled else None
         #: tracer whose innermost open span stamps each event (optional)
-        self.tracer = tracer
+        self.tracer = tracer if enabled else None
         self.dropped = 0
         self._events: Deque[Event] = deque(maxlen=capacity)
         self._seq = 0
@@ -121,8 +124,8 @@ class EventLog:
         self._op_stack: List[Tuple[int, str]] = []
         self._next_op_id = 0
         #: flight recorder every emitted event is teed into (the owning
-        #: store attaches a live one; see :mod:`repro.obs.recorder`)
-        self.recorder = NOOP_RECORDER
+        #: store attaches its own; see :mod:`repro.obs.recorder`)
+        self.recorder = FlightRecorder(enabled=False)
 
     # -- operation windows --------------------------------------------------
 
@@ -203,51 +206,3 @@ class EventLog:
         with self._lock:
             self._events.clear()
             self.dropped = 0
-
-
-class NoopEventLog:
-    """Disabled event log: every method is a no-op with the same shape."""
-
-    __slots__ = ()
-    enabled = False
-    capacity = 0
-    dropped = 0
-    next_seq = 0
-    simulated_clock = None
-    tracer = None
-    recorder = NOOP_RECORDER
-
-    def begin_op(self, name: str) -> int:
-        return 0
-
-    def end_op(self) -> None:
-        pass
-
-    def emit(
-        self, source: str, kind: str, severity: str = "debug", **fields: object
-    ) -> None:
-        pass
-
-    def events(self, since: int = 0, op_id: Optional[int] = None) -> List[Event]:
-        return []
-
-    def to_jsonl(self) -> str:
-        return ""
-
-    def clear(self) -> None:
-        pass
-
-
-NOOP_EVENT_LOG = NoopEventLog()
-
-
-def create_event_log(
-    enabled: bool,
-    simulated_clock: Optional[Callable[[], float]] = None,
-    tracer=None,
-):
-    """The configured event log: live when enabled, shared no-op
-    singleton otherwise."""
-    if not enabled:
-        return NOOP_EVENT_LOG
-    return EventLog(simulated_clock=simulated_clock, tracer=tracer)

@@ -17,8 +17,9 @@ with the range table to answer the questions the paper raises:
   re-scanning, following partial-index efficacy reporting à la
   Stonebraker).
 
-The disabled twin :data:`NOOP_HEATMAP` keeps the buffer pool's hot path
-at one attribute check when the heatmap is off.
+A heatmap built with ``enabled=False`` stays empty: the buffer pool
+guards every record call on ``heatmap.enabled``, which keeps its hot
+path at one attribute check when the heatmap is off.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ class BlockHeat:
 class BlockHeatmap:
     """Per-block access counters recorded by the buffer pool."""
 
-    enabled = True
-
-    def __init__(self) -> None:
+    def __init__(self, enabled: bool = True) -> None:
+        self.enabled = enabled
         self._blocks: Dict[int, BlockHeat] = {}
 
     def record_fetch(self, block_no: int, hit: bool) -> None:
@@ -71,38 +71,6 @@ class BlockHeatmap:
 
     def clear(self) -> None:
         self._blocks.clear()
-
-
-class NoopHeatmap:
-    """Disabled heatmap: recording is a no-op, reports are empty."""
-
-    __slots__ = ()
-    enabled = False
-
-    def record_fetch(self, block_no: int, hit: bool) -> None:
-        pass
-
-    def record_write(self, block_no: int) -> None:
-        pass
-
-    def counts(self) -> Dict[int, BlockHeat]:
-        return {}
-
-    def __len__(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-
-NOOP_HEATMAP = NoopHeatmap()
-
-
-def create_heatmap(enabled: bool):
-    """The configured heatmap: live when enabled, shared no-op otherwise."""
-    if not enabled:
-        return NOOP_HEATMAP
-    return BlockHeatmap()
 
 
 # ------------------------------------------------------------------ reports --

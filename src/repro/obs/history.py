@@ -26,8 +26,9 @@ gradually instead of vanishing — the standard telemetry-downsampling
 trade.
 
 The contract of :mod:`repro.obs` holds: everything here only *reads*
-counters and never touches the simulated clock, the disabled twin
-:data:`NOOP_HISTORY` keeps the hot path at one attribute check, and —
+counters and never touches the simulated clock, a history built with
+``enabled=False`` (no file read, no rows) keeps the hot path at one
+attribute check because every capture site guards on it, and —
 for the CI determinism gate — snapshots exclude every wall-clock-derived
 sample (span wall seconds), so two identical runs write identical
 history byte-for-byte.
@@ -159,17 +160,18 @@ def _heat_summary(store) -> Optional[Dict[str, object]]:
 
 
 class WorkloadHistory:
-    """Live history recorder (see the module docstring for the design)."""
-
-    enabled = True
+    """History recorder (see the module docstring for the design)."""
 
     def __init__(
         self,
         path: Optional[str] = None,
         capacity: int = DEFAULT_CAPACITY,
         interval: int = DEFAULT_INTERVAL,
+        enabled: bool = True,
     ) -> None:
-        self.path = path
+        self.enabled = enabled
+        #: a disabled history neither restores nor writes its file
+        self.path = path if enabled else None
         self.capacity = capacity
         self.interval = interval
         self._snapshots: List[HistorySnapshot] = []
@@ -178,9 +180,9 @@ class WorkloadHistory:
         #: lifetime capture/compaction counters (exported by the bridge)
         self.captures = 0
         self.compactions = 0
-        if path is not None and os.path.exists(path):
+        if self.path is not None and os.path.exists(self.path):
             self._snapshots = [
-                HistorySnapshot.from_dict(row) for row in read_history(path)
+                HistorySnapshot.from_dict(row) for row in read_history(self.path)
             ]
 
     # ------------------------------------------------------------- recording --
@@ -279,40 +281,6 @@ class WorkloadHistory:
 
     def __len__(self) -> int:
         return len(self._snapshots)
-
-
-class NoopHistory:
-    """Disabled history: recording is a no-op, reads are empty."""
-
-    __slots__ = ()
-    enabled = False
-    captures = 0
-    compactions = 0
-    capacity = DEFAULT_CAPACITY
-    interval = DEFAULT_INTERVAL
-    path = None
-
-    def observe(self, store, is_read: bool) -> None:
-        pass
-
-    def capture(self, store, label: str, skip_if_idle: bool = False):
-        return None
-
-    def snapshots(self) -> List[HistorySnapshot]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-NOOP_HISTORY = NoopHistory()
-
-
-def create_history(enabled: bool, path: Optional[str] = None):
-    """The configured history: live when enabled, shared no-op otherwise."""
-    if not enabled:
-        return NOOP_HISTORY
-    return WorkloadHistory(path=path)
 
 
 def read_history(path: str) -> List[Dict[str, object]]:

@@ -183,13 +183,17 @@ def _write_bundle_file(directory: str, name: str, payload) -> None:
 
 
 class IncidentManager:
-    """Live trigger framework: dedup, bound, dump."""
-
-    enabled = True
+    """Trigger framework: dedup, bound, dump.  A manager built with
+    ``enabled=False`` owns no directory and is never triggered."""
 
     def __init__(
-        self, directory: Optional[str] = None, limit: int = DEFAULT_LIMIT
+        self,
+        directory: Optional[str] = None,
+        limit: int = DEFAULT_LIMIT,
+        enabled: bool = True,
     ) -> None:
+        self.enabled = enabled
+        directory = directory if enabled else None
         self.directory = directory
         self.limit = limit
         #: incidents recorded, by trigger kind (``repro_incidents_total``)
@@ -206,8 +210,10 @@ class IncidentManager:
         self._dumping = False
 
     def attach(self, store) -> None:
-        """Bind the owning store (``XMLStore._setup_telemetry``)."""
-        self._store = store
+        """Bind the owning store (``XMLStore._setup_telemetry``); a
+        disabled manager keeps no reference to it."""
+        if self.enabled:
+            self._store = store
 
     # ------------------------------------------------------------- triggering --
 
@@ -333,42 +339,6 @@ class IncidentManager:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-class NoopIncidents:
-    """Disabled manager: triggers are dropped, reads are empty."""
-
-    __slots__ = ()
-    enabled = False
-    directory = None
-    limit = DEFAULT_LIMIT
-    suppressed = 0
-    counts: Dict[str, int] = {}
-
-    def attach(self, store) -> None:
-        pass
-
-    def trigger(
-        self, kind: str, key: str = "", **detail: object
-    ) -> Optional[IncidentRecord]:
-        return None
-
-    def incidents(self) -> List[IncidentRecord]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-NOOP_INCIDENTS = NoopIncidents()
-
-
-def create_incidents(enabled: bool, directory: Optional[str] = None):
-    """The configured manager: live when enabled, shared no-op twin
-    otherwise."""
-    if not enabled:
-        return NOOP_INCIDENTS
-    return IncidentManager(directory=directory)
 
 
 def record_directory_incident(

@@ -25,9 +25,10 @@ is created (:func:`_render_series`), and both read paths —
 cached renderings with the current numbers.  A snapshot is a read: no
 :class:`Sample`, no :func:`format_value`, no string join.
 
-The no-op twins (:data:`NOOP_METRIC`, :data:`NOOP_REGISTRY`) are shared
-singletons with the same call surface; selecting them disables telemetry
-without a single conditional at the instrumentation points.
+:data:`NOOP_METRIC` is one of the package's two null objects: a disabled
+:class:`~repro.obs.telemetry.Telemetry` hands it out from ``counter``,
+``gauge`` and ``histogram``, so a metric resolved once at setup (the
+locator's scan-length histogram) is updated without a conditional.
 """
 
 from __future__ import annotations
@@ -419,7 +420,7 @@ class MetricsRegistry:
         return out
 
 
-# ---------------------------------------------------------------- no-op twins --
+# -------------------------------------------------------------- null object --
 
 class _NoopMetric:
     """Counter/gauge/histogram impostor that ignores everything."""
@@ -453,36 +454,3 @@ class _NoopMetric:
 
 
 NOOP_METRIC = _NoopMetric()
-
-
-class NoopRegistry:
-    """Registry impostor handing out the shared no-op metric."""
-
-    __slots__ = ()
-
-    def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> _NoopMetric:
-        return NOOP_METRIC
-
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> _NoopMetric:
-        return NOOP_METRIC
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = (),
-    ) -> _NoopMetric:
-        return NOOP_METRIC
-
-    def get(self, name: str) -> None:
-        return None
-
-    def collect(self) -> List[MetricFamily]:
-        return []
-
-    def snapshot(self) -> Dict[str, float]:
-        return {}
-
-
-NOOP_REGISTRY = NoopRegistry()

@@ -217,7 +217,7 @@ class ProfileRecorder:
     of store work.  The profile is available as ``.profile`` after exit.
 
     Requires the store's telemetry to be live (``profiling_enabled`` or
-    ``telemetry_enabled``); against a no-op tracer the tree is empty but
+    ``telemetry_enabled``); against disabled telemetry the tree is empty but
     the component table — built from always-on counters — still works.
     """
 

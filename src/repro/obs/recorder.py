@@ -20,9 +20,9 @@ contents are dumped into the bundle — the black box is read out.
 
 The contract of :mod:`repro.obs` holds: entries carry no wall-clock
 values, so two identical seeded runs record byte-identically (CI diffs
-the dumps); the disabled path is the shared :data:`NOOP_RECORDER` twin
-and one ``.enabled`` attribute check (Table-5 byte-identity is pinned
-by ``tests/bench/test_recorder_zero_cost.py``).
+the dumps); a recorder built with ``enabled=False`` stays empty behind
+one ``.enabled`` attribute check at every feed (Table-5 byte-identity is
+pinned by ``tests/bench/test_obs_zero_cost.py``).
 """
 
 from __future__ import annotations
@@ -70,15 +70,15 @@ class RecorderEntry:
 
 
 class FlightRecorder:
-    """Live bounded ring over events, alerts and metric frames."""
-
-    enabled = True
+    """Bounded ring over events, alerts and metric frames."""
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
         interval: int = DEFAULT_INTERVAL,
+        enabled: bool = True,
     ) -> None:
+        self.enabled = enabled
         if capacity < 1:
             capacity = 1
         self.capacity = capacity
@@ -196,63 +196,3 @@ class FlightRecorder:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-class NoopRecorder:
-    """Disabled recorder: recording is a no-op, reads are empty."""
-
-    __slots__ = ()
-    enabled = False
-    capacity = 0
-    interval = DEFAULT_INTERVAL
-    dropped = 0
-
-    def record(
-        self,
-        kind: str,
-        source: str,
-        label: str,
-        simulated: float,
-        payload: Optional[Dict[str, object]] = None,
-    ) -> None:
-        pass
-
-    def record_event(self, event) -> None:
-        pass
-
-    def record_alert(self, alert_event) -> None:
-        pass
-
-    def observe(self, store) -> None:
-        pass
-
-    def frame(self, store, label: str) -> None:
-        pass
-
-    def entries(self, since: int = 0) -> List[RecorderEntry]:
-        return []
-
-    def to_dict(self) -> Dict[str, object]:
-        from repro.obs.schema import stamp
-
-        return stamp(
-            {"capacity": 0, "interval": self.interval, "dropped": 0,
-             "entries": []}
-        )
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-NOOP_RECORDER = NoopRecorder()
-
-
-def create_recorder(enabled: bool):
-    """The configured recorder: live when enabled, shared no-op twin
-    otherwise."""
-    if not enabled:
-        return NOOP_RECORDER
-    return FlightRecorder()

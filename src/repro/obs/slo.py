@@ -262,11 +262,16 @@ def _evaluate_target(
 
 
 class SLOTracker:
-    """Live tracker: evaluates targets against a store's span metrics."""
+    """Evaluates targets against a store's span metrics.  A tracker built
+    with ``enabled=False`` is the store's "SLOs off" state: callers check
+    ``enabled`` before asking it anything."""
 
-    enabled = True
-
-    def __init__(self, targets: Optional[Sequence[SLOTarget]] = None) -> None:
+    def __init__(
+        self,
+        targets: Optional[Sequence[SLOTarget]] = None,
+        enabled: bool = True,
+    ) -> None:
+        self.enabled = enabled
         self.targets: Tuple[SLOTarget, ...] = (
             tuple(targets) if targets is not None else DEFAULT_TARGETS
         )
@@ -335,43 +340,3 @@ class SLOTracker:
             violations.labels(**labels).set(float(status.violations))
             met.labels(**labels).set(1.0 if status.met else 0.0)
         return registry.collect()
-
-
-class NoopSLO:
-    """Disabled tracker: evaluations are empty, budgets untouched."""
-
-    __slots__ = ()
-    enabled = False
-    targets: Tuple[SLOTarget, ...] = ()
-
-    def evaluate_families(
-        self,
-        families: Sequence[MetricFamily],
-        axes: Sequence[str] = DETERMINISTIC_AXES,
-    ) -> SLOReport:
-        return SLOReport(statuses=[])
-
-    def evaluate(
-        self, store, axes: Sequence[str] = DETERMINISTIC_AXES
-    ) -> SLOReport:
-        return SLOReport(statuses=[])
-
-    def budget_floor(self, store) -> float:
-        return 1.0
-
-    def families(
-        self, store, axes: Sequence[str] = DETERMINISTIC_AXES
-    ) -> List[MetricFamily]:
-        return []
-
-
-NOOP_SLO = NoopSLO()
-
-
-def create_slo(
-    enabled: bool, targets: Optional[Sequence[SLOTarget]] = None
-):
-    """The configured tracker: live when enabled, shared no-op otherwise."""
-    if not enabled:
-        return NOOP_SLO
-    return SLOTracker(targets=targets)

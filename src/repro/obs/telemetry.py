@@ -1,48 +1,46 @@
 """Telemetry facade: one object bundling a registry and a tracer.
 
 The store holds exactly one ``telemetry`` attribute and every
-instrumentation point goes through it.  Two implementations share the
-surface:
-
-* :class:`Telemetry` — live registry + tracer (``enabled`` is True);
-* :class:`NoopTelemetry` — the zero-cost twin selected when
-  ``StoreConfig.telemetry_enabled`` is False.  Its ``span()`` returns a
-  single shared no-op context manager and its registry swallows every
-  update, so a disabled store performs no event allocation and no
-  locking on the hot path.
-
-Use :func:`create_telemetry` to pick the right one from configuration.
+instrumentation point goes through it.  Whether it records is a
+constructor argument (``StoreConfig.telemetry_enabled``): a disabled
+facade keeps an empty registry and a tracer that never sees a span.
+Its ``span()`` returns the shared :data:`~repro.obs.tracing.NOOP_SPAN`
+and its ``counter``/``gauge``/``histogram`` return the shared
+:data:`~repro.obs.metrics.NOOP_METRIC` — the null objects for the call
+sites that do not guard on ``enabled`` — so a disabled store performs no
+event allocation and no locking on the hot path.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.obs.metrics import (
-    MetricFamily,
-    MetricsRegistry,
-    NOOP_REGISTRY,
-    NoopRegistry,
-)
-from repro.obs.tracing import (
-    NOOP_TRACER,
-    NoopTracer,
-    SpanEvent,
-    Tracer,
-)
+from repro.obs.metrics import NOOP_METRIC, MetricFamily, MetricsRegistry
+from repro.obs.tracing import NOOP_SPAN, Span, SpanEvent, Tracer
 
 
 class Telemetry:
-    """Live telemetry: spans feed the ring buffer and the registry."""
+    """Spans feed the ring buffer and the registry (when enabled)."""
 
-    enabled = True
-
-    def __init__(self, simulated_clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(
+        self,
+        simulated_clock: Optional[Callable[[], float]] = None,
+        enabled: bool = True,
+    ) -> None:
+        self.enabled = enabled
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(simulated_clock=simulated_clock, registry=self.registry)
+        # a disabled facade's tracer never sees a span: it keeps no clock
+        # (nor, through it, the store) and feeds no registry
+        self.tracer = (
+            Tracer(simulated_clock=simulated_clock, registry=self.registry)
+            if enabled
+            else Tracer()
+        )
 
     def span(self, name: str, **fields: object):
-        return self.tracer.span(name, **fields)
+        if not self.enabled:
+            return NOOP_SPAN
+        return Span(self.tracer, name, fields)
 
     def preregister_spans(self, names: Sequence[str]) -> None:
         """Make the span metric series for ``names`` visible at zero."""
@@ -51,12 +49,18 @@ class Telemetry:
 
     # registry passthrough, so call sites need only the facade
     def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
+        if not self.enabled:
+            return NOOP_METRIC
         return self.registry.counter(name, help, labelnames)
 
     def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
+        if not self.enabled:
+            return NOOP_METRIC
         return self.registry.gauge(name, help, labelnames)
 
     def histogram(self, name: str, help: str = "", labelnames: Sequence[str] = (), **kwargs):
+        if not self.enabled:
+            return NOOP_METRIC
         return self.registry.histogram(name, help, labelnames, **kwargs)
 
     def events(self) -> List[SpanEvent]:
@@ -67,49 +71,3 @@ class Telemetry:
 
     def snapshot(self) -> Dict[str, float]:
         return self.registry.snapshot()
-
-
-class NoopTelemetry:
-    """Disabled telemetry; every method is a no-op with the same shape."""
-
-    __slots__ = ()
-    enabled = False
-    registry: NoopRegistry = NOOP_REGISTRY
-    tracer: NoopTracer = NOOP_TRACER
-
-    def span(self, name: str, **fields: object):
-        return NOOP_TRACER.span(name)
-
-    def preregister_spans(self, names: Sequence[str]) -> None:
-        pass
-
-    def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
-        return NOOP_REGISTRY.counter(name)
-
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
-        return NOOP_REGISTRY.gauge(name)
-
-    def histogram(self, name: str, help: str = "", labelnames: Sequence[str] = (), **kwargs):
-        return NOOP_REGISTRY.histogram(name)
-
-    def events(self) -> List[SpanEvent]:
-        return []
-
-    def collect(self) -> List[MetricFamily]:
-        return []
-
-    def snapshot(self) -> Dict[str, float]:
-        return {}
-
-
-NOOP_TELEMETRY = NoopTelemetry()
-
-
-def create_telemetry(
-    enabled: bool, simulated_clock: Optional[Callable[[], float]] = None
-):
-    """The configured telemetry object: live when enabled, shared no-op
-    singleton otherwise."""
-    if not enabled:
-        return NOOP_TELEMETRY
-    return Telemetry(simulated_clock=simulated_clock)

@@ -16,9 +16,9 @@ three metrics — ``repro_spans_total``, ``repro_span_seconds`` and
 gives every Table-1 operation a latency *and* a simulated-cost
 histogram for free.
 
-:class:`NoopTracer` is the disabled twin: ``span()`` returns one shared
-do-nothing context manager, so a disabled store allocates no event
-objects at all.
+:data:`NOOP_SPAN` is one of the package's two null objects: a disabled
+:class:`~repro.obs.telemetry.Telemetry` returns it from ``span()``, so a
+disabled store allocates no event objects at all.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class Tracer:
             self.dropped = 0
 
 
-# ---------------------------------------------------------------- no-op twins --
+# -------------------------------------------------------------- null object --
 
 class _NoopSpan:
     """Shared do-nothing span; one instance serves every disabled call."""
@@ -269,32 +269,3 @@ class _NoopSpan:
 
 
 NOOP_SPAN = _NoopSpan()
-
-
-class NoopTracer:
-    """Tracer impostor: no events, no allocations, no metrics."""
-
-    __slots__ = ()
-    capacity = 0
-    dropped = 0
-    active_depth = 0
-    next_seq = 0
-    simulated_clock = None
-
-    def span(self, name: str, **fields: object) -> _NoopSpan:
-        return NOOP_SPAN
-
-    def current_span_seq(self) -> Optional[int]:
-        return None
-
-    def touch(self, name: str) -> None:
-        pass
-
-    def events(self) -> List[SpanEvent]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-
-NOOP_TRACER = NoopTracer()

@@ -18,10 +18,9 @@ from typing import List
 class GroupCommitQueue:
     """Parks committing sessions until the shared barrier."""
 
-    def __init__(self, wal, max_batch: int = 8, event_log=None) -> None:
+    def __init__(self, wal, max_batch: int = 8) -> None:
         self.wal = wal
         self.max_batch = max_batch
-        self.event_log = event_log
         self.waiting: List[object] = []
         #: Barriers issued by :meth:`flush` (≥1 frame drained).
         self.flushes = 0
@@ -51,8 +50,9 @@ class GroupCommitQueue:
         self.waiting.clear()
         if frames:
             self.flushes += 1
-            if self.event_log is not None and self.event_log.enabled:
-                self.event_log.emit(
+            # the WAL's event log is the store's (the store attaches it)
+            if self.wal.event_log.enabled:
+                self.wal.event_log.emit(
                     "server", "group_commit_flush",
                     frames=frames, sessions=batch, reason=reason,
                 )
@@ -66,9 +66,8 @@ class PerCommitQueue:
 
     max_batch = 1
 
-    def __init__(self, wal, event_log=None) -> None:
+    def __init__(self, wal) -> None:
         self.wal = wal
-        self.event_log = event_log
         self.waiting: List[object] = []
         self.flushes = 0
 

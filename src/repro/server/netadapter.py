@@ -131,7 +131,6 @@ class AsyncXMLServer:
                             "error": session.error,
                         }
                     )
-            self.server.retire_finished()
 
     # -- connections -----------------------------------------------------------
 

@@ -346,12 +346,10 @@ class XMLServer:
             # commits defer their barrier to the shared group flush
             self.transactions.commit_sync = False
             self.group_commit = GroupCommitQueue(
-                store.wal,
-                max_batch=self.config.server_group_commit_max_batch,
-                event_log=store.event_log,
+                store.wal, max_batch=self.config.server_group_commit_max_batch
             )
         else:
-            self.group_commit = PerCommitQueue(store.wal, event_log=store.event_log)
+            self.group_commit = PerCommitQueue(store.wal)
         self.stats = ServerStats()
         #: Admitted sessions, scheduler-visible.
         self.sessions: List[Session] = []
@@ -405,10 +403,11 @@ class XMLServer:
     def retire_finished(self) -> None:
         """Forget sessions that have run to an outcome.
 
-        A one-shot :meth:`run` keeps them for its report; a long-lived
-        front-end (the socket adapter) calls this once it has answered a
-        batch, so admission, scheduling and reporting stay O(batch)
-        instead of O(every session ever served).
+        :meth:`run` calls this once its report is built, so a long-lived
+        server's admission, scheduling and reporting stay O(batch)
+        instead of O(every session ever served).  The caller keeps the
+        :class:`Session` objects it submitted, outcome and results
+        included.
         """
         self.sessions = [s for s in self.sessions if not s.finished]
 
@@ -416,12 +415,17 @@ class XMLServer:
 
     def run(self, seed: int = 0, script=None, max_steps: int = 100_000) -> ServerReport:
         """Drive every admitted (and backlogged) session to completion
-        under the cooperative scheduler; returns the run report."""
+        under the cooperative scheduler; returns the run report.  The
+        sessions it finished are retired afterwards, also when the
+        scheduler raises, so each report covers one run."""
         from repro.server.scheduler import CooperativeScheduler
 
         scheduler = CooperativeScheduler(self, seed=seed, script=script)
-        scheduler.run(max_steps=max_steps)
-        return self.report(seed=seed, steps=scheduler.steps, trace=scheduler.trace)
+        try:
+            scheduler.run(max_steps=max_steps)
+            return self.report(seed=seed, steps=scheduler.steps, trace=scheduler.trace)
+        finally:
+            self.retire_finished()
 
     def report(self, seed: int = 0, steps: int = 0, trace=None) -> ServerReport:
         wal = self.store.wal
@@ -440,6 +444,5 @@ class XMLServer:
     # -- plumbing ----------------------------------------------------------------
 
     def emit(self, kind: str, severity: str = "debug", **fields) -> None:
-        log = self.store.event_log
-        if log is not None and log.enabled:
-            log.emit("server", kind, severity=severity, **fields)
+        if self.store.event_log.enabled:
+            self.store.event_log.emit("server", kind, severity=severity, **fields)

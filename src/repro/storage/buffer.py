@@ -30,9 +30,9 @@ from repro.obs import clock
 
 from repro.errors import BufferPoolExhaustedError, ChecksumError, StorageError
 from repro.log import get_logger
-from repro.obs.events import NOOP_EVENT_LOG
-from repro.obs.heatmap import NOOP_HEATMAP
-from repro.obs.incident import NOOP_INCIDENTS
+from repro.obs.events import EventLog
+from repro.obs.heatmap import BlockHeatmap
+from repro.obs.incident import IncidentManager
 from repro.storage.disk import BlockDevice
 from repro.storage.pages import PageCodec, SlottedPage
 
@@ -160,11 +160,11 @@ class BufferPool:
         #: Blocks that failed verification even after re-reads: block_no
         #: -> the ChecksumError to replay on every further fetch.
         self._quarantined: Dict[int, ChecksumError] = {}
-        #: Structured event log / block heatmap (no-ops unless the owning
-        #: store attaches live ones).
-        self.event_log = NOOP_EVENT_LOG
-        self.heatmap = NOOP_HEATMAP
-        self.incidents = NOOP_INCIDENTS
+        #: Structured event log / block heatmap / incident manager
+        #: (disabled until the owning store attaches its own).
+        self.event_log = EventLog(enabled=False)
+        self.heatmap = BlockHeatmap(enabled=False)
+        self.incidents = IncidentManager(enabled=False)
         # OrderedDict in LRU order: least-recently-used first.
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
         # Blocks logically freed but not yet released to the device.

@@ -63,7 +63,7 @@ from typing import Iterator, List, Optional
 
 from repro.errors import BlockNotFoundError, SimulatedCrashError, StorageError
 from repro.log import get_logger
-from repro.obs.events import NOOP_EVENT_LOG
+from repro.obs.events import EventLog
 from repro.storage.disk import BlockDevice, InstrumentedDevice
 
 _log = get_logger("storage.faults")
@@ -320,8 +320,8 @@ class FaultyDisk(BlockDevice):
         #: ledger of injected silent-corruption events
         self.media_faults: List[MediaFault] = []
         self._media_disabled = False
-        #: structured event log (no-op unless a store attaches a live one)
-        self.event_log = NOOP_EVENT_LOG
+        #: structured event log (disabled until a store attaches its own)
+        self.event_log = EventLog(enabled=False)
 
     # -- crash plumbing ------------------------------------------------------
 
@@ -532,7 +532,7 @@ class WALFaultAdapter:
         #: frames fully written (the torture harness maps these to the
         #: operations whose log records are durable)
         self.frames_completed = 0
-        self.event_log = NOOP_EVENT_LOG
+        self.event_log = EventLog(enabled=False)
 
     def append_frame(self, stream, frame: bytes) -> None:
         if self.clock.tick(f"wal:frame={self.frames_completed}"):

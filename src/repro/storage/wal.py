@@ -26,8 +26,8 @@ from typing import BinaryIO, Iterator, List, Optional
 
 from repro.errors import WALError
 from repro.log import get_logger
-from repro.obs.events import NOOP_EVENT_LOG
-from repro.obs.telemetry import NOOP_TELEMETRY
+from repro.obs.events import EventLog
+from repro.obs.telemetry import Telemetry
 
 _FRAME = struct.Struct("<IIHQ")
 
@@ -90,10 +90,10 @@ class WriteAheadLog:
         #: Records appended / fsyncs issued over this log's lifetime.
         self.appends = 0
         self.fsyncs = 0
-        #: Telemetry facade; the owning store attaches a live one.
-        self.telemetry = NOOP_TELEMETRY
-        #: Structured event log (no-op unless the store attaches one).
-        self.event_log = NOOP_EVENT_LOG
+        #: Telemetry facade and structured event log (disabled until the
+        #: owning store attaches its own).
+        self.telemetry = Telemetry(enabled=False)
+        self.event_log = EventLog(enabled=False)
         #: Fault-injection hook (see :class:`repro.storage.faults.
         #: WALFaultAdapter`): when set, frame writes go through it so a
         #: simulated crash can persist a torn record prefix.  None in

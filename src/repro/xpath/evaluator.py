@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import XPathUnsupportedError
-from repro.obs.events import NOOP_EVENT_LOG
 from repro.xpath.ast import (
     Axis,
     BooleanOp,
@@ -136,9 +135,8 @@ def evaluate(store, expression: str) -> List[XPathNode]:
     before_scanned = store.locator.stats.tokens_scanned
     root = build_view(store)
     matches = evaluate_path(path, context=[root], root=root)
-    event_log = getattr(store, "event_log", NOOP_EVENT_LOG)
-    if event_log.enabled:
-        event_log.emit(
+    if store.event_log.enabled:
+        store.event_log.emit(
             "xpath", "evaluate", severity="info",
             expression=expression,
             matches=len(matches),

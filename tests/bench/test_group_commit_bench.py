@@ -19,17 +19,7 @@ from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
 from repro.server.sessions import SessionOp, XMLServer
 from repro.storage.wal import WriteAheadLog
-
-#: Same micro preset as tests/bench/test_recorder_zero_cost.py.
-MICRO = dict(
-    base_orders=16,
-    items_per_order=3,
-    insert_orders=4,
-    random_reads=40,
-    hot_fraction=0.1,
-    pool_capacity=8,
-    granular_tokens=64,
-)
+from tests.bench.test_obs_zero_cost import MICRO
 
 WRITERS = 8
 BASE = "<lib>" + "".join(f"<s{i}>seed</s{i}>" for i in range(1, WRITERS + 1)) + "</lib>"

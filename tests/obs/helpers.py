@@ -9,8 +9,6 @@ def swap_recorder(store, **kwargs):
     store attaches its own.  Returns the new recorder."""
     recorder = FlightRecorder(**kwargs)
     store.recorder = recorder
-    if store.event_log.enabled:
-        store.event_log.recorder = recorder
-    if store.alerts.enabled:
-        store.alerts.recorder = recorder
+    store.event_log.recorder = recorder
+    store.alerts.recorder = recorder
     return recorder

@@ -10,13 +10,11 @@ from repro.errors import ChecksumError, ObservabilityError
 from repro.obs.alerts import (
     DEFAULT_INTERVAL,
     DRIFT_KEY,
-    NOOP_ALERTS,
     SLO_BUDGET_KEY,
     AlertEngine,
     AlertEvent,
     AlertRule,
     AlertView,
-    create_alerts,
     cumulative_values,
     default_rules,
     evaluate_rule,
@@ -355,13 +353,21 @@ class TestOfflineViews:
 
 
 class TestFactoryAndDefaults:
-    def test_create_alerts_disabled_returns_the_shared_noop(self):
-        assert create_alerts(False) is NOOP_ALERTS
-        assert create_alerts(False, path="/ignored") is NOOP_ALERTS
+    def test_disabled_engine_neither_restores_nor_writes_its_log(self, tmp_path):
+        path = str(tmp_path / "a.jsonl")
+        rule = AlertRule("r", "info", "threshold", "s", metric="m", bound=1.0)
+        live = AlertEngine(rules=[rule], path=path)
+        live.evaluate(AlertView(values={"m": 5.0}))
+        assert len(AlertEngine(path=path)) == 1
+        disabled = AlertEngine(path=path, enabled=False)
+        assert disabled.enabled is False and disabled.path is None
+        assert disabled.events() == [] and disabled.active() == []
+        assert disabled.worst_active_severity() is None
+        assert disabled.evaluations == 0
 
-    def test_create_alerts_enabled_builds_a_live_engine(self, tmp_path):
-        engine = create_alerts(True, path=str(tmp_path / "a.jsonl"))
-        assert isinstance(engine, AlertEngine)
+    def test_engine_is_enabled_by_default(self, tmp_path):
+        engine = AlertEngine(path=str(tmp_path / "a.jsonl"))
+        assert engine.enabled is True
         assert engine.interval == DEFAULT_INTERVAL
 
     def test_default_rules_are_valid_and_unique(self):

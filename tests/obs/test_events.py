@@ -1,4 +1,4 @@
-"""Structured event log: ring semantics, stamping, and the no-op twin."""
+"""Structured event log: ring semantics, stamping, and the disabled state."""
 
 import json
 
@@ -10,9 +10,6 @@ from repro.errors import ObservabilityError
 from repro.obs.events import (
     DEFAULT_EVENT_CAPACITY,
     EventLog,
-    NOOP_EVENT_LOG,
-    NoopEventLog,
-    create_event_log,
     events_log_jsonl,
 )
 from repro.obs.tracing import Tracer
@@ -200,22 +197,17 @@ class TestRetentionUnderNestedWindows:
         assert log.begin_op("w2") == 1  # op ids keep counting too
 
 
-class TestNoopEventLog:
-    def test_shared_singleton_and_shape(self):
-        assert create_event_log(False) is NOOP_EVENT_LOG
-        assert not NOOP_EVENT_LOG.enabled
-        assert NOOP_EVENT_LOG.emit("a", "b", node_id=1) is None
-        assert NOOP_EVENT_LOG.begin_op("read") == 0
-        NOOP_EVENT_LOG.end_op()
-        assert NOOP_EVENT_LOG.events() == []
-        assert NOOP_EVENT_LOG.to_jsonl() == ""
-        assert NOOP_EVENT_LOG.next_seq == 0
+class TestDisabledEventLog:
+    def test_disabled_log_starts_empty(self):
+        log = EventLog(enabled=False)
+        assert log.enabled is False
+        assert log.events() == []
+        assert log.to_jsonl() == ""
+        assert log.next_seq == 0
+        assert log.recorder.enabled is False
 
-    def test_noop_has_no_instance_dict(self):
-        assert not hasattr(NoopEventLog(), "__dict__")
-
-    def test_create_enabled(self):
-        log = create_event_log(True)
+    def test_enabled_by_default(self):
+        log = EventLog()
         assert log.enabled
         assert log.capacity == DEFAULT_EVENT_CAPACITY
         assert EventLog(capacity=9).capacity == 9
@@ -232,9 +224,12 @@ class TestStoreIntegration:
 
     def test_disabled_store_attaches_noop(self):
         store = XMLStore.open(StoreConfig())
-        assert store.event_log is NOOP_EVENT_LOG
+        assert store.event_log.enabled is False
+        assert store.pool.event_log is store.event_log
         store.load_document("<r/>")
+        store.read(1)
         assert store.event_log.events() == []
+        assert store.event_log.next_seq == 0
 
     def test_xpath_summary_event(self):
         store = XMLStore.open(StoreConfig(events_enabled=True))

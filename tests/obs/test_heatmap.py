@@ -1,4 +1,4 @@
-"""Block heatmap: counters, reports, and the no-op twin."""
+"""Block heatmap: counters, reports, and the disabled state."""
 
 import json
 
@@ -6,9 +6,6 @@ from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import XMLStore
 from repro.obs.heatmap import (
     BlockHeatmap,
-    NOOP_HEATMAP,
-    NoopHeatmap,
-    create_heatmap,
     heatmap_json,
     heatmap_report,
     render_heatmap,
@@ -50,14 +47,11 @@ class TestBlockHeatmap:
         heatmap.clear()
         assert len(heatmap) == 0
 
-    def test_noop_twin(self):
-        assert create_heatmap(False) is NOOP_HEATMAP
-        assert create_heatmap(True).enabled
-        NOOP_HEATMAP.record_fetch(1, hit=True)
-        NOOP_HEATMAP.record_write(1)
-        assert NOOP_HEATMAP.counts() == {}
-        assert len(NOOP_HEATMAP) == 0
-        assert not hasattr(NoopHeatmap(), "__dict__")
+    def test_enabled_is_a_constructor_argument(self):
+        assert BlockHeatmap().enabled
+        disabled = BlockHeatmap(enabled=False)
+        assert disabled.enabled is False
+        assert disabled.counts() == {} and len(disabled) == 0
 
 
 class TestStoreHeatmap:
@@ -73,7 +67,11 @@ class TestStoreHeatmap:
     def test_disabled_store_records_nothing(self):
         store = XMLStore.open(StoreConfig())
         store.load_document("<r><a/></r>")
-        assert store.heatmap is NOOP_HEATMAP
+        store.pool.flush_all()
+        store.pool.drop_all()
+        store.read(2)
+        assert store.heatmap.enabled is False
+        assert store.pool.heatmap is store.heatmap
         assert store.heatmap.counts() == {}
 
 

@@ -9,10 +9,7 @@ from repro.core.store import XMLStore
 from repro.errors import ObservabilityError
 from repro.obs.history import (
     HistorySnapshot,
-    NOOP_HISTORY,
-    NoopHistory,
     WorkloadHistory,
-    create_history,
     load_snapshots,
     read_history,
 )
@@ -191,20 +188,23 @@ class TestPersistence:
             HistorySnapshot.from_dict({"seq": "zero"})
 
 
-class TestNoopTwin:
-    def test_create_history_picks_the_twin(self):
-        assert create_history(False) is NOOP_HISTORY
-        assert create_history(True).enabled
+class TestDisabledHistory:
+    def test_disabled_history_ignores_its_file(self, tmp_path):
+        path = str(tmp_path / "h.jsonl")
+        store, _ = _store(interval=1000, history_path=path)
+        store.history.capture(store, "manual")
+        assert len(WorkloadHistory(path=path)) == 1
+        disabled = WorkloadHistory(path=path, enabled=False)
+        assert disabled.enabled is False and disabled.path is None
+        assert disabled.snapshots() == [] and len(disabled) == 0
+        assert WorkloadHistory().enabled
 
-    def test_noop_records_nothing(self):
-        store, _ = _store()
-        assert NOOP_HISTORY.capture(store, "x") is None
-        NOOP_HISTORY.observe(store, is_read=True)
-        assert NOOP_HISTORY.snapshots() == []
-        assert len(NOOP_HISTORY) == 0
-        assert not hasattr(NoopHistory(), "__dict__")
-
-    def test_disabled_store_uses_the_twin(self):
+    def test_disabled_store_history_stays_empty(self):
         store = XMLStore.open(StoreConfig())
-        store.load_document("<r><a/></r>")
-        assert store.history is NOOP_HISTORY
+        root = store.load_document("<r><a/></r>")
+        for _ in range(70):  # past one capture interval
+            store.read(root + 1)
+        store.checkpoint()
+        assert store.history.enabled is False
+        assert store.history.snapshots() == [] and len(store.history) == 0
+        assert store.history.captures == 0

@@ -20,9 +20,7 @@ from repro.errors import ChecksumError, ObservabilityError
 from repro.obs.incident import (
     DEFAULT_LIMIT,
     INCIDENTS_DIR,
-    NOOP_INCIDENTS,
     IncidentManager,
-    create_incidents,
     record_directory_incident,
 )
 
@@ -87,9 +85,13 @@ class TestTriggering:
         # in-memory store: recorded, but no bundle to dump
         assert records[0].bundle is None
 
-    def test_factory_returns_the_twin_when_disabled(self):
-        assert create_incidents(False) is NOOP_INCIDENTS
-        assert create_incidents(True).limit == DEFAULT_LIMIT
+    def test_disabled_manager_owns_no_directory(self, tmp_path):
+        directory = str(tmp_path / INCIDENTS_DIR)
+        disabled = IncidentManager(directory=directory, enabled=False)
+        assert disabled.enabled is False and disabled.directory is None
+        assert disabled.incidents() == [] and disabled.counts == {}
+        assert IncidentManager().enabled
+        assert IncidentManager().limit == DEFAULT_LIMIT
 
 
 class TestBundleDump:

@@ -11,10 +11,10 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NOOP_METRIC,
-    NOOP_REGISTRY,
     format_value,
     sample_key,
 )
+from repro.obs.telemetry import Telemetry
 
 
 class TestCounter:
@@ -179,14 +179,16 @@ class TestFormatting:
 
 
 class TestNoop:
-    def test_noop_registry_hands_out_shared_metric(self):
-        assert NOOP_REGISTRY.counter("anything") is NOOP_METRIC
-        assert NOOP_REGISTRY.histogram("x") is NOOP_METRIC
+    def test_disabled_telemetry_hands_out_shared_metric(self):
+        telemetry = Telemetry(enabled=False)
+        assert telemetry.counter("anything") is NOOP_METRIC
+        assert telemetry.histogram("x") is NOOP_METRIC
         assert NOOP_METRIC.labels(a="b") is NOOP_METRIC
 
     def test_noop_swallows_updates(self):
-        NOOP_METRIC.inc()
-        NOOP_METRIC.observe(1.0)
-        NOOP_METRIC.set(2.0)
-        assert NOOP_REGISTRY.collect() == []
-        assert NOOP_REGISTRY.snapshot() == {}
+        telemetry = Telemetry(enabled=False)
+        telemetry.counter("c_total").inc()
+        telemetry.histogram("h").observe(1.0)
+        telemetry.gauge("g").set(2.0)
+        assert telemetry.collect() == []
+        assert telemetry.snapshot() == {}

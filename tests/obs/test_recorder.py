@@ -14,9 +14,7 @@ from repro.core.store import XMLStore
 from repro.obs.recorder import (
     DEFAULT_CAPACITY,
     DEFAULT_INTERVAL,
-    NOOP_RECORDER,
     FlightRecorder,
-    create_recorder,
 )
 
 
@@ -108,10 +106,14 @@ class TestFeeds:
                 not key.startswith("repro_span_seconds") for key in deltas
             ), "wall-clock key leaked into a recorder frame"
 
-    def test_disabled_store_uses_the_shared_twin(self):
+    def test_disabled_store_tees_into_an_empty_recorder(self):
         store = XMLStore.open(StoreConfig(events_enabled=True))
-        assert store.recorder is NOOP_RECORDER
-        assert store.event_log.recorder is NOOP_RECORDER
+        assert store.recorder.enabled is False
+        assert store.event_log.recorder is store.recorder
+        store.load_document("<r><a/></r>")
+        store.read(2)
+        assert store.event_log.events()
+        assert store.recorder.entries() == [] and len(store.recorder) == 0
 
 
 class TestDeterminism:
@@ -128,11 +130,10 @@ class TestDeterminism:
     def test_to_dict_is_schema_stamped(self):
         recorder = FlightRecorder()
         assert recorder.to_dict()["schema_version"] == 1
-        assert NOOP_RECORDER.to_dict()["schema_version"] == 1
+        assert FlightRecorder(enabled=False).to_dict()["schema_version"] == 1
 
 
-def test_create_recorder_factory():
-    assert create_recorder(False) is NOOP_RECORDER
-    live = create_recorder(True)
+def test_recorder_defaults():
+    live = FlightRecorder()
     assert live.enabled and live.capacity == DEFAULT_CAPACITY
     assert live.interval == DEFAULT_INTERVAL

@@ -8,11 +8,9 @@ from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     DEFAULT_TARGETS,
-    NOOP_SLO,
     SLOReport,
     SLOTarget,
     SLOTracker,
-    create_slo,
 )
 
 
@@ -211,14 +209,16 @@ class TestTrackerOnStores:
         assert 'axis="wall"' in text
 
 
-class TestNoopTwin:
-    def test_create_slo_disabled_returns_the_shared_noop(self):
-        assert create_slo(False) is NOOP_SLO
-        assert NOOP_SLO.enabled is False
+class TestDisabledTracker:
+    def test_enabled_is_a_constructor_argument(self):
+        assert SLOTracker().enabled is True
+        assert SLOTracker(enabled=False).enabled is False
 
-    def test_noop_evaluations_are_empty_and_budget_untouched(self):
+    def test_disabled_store_sees_no_observations_and_an_untouched_budget(self):
         store = XMLStore.open(StoreConfig())
-        assert NOOP_SLO.evaluate(store).statuses == []
-        assert NOOP_SLO.evaluate_families([]).statuses == []
-        assert NOOP_SLO.budget_floor(store) == 1.0
-        assert NOOP_SLO.families(store) == []
+        store.load_document("<r><a/></r>")
+        store.read(2)
+        assert store.slo.enabled is False
+        statuses = store.slo.evaluate(store, axes=("simulated", "wall")).statuses
+        assert statuses and all(status.count == 0 for status in statuses)
+        assert store.slo.budget_floor(store) == 1.0

@@ -6,7 +6,7 @@ from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import TABLE1_SPANS, XMLStore
 from repro.obs.bridge import metrics_snapshot, store_families, store_registry
 from repro.obs.exporters import prometheus_text
-from repro.obs.telemetry import NOOP_TELEMETRY
+from repro.obs.tracing import NOOP_SPAN
 
 
 def _enabled_store(**overrides) -> XMLStore:
@@ -129,8 +129,11 @@ class TestBenchSnapshot:
 class TestZeroCostDisabled:
     def test_disabled_store_gets_shared_noop(self):
         store = XMLStore()
-        assert store.telemetry is NOOP_TELEMETRY
         assert not store.telemetry.enabled
+        assert store.telemetry.span("read") is NOOP_SPAN
+        # the components share the store's facade
+        assert store.wal.telemetry is store.telemetry
+        assert store.locator.telemetry is store.telemetry
 
     def test_disabled_store_records_no_events(self):
         store = XMLStore()

@@ -3,7 +3,8 @@
 import tracemalloc
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NOOP_SPAN, NOOP_TRACER, NoopTracer, Tracer
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracing import NOOP_SPAN, Tracer
 
 
 class TestNesting:
@@ -137,25 +138,31 @@ class TestSpanMetrics:
 
 
 class TestNoopTracer:
+    """The disabled tracing path: a disabled telemetry's spans."""
+
     def test_span_returns_shared_singleton(self):
-        assert NOOP_TRACER.span("a") is NOOP_SPAN
-        assert NOOP_TRACER.span("b", k=1) is NOOP_SPAN
-        assert NoopTracer().span("c") is NOOP_SPAN
+        telemetry = Telemetry(enabled=False)
+        assert telemetry.span("a") is NOOP_SPAN
+        assert telemetry.span("b", k=1) is NOOP_SPAN
+        assert Telemetry(enabled=False).span("c") is NOOP_SPAN
 
     def test_no_events_recorded(self):
-        with NOOP_TRACER.span("a"):
+        telemetry = Telemetry(enabled=False)
+        with telemetry.span("a"):
             pass
-        assert NOOP_TRACER.events() == []
-        assert NOOP_TRACER.dropped == 0
+        assert telemetry.events() == []
+        assert telemetry.tracer.dropped == 0
+        assert telemetry.tracer.next_seq == 0
 
     def test_disabled_path_allocates_no_event_objects(self):
+        telemetry = Telemetry(enabled=False)
         # one warm-up pass so caches/interned objects don't count
-        with NOOP_TRACER.span("warm"):
+        with telemetry.span("warm"):
             pass
         tracemalloc.start()
         before = tracemalloc.take_snapshot()
         for _ in range(100):
-            with NOOP_TRACER.span("hot"):
+            with telemetry.span("hot"):
                 pass
         after = tracemalloc.take_snapshot()
         tracemalloc.stop()

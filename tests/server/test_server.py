@@ -65,6 +65,31 @@ class TestAdmission:
         assert server.run().outcomes == {2: "committed"}
         assert server.stats.sessions_committed == 2
 
+    def test_run_reports_its_sessions_then_retires_them(self):
+        store, server = make_server()
+        first = server.submit(write_program("p"))
+        second = server.submit([SessionOp("read", 2)], read_only=True)
+        report = server.run(seed=1)
+        # the report is built before retirement: it covers the whole run
+        assert report.outcomes == {1: "committed", 2: "committed"}
+        assert report.results[2] == ["<a>one</a>"]
+        assert server.sessions == []
+        assert first.finished and second.finished
+        server.submit(write_program("q"))
+        assert server.run(seed=1).outcomes == {3: "committed"}
+        assert server.sessions == []
+
+    def test_a_raising_run_still_retires_what_it_finished(self):
+        store, server = make_server()
+        reader = server.submit([SessionOp("read", 2)], read_only=True)
+        writer = server.submit([write_program("w")[0], write_program("v")[0]])
+        with pytest.raises(ConcurrencyError, match="exceeded 3 steps"):
+            server.run(script=[0] * 8, max_steps=3)
+        assert reader.finished and not writer.finished
+        assert server.sessions == [writer]
+        assert server.run().outcomes == {2: "committed"}
+        assert server.sessions == []
+
     def test_backlog_drains_as_slots_free_up(self):
         store, server = make_server(server_max_sessions=1, server_max_queue_depth=8)
         sessions = [server.submit(write_program(f"t{i}")) for i in range(4)]
