@@ -10,11 +10,9 @@ four strategies compared in Table 5 plus the adaptive controller, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-from repro.storage.disk import DiskCostModel
 
 
 class IndexingPolicy(Enum):
@@ -84,9 +82,6 @@ class StoreConfig:
     #: catalog; this flag only chooses the format for *new* stores, and a
     #: legacy (pre-checksum) catalog always opens via the raw read path.
     checksums_enabled: bool = True
-
-    #: Cost model charged for every simulated block access.
-    cost_model: DiskCostModel = field(default_factory=DiskCostModel)
 
     #: ADAPTIVE policy: number of recent operations considered.
     adaptive_window: int = 256

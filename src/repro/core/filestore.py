@@ -73,8 +73,7 @@ def open_directory(path: str, config: Optional[StoreConfig] = None) -> XMLStore:
     wal_path = os.path.join(path, WAL_FILE)
     existing = os.path.exists(catalog_path)
     device = InstrumentedDevice(
-        FileBlockDevice(device_path, block_size=config.page_size),
-        cost_model=config.cost_model,
+        FileBlockDevice(device_path, block_size=config.page_size)
     )
     wal = WriteAheadLog(wal_path)
     if not existing:

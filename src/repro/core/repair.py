@@ -645,8 +645,7 @@ def repair_directory(path: str, config: Optional[StoreConfig] = None) -> RepairR
             wal = WriteAheadLog(wal_path)
             try:
                 device = InstrumentedDevice(
-                    FileBlockDevice(rebuild_path, block_size=config.page_size),
-                    cost_model=config.cost_model,
+                    FileBlockDevice(rebuild_path, block_size=config.page_size)
                 )
                 store, replayed = rebuild_from_wal(wal, config=config, device=device)
                 report = RepairReport(mode="wal-rebuild", replayed_ops=replayed)
@@ -684,8 +683,7 @@ def repair_directory(path: str, config: Optional[StoreConfig] = None) -> RepairR
     with open(catalog_path, "rb") as handle:
         catalog = handle.read()
     device = InstrumentedDevice(
-        FileBlockDevice(device_path, block_size=config.page_size),
-        cost_model=config.cost_model,
+        FileBlockDevice(device_path, block_size=config.page_size)
     )
     wal = WriteAheadLog(wal_path) if os.path.exists(wal_path) else WriteAheadLog()
     try:

@@ -59,7 +59,12 @@ from repro.obs.history import WorkloadHistory
 from repro.obs.slo import SLOTracker
 from repro.obs.telemetry import Telemetry
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import BlockDevice, InstrumentedDevice, MemoryBlockDevice
+from repro.storage.disk import (
+    BlockDevice,
+    DiskCostModel,
+    InstrumentedDevice,
+    MemoryBlockDevice,
+)
 from repro.storage.heap import ChainedFile, Position
 from repro.storage.pages import PageCodec
 from repro.storage.recovery import encode_op_payload
@@ -221,8 +226,7 @@ class XMLStore:
     ) -> None:
         config = config if config is not None else StoreConfig()
         if device is None:
-            backend = MemoryBlockDevice(block_size=config.page_size)
-            device = InstrumentedDevice(backend, cost_model=config.cost_model)
+            device = InstrumentedDevice(MemoryBlockDevice(block_size=config.page_size))
         if device.block_size != config.page_size:
             raise StoreError(
                 f"device block size {device.block_size} != configured "
@@ -250,6 +254,9 @@ class XMLStore:
         """
         self.config = config
         self.device = device
+        #: the device's disk cost model; a device without one is priced
+        #: at the defaults
+        self.cost_model = getattr(device, "cost_model", None) or DiskCostModel()
         policy = config.policy
         fresh = catalog is None
         self.codec = PageCodec(
@@ -349,7 +356,7 @@ class XMLStore:
         self.wal.telemetry = self.telemetry
         # the cost model prices sync barriers (0.0 by default, so the
         # committed baselines are untouched); the WAL charges it per flush
-        self.wal.sync_cost = self.config.cost_model.sync_seconds
+        self.wal.sync_cost = self.cost_model.sync_seconds
         self.event_log = EventLog(
             simulated_clock=lambda: self.simulated_seconds,
             tracer=self.telemetry.tracer,

@@ -54,13 +54,7 @@ from repro.obs.events import (
     EventLog,
     events_log_jsonl,
 )
-from repro.obs.explain import (
-    EXPLAINABLE_OPS,
-    ExplainRecorder,
-    ExplainReport,
-    explain_operation,
-    run_operation,
-)
+from repro.obs.explain import ExplainRecorder, ExplainReport
 from repro.obs.exporters import (
     events_jsonl,
     prometheus_text,
@@ -117,7 +111,6 @@ __all__ = [
     "Counter",
     "DEFAULT_EVENT_CAPACITY",
     "DEFAULT_RING_CAPACITY",
-    "EXPLAINABLE_OPS",
     "Event",
     "EventLog",
     "Evidence",
@@ -153,7 +146,6 @@ __all__ = [
     "drift_series",
     "events_jsonl",
     "events_log_jsonl",
-    "explain_operation",
     "fingerprint_window",
     "format_value",
     "heatmap_json",
@@ -166,7 +158,6 @@ __all__ = [
     "render_classic_summary",
     "render_heatmap",
     "render_top",
-    "run_operation",
     "sample_key",
     "stamp",
     "stats_registry",

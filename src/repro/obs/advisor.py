@@ -420,7 +420,7 @@ def _rule_buffer_pool(
         return None
     target = _pow2_at_least(hot80)
     window = _window_of(snapshots)
-    miss_cost = store.config.cost_model.cost(sequential=False, is_write=False)
+    miss_cost = store.cost_model.cost(sequential=False, is_write=False)
     # what-if: with the hot set fully resident, misses scale down by the
     # fraction of hot-set blocks the pool could not hold
     projected_misses = misses * (capacity / hot80)
@@ -463,7 +463,7 @@ def _rule_compaction(
     # what-if: a sequential scan seeks once per range head; compaction
     # merges adjacent ranges back toward one-per-insert-unit
     projected_ranges = max(2, n_ranges // 8)
-    seek = store.config.cost_model.seek_seconds
+    seek = store.cost_model.seek_seconds
     return Recommendation(
         rule="compact-ranges",
         knob="maintenance:compact",

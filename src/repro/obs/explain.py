@@ -17,10 +17,9 @@ the window, and the structured events (:mod:`repro.obs.events`) the
 components emitted.  Everything comes from instrumentation that already
 exists — the recorder adds no probes of its own to the hot path.
 
-:func:`explain_operation` maps the CLI's operation names onto store
-calls (the ``repro ... explain <op>`` subcommand).  Note that the xpath
-operation serializes every match, exactly like the plain ``xpath``
-subcommand: the per-node reads are where the partial-index-vs-scan
+``repro ... explain <op>`` runs the plain ``<op>`` command inside a
+recorder.  So ``explain xpath`` serializes every match, as ``xpath``
+does: the per-node reads are where the partial-index-vs-scan
 distinction shows up, since the evaluator's view build is always one
 sequential pass.
 """
@@ -30,20 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import InvalidOperationError
 from repro.obs.clock import perf_seconds
 from repro.obs.events import Event
-
-#: store operations the CLI can run in explain mode
-EXPLAINABLE_OPS = (
-    "read",
-    "xpath",
-    "insert-last",
-    "insert-before",
-    "insert-after",
-    "delete",
-    "replace",
-)
 
 
 @dataclass
@@ -90,8 +77,6 @@ class ExplainReport:
     faults: List[Dict[str, object]] = field(default_factory=list)
     #: structured events emitted during the window
     events: List[Event] = field(default_factory=list)
-    #: the operation's rendered output (what the plain command prints)
-    result: Optional[str] = None
 
     def to_dict(self, include_events: bool = True) -> Dict[str, object]:
         """JSON-ready dict.  ``include_events=False`` replaces the event
@@ -346,67 +331,3 @@ def _stage_breakdown(spans) -> List[Dict[str, object]]:
         stage["wall_seconds"] += span.wall_seconds
         stage["simulated_seconds"] += span.simulated_seconds
     return sorted(stages.values(), key=lambda s: -s["wall_seconds"])
-
-
-# ------------------------------------------------------- operation dispatch --
-
-def run_operation(store, operation: str, argv: Sequence[str]) -> str:
-    """Execute one CLI-named operation against ``store`` and return the
-    text the plain command would print."""
-    argv = list(argv)
-    if operation == "read":
-        node_id = _int_arg(argv, 0, optional=True)
-        return store.read(node_id)
-    if operation == "xpath":
-        expression = _str_arg(argv, 0, "expression")
-        results = store.xpath(expression)
-        lines = [f"{len(results)} match(es)"]
-        lines.extend(f"#{node.node_id}\t{node.xml()}" for node in results)
-        return "\n".join(lines)
-    if operation == "insert-last":
-        first = store.insert_into_last(_int_arg(argv, 0), _str_arg(argv, 1, "xml"))
-        return f"inserted; first node id = {first}"
-    if operation == "insert-before":
-        first = store.insert_before(_int_arg(argv, 0), _str_arg(argv, 1, "xml"))
-        return f"inserted; first node id = {first}"
-    if operation == "insert-after":
-        first = store.insert_after(_int_arg(argv, 0), _str_arg(argv, 1, "xml"))
-        return f"inserted; first node id = {first}"
-    if operation == "delete":
-        store.delete_node(_int_arg(argv, 0))
-        return "deleted"
-    if operation == "replace":
-        first = store.replace_node(_int_arg(argv, 0), _str_arg(argv, 1, "xml"))
-        return f"replaced; new node id = {first}"
-    raise InvalidOperationError(
-        f"cannot explain {operation!r}; supported: {', '.join(EXPLAINABLE_OPS)}"
-    )
-
-
-def explain_operation(store, operation: str, argv: Sequence[str]) -> ExplainReport:
-    """Run one operation in explain mode and return its report."""
-    recorder = ExplainRecorder(store, operation, argv)
-    with recorder:
-        result = run_operation(store, operation, argv)
-    assert recorder.report is not None
-    recorder.report.result = result
-    return recorder.report
-
-
-def _int_arg(argv: List[str], index: int, optional: bool = False) -> Optional[int]:
-    if index >= len(argv):
-        if optional:
-            return None
-        raise InvalidOperationError("missing node-id argument")
-    try:
-        return int(argv[index])
-    except ValueError:
-        raise InvalidOperationError(
-            f"expected an integer node id, got {argv[index]!r}"
-        ) from None
-
-
-def _str_arg(argv: List[str], index: int, what: str) -> str:
-    if index >= len(argv):
-        raise InvalidOperationError(f"missing {what} argument")
-    return argv[index]

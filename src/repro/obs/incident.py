@@ -103,24 +103,26 @@ class IncidentRecord:
         )
 
 
-def _config_payload(config) -> Dict[str, object]:
-    """The effective :class:`~repro.core.config.StoreConfig`, stamped,
-    with enums and nested dataclasses flattened to JSON-safe values."""
+def _config_payload(config, cost_model=None) -> Dict[str, object]:
+    """The effective configuration, stamped: the
+    :class:`~repro.core.config.StoreConfig` with enums flattened to
+    JSON-safe values, plus the device's disk cost model (the default
+    model when none is given)."""
     import dataclasses
     from enum import Enum
 
     from repro.obs.schema import stamp
+    from repro.storage.disk import DiskCostModel
 
     out: Dict[str, object] = {}
     for spec in dataclasses.fields(config):
         value = getattr(config, spec.name)
         if isinstance(value, Enum):
             value = value.value
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            value = dataclasses.asdict(value)
         elif not isinstance(value, (bool, int, float, str, type(None))):
             value = str(value)
         out[spec.name] = value
+    out["cost_model"] = dataclasses.asdict(cost_model or DiskCostModel())
     return stamp(out)
 
 
@@ -295,7 +297,9 @@ class IncidentManager:
         os.makedirs(temporary)
         _write_bundle_file(temporary, "incident.json", record.to_dict())
         _write_bundle_file(temporary, "recorder.json", store.recorder.to_dict())
-        _write_bundle_file(temporary, "config.json", _config_payload(store.config))
+        _write_bundle_file(
+            temporary, "config.json", _config_payload(store.config, store.cost_model)
+        )
         _write_bundle_file(temporary, "wal.json", _wal_summary(store))
         _write_bundle_file(
             temporary, "quarantine.json", _quarantine_payload(store)

@@ -186,8 +186,6 @@ class CostProfile:
     #: spans evicted from the tracer ring during the window; when > 0 the
     #: tree under-reports and every renderer says so (no silent caps)
     spans_dropped: int = 0
-    #: the operation's rendered output (set by :func:`profile_operation`)
-    result: Optional[str] = None
 
     def component(self, name: str) -> Optional[ComponentCost]:
         for row in self.components:
@@ -394,19 +392,6 @@ class ProfileRecorder:
             components=components,
             spans_dropped=tracer.dropped - self._dropped_before,
         )
-
-
-def profile_operation(store, operation: str, argv: Sequence[str]) -> CostProfile:
-    """Run one CLI-named operation under a :class:`ProfileRecorder` and
-    return its profile (the operation's own output lands in ``.result``)."""
-    from repro.obs.explain import run_operation
-
-    recorder = ProfileRecorder(store, operation)
-    with recorder:
-        result = run_operation(store, operation, argv)
-    assert recorder.profile is not None
-    recorder.profile.result = result
-    return recorder.profile
 
 
 def reconcile_with_metrics(

@@ -161,8 +161,7 @@ class Replica:
                 FileBlockDevice(
                     os.path.join(self.directory, DEVICE_FILE),
                     block_size=self.store.config.page_size,
-                ),
-                cost_model=self.store.config.cost_model,
+                )
             )
             wal = WriteAheadLog(wal_path)
             store = XMLStore.open(config=self.store.config, device=device, wal=wal)

@@ -571,16 +571,12 @@ class FaultHarness:
     wal_adapter: WALFaultAdapter = field(repr=False, default=None)  # type: ignore[assignment]
 
 
-def build_fault_harness(
-    config: FaultConfig,
-    backend: BlockDevice,
-    cost_model=None,
-) -> FaultHarness:
+def build_fault_harness(config: FaultConfig, backend: BlockDevice) -> FaultHarness:
     """Wire a :class:`FaultyDisk` over ``backend`` plus a WAL adapter,
     all sharing one :class:`FaultClock`."""
     clock = FaultClock(config)
     disk = FaultyDisk(backend, config=config, clock=clock)
-    device = InstrumentedDevice(disk, cost_model=cost_model)
+    device = InstrumentedDevice(disk)
     adapter = WALFaultAdapter(clock)
     return FaultHarness(
         config=config, clock=clock, disk=disk, device=device, wal_adapter=adapter

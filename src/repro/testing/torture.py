@@ -298,7 +298,6 @@ def _build_faulty_store(
     harness = build_fault_harness(
         config.fault_config(crash_at, media_seed=media_seed),
         MemoryBlockDevice(block_size=store_config.page_size),
-        cost_model=store_config.cost_model,
     )
     wal = WriteAheadLog()
     wal.fault_adapter = harness.wal_adapter
@@ -461,9 +460,7 @@ def run_crash_point(
         try:
             from repro.storage.disk import InstrumentedDevice
 
-            device = InstrumentedDevice(
-                harness.disk, cost_model=config.store_config().cost_model
-            )
+            device = InstrumentedDevice(harness.disk)
             wal = WriteAheadLog.from_bytes(wal_bytes)
             reopened = XMLStore.from_catalog(
                 device, last_catalog, config=config.store_config(), wal=wal

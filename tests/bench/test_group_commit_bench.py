@@ -9,8 +9,6 @@ Table 5 path, which never touches the server) stays byte-identical —
 the serving layer costs nothing until it is used.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.bench.reporting import format_table5
@@ -18,6 +16,7 @@ from repro.bench.table5 import Table5Config, run_table5
 from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
 from repro.server.sessions import SessionOp, XMLServer
+from repro.storage.disk import DiskCostModel, InstrumentedDevice
 from repro.storage.wal import WriteAheadLog
 from tests.bench.test_obs_zero_cost import MICRO
 
@@ -32,9 +31,10 @@ def run_writers(group_commit: bool, sync_seconds: float = 0.0):
     config = StoreConfig(
         server_group_commit=group_commit,
         server_group_commit_max_batch=WRITERS,
-        cost_model=replace(StoreConfig().cost_model, sync_seconds=sync_seconds),
     )
-    store = XMLStore.open(config)
+    # the device carries the cost model, sync pricing included
+    device = InstrumentedDevice(cost_model=DiskCostModel(sync_seconds=sync_seconds))
+    store = XMLStore.open(config, device=device)
     store.load_document(BASE)
     barriers_before = store.wal.sync_barriers
     server = XMLServer(store)
@@ -88,7 +88,7 @@ class TestZeroCostPin:
     def test_sync_pricing_defaults_to_zero(self):
         # pre-server benchmarks never priced barriers; the default must
         # not start charging them
-        assert StoreConfig().cost_model.sync_seconds == 0.0
+        assert DiskCostModel().sync_seconds == 0.0
         assert XMLStore.open().wal.sync_cost == 0.0
 
     def test_single_session_matches_direct_store_ops(self):

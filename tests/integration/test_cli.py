@@ -1,10 +1,31 @@
 """Integration tests for the command-line interface."""
 
+import argparse
 import io
+import json
+import os
+import re
 
 import pytest
 
-from repro.cli import run
+from repro.cli import EXIT_CODES, build_parser, run
+from repro.errors import ReproError
+
+README = os.path.join(os.path.dirname(__file__), "..", "..", "README.md")
+
+
+def commands_taking(option):
+    """The subcommands whose parser accepts ``option``, by name."""
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sorted(
+        name
+        for name, command in commands.choices.items()
+        if option in command._option_string_actions
+    )
 
 
 @pytest.fixture
@@ -47,6 +68,13 @@ class TestCLI:
         run([store_dir, "insert-last", "1", "<e2/>"])
         run([store_dir, "insert-before", "2", "<e0/>"])
         assert run([store_dir, "read"]) == "<log><e0/><e1/><e2/></log>"
+
+    def test_insert_after(self, store_dir):
+        run([store_dir, "load", "-"], stdin=io.StringIO("<r><a/><b/></r>"))
+        assert run([store_dir, "insert-after", "2", "<x/>"]) == (
+            "inserted; first node id = 4"
+        )
+        assert run([store_dir, "read"]) == "<r><a/><x/><b/></r>"
 
     def test_delete_and_replace(self, store_dir):
         run([store_dir, "load", "-"], stdin=io.StringIO("<r><a/><b/></r>"))
@@ -193,21 +221,22 @@ class TestExplainCommand:
         assert first["partial"]["misses"] > 0
         # the store checkpoints between invocations but the partial index
         # is memory-only, so warm it and re-explain in one process
-        from repro.core.config import StoreConfig
+        from repro.cli import _cli_store_config
         from repro.core.filestore import close_directory, open_directory
-        from repro.obs.explain import explain_operation
 
-        store = open_directory(
-            store_dir,
-            config=StoreConfig(telemetry_enabled=True, events_enabled=True),
+        arguments = build_parser().parse_args(
+            [store_dir, "explain", "xpath", query, "--json"]
         )
+        store = open_directory(store_dir, config=_cli_store_config())
         try:
-            miss = explain_operation(store, "xpath", [query])
-            hit = explain_operation(store, "xpath", [query])
+            miss, hit = [
+                json.loads(arguments.handler(arguments, store, None))
+                for _ in range(2)
+            ]
         finally:
             close_directory(store_dir, store)
-        assert miss.access_path == "range-scan"
-        assert hit.access_path == "partial-hit"
+        assert miss["access_path"] == "range-scan"
+        assert hit["access_path"] == "partial-hit"
 
     def test_explain_mutation(self, store_dir):
         run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
@@ -229,6 +258,53 @@ class TestExplainCommand:
         run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
         with pytest.raises(InvalidOperationError):
             run([store_dir, "explain", "compact"])
+
+    def test_explainable_ops_are_the_table1_commands(self, store_dir):
+        ops = build_parser().parse_args([store_dir, "explain", "read"]).ops
+        assert list(ops) == [
+            "read", "xpath", "insert-last", "insert-before", "insert-after",
+            "replace", "delete",
+        ]
+        for name, parser in ops.items():
+            assert parser.prog == f"repro.cli store {name}"
+
+    def test_ops_run_as_the_plain_command(self, tmp_path):
+        """``explain``/``profile <op>`` run the ``<op>`` command itself:
+        each leaves the store exactly as the plain command does."""
+        steps = [
+            ["read", "2"],
+            ["xpath", "/r/a"],
+            ["insert-last", "1", "<x/>"],
+            ["insert-before", "2", "<y/>"],
+            ["insert-after", "2", "<z/>"],
+            ["replace", "2", "<w/>"],
+            ["delete", "4"],
+        ]
+        stores = [str(tmp_path / name) for name in ("plain", "explain", "profile")]
+        for store in stores:
+            run([store, "load", "-"], stdin=io.StringIO("<r><a>1</a><b>2</b></r>"))
+        for step in steps:
+            run([stores[0]] + step)
+            assert run([stores[1], "explain"] + step).startswith("EXPLAIN")
+            assert run([stores[2], "profile"] + step).startswith("PROFILE")
+        assert {step[0] for step in steps} == set(
+            build_parser().parse_args([stores[0], "explain", "read"]).ops
+        )
+        plain = run([stores[0], "read"])
+        assert plain == "<r><y/><w/><z/><x/></r>"
+        assert run([stores[1], "read"]) == run([stores[2], "read"]) == plain
+
+    @pytest.mark.parametrize("recorder", ["explain", "profile"])
+    def test_bad_op_arguments_fail_as_plain(self, store_dir, capsys, recorder):
+        run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
+        for argv in (["delete"], ["delete", "not-a-number"], ["insert-last", "1"]):
+            with pytest.raises(SystemExit) as plain:
+                run([store_dir] + argv)
+            usage = capsys.readouterr().err
+            with pytest.raises(SystemExit) as recorded:
+                run([store_dir, recorder] + argv)
+            assert recorded.value.code == plain.value.code == 2
+            assert capsys.readouterr().err == usage
 
 
 class TestHeatmapCommand:
@@ -313,42 +389,39 @@ class TestProfileCommand:
 
 
 class TestOutputOption:
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["trace"],
-            ["explain", "read"],
-            ["profile", "read"],
-            ["heatmap"],
-            ["verify"],
-        ],
-        ids=["trace", "explain", "profile", "heatmap", "verify"],
-    )
+    """Every command that takes ``--output`` writes its report there, and
+    an unwritable path fails typed: exit 1, "cannot write"."""
+
+    @staticmethod
+    def argv(store_dir, tmp_path, command, target):
+        extra = {
+            "explain": ["read"],
+            "profile": ["read"],
+            "replicate": [str(tmp_path / "replica")],
+            "torture": ["--ops", "4", "--crash-points", "2"],
+        }.get(command, [])
+        return [store_dir, command, *extra, "--output", str(target)]
+
+    @pytest.mark.parametrize("command", commands_taking("--output"))
     def test_output_writes_file(self, store_dir, tmp_path, command):
         run([store_dir, "load", "-"], stdin=io.StringIO("<r><a/></r>"))
         target = tmp_path / "out.txt"
-        out = run([store_dir] + command + ["--output", str(target)])
-        assert out == f"wrote {target}"
-        assert target.read_text().strip()
+        out = run(self.argv(store_dir, tmp_path, command, target))
+        assert out.startswith(f"wrote {target}")
+        assert target.stat().st_size > 0
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["trace"],
-            ["explain", "read"],
-            ["profile", "read"],
-            ["heatmap"],
-            ["verify"],
-        ],
-        ids=["trace", "explain", "profile", "heatmap", "verify"],
-    )
-    def test_unwritable_output_exits_nonzero(self, store_dir, command, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", commands_taking("--output"))
+    def test_unwritable_output_exits_nonzero(
+        self, store_dir, tmp_path, command, monkeypatch, capsys
+    ):
         from repro import cli
 
         run([store_dir, "load", "-"], stdin=io.StringIO("<r><a/></r>"))
-        bad = "/nonexistent-dir/deeply/out.txt"
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        bad = blocker / "out.txt"  # no directory can be made under a file
         monkeypatch.setattr(
-            "sys.argv", ["repro.cli", store_dir] + command + ["--output", bad]
+            "sys.argv", ["repro.cli"] + self.argv(store_dir, tmp_path, command, bad)
         )
         assert cli.main() == 1
         assert "cannot write" in capsys.readouterr().err
@@ -531,14 +604,128 @@ class TestScrubRepairCLI:
             )
 
     def test_exit_codes_are_documented_in_help(self, store_dir, capsys):
-        for command in ("verify", "scrub", "repair", "diagnose", "bundle"):
+        for command, codes in EXIT_CODES.items():
             with pytest.raises(SystemExit):
                 run([store_dir, command, "--help"])
-            out = capsys.readouterr().out
+            out = " ".join(capsys.readouterr().out.split())
             assert "exit codes" in out, f"{command} --help lost its exit codes"
             assert "README.md" in out, (
                 f"{command} --help lost the canonical-table reference"
             )
+            for code, meaning in codes.items():
+                assert f"{code} = {meaning}" in out, (command, code)
+
+    def test_readme_table_names_the_declaring_commands(self):
+        """README's "Exit codes" table lists, for codes 1 and 2, exactly
+        the commands whose declaration has that code."""
+        with open(README, encoding="utf-8") as handle:
+            table = handle.read().split("### Exit codes", 1)[1]
+        listed = {}
+        for line in table.splitlines():
+            cells = line.split("|")
+            if len(cells) > 3 and cells[1].strip() in ("1", "2"):
+                listed[int(cells[1])] = set(re.findall(r"`([a-z-]+)`", cells[3]))
+        for code in (1, 2):
+            declared = {name for name, codes in EXIT_CODES.items() if code in codes}
+            assert listed[code] == declared, code
+
+
+class TestReportBeforeTheExit:
+    """A report command that exits 1 or 2 has delivered its report first:
+    the ``--output`` file is on disk when the exception surfaces."""
+
+    _build_store = TestScrubRepairCLI._build_store
+    _corrupt_chain_block = TestScrubRepairCLI._corrupt_chain_block
+
+    def _sidecar(self, store_dir, tmp_path, monkeypatch):
+        from repro.core.repair import SIDECAR_FILE
+
+        with open(os.path.join(store_dir, SIDECAR_FILE), "w") as handle:
+            json.dump({"mode": "salvage", "lost_ids": 2}, handle)
+        return [], 1
+
+    _verify = _health = _sidecar
+
+    def _scrub(self, store_dir, tmp_path, monkeypatch):
+        self._corrupt_chain_block(store_dir)
+        return [], 2
+
+    def _diagnose(self, store_dir, tmp_path, monkeypatch):
+        from repro.errors import StoreCorruptError
+
+        self._corrupt_chain_block(store_dir)
+        with pytest.raises(StoreCorruptError):
+            run([store_dir, "scrub"])
+        return [], 2
+
+    def _repair(self, store_dir, tmp_path, monkeypatch):
+        from repro.core.repair import RepairReport
+
+        monkeypatch.setattr(
+            "repro.core.repair.repair_directory",
+            lambda path, config=None: RepairReport(mode="salvage", integrity_ok=False),
+        )
+        return [], 2
+
+    def _torture(self, store_dir, tmp_path, monkeypatch):
+        from repro.testing.torture import TortureReport
+
+        monkeypatch.setattr(
+            "repro.testing.torture.run_torture",
+            lambda config: TortureReport(config, 1, 1, passthrough_identical=False),
+        )
+        return [], 1
+
+    def _alerts(self, store_dir, tmp_path, monkeypatch):
+        from repro.core.filestore import ALERTS_FILE
+        from repro.obs.alerts import AlertEngine, AlertRule, AlertView
+
+        rule = AlertRule(
+            "quarantined-blocks", "critical", "threshold", "seeded",
+            metric="repro_storage_quarantined_blocks", op=">", bound=0,
+            clear_after=3,
+        )
+        engine = AlertEngine(rules=(rule,), path=os.path.join(store_dir, ALERTS_FILE))
+        engine.evaluate(
+            AlertView(values={"repro_storage_quarantined_blocks": 1.0}), label="seed"
+        )
+        return [], 2
+
+    def _lag(self, store_dir, tmp_path, monkeypatch):
+        run([store_dir, "replicate", str(tmp_path / "replica")])
+        for _ in range(2):
+            run([store_dir, "insert-last", "1", "<late/>"])
+        return ["--stale-after", "1"], 1
+
+    #: what neither case covers: bundle's exit 1 is its --output failing,
+    #: and replicate raises from catch-up before it has a report
+    NO_REPORT_ON_EXIT = {"bundle", "replicate"}
+
+    def test_every_failing_report_command_is_covered(self):
+        failing = {
+            name for name, codes in EXIT_CODES.items() if 1 in codes or 2 in codes
+        }
+        covered = {name for name in failing if hasattr(self, f"_{name}")}
+        expected = set(commands_taking("--output")) & failing
+        assert covered == expected - self.NO_REPORT_ON_EXIT
+
+    @pytest.mark.parametrize(
+        "command",
+        ["alerts", "diagnose", "health", "lag", "repair", "scrub", "torture", "verify"],
+    )
+    def test_report_is_on_disk_before_the_exit(
+        self, command, store_dir, tmp_path, monkeypatch
+    ):
+        from repro.obs.schema import SCHEMA_VERSION
+
+        self._build_store(store_dir)
+        extra, code = getattr(self, f"_{command}")(store_dir, tmp_path, monkeypatch)
+        target = tmp_path / "report.json"
+        with pytest.raises(ReproError) as excinfo:
+            run([store_dir, command, *extra, "--json", "--output", str(target)])
+        assert excinfo.value.exit_code == code
+        assert EXIT_CODES[command][code]
+        assert json.loads(target.read_text())["schema_version"] == SCHEMA_VERSION
 
 
 class TestJSONSchemaStamp:

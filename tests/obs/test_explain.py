@@ -6,13 +6,9 @@ import pytest
 
 from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import XMLStore
+from repro.cli import build_parser
 from repro.errors import InvalidOperationError, NodeNotFoundError
-from repro.obs.explain import (
-    EXPLAINABLE_OPS,
-    ExplainRecorder,
-    explain_operation,
-    run_operation,
-)
+from repro.obs.explain import ExplainRecorder
 
 
 def _store(policy=IndexingPolicy.RANGE_PLUS_PARTIAL) -> XMLStore:
@@ -28,14 +24,30 @@ def _store(policy=IndexingPolicy.RANGE_PLUS_PARTIAL) -> XMLStore:
     return store
 
 
+def _read(store, node_id):
+    """EXPLAIN ``store.read(node_id)``, labelled as ``explain read`` is."""
+    with ExplainRecorder(store, "read", [str(node_id)]) as recorder:
+        store.read(node_id)
+    return recorder.report
+
+
+def _xpath(store, query):
+    """EXPLAIN a query the way ``explain xpath`` runs it: every match is
+    serialized, so each one is located."""
+    with ExplainRecorder(store, "xpath", [query]) as recorder:
+        for node in store.xpath(query):
+            node.xml()
+    return recorder.report
+
+
 class TestAccessPathAttribution:
     def test_same_xpath_twice_miss_then_partial_hit(self):
         """Acceptance: the report distinguishes a partial-index hit from
         a miss on the very same query run twice."""
         store = _store()
         query = "/doc/item[@n='11']"
-        first = explain_operation(store, "xpath", [query])
-        second = explain_operation(store, "xpath", [query])
+        first = _xpath(store, query)
+        second = _xpath(store, query)
         # run 1: the partial index has never seen the node, so serializing
         # the match resolves by range scan (and memoizes the location)
         assert first.access_path == "range-scan"
@@ -54,7 +66,7 @@ class TestAccessPathAttribution:
 
     def test_full_index_probe_path(self):
         store = _store(policy=IndexingPolicy.FULL)
-        report = explain_operation(store, "read", ["5"])
+        report = _read(store, 5)
         assert report.access_path == "full-probe"
         assert report.resolutions["full"] > 0
         assert report.partial is None  # FULL policy keeps no partial index
@@ -63,7 +75,7 @@ class TestAccessPathAttribution:
         store = _store()
         store.pool.flush_all()
         store.pool.drop_all()  # cold cache so blocks_read is non-zero
-        report = explain_operation(store, "read", ["5"])
+        report = _read(store, 5)
         assert report.operation == "read"
         assert report.tokens_emitted > 0
         assert report.tokens_replayed > 0
@@ -73,14 +85,15 @@ class TestAccessPathAttribution:
 
     def test_insert_pays_wal_appends(self):
         store = _store()
-        report = explain_operation(store, "insert-last", ["1", "<item>new</item>"])
-        assert report.wal_appends >= 1
-        assert "inserted" in report.result
+        with ExplainRecorder(store, "insert-last", ["1", "<item>new</item>"]) as recorder:
+            first_id = store.insert_into_last(1, "<item>new</item>")
+        assert recorder.report.wal_appends >= 1
+        assert store.read(first_id) == "<item>new</item>"
 
     def test_events_scoped_to_the_operation(self):
         store = _store()
-        explain_operation(store, "read", ["5"])  # emits events outside window
-        report = explain_operation(store, "read", ["8"])
+        _read(store, 5)  # emits events outside window
+        report = _read(store, 8)
         assert report.events
         assert all(e.op_id == report.op_id for e in report.events)
 
@@ -88,7 +101,7 @@ class TestAccessPathAttribution:
 class TestReportShape:
     def test_render_mentions_the_essentials(self):
         store = _store()
-        report = explain_operation(store, "xpath", ["/doc/item[@n='3']"])
+        report = _xpath(store, "/doc/item[@n='3']")
         text = report.render()
         assert "EXPLAIN xpath" in text
         assert "access path:" in text
@@ -98,53 +111,54 @@ class TestReportShape:
 
     def test_to_dict_is_json_ready(self):
         store = _store()
-        report = explain_operation(store, "read", ["5"])
+        report = _read(store, 5)
         payload = json.loads(json.dumps(report.to_dict(), default=str))
         assert payload["operation"] == "read"
         assert isinstance(payload["events"], list)
 
     def test_to_dict_can_compact_events(self):
         store = _store()
-        report = explain_operation(store, "read", ["5"])
+        report = _read(store, 5)
         compact = report.to_dict(include_events=False)
         assert compact["events"] == len(report.events)
 
     def test_stage_breakdown_covers_spans(self):
         store = _store()
-        report = explain_operation(store, "read", ["5"])
+        report = _read(store, 5)
         stages = {stage["stage"] for stage in report.stages}
         assert "node_read" in stages
 
 
+def _command(store, *argv):
+    """Run one CLI command's own handler on ``store``, in process."""
+    arguments = build_parser().parse_args(["store", *argv])
+    return arguments.handler(arguments, store, None)
+
+
 class TestOperationDispatch:
     def test_every_explainable_op_runs(self):
-        store = _store()
-        run_operation(store, "read", [])
-        run_operation(store, "xpath", ["/doc"])
-        run_operation(store, "insert-last", ["1", "<x/>"])
-        run_operation(store, "insert-before", ["2", "<y/>"])
-        run_operation(store, "insert-after", ["2", "<z/>"])
-        out = run_operation(store, "replace", ["2", "<w/>"])
-        new_id = int(out.rsplit("=", 1)[1])  # replacement got a fresh id
-        run_operation(store, "delete", [str(new_id)])
+        plain, explained = _store(), _store()
+        steps = [
+            ["read"],
+            ["xpath", "/doc"],
+            ["insert-last", "1", "<x/>"],
+            ["insert-before", "2", "<y/>"],
+            ["insert-after", "2", "<z/>"],
+            ["replace", "2", "<w/>"],
+        ]
+        for step in steps:
+            said = _command(plain, *step)
+            report = json.loads(_command(explained, "explain", *step, "--json"))
+            assert report["operation"] == step[0]
+        new_id = int(said.rsplit("=", 1)[1])  # replacement got a fresh id
+        _command(plain, "delete", str(new_id))
+        _command(explained, "explain", "delete", str(new_id))
+        assert explained.read() == plain.read()
 
     def test_unknown_operation_rejected(self):
         store = _store()
         with pytest.raises(InvalidOperationError):
-            run_operation(store, "compact", [])
-
-    def test_bad_arguments_rejected(self):
-        store = _store()
-        with pytest.raises(InvalidOperationError):
-            run_operation(store, "delete", [])
-        with pytest.raises(InvalidOperationError):
-            run_operation(store, "delete", ["not-a-number"])
-        with pytest.raises(InvalidOperationError):
-            run_operation(store, "insert-last", ["1"])
-
-    def test_explainable_ops_is_the_contract(self):
-        assert "xpath" in EXPLAINABLE_OPS
-        assert "read" in EXPLAINABLE_OPS
+            _command(store, "explain", "compact")
 
 
 class TestRecorder:
@@ -168,7 +182,7 @@ class TestRecorder:
 
     def test_works_without_partial_index(self):
         store = _store(policy=IndexingPolicy.RANGE)
-        report = explain_operation(store, "read", ["5"])
+        report = _read(store, 5)
         assert report.partial is None
         assert report.access_path == "range-scan"
 
@@ -185,7 +199,6 @@ class TestFaultAttribution:
         harness = build_fault_harness(
             FaultConfig(seed=0),
             MemoryBlockDevice(block_size=config.page_size),
-            cost_model=config.cost_model,
         )
         store = XMLStore.open(config, device=harness.device)
         root = store.load_document("<r/>")
@@ -207,6 +220,6 @@ class TestFaultAttribution:
 
     def test_plain_operations_report_no_faults(self):
         store = _store()
-        report = explain_operation(store, "read", ["5"])
+        report = _read(store, 5)
         assert report.faults == []
         assert report.to_dict()["faults"] == []

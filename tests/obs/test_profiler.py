@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import XMLStore
 from repro.obs.bridge import metrics_snapshot
@@ -19,11 +20,11 @@ from repro.obs.profiler import (
     ProfileRecorder,
     component_of_span,
     fold_spans,
-    profile_operation,
     reconcile_with_metrics,
     span_totals,
 )
 from repro.obs.tracing import Tracer
+from repro.xmltoken.parser import tokenize_fragment
 
 DOCUMENT = (
     "<r>"
@@ -277,7 +278,14 @@ class TestProfileOperation:
     def test_runs_the_op_and_captures_its_output(self):
         store = XMLStore.open(StoreConfig(profiling_enabled=True))
         store.load_document("<r><a>x</a></r>")
-        profile = profile_operation(store, "read", ["2"])
-        assert profile.operation == "read"
-        assert profile.result == "<a>x</a>"
-        assert profile.component("token-emit").counts["tokens_emitted"] > 0
+        arguments = build_parser().parse_args(
+            ["store", "profile", "read", "2", "--format", "json"]
+        )
+        profile = json.loads(arguments.handler(arguments, store, None))
+        assert profile["operation"] == "read"
+        emitted = {
+            c["component"]: c["counts"] for c in profile["components"]
+        }["token-emit"]["tokens_emitted"]
+        # every token of the read's output, and no more
+        assert emitted == len(tokenize_fragment(store.read(2))) > 0
+

@@ -136,7 +136,6 @@ class TestCrashDurability:
         harness = build_fault_harness(
             FaultConfig(seed=9, crash_at=crash_at, torn_wal_appends=True),
             MemoryBlockDevice(block_size=512),
-            cost_model=config.cost_model,
         )
         wal = WriteAheadLog()
         wal.fault_adapter = harness.wal_adapter

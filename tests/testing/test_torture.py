@@ -223,7 +223,6 @@ class TestZeroCostWhenDisabled:
             harness = build_fault_harness(
                 FaultConfig(seed=0),
                 MemoryBlockDevice(block_size=store_config.page_size),
-                cost_model=store_config.cost_model,
             )
             return harness.device
 
@@ -248,7 +247,6 @@ class TestZeroCostWhenDisabled:
         harness = build_fault_harness(
             FaultConfig(seed=0),
             MemoryBlockDevice(block_size=512),
-            cost_model=config.cost_model,
         )
         faulted = XMLStore.open(config, device=harness.device)
         for store in (plain, faulted):
