@@ -120,10 +120,9 @@ def run_phase(
         store.pool.flush_all()
     wall_seconds = perf_seconds() - wall_start
     metrics_after = metrics_snapshot(store)
-    if store.history.enabled:
-        # one labeled snapshot per phase; reads counters only, so the
-        # measured simulated/wall window above is untouched
-        store.history.capture(store, label)
+    # one labeled history row per phase; reads counters only, so the
+    # measured simulated/wall window above is untouched
+    store.watch(label, ["history"])
     disk = store.device.stats.delta(disk_before)
     explain = None
     if recorder is not None and recorder.report is not None:

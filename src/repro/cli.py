@@ -61,7 +61,8 @@ EXIT_CODES = {
     "health": {0: "healthy", 1: "degraded", 2: "unhealthy"},
     "diagnose": {
         0: "clean (no incidents)",
-        1: "incidents resolved by a clean repair, or a replica is stale",
+        1: "incidents resolved by a clean repair, a replica is stale, "
+        "or a store.repair.json sidecar is present",
         2: "unresolved incident(s)",
     },
     "bundle": {0: "bundle written", 1: "cannot write"},
@@ -749,13 +750,10 @@ def _repair_mode_open(path: str):
     incident bundle behind, exactly as in a running store."""
     from repro.core.filestore import CATALOG_FILE, DEVICE_FILE
     from repro.core.store import XMLStore
-    from repro.obs.incident import INCIDENTS_DIR
     from repro.storage.disk import FileBlockDevice, InstrumentedDevice
 
     config = StoreConfig(
-        events_enabled=True,
-        recorder_enabled=True,
-        recorder_incidents_dir=os.path.join(path, INCIDENTS_DIR),
+        events_enabled=True, recorder_enabled=True, artifacts_dir=path
     )
     catalog_path = os.path.join(path, CATALOG_FILE)
     device_path = os.path.join(path, DEVICE_FILE)
@@ -981,8 +979,7 @@ def _advise(arguments, store, stdin) -> str:
 
 def _alerts(arguments, store, stdin) -> str:
     engine = store.alerts
-    if engine.enabled:
-        engine.evaluate_store(store, "cli")
+    store.watch("cli", ["alerts"])
     active = engine.active()
     payload = {
         "active": [event.to_dict() for event in active],
@@ -1094,23 +1091,13 @@ def _torture(arguments) -> str:
 
 def _watch_frame(arguments, engine, tick: int) -> str:
     """One rendered frame of the live view (pure function of the files)."""
-    from repro.core.filestore import (
-        ALERTS_FILE,
-        DEVICE_FILE,
-        HISTORY_FILE,
-        WAL_FILE,
-    )
+    from repro.core.filestore import DEVICE_FILE, WAL_FILE
     from repro.obs.alerts import history_view, load_events
     from repro.obs.history import load_snapshots
+    from repro.obs.schema import ALERTS_FILE, HISTORY_FILE
 
-    history_path = os.path.join(arguments.store, HISTORY_FILE)
-    alerts_path = os.path.join(arguments.store, ALERTS_FILE)
-    snapshots = (
-        load_snapshots(history_path) if os.path.exists(history_path) else []
-    )
-    persisted = (
-        load_events(alerts_path) if os.path.exists(alerts_path) else []
-    )
+    snapshots = load_snapshots(os.path.join(arguments.store, HISTORY_FILE))
+    persisted = load_events(os.path.join(arguments.store, ALERTS_FILE))
     lines = [f"watch {arguments.store}  frame {tick}"]
     sizes = []
     for name in (DEVICE_FILE, WAL_FILE):
@@ -1193,7 +1180,9 @@ def _diagnose(arguments) -> str:
         "resolved": f"{incidents} incident(s) occurred; a later repair came "
         "back clean",
         "degraded": f"replication stale: {len(stale)} configured replica(s) "
-        "show no recent apply progress (see the report)",
+        "show no recent apply progress (see the report)"
+        if stale
+        else "an earlier repair lost data (store.repair.json present)",
     }.get(report.verdict, "")
     return _report(arguments, report, why=why)
 

@@ -113,22 +113,12 @@ class StoreConfig:
     #: rest of :mod:`repro.obs`.
     history_enabled: bool = False
 
-    #: JSONL file the history persists to (``None`` = in-memory only;
-    #: :func:`repro.core.filestore.open_directory` points it next to the
-    #: store's device file).
-    history_path: Optional[str] = None
-
     #: Evaluate deterministic alert rules (see :mod:`repro.obs.alerts`)
     #: and track SLO budgets (:mod:`repro.obs.slo`).  Off by default
     #: under the same zero-cost contract as the rest of
     #: :mod:`repro.obs`: evaluation only reads counters, and the
     #: disabled engine keeps the hot path at one attribute check.
     alerts_enabled: bool = False
-
-    #: JSONL file alert transitions append to (``None`` = in-memory
-    #: only; :func:`repro.core.filestore.open_directory` points it next
-    #: to the store's device file).
-    alerts_path: Optional[str] = None
 
     #: Keep a black-box flight recorder (see :mod:`repro.obs.recorder`):
     #: a bounded ring of recent events, alert transitions and metric
@@ -137,10 +127,12 @@ class StoreConfig:
     #: keeps the hot path at one attribute check).
     recorder_enabled: bool = False
 
-    #: Directory incident bundles dump into (``None`` = in-memory
-    #: incident records only; :func:`repro.core.filestore.open_directory`
-    #: points it at ``store.incidents`` next to the device file).
-    recorder_incidents_dir: Optional[str] = None
+    #: Directory the observers' trails persist into: the history and
+    #: alert JSONL files and the incident bundles, under the names
+    #: :mod:`repro.obs.schema` declares.  ``None`` keeps all three in
+    #: memory; :func:`repro.core.filestore.open_directory` and the CLI's
+    #: repair-mode open point it at the store's own directory.
+    artifacts_dir: Optional[str] = None
 
     #: Serving layer (:mod:`repro.server`): logical sessions allowed to
     #: run concurrently under the cooperative scheduler.

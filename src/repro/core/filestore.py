@@ -18,6 +18,7 @@ the catalog.  :class:`StoreDirectory` wraps both as a context manager::
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Optional
 
 from repro.errors import StoreError
@@ -31,8 +32,6 @@ from repro.storage.wal import WriteAheadLog
 DEVICE_FILE = "store.db"
 WAL_FILE = "store.wal"
 CATALOG_FILE = "store.catalog"
-HISTORY_FILE = "store.history.jsonl"
-ALERTS_FILE = "store.alerts.jsonl"
 
 _log = get_logger("core.filestore")
 
@@ -44,29 +43,11 @@ def open_directory(path: str, config: Optional[StoreConfig] = None) -> XMLStore:
     crash between checkpoints loses nothing that reached the log.
     """
     config = config if config is not None else StoreConfig()
-    if config.history_enabled and config.history_path is None:
-        # persist the workload history next to the device file, so the
-        # timeline survives close/reopen like the rest of the store
-        from dataclasses import replace
-
-        config = replace(config, history_path=os.path.join(path, HISTORY_FILE))
-    if config.alerts_enabled and config.alerts_path is None:
-        # alert transitions persist the same way: the active set and the
-        # sequence number survive close/reopen
-        from dataclasses import replace
-
-        config = replace(config, alerts_path=os.path.join(path, ALERTS_FILE))
-    if config.recorder_enabled and config.recorder_incidents_dir is None:
-        # incident bundles dump next to the device file too — strictly
-        # outside the store's pages and WAL
-        from dataclasses import replace
-
-        from repro.obs.incident import INCIDENTS_DIR
-
-        config = replace(
-            config,
-            recorder_incidents_dir=os.path.join(path, INCIDENTS_DIR),
-        )
+    if config.artifacts_dir is None:
+        # the observers' trails (history, alert log, incident bundles)
+        # live beside the device file, strictly outside the pages and
+        # WAL, and survive close/reopen like the rest of the store
+        config = replace(config, artifacts_dir=path)
     os.makedirs(path, exist_ok=True)
     device_path = os.path.join(path, DEVICE_FILE)
     catalog_path = os.path.join(path, CATALOG_FILE)

@@ -62,16 +62,12 @@ from repro.core.integrity import integrity_report
 from repro.core.ranges import RangeMeta
 from repro.log import get_logger
 from repro.obs.incident import record_directory_incident
+from repro.obs.schema import SIDECAR_FILE
 from repro.storage.scrub import ScrubReport, scrub_store
 from repro.storage.wal import LogRecord, WriteAheadLog
 from repro.xmltoken.binary import decode_token
 from repro.xmltoken.serializer import serialize
 from repro.xmltoken.tokens import Token, TokenKind
-
-#: Sidecar written next to a salvaged directory store that came back
-#: *degraded* (data provably lost): ``repro verify`` reads it and exits
-#: 1 (degraded-but-repaired) instead of 0.  Removed on full recovery.
-SIDECAR_FILE = "store.repair.json"
 
 _log = get_logger("core.repair")
 
@@ -709,9 +705,19 @@ def repair_directory(path: str, config: Optional[StoreConfig] = None) -> RepairR
 
 
 def read_sidecar(path: str) -> Optional[dict]:
-    """The degraded-repair sidecar of a directory store, if present."""
+    """The degraded-repair sidecar of the directory store at ``path``: a
+    salvage that lost data writes it, ``verify``, ``health`` and
+    ``diagnose`` report the store degraded while it exists.  None when
+    absent.  A sidecar present but unreadable still counts as present:
+    its stand-in is ``{"error": <why>}``."""
     sidecar_path = os.path.join(path, SIDECAR_FILE)
-    if not os.path.exists(sidecar_path):
+    try:
+        with open(sidecar_path, "r", encoding="utf-8") as handle:
+            sidecar = json.load(handle)
+    except FileNotFoundError:
         return None
-    with open(sidecar_path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    except (OSError, ValueError) as error:
+        return {"error": f"unreadable {SIDECAR_FILE}: {error}"}
+    if not isinstance(sidecar, dict):
+        return {"error": f"unreadable {SIDECAR_FILE}: not a JSON object"}
+    return sidecar

@@ -35,6 +35,11 @@ class OperationCounts:
     def read_ops(self) -> int:
         return self.reads + self.node_reads
 
+    @property
+    def total(self) -> int:
+        """Every Table-1 operation, reads and updates."""
+        return self.read_ops + self.updates
+
     def reset(self) -> None:
         for name in self.__dataclass_fields__:
             setattr(self, name, 0)

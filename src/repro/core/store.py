@@ -30,6 +30,7 @@ Internal invariants (checked by :meth:`check_integrity`):
 from __future__ import annotations
 
 import itertools
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -50,12 +51,14 @@ from repro.core.range_index import RangeIndex
 from repro.core.ranges import RangeMeta, RangeTable
 from repro.core.stats import OperationCounts, StoreStatistics
 from repro.ids.sequential import SequentialIdScheme
-from repro.obs.alerts import AlertEngine
+from repro.obs.alerts import AlertEngine, store_view
+from repro.obs.bridge import MetricsSnapshot, deterministic_snapshot, observer_values
 from repro.obs.incident import IncidentManager
 from repro.obs.recorder import FlightRecorder
 from repro.obs.events import EventLog
 from repro.obs.heatmap import BlockHeatmap
 from repro.obs.history import WorkloadHistory
+from repro.obs.schema import ALERTS_FILE, HISTORY_FILE, INCIDENTS_DIR
 from repro.obs.slo import SLOTracker
 from repro.obs.telemetry import Telemetry
 from repro.storage.buffer import BufferPool
@@ -123,6 +126,9 @@ TABLE1_SPANS = (
     "locator.scan",
     "store.open",
 )
+
+#: The periodic observers, in the order a watch tick feeds them.
+OBSERVERS = ("history", "alerts", "recorder")
 
 
 @dataclass
@@ -347,6 +353,11 @@ class XMLStore:
         config says, and attach them to the pool, WAL, partial index and
         device (:meth:`_assemble_logical` attaches the rest)."""
         config = self.config
+        directory = config.artifacts_dir
+
+        def artifact(name: str) -> Optional[str]:
+            return None if directory is None else os.path.join(directory, name)
+
         self.telemetry = Telemetry(
             simulated_clock=lambda: self.simulated_seconds,
             # the profiler folds spans, so profiling implies telemetry
@@ -364,18 +375,22 @@ class XMLStore:
         )
         self.heatmap = BlockHeatmap(enabled=config.heatmap_enabled)
         self.history = WorkloadHistory(
-            path=config.history_path, enabled=config.history_enabled
+            artifact(HISTORY_FILE), enabled=config.history_enabled
         )
         self.slo = SLOTracker(enabled=config.alerts_enabled)
         self.alerts = AlertEngine(
-            path=config.alerts_path, enabled=config.alerts_enabled
+            path=artifact(ALERTS_FILE), enabled=config.alerts_enabled
         )
         self.recorder = FlightRecorder(enabled=config.recorder_enabled)
         self.incidents = IncidentManager(
-            directory=config.recorder_incidents_dir,
-            enabled=config.recorder_enabled,
+            artifact(INCIDENTS_DIR), enabled=config.recorder_enabled
         )
         self.incidents.attach(self)
+        #: Table-1 operations since each enabled periodic observer last
+        #: captured (empty when none is on: :meth:`_observe` checks it)
+        self.ops_since_capture = {
+            name: 0 for name in OBSERVERS if getattr(self, name).enabled
+        }
         #: scrub recency (bridge-exported, health-checked): completed
         #: passes on this store instance and the Table-1 operation count
         #: at the most recent one (None = never scrubbed)
@@ -385,8 +400,6 @@ class XMLStore:
         self.pool.heatmap = self.heatmap
         self.pool.incidents = self.incidents
         self.event_log.recorder = self.recorder
-        self.alerts.recorder = self.recorder
-        self.alerts.incidents = self.incidents
         if self.partial_index is not None:
             self.partial_index.event_log = self.event_log
         self.wal.event_log = self.event_log
@@ -679,11 +692,9 @@ class XMLStore:
         with self.telemetry.span("checkpoint"):
             self.pool.flush_all()
             self.wal.checkpoint()
-            if self.history.enabled:
-                self.history.capture(self, "checkpoint", skip_if_idle=True)
-            if self.alerts.enabled:
-                # after the history capture, so delta rules see this window
-                self.alerts.evaluate_store(self, "checkpoint", skip_if_idle=True)
+            # history and alerts, unless idle since their last capture
+            since = self.ops_since_capture
+            self.watch("checkpoint", [n for n in ("history", "alerts") if since.get(n)])
             return self.to_catalog()
 
     def to_catalog(self) -> bytes:
@@ -810,17 +821,57 @@ class XMLStore:
             self._observe(is_read=True)
             return evaluate(self, expression)
 
+    # ============================================================== observation ==
+
+    def watch(self, label: str, observers: Sequence[str]) -> None:
+        """One watch tick: capture the deterministic metric surface once
+        (a read: the simulated clock never moves) and feed it, in
+        :data:`OBSERVERS` order, to each of ``observers`` that is on — a
+        history row, an alert evaluation (whose drift rule reads that row),
+        a recorder frame — restarting that observer's operation count.
+        The frame sees what the tick did before it: the observers' own
+        series are re-read, or the whole surface after an incident dump
+        walked the store."""
+        since = self.ops_since_capture
+        if not any(name in since for name in observers):
+            return
+        incidents = len(self.incidents)
+        current = deterministic_snapshot(self)
+        if "history" in observers and self.history.enabled:
+            self.history.capture(self, label, current)
+            since["history"] = 0
+        if "alerts" in observers and self.alerts.enabled:
+            # each transition is on the log before it reaches the ring or
+            # dumps an incident bundle
+            for event in self.alerts.evaluate(store_view(self, current), label):
+                if self.recorder.enabled:
+                    self.recorder.record_alert(event)
+                if event.state == "fired" and self.incidents.enabled:
+                    self.incidents.alert_fired(event)
+            since["alerts"] = 0
+        if "recorder" in observers and self.recorder.enabled:
+            if len(self.incidents) != incidents:
+                current = deterministic_snapshot(self)
+            else:
+                values = {**current.values, **observer_values(self)}
+                current = MetricsSnapshot(values, current.kinds)
+            self.recorder.frame(self, label, current)
+            since["recorder"] = 0
+
     # ================================================================ internals ==
 
     def _observe(self, is_read: bool) -> None:
         if self.adaptive is not None:
             self.adaptive.observe(is_read)
-        if self.history.enabled:
-            self.history.observe(self, is_read)
-        if self.alerts.enabled:
-            self.alerts.observe(self)
-        if self.recorder.enabled:
-            self.recorder.observe(self)
+        since = self.ops_since_capture
+        if since:
+            due = []
+            for name in since:
+                since[name] += 1
+                if since[name] >= getattr(self, name).interval:
+                    due.append(name)
+            if due:
+                self.watch("interval", due)
 
     def _log(self, record_type: int, node_id: int, xml_text: str) -> None:
         self.wal.append(

@@ -26,7 +26,8 @@ See DESIGN.md ("Observability") for the architecture.  Quick tour:
 * :mod:`repro.obs.advisor` — the rule-based tuning advisor: evidence-
   backed recommendations with what-if simulated-cost estimates;
 * :mod:`repro.obs.schema` — the ``schema_version`` stamp every exported
-  JSON artifact carries, and its reader-side check;
+  JSON artifact carries, its reader-side check, the store directory's
+  artifact names and the one JSONL codec their trails share;
 * :mod:`repro.obs.clock` — the only legal wall-clock source
   (enforced by :func:`~repro.obs.clock.check_clock_discipline`).
 """
@@ -78,7 +79,6 @@ from repro.obs.history import (
     HistorySnapshot,
     WorkloadHistory,
     load_snapshots,
-    read_history,
 )
 from repro.obs.metrics import (
     Counter,
@@ -154,7 +154,6 @@ __all__ = [
     "metrics_snapshot",
     "perf_seconds",
     "prometheus_text",
-    "read_history",
     "render_classic_summary",
     "render_heatmap",
     "render_top",

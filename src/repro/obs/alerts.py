@@ -16,9 +16,15 @@ rule engine, built on the same contract as the rest of :mod:`repro.obs`:
   check, and evaluation itself only *reads* counters (the simulated
   clock never moves);
 * **append-only JSONL** — state *transitions* (fired / cleared), one
-  stamped line each, in ``store.alerts.jsonl`` next to the device file.
+  stamped line each, in ``store.alerts.jsonl`` next to the device file
+  (:func:`~repro.obs.schema.read_jsonl` / :func:`~repro.obs.schema.write_jsonl`).
   Steady state writes nothing; the active set and the sequence number
   are restored from the file on reopen.
+
+A live store evaluates on its watch tick
+(:meth:`~repro.core.store.XMLStore.watch`), every :data:`DEFAULT_INTERVAL`
+operations and at checkpoints, over the same capture workload history
+just recorded.
 
 Rule kinds:
 
@@ -41,16 +47,13 @@ event and then stays silently active; it emits ``cleared`` only after
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.fingerprint import latest_drift
 from repro.obs.history import HistorySnapshot
-from repro.obs.incident import IncidentManager
-from repro.obs.recorder import FlightRecorder
+from repro.obs.schema import read_jsonl, stamp, write_jsonl
 
 DEFAULT_INTERVAL = 64
 DEFAULT_CLEAR_AFTER = 2
@@ -176,19 +179,19 @@ def evaluate_rule(rule: AlertRule, view: AlertView) -> Tuple[bool, float]:
     return value <= rule.bound, value
 
 
-def store_view(store) -> AlertView:
-    """Build the evaluation view from a live store: deterministic samples
-    plus the drift and SLO-budget pseudo-metrics."""
-    from repro.obs.bridge import deterministic_snapshot
-
-    values = deterministic_snapshot(store).values
+def store_view(store, current) -> AlertView:
+    """The evaluation view of a live store: the samples of ``current``,
+    its deterministic :class:`~repro.obs.bridge.MetricsSnapshot`, plus
+    the drift and SLO-budget pseudo-metrics.  The capture is shared with
+    the other observers, so the pseudo-metrics go into a copy."""
+    values = dict(current.values)
     snapshots = store.history.snapshots()
     values[DRIFT_KEY] = latest_drift(snapshots)
     values[SLO_BUDGET_KEY] = store.slo.budget_floor(store)
     return AlertView(
         values=values,
         snapshots=snapshots,
-        operations=store.operations.read_ops + store.operations.updates,
+        operations=store.operations.total,
         simulated_seconds=store.simulated_seconds,
     )
 
@@ -243,8 +246,6 @@ class AlertEvent:
     simulated_seconds: float
 
     def to_dict(self) -> Dict[str, object]:
-        from repro.obs.schema import stamp
-
         return stamp(
             {
                 "seq": self.seq,
@@ -414,21 +415,16 @@ class AlertEngine:
             raise ObservabilityError("alert rule names must be unique")
         #: a disabled engine neither restores nor appends to its log
         self.path = path if enabled else None
+        #: Table-1 operations between the watch tick's interval evaluations
         self.interval = interval
         self.evaluations = 0
-        self._ops_since_eval = 0
         self._next_seq = 0
         self._active: Dict[str, AlertEvent] = {}
         self._ok_streak: Dict[str, int] = {}
         #: events emitted (or restored) through this engine instance
         self._events: List[AlertEvent] = []
-        #: flight recorder transitions tee into / incident manager that
-        #: critical firings trigger (the owning store attaches its own)
-        self.recorder = FlightRecorder(enabled=False)
-        self.incidents = IncidentManager(enabled=False)
-        if self.path is not None and os.path.exists(self.path):
-            for payload in read_alert_log(self.path):
-                event = AlertEvent.from_dict(payload)
+        if self.path is not None:
+            for event in load_events(self.path):
                 self._next_seq = event.seq + 1
                 self._events.append(event)
                 if event.state == "fired":
@@ -438,28 +434,10 @@ class AlertEngine:
 
     # ------------------------------------------------------------- recording --
 
-    def observe(self, store) -> None:
-        """Per-operation hook (``XMLStore._observe``): evaluate every
-        ``interval`` operations."""
-        self._ops_since_eval += 1
-        if self._ops_since_eval >= self.interval:
-            self.evaluate_store(store, "interval")
-
-    def evaluate_store(
-        self, store, label: str = "manual", skip_if_idle: bool = False
-    ) -> List[AlertEvent]:
-        """Evaluate every rule against a live store.  ``skip_if_idle``
-        suppresses the evaluation when no operation ran since the last
-        one (the checkpoint hook uses it)."""
-        if skip_if_idle and self._ops_since_eval == 0:
-            return []
-        return self.evaluate(store_view(store), label)
-
     def evaluate(
         self, view: AlertView, label: str = "manual"
     ) -> List[AlertEvent]:
         """Run every rule's state machine; returns the transitions."""
-        self._ops_since_eval = 0
         self.evaluations += 1
         transitions: List[AlertEvent] = []
         for rule in self.rules:
@@ -504,32 +482,7 @@ class AlertEngine:
         self._next_seq += 1
         self._events.append(event)
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(event.to_dict(), sort_keys=True) + "\n"
-                )
-        if self.recorder.enabled:
-            self.recorder.record_alert(event)
-        # incident triggers come AFTER the transition is persisted, so
-        # the bundle's own artifacts already include this firing
-        if state == "fired" and self.incidents.enabled:
-            if rule.severity == "critical":
-                self.incidents.trigger(
-                    "critical-alert",
-                    key=rule.name,
-                    rule=rule.name,
-                    value=value,
-                    bound=rule.bound,
-                    summary=rule.summary,
-                )
-            elif rule.name == "slo-budget-exhausted":
-                self.incidents.trigger(
-                    "slo-budget-exhausted",
-                    key=rule.name,
-                    value=value,
-                    bound=rule.bound,
-                    summary=rule.summary,
-                )
+            write_jsonl(self.path, [event.to_dict()])
         return event
 
     # ---------------------------------------------------------------- reading --
@@ -555,31 +508,7 @@ class AlertEngine:
         return len(self._events)
 
 
-def read_alert_log(path: str) -> List[Dict[str, object]]:
-    """Reader API: parse one alert JSONL file into event dicts, checking
-    every line's ``schema_version`` stamp."""
-    from repro.obs.schema import check_schema_version
-
-    rows: List[Dict[str, object]] = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except ValueError as error:
-                    raise ObservabilityError(
-                        f"{path}:{number}: malformed alert line ({error})"
-                    ) from error
-                check_schema_version(payload, f"{path}:{number}")
-                rows.append(payload)
-    except OSError as error:
-        raise ObservabilityError(f"cannot read {path}: {error}") from error
-    return rows
-
-
 def load_events(path: str) -> List[AlertEvent]:
-    """:func:`read_alert_log`, decoded into :class:`AlertEvent` rows."""
-    return [AlertEvent.from_dict(row) for row in read_alert_log(path)]
+    """One alert JSONL file (:func:`~repro.obs.schema.read_jsonl`),
+    decoded into :class:`AlertEvent` rows."""
+    return [AlertEvent.from_dict(row) for row in read_jsonl(path)]

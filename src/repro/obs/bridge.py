@@ -15,8 +15,11 @@ one uniform metric surface whether telemetry is enabled or not:
   ``{key: value}`` captures with a ``delta()`` for the bench harness,
   so every ``BENCH_*.json`` row can carry an exact per-phase breakdown;
 * :func:`deterministic_snapshot` — the same capture without the
-  wall-derived families, which is what workload history, the alert
-  engine and the flight recorder persist.
+  wall-derived families: what the store's watch tick
+  (:meth:`~repro.core.store.XMLStore.watch`) builds once and hands to
+  workload history, the alert engine and the flight recorder;
+* :func:`observer_values` — those observers' own series alone, the only
+  part of that capture a tick moves before the recorder's frame.
 
 Both captures read the registries' cached keys
 (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`): same keys, order
@@ -104,36 +107,20 @@ def store_registry(store) -> MetricsRegistry:
         "Scrub passes completed over this store instance.",
     ).inc(store.scrub_completions)
     last_scrub = store.operations_at_last_scrub
-    operations = store.operations.read_ops + store.operations.updates
     registry.gauge(
         "repro_storage_scrub_age_operations",
         "Table-1 operations since the last completed scrub pass "
         "(-1 = never scrubbed).",
     ).set(
-        float(operations - last_scrub) if last_scrub is not None else -1.0
+        float(store.operations.total - last_scrub)
+        if last_scrub is not None
+        else -1.0
     )
     if store.partial_index is not None:
         registry.gauge(
             "repro_partial_index_size", "Entries currently memoized."
         ).set(len(store.partial_index))
-    if store.history.enabled:
-        registry.counter(
-            "repro_history_captures_total",
-            "Workload-history snapshots captured.",
-        ).inc(store.history.captures)
-        registry.counter(
-            "repro_history_compactions_total",
-            "Workload-history retention merges (two oldest rows into one).",
-        ).inc(store.history.compactions)
-        registry.gauge(
-            "repro_history_snapshots",
-            "Workload-history snapshots currently retained.",
-        ).set(len(store.history))
-    if store.recorder.enabled:
-        registry.counter(
-            "repro_recorder_dropped_total",
-            "Flight-recorder entries evicted from the bounded ring.",
-        ).inc(store.recorder.dropped)
+    _observer_series(registry, store)
     server = getattr(store, "server", None)
     if server is not None:
         # the serving layer's deterministic counters (admission,
@@ -186,6 +173,35 @@ def store_registry(store) -> MetricsRegistry:
         for kind, count in sorted(store.incidents.counts.items()):
             incidents_total.labels(kind=kind).inc(count)
     return registry
+
+
+def _observer_series(registry: MetricsRegistry, store) -> None:
+    """The periodic observers' own counters, into ``registry``."""
+    if store.history.enabled:
+        registry.counter(
+            "repro_history_captures_total",
+            "Workload-history snapshots captured.",
+        ).inc(store.history.captures)
+        registry.counter(
+            "repro_history_compactions_total",
+            "Workload-history retention merges (two oldest rows into one).",
+        ).inc(store.history.compactions)
+        registry.gauge(
+            "repro_history_snapshots",
+            "Workload-history snapshots currently retained.",
+        ).set(len(store.history))
+    if store.recorder.enabled:
+        registry.counter(
+            "repro_recorder_dropped_total",
+            "Flight-recorder entries evicted from the bounded ring.",
+        ).inc(store.recorder.dropped)
+
+
+def observer_values(store) -> Dict[str, float]:
+    """The periodic observers' own series alone, as flat samples."""
+    registry = MetricsRegistry()
+    _observer_series(registry, store)
+    return registry.snapshot()
 
 
 def store_families(store) -> List[MetricFamily]:

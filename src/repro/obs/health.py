@@ -187,7 +187,7 @@ def _repair_component(store_path: Optional[str]) -> HealthComponent:
 
 
 def _scrub_component(store, overdue_operations: int) -> HealthComponent:
-    operations = store.operations.read_ops + store.operations.updates
+    operations = store.operations.total
     completions = store.scrub_completions
     last = store.operations_at_last_scrub
     age = operations - last if last is not None else None

@@ -9,16 +9,18 @@ row (operation mix, access-path resolutions, buffer traffic, WAL and
 range activity) plus cumulative partial-index efficacy and a compact
 block-heat summary.
 
-Capture points:
+Capture points, all through the store's one watch tick
+(:meth:`~repro.core.store.XMLStore.watch`), which hands every observer it
+feeds the same metric capture:
 
-* every :data:`DEFAULT_INTERVAL` Table-1 operations (wired into
-  ``XMLStore._observe``, the same hook the adaptive controller uses);
+* every :data:`DEFAULT_INTERVAL` Table-1 operations;
 * every checkpoint (so a closed store's file always ends on a complete
   picture);
 * explicitly, from the bench harness (one snapshot per phase, labeled).
 
 Persistence is an optional JSONL file next to the store's device file
-(one stamped snapshot per line, ``schema_version`` checked on read).
+(one stamped snapshot per line, read and written by
+:func:`~repro.obs.schema.read_jsonl` / :func:`~repro.obs.schema.write_jsonl`).
 Retention is bounded by :data:`DEFAULT_CAPACITY`: when the sequence
 overflows, the two *oldest* rows merge into one (deltas summed,
 cumulatives kept from the later row), so old history loses resolution
@@ -40,12 +42,11 @@ recommendations).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ObservabilityError
+from repro.obs.schema import SCHEMA_VERSION, read_jsonl, write_jsonl
 
 DEFAULT_CAPACITY = 256
 DEFAULT_INTERVAL = 64
@@ -79,8 +80,6 @@ class HistorySnapshot:
     merged: int = 1
 
     def to_dict(self) -> Dict[str, object]:
-        from repro.obs.schema import SCHEMA_VERSION
-
         return {
             "schema_version": SCHEMA_VERSION,
             "seq": self.seq,
@@ -173,39 +172,23 @@ class WorkloadHistory:
         #: a disabled history neither restores nor writes its file
         self.path = path if enabled else None
         self.capacity = capacity
+        #: Table-1 operations between the watch tick's interval captures
         self.interval = interval
-        self._snapshots: List[HistorySnapshot] = []
-        self._ops_since_capture = 0
         self._last_metrics = None  # MetricsSnapshot of the previous capture
         #: lifetime capture/compaction counters (exported by the bridge)
         self.captures = 0
         self.compactions = 0
-        if self.path is not None and os.path.exists(self.path):
-            self._snapshots = [
-                HistorySnapshot.from_dict(row) for row in read_history(self.path)
-            ]
+        self._snapshots: List[HistorySnapshot] = (
+            load_snapshots(self.path) if self.path is not None else []
+        )
 
     # ------------------------------------------------------------- recording --
 
-    def observe(self, store, is_read: bool) -> None:
-        """Per-operation hook (``XMLStore._observe``): capture one
-        snapshot every ``interval`` operations."""
-        self._ops_since_capture += 1
-        if self._ops_since_capture >= self.interval:
-            self.capture(store, "interval")
-
-    def capture(
-        self, store, label: str, skip_if_idle: bool = False
-    ) -> Optional[HistorySnapshot]:
-        """Capture one snapshot now.  ``skip_if_idle`` suppresses the
-        capture when no operation ran since the last one (the checkpoint
-        hook uses it, so closing an untouched store adds no row)."""
-        if skip_if_idle and self._ops_since_capture == 0:
-            return None
-        from repro.obs.bridge import deterministic_snapshot
+    def capture(self, store, label: str, current) -> HistorySnapshot:
+        """Record one row from ``current``, the tick's deterministic
+        :class:`~repro.obs.bridge.MetricsSnapshot` of ``store``."""
         from repro.obs.heatmap import _partial_efficacy
 
-        current = deterministic_snapshot(store)
         if self._last_metrics is not None:
             deltas = current.delta(self._last_metrics)
         else:
@@ -213,22 +196,22 @@ class WorkloadHistory:
         snapshot = HistorySnapshot(
             seq=self._next_seq(),
             label=label,
-            operations=store.operations.read_ops + store.operations.updates,
+            operations=store.operations.total,
             simulated_seconds=store.simulated_seconds,
             deltas=deltas,
             partial_index=_partial_efficacy(store),
             heatmap=_heat_summary(store),
         )
         self._last_metrics = current
-        self._ops_since_capture = 0
         self._snapshots.append(snapshot)
         self.captures += 1
         compacted = self._enforce_capacity()
         if self.path is not None:
-            if compacted:
-                self._rewrite_file()
-            else:
-                self._append_line(snapshot)
+            # a retention merge rewrites the file; otherwise the row appends
+            rows = self._snapshots if compacted else [snapshot]
+            write_jsonl(
+                self.path, (row.to_dict() for row in rows), append=not compacted
+            )
         return snapshot
 
     def _next_seq(self) -> int:
@@ -259,21 +242,6 @@ class WorkloadHistory:
             merged = True
         return merged
 
-    # ----------------------------------------------------------- persistence --
-
-    def _append_line(self, snapshot: HistorySnapshot) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(snapshot.to_dict(), sort_keys=True) + "\n")
-
-    def _rewrite_file(self) -> None:
-        temporary = self.path + ".tmp"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            for snapshot in self._snapshots:
-                handle.write(
-                    json.dumps(snapshot.to_dict(), sort_keys=True) + "\n"
-                )
-        os.replace(temporary, self.path)
-
     # ---------------------------------------------------------------- reading --
 
     def snapshots(self) -> List[HistorySnapshot]:
@@ -283,31 +251,7 @@ class WorkloadHistory:
         return len(self._snapshots)
 
 
-def read_history(path: str) -> List[Dict[str, object]]:
-    """Reader API: parse one history JSONL file into snapshot dicts,
-    checking every line's ``schema_version`` stamp."""
-    from repro.obs.schema import check_schema_version
-
-    rows: List[Dict[str, object]] = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except ValueError as error:
-                    raise ObservabilityError(
-                        f"{path}:{number}: malformed history line ({error})"
-                    ) from error
-                check_schema_version(payload, f"{path}:{number}")
-                rows.append(payload)
-    except OSError as error:
-        raise ObservabilityError(f"cannot read {path}: {error}") from error
-    return rows
-
-
 def load_snapshots(path: str) -> List[HistorySnapshot]:
-    """:func:`read_history`, decoded into :class:`HistorySnapshot` rows."""
-    return [HistorySnapshot.from_dict(row) for row in read_history(path)]
+    """One history JSONL file (:func:`~repro.obs.schema.read_jsonl`),
+    decoded into :class:`HistorySnapshot` rows."""
+    return [HistorySnapshot.from_dict(row) for row in read_jsonl(path)]

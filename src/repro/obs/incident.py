@@ -10,7 +10,7 @@ Trigger kinds (:data:`TRIGGER_KINDS`):
 
 ``critical-alert``
     a critical alert rule transitioned to ``fired``
-    (:meth:`~repro.obs.alerts.AlertEngine._emit`);
+    (:meth:`IncidentManager.alert_fired`, from the store's watch tick);
 ``checksum-quarantine``
     the buffer pool quarantined a block after failed verification —
     whether detected on fetch or by the scrubber;
@@ -49,14 +49,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.log import get_logger
-
-#: Directory (inside a store directory) incident bundles land in.
-INCIDENTS_DIR = "store.incidents"
+from repro.obs.schema import INCIDENTS_DIR, stamp
 
 DEFAULT_LIMIT = 16
 
@@ -68,6 +67,8 @@ TRIGGER_KINDS = (
     "slo-budget-exhausted",
 )
 
+#: A complete bundle's directory name; ``incident-<n>.tmp`` is a dump
+#: a crash cut short.
 _BUNDLE_NAME = re.compile(r"^incident-(\d+)$")
 
 _log = get_logger("obs.incident")
@@ -88,8 +89,6 @@ class IncidentRecord:
     bundle: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
-        from repro.obs.schema import stamp
-
         return stamp(
             {
                 "seq": self.seq,
@@ -111,7 +110,6 @@ def _config_payload(config, cost_model=None) -> Dict[str, object]:
     import dataclasses
     from enum import Enum
 
-    from repro.obs.schema import stamp
     from repro.storage.disk import DiskCostModel
 
     out: Dict[str, object] = {}
@@ -130,7 +128,6 @@ def _wal_summary(store) -> Dict[str, object]:
     """WAL tail summary: totals plus the records past the last
     checkpoint, bucketed by record type."""
     from repro.errors import ReproError
-    from repro.obs.schema import stamp
 
     wal = store.wal
     out: Dict[str, object] = {
@@ -155,8 +152,6 @@ def _wal_summary(store) -> Dict[str, object]:
 
 
 def _quarantine_payload(store) -> Dict[str, object]:
-    from repro.obs.schema import stamp
-
     return stamp(
         {
             "blocks": store.pool.quarantined_blocks(),
@@ -165,23 +160,46 @@ def _quarantine_payload(store) -> Dict[str, object]:
     )
 
 
-def _next_bundle_seq(directory: str) -> int:
-    """One past the highest ``incident-<n>`` already on disk (``.tmp``
-    leftovers from a crashed dump are ignored, like everywhere else)."""
+def bundle_names(directory: str) -> List[Tuple[int, str]]:
+    """``(seq, name)`` of every complete bundle under ``directory``, by
+    seq (``.tmp`` leftovers of a crashed dump are not bundles)."""
     if not os.path.isdir(directory):
-        return 0
-    highest = -1
-    for name in os.listdir(directory):
-        match = _BUNDLE_NAME.match(name)
-        if match:
-            highest = max(highest, int(match.group(1)))
-    return highest + 1
+        return []
+    matches = filter(None, map(_BUNDLE_NAME.match, os.listdir(directory)))
+    return sorted((int(match.group(1)), match.group(0)) for match in matches)
 
 
-def _write_bundle_file(directory: str, name: str, payload) -> None:
-    with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+def _next_bundle_seq(directory: str) -> int:
+    """One past the highest bundle already on disk."""
+    names = bundle_names(directory)
+    return names[-1][0] + 1 if names else 0
+
+
+def _best_effort(report, **failure) -> Dict[str, object]:
+    """``report()`` as a dict, or the error that stopped it: a store too
+    broken to diagnose still gets a bundle."""
+    try:
+        return report().to_dict()
+    except Exception as error:  # noqa: BLE001 - best effort by design
+        return stamp({"error": str(error), **failure})
+
+
+def _write_bundle(directory: str, seq: int, files: Dict[str, object]) -> str:
+    """Write bundle ``incident-<seq>`` crash-safely: every file (name →
+    JSON payload) into ``incident-<seq>.tmp``, then one rename into place.
+    Returns the bundle's name."""
+    name = f"incident-{seq}"
+    final = os.path.join(directory, name)
+    temporary = final + ".tmp"
+    shutil.rmtree(temporary, ignore_errors=True)
+    os.makedirs(temporary)
+    for file_name, payload in files.items():
+        path = os.path.join(temporary, file_name)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True, default=str)
+            handle.write("\n")
+    os.rename(temporary, final)
+    return name
 
 
 class IncidentManager:
@@ -246,11 +264,7 @@ class IncidentManager:
             seq=self._next_seq,
             kind=kind,
             key=str(key),
-            operations=(
-                store.operations.read_ops + store.operations.updates
-                if store is not None
-                else None
-            ),
+            operations=store.operations.total if store is not None else None,
             simulated_seconds=(
                 store.simulated_seconds if store is not None else None
             ),
@@ -258,9 +272,31 @@ class IncidentManager:
         )
         self._next_seq += 1
         if self.directory is not None and store is not None:
+            from repro.core.integrity import integrity_report
+            from repro.obs.health import health_report
+
             self._dumping = True
             try:
-                record.bundle = self._dump(record, store)
+                record.bundle = _write_bundle(
+                    self.directory,
+                    record.seq,
+                    {
+                        "incident.json": record.to_dict(),
+                        "recorder.json": store.recorder.to_dict(),
+                        "config.json": _config_payload(
+                            store.config, store.cost_model
+                        ),
+                        "wal.json": _wal_summary(store),
+                        "quarantine.json": _quarantine_payload(store),
+                        "health.json": _best_effort(
+                            lambda: health_report(store, store_path=self._store_path),
+                            verdict=None,
+                        ),
+                        "integrity.json": _best_effort(
+                            lambda: integrity_report(store), ok=None
+                        ),
+                    },
+                )
             except Exception as error:  # noqa: BLE001 - never break the store
                 _log.warning(
                     "incident bundle dump failed (%s); incident %d recorded "
@@ -281,59 +317,14 @@ class IncidentManager:
         )
         return record
 
-    # ---------------------------------------------------------------- dumping --
-
-    def _dump(self, record: IncidentRecord, store) -> str:
-        """Write the bundle crash-safely: everything into ``.tmp``, one
-        rename into place.  Every file is individually stamped."""
-        os.makedirs(self.directory, exist_ok=True)
-        name = f"incident-{record.seq}"
-        final = os.path.join(self.directory, name)
-        temporary = final + ".tmp"
-        if os.path.isdir(temporary):
-            import shutil
-
-            shutil.rmtree(temporary)
-        os.makedirs(temporary)
-        _write_bundle_file(temporary, "incident.json", record.to_dict())
-        _write_bundle_file(temporary, "recorder.json", store.recorder.to_dict())
-        _write_bundle_file(
-            temporary, "config.json", _config_payload(store.config, store.cost_model)
-        )
-        _write_bundle_file(temporary, "wal.json", _wal_summary(store))
-        _write_bundle_file(
-            temporary, "quarantine.json", _quarantine_payload(store)
-        )
-        _write_bundle_file(
-            temporary, "health.json", self._health_payload(store)
-        )
-        _write_bundle_file(
-            temporary, "integrity.json", self._integrity_payload(store)
-        )
-        os.rename(temporary, final)
-        return name
-
-    def _health_payload(self, store) -> Dict[str, object]:
-        """Best-effort health verdict: a store too broken to diagnose
-        still gets a bundle (with the failure recorded instead)."""
-        from repro.obs.schema import stamp
-
-        try:
-            from repro.obs.health import health_report
-
-            return health_report(store, store_path=self._store_path).to_dict()
-        except Exception as error:  # noqa: BLE001 - best effort by design
-            return stamp({"error": str(error), "verdict": None})
-
-    def _integrity_payload(self, store) -> Dict[str, object]:
-        from repro.obs.schema import stamp
-
-        try:
-            from repro.core.integrity import integrity_report
-
-            return integrity_report(store).to_dict()
-        except Exception as error:  # noqa: BLE001 - best effort by design
-            return stamp({"error": str(error), "ok": None})
+    def alert_fired(self, event) -> None:
+        """The incident a fired :class:`~repro.obs.alerts.AlertEvent`
+        triggers: any critical rule, and the SLO budget running out."""
+        detail = dict(value=event.value, bound=event.bound, summary=event.summary)
+        if event.severity == "critical":
+            self.trigger("critical-alert", key=event.rule, rule=event.rule, **detail)
+        elif event.rule == "slo-budget-exhausted":
+            self.trigger("slo-budget-exhausted", key=event.rule, **detail)
 
     # ---------------------------------------------------------------- reading --
 
@@ -363,24 +354,12 @@ def record_directory_incident(
             operations=None,
             simulated_seconds=None,
             detail={name: detail[name] for name in sorted(detail)},
+            bundle=f"incident-{seq}",
         )
-        os.makedirs(directory, exist_ok=True)
-        name = f"incident-{seq}"
-        final = os.path.join(directory, name)
-        temporary = final + ".tmp"
-        if os.path.isdir(temporary):
-            import shutil
-
-            shutil.rmtree(temporary)
-        os.makedirs(temporary)
-        record.bundle = name
-        _write_bundle_file(temporary, "incident.json", record.to_dict())
+        files = {"incident.json": record.to_dict()}
         if config is not None:
-            _write_bundle_file(
-                temporary, "config.json", _config_payload(config)
-            )
-        os.rename(temporary, final)
-        return name
+            files["config.json"] = _config_payload(config)
+        return _write_bundle(directory, seq, files)
     except Exception as error:  # noqa: BLE001 - best effort by design
         _log.warning("store-less incident dump for %s failed: %s", path, error)
         return None

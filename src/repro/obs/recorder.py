@@ -10,10 +10,9 @@ of :class:`RecorderEntry` rows capturing, on the simulated clock,
 
 * structured events teed from :class:`~repro.obs.events.EventLog`
   (``wall`` stripped, so entries are pure functions of the workload);
-* alert transitions teed from :class:`~repro.obs.alerts.AlertEngine`;
-* periodic metric counter-delta frames (every :data:`DEFAULT_INTERVAL`
-  Table-1 operations, deterministic families only — the same snapshot
-  workload history captures).
+* alert transitions and periodic metric counter-delta frames (every
+  :data:`DEFAULT_INTERVAL` Table-1 operations), both fed by the store's
+  watch tick; a frame reads the capture history and alerts just read.
 
 When an incident trigger fires (:mod:`repro.obs.incident`), the ring's
 contents are dumped into the bundle — the black box is read out.
@@ -82,6 +81,7 @@ class FlightRecorder:
         if capacity < 1:
             capacity = 1
         self.capacity = capacity
+        #: Table-1 operations between the watch tick's metric frames
         self.interval = interval
         #: entries evicted from the ring (exported as
         #: ``repro_recorder_dropped_total``)
@@ -89,7 +89,6 @@ class FlightRecorder:
         self._entries: Deque[RecorderEntry] = deque(maxlen=capacity)
         self._seq = 0
         self._lock = threading.Lock()
-        self._ops_since_frame = 0
         self._last_metrics = None  # MetricsSnapshot of the previous frame
 
     # ------------------------------------------------------------- recording --
@@ -140,32 +139,22 @@ class FlightRecorder:
             payload,
         )
 
-    def observe(self, store) -> None:
-        """Per-operation hook (``XMLStore._observe``): capture one metric
-        counter-delta frame every ``interval`` operations."""
-        self._ops_since_frame += 1
-        if self._ops_since_frame >= self.interval:
-            self.frame(store, "interval")
-
-    def frame(self, store, label: str) -> RecorderEntry:
-        """Capture one deterministic counter-delta frame now."""
-        from repro.obs.bridge import deterministic_snapshot
-
-        current = deterministic_snapshot(store)
+    def frame(self, store, label: str, current) -> RecorderEntry:
+        """Record one counter-delta frame from ``current``, the tick's
+        deterministic :class:`~repro.obs.bridge.MetricsSnapshot` of
+        ``store``."""
         if self._last_metrics is not None:
             deltas = current.delta(self._last_metrics)
         else:
             deltas = current.values
         deltas = {key: value for key, value in deltas.items() if value}
         self._last_metrics = current
-        self._ops_since_frame = 0
-        operations = store.operations.read_ops + store.operations.updates
         return self.record(
             METRICS,
             "recorder",
             label,
             store.simulated_seconds,
-            {"operations": operations, "deltas": deltas},
+            {"operations": store.operations.total, "deltas": deltas},
         )
 
     # ---------------------------------------------------------------- reading --

@@ -20,7 +20,8 @@ and a verdict mapped onto the CLI's canonical exit-code scheme —
 
 * ``clean`` / exit 0: no incidents, no fault evidence;
 * ``degraded`` / exit 1: no incidents, but a configured replica's
-  replication checkpoint is stale (no recent apply progress);
+  replication checkpoint is stale (no recent apply progress), or a
+  degraded-repair sidecar is present (readable or not);
 * ``resolved`` / exit 1: incidents occurred but a later repair left the
   store integrity-clean (degraded-but-diagnosed);
 * ``unresolved`` / exit 2: incidents with no clean repair after them.
@@ -45,15 +46,18 @@ import tarfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.repair import read_sidecar
 from repro.log import get_logger
+from repro.obs.incident import bundle_names
+from repro.obs.schema import (
+    ALERTS_FILE,
+    HISTORY_FILE,
+    INCIDENTS_DIR,
+    SIDECAR_FILE,
+    read_jsonl,
+)
 
 _log = get_logger("obs.timeline")
-
-#: Artifact files a store directory may carry, relative to the store
-#: directory (bundle members and timeline sources).
-ALERTS_ARTIFACT = "store.alerts.jsonl"
-HISTORY_ARTIFACT = "store.history.jsonl"
-SIDECAR_ARTIFACT = "store.repair.json"
 
 
 @dataclass
@@ -109,34 +113,11 @@ def _strip_stamp(payload: Dict[str, object]) -> Dict[str, object]:
 # ------------------------------------------------------------------ loaders --
 
 
-def _read_jsonl(path: str) -> List[Dict[str, object]]:
-    """Best-effort JSONL rows (truncated/garbled tails are skipped —
-    the artifact may have been cut short by the very crash being
-    diagnosed)."""
-    rows: List[Dict[str, object]] = []
-    if not os.path.exists(path):
-        return rows
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(payload, dict):
-                rows.append(payload)
-    return rows
-
-
 def _read_json(path: str) -> Optional[Dict[str, object]]:
-    if not os.path.exists(path):
-        return None
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (json.JSONDecodeError, OSError):
+    except (ValueError, OSError):
         return None
     return payload if isinstance(payload, dict) else None
 
@@ -146,26 +127,9 @@ def load_bundles(store_path: str) -> List[Dict[str, object]]:
     bundle sequence.  ``incident-<n>.tmp`` leftovers from a crashed
     dump are deliberately ignored — a partial bundle is noise, not
     evidence."""
-    from repro.obs.incident import INCIDENTS_DIR
-
     directory = os.path.join(store_path, INCIDENTS_DIR)
     bundles: List[Dict[str, object]] = []
-    if not os.path.isdir(directory):
-        return bundles
-    names = []
-    for name in sorted(os.listdir(directory)):
-        if name.endswith(".tmp"):
-            continue
-        if not os.path.isdir(os.path.join(directory, name)):
-            continue
-        if not name.startswith("incident-"):
-            continue
-        try:
-            seq = int(name.split("-", 1)[1])
-        except ValueError:
-            continue
-        names.append((seq, name))
-    for seq, name in sorted(names):
+    for seq, name in bundle_names(directory):
         base = os.path.join(directory, name)
         record = _read_json(os.path.join(base, "incident.json"))
         if record is None:
@@ -188,47 +152,33 @@ def load_bundles(store_path: str) -> List[Dict[str, object]]:
 # ----------------------------------------------------------------- building --
 
 
-def _alert_entries(store_path: str) -> List[TimelineEntry]:
-    entries = []
-    for row in _read_jsonl(os.path.join(store_path, ALERTS_ARTIFACT)):
-        entries.append(
-            TimelineEntry(
-                source="alert",
-                kind=str(row.get("state", "?")),
-                summary=(
-                    f"alert {row.get('rule', '?')} -> {row.get('state', '?')}"
-                    f" ({row.get('severity', '?')}): {row.get('summary', '')}"
-                ),
-                operations=row.get("operations"),
-                simulated=row.get("simulated_seconds"),
-                detail=_strip_stamp(row),
-            )
+def _trail_entries(store_path: str) -> List[TimelineEntry]:
+    """The rows of the two JSONL trails, alert transitions first."""
+    trails = (
+        (ALERTS_FILE, "alert", "state", lambda row: (
+            f"alert {row.get('rule', '?')} -> {row.get('state', '?')}"
+            f" ({row.get('severity', '?')}): {row.get('summary', '')}"
+        )),
+        (HISTORY_FILE, "history", "label", lambda row: (
+            f"history snapshot #{row.get('seq', '?')}"
+            f" ({row.get('label', '?')}, {len(row.get('deltas') or {})} deltas)"
+        )),
+    )
+    return [
+        TimelineEntry(
+            source=source,
+            kind=str(row.get(kind, "?")),
+            summary=summary(row),
+            operations=row.get("operations"),
+            simulated=row.get("simulated_seconds"),
+            detail=_strip_stamp(row),
         )
-    return entries
+        for name, source, kind, summary in trails
+        for row in read_jsonl(os.path.join(store_path, name))
+    ]
 
 
-def _history_entries(store_path: str) -> List[TimelineEntry]:
-    entries = []
-    for row in _read_jsonl(os.path.join(store_path, HISTORY_ARTIFACT)):
-        deltas = row.get("deltas") or {}
-        entries.append(
-            TimelineEntry(
-                source="history",
-                kind=str(row.get("label", "?")),
-                summary=(
-                    f"history snapshot #{row.get('seq', '?')}"
-                    f" ({row.get('label', '?')}, {len(deltas)} deltas)"
-                ),
-                operations=row.get("operations"),
-                simulated=row.get("simulated_seconds"),
-                detail=_strip_stamp(row),
-            )
-        )
-    return entries
-
-
-def _sidecar_entry(store_path: str) -> List[TimelineEntry]:
-    row = _read_json(os.path.join(store_path, SIDECAR_ARTIFACT))
+def _sidecar_entry(row: Optional[Dict[str, object]]) -> List[TimelineEntry]:
     if row is None:
         return []
     return [
@@ -310,10 +260,9 @@ def build_timeline(
     if bundles is None:
         bundles = load_bundles(store_path)
     entries = (
-        _alert_entries(store_path)
-        + _history_entries(store_path)
+        _trail_entries(store_path)
         + _incident_entries(bundles)
-        + _sidecar_entry(store_path)
+        + _sidecar_entry(read_sidecar(store_path))
     )
     # seen-order index keeps the sort stable and deterministic across
     # runs (artifact files are read in a fixed order)
@@ -539,12 +488,12 @@ def diagnose(
     else:
         timeline_bundles = bundles
     timeline = build_timeline(store_path, bundles=timeline_bundles)
-    sidecar = _read_json(os.path.join(store_path, SIDECAR_ARTIFACT))
+    sidecar = read_sidecar(store_path)
     verdict, resolution = _resolution(bundles, sidecar)
     replication = _replication_staleness(store_path)
-    if verdict == "clean" and replication is not None:
-        # replicas configured but none keeping up: not clean — an
-        # operator pointed here must see the stalled replication
+    if verdict == "clean" and (replication is not None or sidecar is not None):
+        # replicas configured but none keeping up, or a repair that lost
+        # data: not clean — an operator pointed here must see it
         verdict = "degraded"
     return DiagnosisReport(
         store_path=store_path,
@@ -563,10 +512,8 @@ def diagnose(
 
 def _bundle_members(store_path: str) -> List[str]:
     """Relative paths of every artifact worth shipping, sorted."""
-    from repro.obs.incident import INCIDENTS_DIR
-
     members = []
-    for name in (ALERTS_ARTIFACT, HISTORY_ARTIFACT, SIDECAR_ARTIFACT):
+    for name in (ALERTS_FILE, HISTORY_FILE, SIDECAR_FILE):
         if os.path.exists(os.path.join(store_path, name)):
             members.append(name)
     incidents = os.path.join(store_path, INCIDENTS_DIR)

@@ -243,9 +243,7 @@ class Scrubber:
             # repro_storage_scrub_* series read these store-side marks
             self._completion_recorded = True
             self.store.scrub_completions += 1
-            self.store.operations_at_last_scrub = (
-                self.store.operations.read_ops + self.store.operations.updates
-            )
+            self.store.operations_at_last_scrub = self.store.operations.total
         if self.report.complete and self.store.event_log.enabled:
             self.store.event_log.emit(
                 "fault" if self.report.issues else "recovery",

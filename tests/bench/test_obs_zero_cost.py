@@ -132,14 +132,11 @@ def test_harness_phases_capture_labeled_snapshots():
 
 
 def _observe_now(store, facility: str) -> None:
-    if facility == "history":
-        store.history.capture(store, "manual")
-    elif facility == "alerts":
-        store.alerts.evaluate_store(store, "manual")
+    store.watch("manual", [facility])
+    if facility == "alerts":
         store.slo.evaluate(store)
         store.slo.budget_floor(store)
-    else:
-        store.recorder.frame(store, "manual")
+    elif facility == "recorder":
         store.event_log.emit("test", "poke", severity="info")
         store.recorder.to_dict()
 

@@ -677,8 +677,8 @@ class TestReportBeforeTheExit:
         return [], 1
 
     def _alerts(self, store_dir, tmp_path, monkeypatch):
-        from repro.core.filestore import ALERTS_FILE
         from repro.obs.alerts import AlertEngine, AlertRule, AlertView
+        from repro.obs.schema import ALERTS_FILE
 
         rule = AlertRule(
             "quarantined-blocks", "critical", "threshold", "seeded",
@@ -888,7 +888,7 @@ class TestAlertsCommand:
     def test_restored_critical_alert_exits_two(self, store_dir):
         import os
 
-        from repro.core.filestore import ALERTS_FILE
+        from repro.obs.schema import ALERTS_FILE
         from repro.errors import StoreCorruptError
         from repro.obs.alerts import AlertEngine, AlertRule
 
@@ -968,3 +968,55 @@ class TestWatchCommand:
         counters = [line for line in out.splitlines()
                     if line.startswith("  repro_")]
         assert len(counters) == 2
+
+
+class TestDamagedArtifacts:
+    """What a crash leaves in the observers' trails and the repair sidecar
+    never locks the CLI out of a store, and never surfaces as a traceback."""
+
+    DOC = "<r><a>x</a></r>"
+
+    @pytest.mark.parametrize("name", ["store.history.jsonl", "store.alerts.jsonl"])
+    def test_a_torn_trail_tail_still_opens(self, store_dir, name):
+        from repro.obs.schema import read_jsonl
+
+        run([store_dir, "load", "-"], stdin=io.StringIO(self.DOC))
+        path = os.path.join(store_dir, name)
+        with open(path, "a") as handle:
+            handle.write('{"seq": 1, "lab')  # a crash mid-append
+        assert run([store_dir, "read"]) == self.DOC
+        run([store_dir, "insert-last", "1", "<b/>"])
+        assert run([store_dir, "alerts"]).startswith("alerts: 0 firing")
+        read_jsonl(path)  # every complete line still parses
+
+    def _garbled_sidecar(self, store_dir, tmp_path, command):
+        """Run ``command`` over a store whose sidecar a crash truncated;
+        returns its exit code and JSON report."""
+        from repro.obs.schema import SIDECAR_FILE
+
+        run([store_dir, "load", "-"], stdin=io.StringIO(self.DOC))
+        with open(os.path.join(store_dir, SIDECAR_FILE), "w") as handle:
+            handle.write('{"mode": "salv')
+        target = tmp_path / f"{command}.json"
+        with pytest.raises(ReproError) as excinfo:
+            run([store_dir, command, "--json", "--output", str(target)])
+        return excinfo.value.exit_code, json.loads(target.read_text())
+
+    def test_verify_reports_a_garbled_sidecar_degraded(self, store_dir, tmp_path):
+        code, report = self._garbled_sidecar(store_dir, tmp_path, "verify")
+        assert code == 1
+        assert report["ok"] is True
+        assert "unreadable store.repair.json" in report["degraded_repair"]["error"]
+
+    def test_health_reports_a_garbled_sidecar_degraded(self, store_dir, tmp_path):
+        code, report = self._garbled_sidecar(store_dir, tmp_path, "health")
+        assert code == 1 and report["verdict"] == "degraded"
+        (repair,) = [c for c in report["components"] if c["name"] == "repair"]
+        assert repair["status"] == "degraded"
+        assert "unreadable store.repair.json" in repair["detail"]["sidecar"]["error"]
+
+    def test_diagnose_reports_a_garbled_sidecar_degraded(self, store_dir, tmp_path):
+        code, report = self._garbled_sidecar(store_dir, tmp_path, "diagnose")
+        assert code == 1 and report["verdict"] == "degraded"
+        (entry,) = [e for e in report["timeline"] if e["source"] == "repair-sidecar"]
+        assert "unreadable store.repair.json" in entry["detail"]["error"]

@@ -10,5 +10,4 @@ def swap_recorder(store, **kwargs):
     recorder = FlightRecorder(**kwargs)
     store.recorder = recorder
     store.event_log.recorder = recorder
-    store.alerts.recorder = recorder
     return recorder

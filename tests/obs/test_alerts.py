@@ -20,10 +20,12 @@ from repro.obs.alerts import (
     evaluate_rule,
     history_view,
     load_events,
-    read_alert_log,
     store_view,
 )
+from repro.obs.bridge import deterministic_snapshot
 from repro.obs.history import HistorySnapshot
+from repro.obs.schema import ALERTS_FILE
+from repro.obs.schema import read_jsonl as read_alert_log
 
 
 def _snapshot(seq, deltas, operations=0, simulated=0.0):
@@ -226,6 +228,26 @@ class TestPersistence:
         with pytest.raises(ObservabilityError, match="schema_version"):
             read_alert_log(str(path))
 
+    def test_torn_final_line_is_dropped_and_the_next_append_starts_fresh(
+        self, tmp_path
+    ):
+        """A crash mid-append leaves an unterminated last line: the engine
+        reopens over the complete lines and its next transition replaces it."""
+        path = tmp_path / "alerts.jsonl"
+        AlertEngine(rules=(_low_rule(),), path=str(path)).evaluate(
+            AlertView(values={"m": 1.0})
+        )
+        with open(path, "a") as handle:
+            handle.write('{"seq": 1, "lab')
+        reopened = AlertEngine(rules=(_low_rule(),), path=str(path))
+        assert [e.state for e in reopened.events()] == ["fired"]
+        reopened.evaluate(AlertView(values={"m": -1.0}))
+        reopened.evaluate(AlertView(values={"m": -1.0}))
+        assert [row["state"] for row in read_alert_log(str(path))] == [
+            "fired", "cleared",
+        ]
+        assert path.read_text().endswith("\n")
+
     def test_event_render_mentions_rule_and_value(self):
         event = AlertEvent(0, "fired", "r", "warning", "sum", 2.0, 1.0,
                            "cli", 12, 0.5)
@@ -235,14 +257,21 @@ class TestPersistence:
         assert "at op 12" in text
 
 
+def _evaluate(store):
+    """One alert evaluation through the store's watch tick; its transitions."""
+    seen = len(store.alerts)
+    store.watch("test", ["alerts"])
+    return store.alerts.events()[seen:]
+
+
 class TestStoreIntegration:
     def test_quarantine_fires_the_critical_rule(self):
         store = XMLStore.open(StoreConfig(alerts_enabled=True))
         root = store.load_document("<r><a>x</a></r>")
         store.read(root + 1)
-        assert store.alerts.evaluate_store(store, "test") == []
+        assert _evaluate(store) == []
         store.pool.quarantine(0, ChecksumError("bad", block_no=0))
-        fired = store.alerts.evaluate_store(store, "test")
+        fired = _evaluate(store)
         assert "quarantined-blocks" in [e.rule for e in fired]
         assert store.alerts.worst_active_severity() == "critical"
 
@@ -252,7 +281,7 @@ class TestStoreIntegration:
         )
         root = store.load_document("<r><a>x</a></r>")
         store.read(root + 1)
-        view = store_view(store)
+        view = store_view(store, deterministic_snapshot(store))
         assert not any(
             key.startswith("repro_span_seconds") for key in view.values
         )
@@ -262,7 +291,7 @@ class TestStoreIntegration:
         )
         assert DRIFT_KEY in view.values
         assert view.values[SLO_BUDGET_KEY] == 1.0
-        assert view.operations == store.operations.read_ops + store.operations.updates
+        assert view.operations == store.operations.total
 
     def test_interval_evaluation_via_observe(self):
         store = XMLStore.open(StoreConfig(alerts_enabled=True))
@@ -294,22 +323,22 @@ class TestStoreIntegration:
             root = store.load_document("<r><a>x</a><b>y</b></r>")
             for _ in range(3):
                 store.read(root + 1)
-                engine.evaluate_store(store, "tick")
+                engine.evaluate(
+                    store_view(store, deterministic_snapshot(store)), "tick"
+                )
             return (tmp_path / name).read_bytes()
 
         assert run("a.jsonl") == run("b.jsonl")
 
     def test_directory_store_persists_alert_state(self, tmp_path):
-        from repro.core.filestore import (
-            ALERTS_FILE, close_directory, open_directory,
-        )
+        from repro.core.filestore import close_directory, open_directory
 
         path = str(tmp_path / "store")
         config = StoreConfig(alerts_enabled=True)
         store = open_directory(path, config=config)
         store.load_document("<r><a>x</a></r>")
         store.pool.quarantine(0, ChecksumError("bad", block_no=0))
-        store.alerts.evaluate_store(store, "test")
+        _evaluate(store)
         close_directory(path, store)
         assert (tmp_path / "store" / ALERTS_FILE).exists()
         reopened = open_directory(path, config=config)
@@ -383,4 +412,4 @@ class TestFactoryAndDefaults:
         store = XMLStore.open(StoreConfig(alerts_enabled=True))
         root = store.load_document("<r><a>x</a></r>")
         store.read(root + 1)
-        assert store.alerts.evaluate_store(store, "test") == []
+        assert _evaluate(store) == []

@@ -37,7 +37,7 @@ SRC = os.path.dirname(repro.__file__)
 #: methods that record into a facility
 RECORDING = frozenset({
     "emit", "record_fetch", "record_write", "record_event", "record_alert",
-    "observe", "capture", "frame", "evaluate_store", "trigger",
+    "observe", "capture", "frame", "evaluate", "trigger", "alert_fired",
 })
 #: the names a facility goes by at its call sites
 FACILITIES = frozenset({
@@ -219,7 +219,6 @@ def test_default_store_holds_every_facility_disabled_and_empty(policy):
     assert store.pool.event_log is store.event_log
     assert store.pool.heatmap is store.heatmap
     assert store.event_log.recorder is store.recorder
-    assert store.alerts.incidents is store.incidents
 
 
 def test_disabled_telemetry_hands_out_the_two_null_objects():
@@ -244,10 +243,7 @@ def test_components_default_to_a_disabled_facility_of_their_own():
     # nothing mutable is shared between two stores' disabled facilities
     assert second.event_log is not first.event_log
     assert second.recorder is not first.recorder
-    engine = AlertEngine(enabled=False)
-    log = EventLog(enabled=False)
-    assert engine.recorder is not log.recorder
-    assert engine.recorder.enabled is False and engine.incidents.enabled is False
+    assert EventLog(enabled=False).recorder.enabled is False
 
 
 def test_disabled_facilities_hold_no_reference_to_the_store():

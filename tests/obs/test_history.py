@@ -7,12 +7,10 @@ import pytest
 from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import XMLStore
 from repro.errors import ObservabilityError
-from repro.obs.history import (
-    HistorySnapshot,
-    WorkloadHistory,
-    load_snapshots,
-    read_history,
-)
+from repro.obs.bridge import deterministic_snapshot
+from repro.obs.history import HistorySnapshot, WorkloadHistory, load_snapshots
+from repro.obs.schema import HISTORY_FILE
+from repro.obs.schema import read_jsonl as read_history
 
 K_LOAD = 'repro_store_operations_total{op="load"}'
 K_READ = 'repro_store_operations_total{op="node_read"}'
@@ -37,6 +35,12 @@ def _store(interval=4, capacity=None, **overrides):
     return store, root
 
 
+def _capture(store, label):
+    """One labeled history row, through the store's watch tick."""
+    store.watch(label, ["history"])
+    return store.history.snapshots()[-1]
+
+
 class TestCapture:
     def test_interval_captures(self):
         store, root = _store(interval=4)
@@ -49,17 +53,17 @@ class TestCapture:
 
     def test_first_capture_reports_cumulative_values(self):
         store, _ = _store()
-        snapshot = store.history.capture(store, "manual")
+        snapshot = _capture(store, "manual")
         assert snapshot.delta(K_LOAD) == 1.0
         assert snapshot.operations >= 1
         assert snapshot.simulated_seconds == store.simulated_seconds
 
     def test_deltas_are_per_window(self):
         store, root = _store(interval=1000)
-        store.history.capture(store, "baseline")
+        _capture(store, "baseline")
         for _ in range(3):
             store.read(root + 1)
-        snapshot = store.history.capture(store, "after")
+        snapshot = _capture(store, "after")
         assert snapshot.delta(K_READ) == 3.0
         assert snapshot.delta(K_LOAD) == 0.0  # consumed by the baseline row
 
@@ -75,7 +79,7 @@ class TestCapture:
     def test_wall_clock_keys_are_filtered(self):
         store, root = _store(telemetry_enabled=True, interval=1000)
         store.read(root + 1)
-        snapshot = store.history.capture(store, "manual")
+        snapshot = _capture(store, "manual")
         wall = [k for k in snapshot.deltas if k.startswith("repro_span_seconds")]
         assert wall == []
         # the simulated-side span series is deterministic and survives
@@ -88,7 +92,7 @@ class TestCapture:
         store, root = _store(heatmap_enabled=True)
         store.read(root + 1)
         store.read(root + 1)
-        snapshot = store.history.capture(store, "manual")
+        snapshot = _capture(store, "manual")
         assert snapshot.partial_index is not None
         assert snapshot.partial_index["probes"] >= 1
         heat = snapshot.heatmap
@@ -100,7 +104,7 @@ class TestCapture:
 
     def test_heatmap_none_when_disabled(self):
         store, _ = _store()
-        snapshot = store.history.capture(store, "manual")
+        snapshot = _capture(store, "manual")
         assert snapshot.heatmap is None
 
 
@@ -120,11 +124,15 @@ class TestRetention:
     def test_merged_row_sums_deltas(self):
         history = WorkloadHistory(capacity=2)
         store, root = _store(interval=1000)
-        history.capture(store, "one")  # cumulative baseline
+
+        def capture(label):
+            history.capture(store, label, deterministic_snapshot(store))
+
+        capture("one")  # cumulative baseline
         store.read(root + 1)
-        history.capture(store, "two")
+        capture("two")
         store.read(root + 1)
-        history.capture(store, "three")  # overflow: one+two merge
+        capture("three")  # overflow: one+two merge
         assert len(history) == 2
         merged = history.snapshots()[0]
         # row one carried the load, row two one read: both survive the merge
@@ -134,11 +142,11 @@ class TestRetention:
 
 class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        store, root = _store(interval=1000, history_path=path)
-        store.history.capture(store, "manual")
+        path = str(tmp_path / HISTORY_FILE)
+        store, root = _store(interval=1000, artifacts_dir=str(tmp_path))
+        _capture(store, "manual")
         store.read(root + 1)
-        store.history.capture(store, "manual")
+        _capture(store, "manual")
         rows = read_history(path)
         assert len(rows) == 2
         assert all(row["schema_version"] == 1 for row in rows)
@@ -147,19 +155,21 @@ class TestPersistence:
         assert decoded[1].delta(K_READ) == 1.0
 
     def test_reopen_continues_the_sequence(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        store, _ = _store(interval=1000, history_path=path)
-        store.history.capture(store, "manual")
+        path = str(tmp_path / HISTORY_FILE)
+        store, _ = _store(interval=1000, artifacts_dir=str(tmp_path))
+        _capture(store, "manual")
         successor = WorkloadHistory(path=path)
         assert len(successor) == 1
         fresh_store, _ = _store(interval=1000)
-        snapshot = successor.capture(fresh_store, "later")
+        snapshot = successor.capture(
+            fresh_store, "later", deterministic_snapshot(fresh_store)
+        )
         assert snapshot.seq == 1
 
     def test_compaction_rewrites_the_file(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
+        path = str(tmp_path / HISTORY_FILE)
         store, root = _store(
-            capacity=2, interval=1, history_path=path
+            capacity=2, interval=1, artifacts_dir=str(tmp_path)
         )
         for _ in range(5):
             store.read(root + 1)
@@ -180,8 +190,29 @@ class TestPersistence:
             read_history(str(path))
 
     def test_read_history_missing_file(self, tmp_path):
+        # an absent trail is an empty one; an unreadable path is an error
+        assert read_history(str(tmp_path / "absent.jsonl")) == []
         with pytest.raises(ObservabilityError, match="cannot read"):
-            read_history(str(tmp_path / "absent.jsonl"))
+            read_history(str(tmp_path))
+
+    def test_torn_final_line_is_dropped_and_the_next_append_starts_fresh(
+        self, tmp_path
+    ):
+        """A crash mid-append leaves an unterminated last line: readers drop
+        it (a store with such a trail opens) and the next row replaces it."""
+        path = tmp_path / HISTORY_FILE
+        store, root = _store(interval=1000, artifacts_dir=str(tmp_path))
+        _capture(store, "before")
+        with open(path, "a") as handle:
+            handle.write('{"seq": 1, "lab')
+        assert [row["label"] for row in read_history(str(path))] == ["before"]
+        reopened, _ = _store(interval=1000, artifacts_dir=str(tmp_path))
+        assert [s.label for s in reopened.history.snapshots()] == ["before"]
+        _capture(reopened, "after")
+        assert [row["label"] for row in read_history(str(path))] == [
+            "before", "after",
+        ]
+        assert path.read_text().endswith("\n")
 
     def test_from_dict_rejects_malformed_snapshots(self):
         with pytest.raises(ObservabilityError, match="malformed"):
@@ -190,9 +221,9 @@ class TestPersistence:
 
 class TestDisabledHistory:
     def test_disabled_history_ignores_its_file(self, tmp_path):
-        path = str(tmp_path / "h.jsonl")
-        store, _ = _store(interval=1000, history_path=path)
-        store.history.capture(store, "manual")
+        path = str(tmp_path / HISTORY_FILE)
+        store, _ = _store(interval=1000, artifacts_dir=str(tmp_path))
+        _capture(store, "manual")
         assert len(WorkloadHistory(path=path)) == 1
         disabled = WorkloadHistory(path=path, enabled=False)
         assert disabled.enabled is False and disabled.path is None

@@ -124,7 +124,7 @@ class TestBundleDump:
             checksums_enabled=True,
             events_enabled=True,
             recorder_enabled=True,
-            recorder_incidents_dir=str(path / INCIDENTS_DIR),
+            artifacts_dir=str(path),
         )
         store = XMLStore.from_catalog(device, catalog, config=scrub_config)
         report = scrub_store(store)

@@ -78,7 +78,7 @@ class TestFeeds:
         from repro.errors import ChecksumError
 
         store.pool.quarantine(99, ChecksumError("boom", block_no=99))
-        store.alerts.evaluate_store(store, "test")
+        store.watch("test", ["alerts"])
         alerts = [
             entry
             for entry in store.recorder.entries()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import IndexingPolicy, StoreConfig
-from repro.core.store import TABLE1_SPANS, XMLStore
+from repro.core.store import OBSERVERS, TABLE1_SPANS, XMLStore
 from repro.obs.bridge import metrics_snapshot, store_families, store_registry
 from repro.obs.exporters import prometheus_text
 from repro.obs.tracing import NOOP_SPAN
@@ -182,28 +182,32 @@ class TestFromCatalogTelemetry:
         assert any(e.name == "read" for e in reopened.telemetry.events())
 
 
+#: every facility on, as ``repro serve`` runs
+WATCHED = dict(
+    policy=IndexingPolicy.RANGE_PLUS_PARTIAL,
+    telemetry_enabled=True,
+    events_enabled=True,
+    heatmap_enabled=True,
+    profiling_enabled=True,
+    history_enabled=True,
+    alerts_enabled=True,
+    recorder_enabled=True,
+)
+
+
 class TestSnapshotIsARead:
     """Mechanical form of "keys are rendered once per series": on a warmed
-    store the three periodic observers read the metric surface without
-    rendering a key, formatting a bucket bound or building a Sample.
-    (Before the flat path, each of the three calls rendered every key.)"""
+    store the watch tick reads the metric surface without rendering a
+    key, formatting a bucket bound or building a Sample.  (Before the flat
+    path, each of the three observers rendered every key.)  And it reads
+    it once: the tick builds one capture that history, the alert engine
+    and the flight recorder share."""
 
     @staticmethod
-    def _warm_store() -> XMLStore:
+    def _warm_store(**config) -> XMLStore:
         from repro.server.sessions import SessionOp, XMLServer
 
-        store = XMLStore.open(
-            StoreConfig(
-                policy=IndexingPolicy.RANGE_PLUS_PARTIAL,
-                telemetry_enabled=True,
-                events_enabled=True,
-                heatmap_enabled=True,
-                profiling_enabled=True,
-                history_enabled=True,
-                alerts_enabled=True,
-                recorder_enabled=True,
-            )
-        )
+        store = XMLStore.open(StoreConfig(**{**WATCHED, **config}))
         root = store.load_document(DOC)
         # a served write: the projection gains the serving counters and
         # the custom-bucket group-commit histogram
@@ -214,10 +218,9 @@ class TestSnapshotIsARead:
             store.read(root + 1)
             store.insert_into_last(root, "<order><item>nut</item></order>")
             store.xpath("/orders/order")
-        # first tick of each observer: every series exists from here on
-        store.recorder.frame(store, "warm")
-        store.history.capture(store, "warm")
-        store.alerts.evaluate_store(store, "warm")
+        # first tick of each observer: every series exists from here on,
+        # and each observer's operation count restarts at zero
+        store.watch("warm", OBSERVERS)
         return store
 
     def test_observer_ticks_render_nothing(self, monkeypatch):
@@ -237,9 +240,9 @@ class TestSnapshotIsARead:
 
         for name in counts:
             monkeypatch.setattr(metrics, name, counting(name))
-        frame = store.recorder.frame(store, "tick")
-        row = store.history.capture(store, "tick")
-        store.alerts.evaluate_store(store, "tick")
+        store.watch("tick", OBSERVERS)
+        frame = store.recorder.entries()[-1]
+        row = store.history.snapshots()[-1]
         assert counts == {"format_value": 0, "sample_key": 0, "_flat_key": 0, "Sample": 0}
         # and they did read the surface, group-commit histogram included
         assert 'repro_history_captures_total' in frame.payload["deltas"]
@@ -263,3 +266,97 @@ class TestSnapshotIsARead:
         ).evaluate(store)
         assert [status.count for status in report.statuses] == [0, 3]
         assert 'span="never_ran"' not in prometheus_text(store_families(store))
+
+    @staticmethod
+    def _count_projections(monkeypatch):
+        from repro.obs import bridge
+
+        calls = [0]
+        original = bridge.store_registry
+
+        def counting(store):
+            calls[0] += 1
+            return original(store)
+
+        monkeypatch.setattr(bridge, "store_registry", counting)
+        return calls
+
+    def test_sixty_four_ops_build_two_projections(self, monkeypatch):
+        # one tick at op 32 (the recorder's frame) and one at op 64 (history,
+        # alerts and the frame together); an observer each, it was 1 + 3
+        store = self._warm_store()
+        calls = self._count_projections(monkeypatch)
+        for _ in range(64):
+            store.read(2)
+        assert calls[0] == 2
+        assert store.history.snapshots()[-1].label == "interval"
+        assert store.alerts.evaluations == 2  # the warm tick and op 64
+        assert [e.label for e in store.recorder.entries() if e.kind == "metrics"][-2:] == [
+            "interval", "interval",
+        ]
+
+    def test_a_checkpoint_builds_one_projection(self, monkeypatch):
+        store = self._warm_store()
+        store.read(2)
+        calls = self._count_projections(monkeypatch)
+        store.checkpoint()
+        assert calls[0] == 1
+        assert store.history.snapshots()[-1].label == "checkpoint"
+        store.checkpoint()  # idle since: nothing to capture
+        assert calls[0] == 1
+
+    def test_shared_capture_keeps_the_alert_keys_out_of_the_trails(self):
+        from repro.obs.alerts import DRIFT_KEY, SLO_BUDGET_KEY
+
+        store = self._warm_store()
+        for _ in range(128):
+            store.read(2)
+        store.checkpoint()
+        trails = [row.deltas for row in store.history.snapshots()] + [
+            entry.payload["deltas"]
+            for entry in store.recorder.entries()
+            if entry.kind == "metrics"
+        ]
+        assert len(trails) > 4
+        for deltas in trails:
+            assert DRIFT_KEY not in deltas and SLO_BUDGET_KEY not in deltas
+
+    def test_the_frame_sees_what_the_tick_did_before_it(self):
+        # history's capture counter, moved by this very tick, is in the frame
+        from repro.obs.bridge import deterministic_snapshot
+
+        store = self._warm_store()
+        store.watch("tick", OBSERVERS)
+        frame = store.recorder.entries()[-1]
+        assert frame.payload["deltas"]["repro_history_captures_total"] == 1
+        assert store.recorder._last_metrics.values == deterministic_snapshot(store).values
+
+    def test_an_incident_dump_gives_the_frame_the_post_dump_counters(self, tmp_path):
+        from repro.errors import ChecksumError
+        from repro.obs.bridge import deterministic_snapshot
+
+        store = self._warm_store(artifacts_dir=str(tmp_path))
+        store.pool.quarantine(0, ChecksumError("rot", block_no=0))
+        dumped = len(store.incidents)
+        store.watch("tick", OBSERVERS)  # the critical alert fires and dumps a bundle
+        assert len(store.incidents) == dumped + 1
+        assert (tmp_path / "store.incidents" / f"incident-{dumped}").is_dir()
+        frame = store.recorder.entries()[-1]
+        assert frame.kind == "metrics"
+        assert frame.payload["deltas"]['repro_incidents_total{kind="critical-alert"}'] == 1
+        # the frame's baseline is the surface after the dump's integrity walk
+        assert store.recorder._last_metrics.values == deterministic_snapshot(store).values
+
+    def test_each_observer_counts_its_own_operations(self):
+        # the bench harness's labelled history row and a checkpoint reset
+        # only the observers they feed
+        store = self._warm_store()
+        for _ in range(10):
+            store.read(2)
+        store.watch("phase", ["history"])
+        assert store.ops_since_capture == {"history": 0, "alerts": 10, "recorder": 10}
+        for _ in range(54):
+            store.read(2)
+        assert store.ops_since_capture == {"history": 54, "alerts": 0, "recorder": 0}
+        store.checkpoint()
+        assert store.ops_since_capture == {"history": 0, "alerts": 0, "recorder": 0}

@@ -67,7 +67,7 @@ def _fault_store(tmp_path, repair=False):
             checksums_enabled=True,
             events_enabled=True,
             recorder_enabled=True,
-            recorder_incidents_dir=str(path / INCIDENTS_DIR),
+            artifacts_dir=str(path),
         ),
     )
     scrub_store(scrub_view)

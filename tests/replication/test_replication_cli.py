@@ -156,7 +156,7 @@ class TestStalenessSurfacing:
 
     def test_lag_gauges_and_stale_alert(self, primary, replica):
         from repro.obs.alerts import default_rules, evaluate_rule, store_view
-        from repro.obs.bridge import store_registry
+        from repro.obs.bridge import deterministic_snapshot, store_registry
         from repro.obs.metrics import sample_key
 
         run([primary, "replicate", replica])
@@ -172,7 +172,7 @@ class TestStalenessSurfacing:
             assert values["repro_replication_lag_ops"] > STALE_AFTER_OPS
             # stalled: the absence-rule sentinel value
             assert values["repro_replication_apply_progress"] == -1.0
-            view = store_view(store)
+            view = store_view(store, deterministic_snapshot(store))
             firing = {
                 rule.name
                 for rule in default_rules()
@@ -184,7 +184,7 @@ class TestStalenessSurfacing:
         self, primary, replica
     ):
         from repro.obs.alerts import default_rules, evaluate_rule, store_view
-        from repro.obs.bridge import store_registry
+        from repro.obs.bridge import deterministic_snapshot, store_registry
         from repro.obs.metrics import sample_key
 
         run([primary, "replicate", replica])
@@ -195,7 +195,7 @@ class TestStalenessSurfacing:
                 for sample in family.samples
             }
             assert values["repro_replication_apply_progress"] > 0.0
-            view = store_view(store)
+            view = store_view(store, deterministic_snapshot(store))
             firing = {
                 rule.name
                 for rule in default_rules()
