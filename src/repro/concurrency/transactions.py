@@ -48,6 +48,8 @@ from repro.core.store import XMLStore
 from repro.storage.recovery import encode_op_payload
 from repro.storage.txnlog import CommitOp, encode_commit
 from repro.storage.wal import RecordType
+from repro.xmltoken.binary import DEPTH_STEP, KIND_MASK, STARTS_NODE
+from repro.xmltoken.parser import parse_records
 
 
 class TxnState(Enum):
@@ -446,18 +448,18 @@ class Transaction:
         return first_id
 
     def _push_undo_delete_inserted(self, xml_text: str, first_id: int) -> None:
-        """Undo an insert: delete each inserted top-level node by id."""
-        from repro.xmltoken.datamodel import strip_document_tokens, top_level_nodes
-        from repro.xmltoken.parser import tokenize_fragment
-        from repro.xmltoken.tokens import count_nodes
-
-        tokens = strip_document_tokens(tokenize_fragment(xml_text))
+        """Undo an insert: delete each inserted top-level node by id.  The
+        store gave the fragment's node-starting records consecutive ids
+        from ``first_id``; a top-level node is one that starts at depth 0."""
         top_ids: List[int] = []
-        consumed = 0
-        for start, end in top_level_nodes(tokens):
-            if tokens[start].starts_node:
-                top_ids.append(first_id + consumed)
-            consumed += count_nodes(tokens[start:end])
+        node_id, depth = first_id, 0
+        for record in parse_records(xml_text)[0]:
+            kind = record[0] & KIND_MASK
+            if STARTS_NODE[kind]:
+                if depth == 0:
+                    top_ids.append(node_id)
+                node_id += 1
+            depth += DEPTH_STEP[kind]
         self._undo.append(
             UndoEntry("uninsert", (tuple(top_ids),), f"uninsert nodes {top_ids}")
         )

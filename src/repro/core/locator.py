@@ -35,25 +35,15 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import TOKEN_COUNT_BUCKETS
 from repro.obs.telemetry import Telemetry
 from repro.storage.heap import Position
-from repro.xmltoken.binary import KIND_MASK, KIND_TABLE, decode_token, peek_kind
-from repro.xmltoken.tokens import (
-    BEGIN_KINDS,
-    END_KINDS,
-    NODE_STARTING_KINDS,
-    Token,
-    TokenKind,
+from repro.xmltoken.binary import (
+    DEPTH_STEP,
+    KIND_MASK,
+    KIND_TABLE,
+    STARTS_NODE,
+    decode_token,
+    peek_kind,
 )
-
-# What a structural walk needs to know about a token, tabulated over the
-# same index as KIND_TABLE (the header's kind bits, or equally a TokenKind):
-# does it consume a node id, and does it open (+1) or close (-1) a scope.
-# Unassigned kind values are False / 0 here and None in KIND_TABLE.
-_STARTS_NODE: Tuple[bool, ...] = tuple(
-    kind in NODE_STARTING_KINDS for kind in KIND_TABLE
-)
-_DEPTH_STEP: Tuple[int, ...] = tuple(
-    (kind in BEGIN_KINDS) - (kind in END_KINDS) for kind in KIND_TABLE
-)
+from repro.xmltoken.tokens import Token, TokenKind
 
 #: One piece of a scan: the records ``page_records[slot:stop]`` of one block,
 #: all in range ``meta`` (at ``order_index``), the first at ``offset``.
@@ -108,15 +98,15 @@ class ScanItem:
 
     @property
     def starts_node(self) -> bool:
-        return _STARTS_NODE[self.kind]
+        return STARTS_NODE[self.kind]
 
     @property
     def is_begin(self) -> bool:
-        return _DEPTH_STEP[self.kind] > 0
+        return DEPTH_STEP[self.kind] > 0
 
     @property
     def is_end(self) -> bool:
-        return _DEPTH_STEP[self.kind] < 0
+        return DEPTH_STEP[self.kind] < 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -304,7 +294,7 @@ class Locator:
             for slot in range(first, stop):
                 record = records[slot]
                 kind = peek_kind(record)
-                if _STARTS_NODE[kind]:
+                if STARTS_NODE[kind]:
                     if last_id is None:
                         last_id = self._first_id(meta)
                     else:
@@ -359,7 +349,7 @@ class Locator:
             raise DocumentOrderError(f"{begin.token!r} does not start a node")
         if not begin.is_begin:
             return begin
-        kinds, starts_node, depth_step = KIND_TABLE, _STARTS_NODE, _DEPTH_STEP
+        kinds, starts_node, depth_step = KIND_TABLE, STARTS_NODE, DEPTH_STEP
         next_id = self.id_scheme.next_id
         stats = self.stats
         depth = 1
@@ -427,7 +417,7 @@ class Locator:
 
     def _seek_id(self, meta: RangeMeta, node_id: int) -> Optional[ScanItem]:
         """Walk range ``meta`` for the token that starts ``node_id``."""
-        kinds, starts_node = KIND_TABLE, _STARTS_NODE
+        kinds, starts_node = KIND_TABLE, STARTS_NODE
         next_id = self.id_scheme.next_id
         stats = self.stats
         last_id = None

@@ -72,13 +72,13 @@ from repro.storage.heap import ChainedFile, Position
 from repro.storage.pages import PageCodec
 from repro.storage.recovery import encode_op_payload
 from repro.storage.wal import RecordType, WriteAheadLog
-from repro.xmltoken.binary import encode_tokens
-from repro.xmltoken.datamodel import strip_document_tokens, validate_stream
+from repro.xmltoken.binary import KIND_MASK, STARTS_NODE
 # perfbench's tracer patches this module's ``serialize`` by name: it has to
 # stay the callable the read path calls
 from repro.xmltoken.emitter import emit as serialize
-from repro.xmltoken.parser import tokenize_fragment
-from repro.xmltoken.tokens import Token, TokenKind, count_nodes
+# ... and ``tokenize_fragment`` likewise: the write path's text -> records pass
+from repro.xmltoken.parser import parse_records as tokenize_fragment
+from repro.xmltoken.tokens import TokenKind
 
 _ATTRIBUTE_KINDS = frozenset(
     {
@@ -491,14 +491,14 @@ class XMLStore:
         single-rooted document), or None for an all-markup fragment.
         """
         with self.telemetry.span("load_document", bytes=len(xml_text)):
-            tokens = self._ingest(xml_text)
-            if not tokens:
+            records, node_count = self._ingest(xml_text)
+            if not records:
                 return None
             if log:
                 self.wal.append(
                     RecordType.LOAD_DOCUMENT, encode_op_payload(b"", xml_text)
                 )
-            first_id = self._insert_fragment(None, tokens)
+            first_id = self._insert_fragment(None, records, node_count)
             self.operations.loads += 1
             self._observe(is_read=False)
             return first_id
@@ -556,12 +556,12 @@ class XMLStore:
         """What the four inserts share: they differ in which targets they
         ``require`` and in where, relative to the target, the point is."""
         with self.telemetry.span(op, node_id=node_id):
-            tokens = self._ingest(xml_text, require_content=True)
+            records, node_count = self._ingest(xml_text, require_content=True)
             location = self.locator.locate(node_id)
             require(location)
             if log:
                 self._log(record_type, node_id, xml_text)
-            first_id = self._insert_fragment(point_of(location), tokens)
+            first_id = self._insert_fragment(point_of(location), records, node_count)
             self.operations.inserts += 1
             self._observe(is_read=False)
             return first_id
@@ -580,13 +580,13 @@ class XMLStore:
     def replace_node(self, node_id: int, xml_text: str, log: bool = True) -> Optional[int]:
         """Replace the node (and subtree) with ``xml_text``."""
         with self.telemetry.span("replace_node", node_id=node_id):
-            tokens = self._ingest(xml_text, require_content=True)
+            records, node_count = self._ingest(xml_text, require_content=True)
             location = self.locator.locate(node_id)
             if log:
                 self._log(RecordType.REPLACE_NODE, node_id, xml_text)
             end = self.locator.complete(location)
             point = self._delete_span(location.begin, end)
-            first_id = self._insert_fragment(point, tokens)
+            first_id = self._insert_fragment(point, records, node_count)
             self.operations.replaces += 1
             self._observe(is_read=False)
             return first_id
@@ -594,7 +594,7 @@ class XMLStore:
     def replace_content(self, node_id: int, xml_text: str, log: bool = True) -> Optional[int]:
         """Replace an element's content (children), keeping attributes."""
         with self.telemetry.span("replace_content", node_id=node_id):
-            tokens = self._ingest(xml_text)
+            records, node_count = self._ingest(xml_text)
             location = self.locator.locate(node_id)
             self._require_element_target(location)
             if log:
@@ -607,8 +607,8 @@ class XMLStore:
             else:
                 last_content = self._last_item_before_end(content_start)
                 point = self._delete_span(content_start, last_content)
-            if tokens:
-                self._insert_fragment(point, tokens)
+            if records:
+                self._insert_fragment(point, records, node_count)
             self.operations.replaces += 1
             self._observe(is_read=False)
             return node_id
@@ -879,12 +879,13 @@ class XMLStore:
             encode_op_payload(self.id_scheme.encode(node_id), xml_text),
         )
 
-    def _ingest(self, xml_text: str, require_content: bool = False) -> List[Token]:
-        tokens = strip_document_tokens(tokenize_fragment(xml_text))
-        validate_stream(tokens, allow_document=False)
-        if require_content and not tokens:
+    def _ingest(self, xml_text: str, require_content: bool = False) -> Tuple[List[bytes], int]:
+        """The fragment's records and node count, or the syntax error that
+        keeps it out of the log."""
+        records, node_count = tokenize_fragment(xml_text)
+        if require_content and not records:
             raise InvalidOperationError("the inserted fragment is empty")
-        return tokens
+        return records, node_count
 
     @staticmethod
     def _require_element_target(location: NodeLocation) -> None:
@@ -936,14 +937,13 @@ class XMLStore:
     # ----------------------------------------------------------- insert engine --
 
     def _insert_fragment(
-        self, point: Optional[_InsertPoint], tokens: Sequence[Token]
+        self, point: Optional[_InsertPoint], records: List[bytes], node_count: int
     ) -> Optional[int]:
-        """Insert ``tokens`` as one-or-more fresh ranges at ``point``
-        (None = end of document); returns the first inserted node's id."""
-        if not tokens:
+        """Insert ``records`` (holding ``node_count`` nodes) as one-or-more
+        fresh ranges at ``point`` (None = end of document); returns the
+        first inserted node's id."""
+        if not records:
             return None
-        records = encode_tokens(tokens)
-        node_count = count_nodes(tokens)
         first_id: Optional[int] = None
         if node_count:
             first_id, _ = self.id_scheme.allocate_interval(node_count)
@@ -966,7 +966,7 @@ class XMLStore:
             tail = self.ranges.split(point.meta, point.offset, point.last_id_before)
             after = point.meta.range_id
         new_metas = self._create_ranges(
-            records, tokens, result.positions, first_id, after=after, before=before
+            records, node_count, result.positions, first_id, after=after, before=before
         )
         if tail is not None:
             self.ranges.place(tail, result.following, after=new_metas[-1].range_id)
@@ -993,20 +993,26 @@ class XMLStore:
     def _create_ranges(
         self,
         records: Sequence[bytes],
-        tokens: Sequence[Token],
+        node_count: int,
         positions: Sequence[Position],
         first_id: Optional[int],
         after: Optional[int] = None,
         before: Optional[int] = None,
     ) -> List[RangeMeta]:
         """Create ranges (one per granularity chunk) over freshly inserted
-        records."""
+        records, which hold ``node_count`` nodes."""
         metas: List[RangeMeta] = []
         offset = 0
         next_id = first_id
         anchor_after = after
         for chunk_tokens in self._chunk_counts(len(records)):
-            chunk_nodes = count_nodes(tokens[offset : offset + chunk_tokens])
+            if chunk_tokens == len(records):
+                chunk_nodes = node_count
+            else:  # a chunk's node count is in its header bytes
+                chunk_nodes = sum(
+                    STARTS_NODE[record[0] & KIND_MASK]
+                    for record in records[offset : offset + chunk_tokens]
+                )
             if chunk_nodes and next_id is not None:
                 start_id: Optional[int] = next_id
                 end_id: Optional[int] = next_id + chunk_nodes - 1

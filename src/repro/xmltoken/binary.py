@@ -1,6 +1,7 @@
 """Binary token codec: the on-page record format.
 
-Each token serializes to one compact record.  Layout::
+Each token serializes to one compact record (:func:`encode_record`, which
+the parser calls as it recognizes each event).  Layout::
 
     u8 header | [varint len + utf8]*   (name, value, type — present per flags)
 
@@ -14,10 +15,10 @@ start id.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CodecError
-from repro.xmltoken.tokens import Token, TokenKind
+from repro.xmltoken.tokens import BEGIN_KINDS, END_KINDS, NODE_STARTING_KINDS, Token, TokenKind
 
 #: The header bits that hold the token kind.
 KIND_MASK = 0x1F
@@ -32,6 +33,16 @@ _FLAG_TYPE = 0x80
 KIND_TABLE: Tuple[Optional[TokenKind], ...] = tuple(
     map({int(kind): kind for kind in TokenKind}.get, range(KIND_MASK + 1))
 )
+#: What a structural walk needs from a header, over the same index: does
+#: the record start a node (and so take an id), and does it open (+1) or
+#: close (-1) a scope.  Unassigned kind values are False / 0.
+STARTS_NODE: Tuple[bool, ...] = tuple(kind in NODE_STARTING_KINDS for kind in KIND_TABLE)
+DEPTH_STEP: Tuple[int, ...] = tuple(
+    (kind in BEGIN_KINDS) - (kind in END_KINDS) for kind in KIND_TABLE
+)
+
+#: Every header byte, and every one-byte varint, as ready-made bytes.
+_BYTES = tuple(bytes((value,)) for value in range(256))
 
 
 def encode_varint(value: int) -> bytes:
@@ -66,26 +77,34 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def _encode_string(value: str) -> bytes:
+def _encode_field(value: str) -> bytes:
+    """A record field: the varint length of the UTF-8 bytes, then them.
+    ``UnicodeEncodeError`` for a lone surrogate, which UTF-8 cannot hold."""
     raw = value.encode("utf-8")
-    return encode_varint(len(raw)) + raw
+    size = len(raw)
+    return (_BYTES[size] if size < 0x80 else encode_varint(size)) + raw
+
+
+def encode_record(kind: int, name: str = "", value: str = "", type_annotation: str = "") -> bytes:
+    """The record of one event: what :func:`token_fields` slices back.  A
+    field is present, and flagged in the header, only when non-empty."""
+    header = kind
+    fields = b""
+    if name:
+        header |= _FLAG_NAME
+        fields = _encode_field(name)
+    if value:
+        header |= _FLAG_VALUE
+        fields += _encode_field(value)
+    if type_annotation:
+        header |= _FLAG_TYPE
+        fields += _encode_field(type_annotation)
+    return _BYTES[header] + fields
 
 
 def encode_token(token: Token) -> bytes:
     """Serialize one token to its record bytes."""
-    header = int(token.kind)
-    parts = [b""]  # placeholder for header
-    if token.name:
-        header |= _FLAG_NAME
-        parts.append(_encode_string(token.name))
-    if token.value:
-        header |= _FLAG_VALUE
-        parts.append(_encode_string(token.value))
-    if token.type_annotation:
-        header |= _FLAG_TYPE
-        parts.append(_encode_string(token.type_annotation))
-    parts[0] = bytes([header])
-    return b"".join(parts)
+    return encode_record(token.kind, token.name, token.value, token.type_annotation)
 
 
 def decode_token(data: bytes) -> Token:
@@ -131,9 +150,10 @@ def token_fields(data: bytes, offset: int = 0) -> Tuple[int, bytes, bytes, bytes
     ``(header, name, value, type_annotation, next_offset)``, the three
     fields as their stored UTF-8 bytes (``b""`` when absent).
 
-    This is the one place that knows the record layout, and every check on
-    it is made here: a record that comes back has a known kind, complete
-    length prefixes and payloads, and fields that are each valid UTF-8.
+    This and its inverse, :func:`encode_record`, are the two places that
+    know the record layout, and every check on it is made here: a record
+    that comes back has a known kind, complete length prefixes and
+    payloads, and fields that are each valid UTF-8.
     """
     try:
         header = data[offset]
@@ -165,7 +185,16 @@ def encode_tokens(tokens: Iterable[Token]) -> List[bytes]:
 
 
 def decode_tokens(records: Iterable[bytes]) -> List[Token]:
-    return [decode_token(record) for record in records]
+    """Decode each record.  Equal records share one token, which is
+    immutable: a document's end tags and repeated names cost one each."""
+    shared: Dict[bytes, Token] = {}
+    tokens: List[Token] = []
+    for record in records:
+        token = shared.get(record)
+        if token is None:
+            token = shared[record] = decode_token(record)
+        tokens.append(token)
+    return tokens
 
 
 def encode_stream(tokens: Iterable[Token]) -> bytes:

@@ -1,98 +1,18 @@
 """XQuery Data Model helpers over token sequences.
 
-The store's invariants live here: a stored token sequence must be a
-*well-nested forest* — begin/end tokens match, attributes appear only at
-the start of their element, attribute values only inside attributes.
-:func:`validate_stream` enforces this and is used by tests, by the store's
-ingest path, and by the property-based test-suite.
-
-Also provides structural utilities used throughout the core: finding the
-end of the node that starts at a given token, slicing subtrees, and
-counting node identifiers consumed by a sequence.
+The token-list models (:class:`~repro.testing.reference.ReferenceStore`,
+:class:`~repro.concurrency.tokendoc.TokenDocument`) find a node's extent
+here.  Their tokens come from the record parser
+(:mod:`repro.xmltoken.parser`), which yields a well-nested forest by
+construction, so nothing here checks for one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import TokenStreamError
-from repro.xmltoken.tokens import (
-    MATCHING_END,
-    Token,
-    TokenKind,
-)
-
-
-def validate_stream(tokens: Sequence[Token], allow_document: bool = True) -> None:
-    """Raise :class:`TokenStreamError` unless ``tokens`` is a well-nested
-    forest of complete nodes.
-
-    Rules enforced:
-
-    * begin tokens are closed by their matching end kind, properly nested;
-    * ATTRIBUTE_VALUE appears only between BEGIN_ATTRIBUTE/END_ATTRIBUTE;
-    * attributes and namespaces appear only in the *attribute position* of
-      an element (before any content);
-    * nothing nests inside an attribute except its value;
-    * document tokens (if present) are outermost only.
-    """
-    stack: List[TokenKind] = []
-    # Whether the innermost element is still in its attribute position.
-    attr_position: List[bool] = []
-    for index, token in enumerate(tokens):
-        kind = token.kind
-        if stack and stack[-1] == TokenKind.BEGIN_ATTRIBUTE:
-            if kind == TokenKind.ATTRIBUTE_VALUE:
-                continue
-            if kind == TokenKind.END_ATTRIBUTE:
-                stack.pop()
-                continue
-            raise TokenStreamError(
-                f"token {token!r} at {index} is not allowed inside an attribute"
-            )
-        if kind == TokenKind.BEGIN_DOCUMENT:
-            if not allow_document:
-                raise TokenStreamError("document tokens are not allowed here")
-            if stack:
-                raise TokenStreamError("BEGIN_DOCUMENT must be outermost")
-            stack.append(kind)
-        elif kind == TokenKind.BEGIN_ELEMENT:
-            if not token.name:
-                raise TokenStreamError(f"element at {index} has no name")
-            stack.append(kind)
-            attr_position.append(True)
-        elif kind == TokenKind.BEGIN_ATTRIBUTE:
-            if not token.name:
-                raise TokenStreamError(f"attribute at {index} has no name")
-            if not attr_position or not attr_position[-1] or stack[-1] != TokenKind.BEGIN_ELEMENT:
-                raise TokenStreamError(
-                    f"attribute at {index} outside an element's attribute position"
-                )
-            stack.append(kind)
-        elif kind == TokenKind.NAMESPACE:
-            if not attr_position or not attr_position[-1] or stack[-1] != TokenKind.BEGIN_ELEMENT:
-                raise TokenStreamError(
-                    f"namespace at {index} outside an element's attribute position"
-                )
-        elif kind in MATCHING_END.values():
-            if not stack:
-                raise TokenStreamError(f"unmatched end token {token!r} at {index}")
-            begin = stack.pop()
-            if MATCHING_END[begin] != kind:
-                raise TokenStreamError(
-                    f"end token {token!r} at {index} does not match {begin.name}"
-                )
-            if begin == TokenKind.BEGIN_ELEMENT:
-                attr_position.pop()
-        elif kind == TokenKind.ATTRIBUTE_VALUE:
-            raise TokenStreamError(
-                f"ATTRIBUTE_VALUE at {index} outside an attribute"
-            )
-        else:  # TEXT, COMMENT, PROCESSING_INSTRUCTION
-            if attr_position:
-                attr_position[-1] = False
-    if stack:
-        raise TokenStreamError(f"{len(stack)} unclosed begin token(s) at end of stream")
+from repro.xmltoken.tokens import Token
 
 
 def node_end_offset(tokens: Sequence[Token], start: int) -> int:
@@ -116,44 +36,3 @@ def node_end_offset(tokens: Sequence[Token], start: int) -> int:
             if depth == 0:
                 return index + 1
     raise TokenStreamError(f"node starting at {start} is never closed")
-
-
-def subtree(tokens: Sequence[Token], start: int) -> List[Token]:
-    """The complete token sequence of the node starting at ``start``."""
-    return list(tokens[start : node_end_offset(tokens, start)])
-
-
-def top_level_nodes(tokens: Sequence[Token]) -> List[Tuple[int, int]]:
-    """(start, end) slices of each top-level node of a forest."""
-    slices: List[Tuple[int, int]] = []
-    index = 0
-    while index < len(tokens):
-        end = node_end_offset(tokens, index)
-        slices.append((index, end))
-        index = end
-    return slices
-
-
-def depth_profile(tokens: Iterable[Token]) -> List[int]:
-    """Nesting depth before each token (document/element/attribute levels);
-    useful in tests and for the structural partial-index extension."""
-    depths: List[int] = []
-    depth = 0
-    for token in tokens:
-        if token.is_end:
-            depth -= 1
-        depths.append(depth)
-        if token.is_begin:
-            depth += 1
-    return depths
-
-
-def strip_document_tokens(tokens: Sequence[Token]) -> List[Token]:
-    """Remove an outermost document-token bracket, if present."""
-    if (
-        len(tokens) >= 2
-        and tokens[0].kind == TokenKind.BEGIN_DOCUMENT
-        and tokens[-1].kind == TokenKind.END_DOCUMENT
-    ):
-        return list(tokens[1:-1])
-    return list(tokens)

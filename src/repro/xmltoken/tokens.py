@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Iterable, Iterator, List, Sequence
+from typing import List, Sequence
 
 
 class TokenKind(IntEnum):
@@ -198,8 +198,3 @@ def element(name: str, *children: object, attributes: Sequence = ()) -> List[Tok
     tokens.append(end_element())
     return tokens
 
-
-def count_nodes(tokens: Iterable[Token]) -> int:
-    """Number of XQuery Data Model nodes in a token sequence (= number of
-    identifiers the id factory will allocate for it)."""
-    return sum(1 for token in tokens if token.starts_node)

@@ -493,6 +493,28 @@ def record_read_ledger():
     return whole, nodes, ledger, digest
 
 
+@pytest.fixture
+def decodes(monkeypatch):
+    """Counts every token built and every full decode, whoever asks."""
+    from repro.xmltoken import binary
+    from repro.xmltoken.tokens import Token
+
+    calls = []
+    init, decode_at = Token.__init__, binary.decode_token_at
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("Token")
+        init(self, *args, **kwargs)
+
+    def counting_decode(data, offset):
+        calls.append("decode_token_at")
+        return decode_at(data, offset)
+
+    monkeypatch.setattr(Token, "__init__", counting_init)
+    monkeypatch.setattr(binary, "decode_token_at", counting_decode)
+    return calls
+
+
 class TestRecordRead:
     """The cost model charges a read 20 us per record rendered (DESIGN.md
     §2) and nothing for building tokens; this holds the code to it.  The
@@ -500,31 +522,13 @@ class TestRecordRead:
     the same calls: the counters, the simulated clock, the fetch sequence
     and the replication digest did not move when the emitter replaced it."""
 
-    @pytest.fixture
-    def decodes(self, monkeypatch):
-        """Counts every token built and every full decode, whoever asks."""
-        from repro.xmltoken import binary
-        from repro.xmltoken.tokens import Token
-
-        calls = []
-        init, decode_at = Token.__init__, binary.decode_token_at
-
-        def counting_init(self, *args, **kwargs):
-            calls.append("Token")
-            init(self, *args, **kwargs)
-
-        def counting_decode(data, offset):
-            calls.append("decode_token_at")
-            return decode_at(data, offset)
-
-        monkeypatch.setattr(Token, "__init__", counting_init)
-        monkeypatch.setattr(binary, "decode_token_at", counting_decode)
-        return calls
-
     def test_reads_decode_no_token(self, decodes):
+        from repro.xmltoken.parser import tokenize_fragment
+
         store = make_store()
         store.load_document(RECORD_READ_XML)
-        assert decodes  # loading tokenizes: the counter works
+        tokenize_fragment("<a/>")
+        assert decodes  # the token view decodes: the counter works
         del decodes[:]
         assert store.read() == RECORD_READ_XML
         # the same ids as in the ledger's store: nothing was inserted
@@ -557,3 +561,66 @@ class TestRecordRead:
             store.read()
         with pytest.raises(CodecError, match="UTF-8"):
             store.read(3)
+
+
+class TestRecordWrite:
+    """Writes go from XML text to stored records in one pass (the parser
+    encodes each event as it recognizes it): no verb builds a token or
+    decodes a record, nor does the transactional insert's undo."""
+
+    def test_writes_build_no_token(self, decodes):
+        from repro.concurrency.transactions import TransactionManager
+
+        # small ranges: a load spans many, each counted from header bytes
+        store = make_store(max_range_tokens=16)
+        store.load_document(RECORD_READ_XML)
+        store.insert_before(4, '<a k="v">x</a>')
+        store.insert_after(4, "<b/><!--c-->")
+        store.insert_into_first(4, "<?pi data?>text")
+        store.insert_into_last(4, "<d><e/></d>")
+        store.replace_content(4, "<f>&amp;</f>")
+        store.replace_node(12, "<g/>")
+        txn = TransactionManager(store).begin()
+        txn.insert_into_last(1, "<h><i/></h>tail")
+        txn.commit()
+        assert decodes == []
+        store.check_integrity()
+        assert store.read(4) == '<p:book id="b0" lang="en"><f>&amp;</f></p:book>'
+        assert store.read().endswith("<h><i/></h>tail</lib>")
+
+
+class TestUnencodableInput:
+    """A lone surrogate — referenced in text, referenced in an attribute, or
+    written literally — cannot be held in a UTF-8 record.  The parser
+    encodes as it reads, so it rejects one before anything is logged, and
+    the log still replays to the live document."""
+
+    SURROGATES = ["<i>&#xD800;</i>", '<i a="&#55296;"/>', "<i>\ud800</i>"]
+
+    def _transactional_insert(self, store, xml):
+        from repro.concurrency.transactions import TransactionManager
+
+        txn = TransactionManager(store, redo_buffering=True).begin()
+        try:
+            txn.insert_into_last(1, xml)
+        finally:
+            txn.commit()
+
+    @pytest.mark.parametrize("xml", SURROGATES)
+    @pytest.mark.parametrize("verb", ["load_document", "insert_into_last", "transaction"])
+    def test_rejected_before_the_log(self, verb, xml):
+        from repro.storage.wal import WriteAheadLog
+
+        store = make_store()
+        store.load_document("<r><o/></r>")
+        logged = len(list(store.wal.records()))
+        write = {
+            "load_document": lambda: store.load_document(xml),
+            "insert_into_last": lambda: store.insert_into_last(2, xml),
+            "transaction": lambda: self._transactional_insert(store, xml),
+        }[verb]
+        with pytest.raises(XMLSyntaxError, match="surrogate U\\+D800"):
+            write()
+        assert len(list(store.wal.records())) == logged
+        recovered = XMLStore.recover(WriteAheadLog.from_bytes(store.wal.to_bytes()))
+        assert recovered.read() == store.read() == "<r><o/></r>"

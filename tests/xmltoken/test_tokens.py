@@ -8,7 +8,6 @@ from repro.xmltoken.tokens import (
     begin_document,
     begin_element,
     comment,
-    count_nodes,
     element,
     end_attribute,
     end_document,
@@ -17,6 +16,8 @@ from repro.xmltoken.tokens import (
     processing_instruction,
     text,
 )
+
+from tests.xmltoken.oracle import count_nodes
 
 
 class TestTokenProperties:
