@@ -785,10 +785,10 @@ def _load(arguments, store, stdin) -> str:
 def _read(arguments, store, stdin) -> str:
     text = store.read(arguments.node_id)
     if arguments.pretty and text:
-        from repro.xmltoken.parser import tokenize_fragment
-        from repro.xmltoken.serializer import serialize
+        from repro.xmltoken.emitter import emit, indented
+        from repro.xmltoken.parser import parse_records
 
-        text = serialize(tokenize_fragment(text), indent="  ")
+        text = emit(indented(parse_records(text)[0], "  ")).decode("utf-8")
     return text
 
 

@@ -43,7 +43,7 @@ from repro.concurrency.locks import (
     STORE_RESOURCE,
     range_resource,
 )
-from repro.concurrency.tokendoc import TokenDocument, capture_subtree
+from repro.concurrency.recorddoc import RecordDocument, capture_subtree
 from repro.core.store import XMLStore
 from repro.storage.recovery import encode_op_payload
 from repro.storage.txnlog import CommitOp, encode_commit
@@ -77,7 +77,7 @@ class UndoEntry:
     Entries that re-create content also record the original node ids of
     that content (document order).  The live store ignores them — ids
     are never reused, so an abort re-allocates — but consumers replaying
-    the inverse over a :class:`~repro.concurrency.tokendoc.TokenDocument`
+    the inverse over a :class:`~repro.concurrency.recorddoc.RecordDocument`
     (the snapshot materializer, and the transaction's own undo
     composition) restore the content under its exact original ids, which
     is what lets *later* entries keep addressing nodes by id.
@@ -88,7 +88,7 @@ class UndoEntry:
     description: str
 
     def apply(self, store, log: bool = True) -> None:
-        """Run the inverse against a live store or a TokenDocument."""
+        """Run the inverse against a live store or a RecordDocument."""
         with_ids = getattr(store, "accepts_ids", False)
         if self.kind == "uninsert":
             (top_ids,) = self.args
@@ -352,7 +352,7 @@ class Transaction:
         for order in range(begin_order, end_order + 1):
             self._lock(range_resource(ranges.at_order(order).range_id), mode)
 
-    def _subtree_at_start(self, node_id: int) -> TokenDocument:
+    def _subtree_at_start(self, node_id: int) -> RecordDocument:
         """Capture ``node_id``'s subtree and rewind it to this
         transaction's start state.
 
@@ -379,7 +379,7 @@ class Transaction:
         return model
 
     @staticmethod
-    def _entry_inside(entry: UndoEntry, model: TokenDocument) -> bool:
+    def _entry_inside(entry: UndoEntry, model: RecordDocument) -> bool:
         """Whether ``entry``'s effect lies inside the modeled subtree.
 
         Membership is evaluated against the model *as already rewound*
@@ -467,32 +467,13 @@ class Transaction:
     def _deletion_anchor(self, node_id: int) -> Tuple[str, Optional[int]]:
         """How to re-insert ``node_id``'s subtree on abort: before its next
         sibling, as last child of its parent, or at top level."""
-        view_root = self._build_view()
-        node, parent = self._find_with_parent(view_root, node_id)
-        if node is None:
-            return ("top", None)
-        siblings = parent.children if parent is not None else view_root.children
-        index = siblings.index(node)
-        for following in siblings[index + 1 :]:
-            if following.node_id is not None:
-                return ("before", following.node_id)
-        if parent is not None and parent.node_id is not None:
-            return ("into_last", parent.node_id)
+        following = self._store.next_sibling_of(node_id)
+        if following is not None:
+            return ("before", following)
+        parent = self._store.parent_of(node_id)
+        if parent is not None:
+            return ("into_last", parent)
         return ("top", None)
-
-    def _build_view(self):
-        from repro.xpath.evaluator import build_view
-
-        return build_view(self._store)
-
-    def _find_with_parent(self, root, node_id: int):
-        stack = [(child, root) for child in root.children]
-        while stack:
-            node, parent = stack.pop()
-            if node.node_id == node_id:
-                return node, (None if parent is root else parent)
-            stack.extend((grandchild, node) for grandchild in node.children)
-        return None, None
 
 
 class TransactionManager:

@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     ChecksumError,
+    CodecError,
     ReproError,
     StoreCorruptError,
     TokenStreamError,
@@ -65,9 +66,9 @@ from repro.obs.incident import record_directory_incident
 from repro.obs.schema import SIDECAR_FILE
 from repro.storage.scrub import ScrubReport, scrub_store
 from repro.storage.wal import LogRecord, WriteAheadLog
-from repro.xmltoken.binary import decode_token
-from repro.xmltoken.serializer import serialize
-from repro.xmltoken.tokens import Token, TokenKind
+from repro.xmltoken.binary import KIND_MASK, encode_record, token_fields
+from repro.xmltoken.emitter import emit
+from repro.xmltoken.tokens import TokenKind
 
 _log = get_logger("core.repair")
 
@@ -486,9 +487,9 @@ def degraded_read(store) -> DegradedRead:
 
     Tries a normal full read first.  On a checksum failure it salvages
     every range whose blocks all verify, in document order, reporting
-    the id intervals of lost ranges; the surviving token stream is
+    the id intervals of lost ranges; the surviving record stream is
     minimally re-balanced (only synthetic end-tags added, nothing
-    invented) so it always serializes.  Content that is returned is
+    invented) so it always renders.  Content that is returned is
     always genuine — damage shows up as *absence*, never as a wrong
     answer.
     """
@@ -500,19 +501,19 @@ def degraded_read(store) -> DegradedRead:
         # unbalanced (lost begin/end tags), so the strict reader refuses
         # it — exactly the store this tolerant path exists for.
         pass
-    tokens: List[Token] = []
+    records: List[bytes] = []
     lost: List[Tuple[int, int]] = []
     ranges_lost = 0
     for meta in store.ranges.in_order():
         try:
-            tokens.extend(_range_tokens(store, meta))
+            records.extend(_range_records(store, meta))
         except (ChecksumError, StopIteration):
             ranges_lost += 1
             if meta.has_interval:
                 lost.append((meta.start_id, meta.end_id))
-    balanced, changed = _balance_tokens(tokens)
+    balanced, changed = _balance_records(records)
     return DegradedRead(
-        text=serialize(balanced),
+        text=emit(balanced).decode("utf-8"),
         complete=False,
         lost_intervals=lost,
         ranges_lost=ranges_lost,
@@ -520,86 +521,81 @@ def degraded_read(store) -> DegradedRead:
     )
 
 
-def _range_tokens(store, meta: RangeMeta) -> List[Token]:
-    """All tokens of one range, collected atomically (so a checksum
-    failure midway contributes nothing)."""
-    out: List[Token] = []
+def _range_records(store, meta: RangeMeta) -> List[bytes]:
+    """All records of one range, collected atomically (so a checksum
+    failure midway contributes nothing), each checked as the codec checks
+    a record it decodes: a ``CodecError`` for any that does not slice."""
+    out: List[bytes] = []
     cursor = store.layout.iter_from(meta.start)
     for _ in range(meta.token_count):
         _, record = next(cursor)
-        out.append(decode_token(record))
+        end = token_fields(record)[4]
+        if end != len(record):
+            raise CodecError(f"{len(record) - end} trailing bytes after token")
+        out.append(record)
     return out
 
 
-def _balance_tokens(tokens: List[Token]) -> Tuple[List[Token], bool]:
-    """Minimal edit making a salvaged stream serializable.
+#: The only synthetic records a balance ever adds.
+_ATTRIBUTE_CLOSER = encode_record(TokenKind.END_ATTRIBUTE)
+_ELEMENT_CLOSER = encode_record(TokenKind.END_ELEMENT)
 
-    Drops tokens the serializer would reject (unmatched end tokens,
+
+def _balance_records(records: List[bytes]) -> Tuple[List[bytes], bool]:
+    """Minimal edit making a salvaged stream renderable.
+
+    Drops records the emitter would reject (unmatched end records,
     attribute material with no open start tag) and closes elements left
-    open at the end.  Every kept token is genuine surviving content;
-    the only *synthetic* tokens ever added are END_ATTRIBUTE/END_ELEMENT
-    closers.  Returns ``(tokens, changed)``.
+    open at the end.  Every kept record is genuine surviving content;
+    the only *synthetic* records ever added are END_ATTRIBUTE/END_ELEMENT
+    closers.  Returns ``(records, changed)``.
     """
-    out: List[Token] = []
+    out: List[bytes] = []
     changed = False
-    stack: List[str] = []  # open element names
+    open_elements = 0
     tag_open = False  # start tag still open: attributes are legal
     attr_open = False  # inside BEGIN_ATTRIBUTE .. END_ATTRIBUTE
 
     def close_attribute() -> None:
         nonlocal attr_open, changed
         if attr_open:
-            out.append(Token(TokenKind.END_ATTRIBUTE))
+            out.append(_ATTRIBUTE_CLOSER)
             attr_open = False
             changed = True
 
-    for token in tokens:
-        kind = token.kind
-        if kind in (TokenKind.BEGIN_DOCUMENT, TokenKind.END_DOCUMENT):
-            out.append(token)  # serializer ignores them
-        elif kind == TokenKind.BEGIN_ELEMENT:
+    for record in records:
+        kind = record[0] & KIND_MASK
+        if kind == TokenKind.BEGIN_ELEMENT:
             close_attribute()
-            out.append(token)
-            stack.append(token.name)
-            tag_open = True
+            keep = tag_open = True
+            open_elements += 1
         elif kind == TokenKind.END_ELEMENT:
             close_attribute()
-            if stack:
-                out.append(token)
-                stack.pop()
+            keep = open_elements > 0  # an unmatched end is dropped
+            if keep:
+                open_elements -= 1
                 tag_open = False
-            else:
-                changed = True  # unmatched end: dropped
         elif kind == TokenKind.BEGIN_ATTRIBUTE:
-            if tag_open and not attr_open:
-                out.append(token)
-                attr_open = True
-            else:
-                changed = True
+            keep = tag_open and not attr_open
+            attr_open = attr_open or keep
         elif kind == TokenKind.ATTRIBUTE_VALUE:
-            if attr_open:
-                out.append(token)
-            else:
-                changed = True
+            keep = attr_open
         elif kind == TokenKind.END_ATTRIBUTE:
-            if attr_open:
-                out.append(token)
-                attr_open = False
-            else:
-                changed = True
+            keep, attr_open = attr_open, False
         elif kind == TokenKind.NAMESPACE:
-            if tag_open and not attr_open:
-                out.append(token)
-            else:
-                changed = True
+            keep = tag_open and not attr_open
+        elif kind in (TokenKind.BEGIN_DOCUMENT, TokenKind.END_DOCUMENT):
+            keep = True  # the emitter renders them as nothing
         else:  # TEXT / COMMENT / PROCESSING_INSTRUCTION
             close_attribute()
-            out.append(token)
-            tag_open = False
+            keep, tag_open = True, False
+        if keep:
+            out.append(record)
+        else:
+            changed = True
     close_attribute()
-    while stack:
-        out.append(Token(TokenKind.END_ELEMENT))
-        stack.pop()
+    if open_elements:
+        out.extend([_ELEMENT_CLOSER] * open_elements)
         changed = True
     return out, changed
 

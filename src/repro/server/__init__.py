@@ -10,6 +10,7 @@ asyncio adapter (:mod:`repro.server.netadapter`) exposes the same core
 over a real socket for ``repro serve`` / ``repro client``.
 """
 
+from repro.concurrency.recorddoc import RecordDocument
 from repro.server.group_commit import GroupCommitQueue, PerCommitQueue
 from repro.server.scheduler import CooperativeScheduler, ScheduleStep
 from repro.server.sessions import (
@@ -22,7 +23,7 @@ from repro.server.sessions import (
     SessionOp,
     XMLServer,
 )
-from repro.server.snapshot import Snapshot, SnapshotManager, TokenDocument
+from repro.server.snapshot import Snapshot, SnapshotManager
 
 __all__ = [
     "CooperativeScheduler",
@@ -30,6 +31,7 @@ __all__ = [
     "MUTATING_OPS",
     "PerCommitQueue",
     "READER_OPS",
+    "RecordDocument",
     "ScheduleStep",
     "ServerReport",
     "ServerStats",
@@ -37,7 +39,6 @@ __all__ = [
     "SessionOp",
     "Snapshot",
     "SnapshotManager",
-    "TokenDocument",
     "WRITER_OPS",
     "XMLServer",
 ]

@@ -11,10 +11,11 @@ through the store they pin the *committed* state as of snapshot open:
   hook materializes the view (the lazy discipline the paper's title
   endorses: copy only when someone actually writes).
 * If writers do hold changes, the snapshot materializes eagerly: it
-  captures the live token sequence (with the real node ids, regenerated
+  captures the live record sequence (with the real node ids, regenerated
   per range exactly like the locator does) and applies the writers'
   logical undo entries — the same inverses ``Transaction.abort`` runs —
-  to a private token-list model, yielding the committed content.
+  to a private :class:`~repro.concurrency.recorddoc.RecordDocument`,
+  yielding the committed content.
 
 Reads over the materialized model are exact in content *and* ids: the
 undo entries record the original ids of any content they re-create, so
@@ -31,15 +32,15 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.concurrency.tokendoc import TokenDocument, capture_document
+from repro.concurrency.recorddoc import RecordDocument, capture_document
 
-__all__ = ["TokenDocument", "capture_document", "Snapshot", "SnapshotManager"]
+__all__ = ["Snapshot", "SnapshotManager"]
 
 
 class Snapshot:
     """One read-only session's pinned view."""
 
-    def __init__(self, manager: "SnapshotManager", model: Optional[TokenDocument]) -> None:
+    def __init__(self, manager: "SnapshotManager", model: Optional[RecordDocument]) -> None:
         self._manager = manager
         self._model = model
         self.closed = False

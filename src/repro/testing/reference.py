@@ -1,152 +1,15 @@
-"""A plain in-memory reference store: the differential-testing oracle.
+"""The differential-testing oracle: a plain in-memory reference store.
 
-Keeps the document as a flat token list with its own dense id
-assignment, sharing nothing with :class:`~repro.core.store.XMLStore`
-except the parser.  The property tests drive random operation sequences
-against both and require agreement; the crash-consistency torture
-harness (:mod:`repro.testing.torture`) uses it to know which node ids
-are valid targets while generating workloads, and what the document must
-serialize to after recovering a prefix of the operation history.
+It is a :class:`~repro.concurrency.recorddoc.RecordDocument` with dense id
+assignment, sharing nothing with :class:`~repro.core.store.XMLStore` but
+the parser and the emitter.  The property tests drive random operation
+sequences against both and require agreement; the crash-consistency
+torture harness (:mod:`repro.testing.torture`) uses it to know which node
+ids are valid targets while generating workloads, and what the document
+must serialize to after recovering a prefix of the operation history.
+perfbench's oracle subclasses it under this name.
 """
 
-from __future__ import annotations
+from repro.concurrency.recorddoc import RecordDocument as ReferenceStore
 
-from typing import List, Optional, Tuple
-
-from repro.errors import NodeNotFoundError
-from repro.xmltoken.datamodel import node_end_offset
-from repro.xmltoken.parser import tokenize_fragment
-from repro.xmltoken.serializer import serialize
-from repro.xmltoken.tokens import Token, TokenKind
-
-_ATTRIBUTE_KINDS = (
-    TokenKind.BEGIN_ATTRIBUTE,
-    TokenKind.ATTRIBUTE_VALUE,
-    TokenKind.END_ATTRIBUTE,
-    TokenKind.NAMESPACE,
-)
-
-
-class ReferenceStore:
-    """Token list + dense id assignment; mirrors the Table-1 interface."""
-
-    def __init__(self) -> None:
-        self.tokens: List[Token] = []
-        self.ids: List[Optional[int]] = []  # id per token (node starts only)
-        self._next_id = 1
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _assign(self, tokens: List[Token]) -> List[Optional[int]]:
-        ids: List[Optional[int]] = []
-        for token in tokens:
-            if token.starts_node:
-                ids.append(self._next_id)
-                self._next_id += 1
-            else:
-                ids.append(None)
-        return ids
-
-    def _find(self, node_id: int) -> int:
-        for index, assigned in enumerate(self.ids):
-            if assigned == node_id:
-                return index
-        raise NodeNotFoundError(str(node_id))
-
-    def _subtree_span(self, index: int) -> Tuple[int, int]:
-        return index, node_end_offset(self.tokens, index)
-
-    def _splice(self, at: int, tokens: List[Token]) -> None:
-        ids = self._assign(tokens)
-        self.tokens[at:at] = tokens
-        self.ids[at:at] = ids
-
-    # -- mirrored operations -----------------------------------------------------
-
-    def load_document(self, xml: str) -> Optional[int]:
-        tokens = tokenize_fragment(xml)
-        first = self._next_id if any(t.starts_node for t in tokens) else None
-        self._splice(len(self.tokens), tokens)
-        return first
-
-    def read(self, node_id: Optional[int] = None) -> str:
-        if node_id is None:
-            return serialize(self.tokens)
-        start, end = self._subtree_span(self._find(node_id))
-        return serialize(self.tokens[start:end])
-
-    def insert_before(self, node_id: int, xml: str) -> None:
-        index = self._find(node_id)
-        self._splice(index, tokenize_fragment(xml))
-
-    def insert_after(self, node_id: int, xml: str) -> None:
-        _, end = self._subtree_span(self._find(node_id))
-        self._splice(end, tokenize_fragment(xml))
-
-    def insert_into_last(self, node_id: int, xml: str) -> None:
-        start, end = self._subtree_span(self._find(node_id))
-        self._splice(end - 1, tokenize_fragment(xml))
-
-    def insert_into_first(self, node_id: int, xml: str) -> None:
-        index = self._find(node_id)
-        position = index + 1
-        while self.tokens[position].kind in _ATTRIBUTE_KINDS:
-            position += 1
-        self._splice(position, tokenize_fragment(xml))
-
-    def delete_node(self, node_id: int) -> None:
-        start, end = self._subtree_span(self._find(node_id))
-        del self.tokens[start:end]
-        del self.ids[start:end]
-
-    def replace_node(self, node_id: int, xml: str) -> None:
-        start, end = self._subtree_span(self._find(node_id))
-        del self.tokens[start:end]
-        del self.ids[start:end]
-        self._splice(start, tokenize_fragment(xml))
-
-    def replace_content(self, node_id: int, xml: str) -> None:
-        start, end = self._subtree_span(self._find(node_id))
-        content_start = start + 1
-        while (
-            content_start < end - 1
-            and self.tokens[content_start].kind in _ATTRIBUTE_KINDS
-        ):
-            content_start += 1
-        del self.tokens[content_start : end - 1]
-        del self.ids[content_start : end - 1]
-        if xml:
-            self._splice(content_start, tokenize_fragment(xml))
-
-    def exists(self, node_id: int) -> bool:
-        return node_id in self.ids
-
-    # -- inspection ---------------------------------------------------------------
-
-    def is_attribute(self, node_id: int) -> bool:
-        """Whether ``node_id`` names an attribute or namespace node."""
-        index = self._find(node_id)
-        return self.tokens[index].kind in (
-            TokenKind.BEGIN_ATTRIBUTE,
-            TokenKind.NAMESPACE,
-        )
-
-    def element_ids(self) -> List[int]:
-        return [
-            assigned
-            for token, assigned in zip(self.tokens, self.ids)
-            if assigned is not None and token.kind == TokenKind.BEGIN_ELEMENT
-        ]
-
-    def all_node_ids(self) -> List[int]:
-        return [assigned for assigned in self.ids if assigned is not None]
-
-    def sibling_target_ids(self) -> List[int]:
-        """Node ids that legally take insert_before/after/delete (i.e.
-        not attributes or namespace declarations)."""
-        return [
-            assigned
-            for token, assigned in zip(self.tokens, self.ids)
-            if assigned is not None
-            and token.kind not in (TokenKind.BEGIN_ATTRIBUTE, TokenKind.NAMESPACE)
-        ]
+__all__ = ["ReferenceStore"]

@@ -15,7 +15,7 @@ start id.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import CodecError
 from repro.xmltoken.tokens import BEGIN_KINDS, END_KINDS, NODE_STARTING_KINDS, Token, TokenKind
@@ -182,29 +182,3 @@ def decode_token_at(data: bytes, offset: int) -> Tuple[Token, int]:
 def encode_tokens(tokens: Iterable[Token]) -> List[bytes]:
     """Encode each token to its own record (the store's storage unit)."""
     return [encode_token(token) for token in tokens]
-
-
-def decode_tokens(records: Iterable[bytes]) -> List[Token]:
-    """Decode each record.  Equal records share one token, which is
-    immutable: a document's end tags and repeated names cost one each."""
-    shared: Dict[bytes, Token] = {}
-    tokens: List[Token] = []
-    for record in records:
-        token = shared.get(record)
-        if token is None:
-            token = shared[record] = decode_token(record)
-        tokens.append(token)
-    return tokens
-
-
-def encode_stream(tokens: Iterable[Token]) -> bytes:
-    """Encode a whole token sequence into one contiguous blob (used by the
-    WAL and by tests; pages store one record per token instead)."""
-    return b"".join(encode_token(token) for token in tokens)
-
-
-def decode_stream(data: bytes) -> Iterator[Token]:
-    offset = 0
-    while offset < len(data):
-        token, offset = decode_token_at(data, offset)
-        yield token

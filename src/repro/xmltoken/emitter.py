@@ -7,18 +7,24 @@ the kind bits of the header byte, takes name and value bytes from the one
 validated slicer (:func:`repro.xmltoken.binary.token_fields`), builds the
 ``<name`` / ``</name>`` fragments once per distinct name — markup repeats
 enormously — and escapes a value only when it holds a character that needs
-it.  Output and errors are those of ``serialize(decode_tokens(records))``
-(:mod:`repro.xmltoken.serializer`), which the tests hold it against.
+it.  It is the store's one renderer: :func:`indented` feeds it the
+whitespace a pretty-printed read adds, as records.  The tests hold output
+and errors against a token-by-token writer (``tests/xmltoken/oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CodecError, TokenStreamError
-from repro.xmltoken.binary import KIND_MASK, encode_token, peek_kind, token_fields
-from repro.xmltoken.serializer import ATTRIBUTE_ENTITIES, TEXT_ENTITIES
-from repro.xmltoken.tokens import Token, TokenKind
+from repro.xmltoken.binary import KIND_MASK, encode_record, peek_kind, token_fields
+from repro.xmltoken.tokens import TokenKind
+
+#: What character data must not contain literally, per context, and the
+#: entity that stands in for it.  "&" leads: the entities themselves contain
+#: it.
+TEXT_ENTITIES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+ATTRIBUTE_ENTITIES = (("&", "&amp;"), ("<", "&lt;"), ('"', "&quot;"))
 
 _BEGIN_ELEMENT = int(TokenKind.BEGIN_ELEMENT)
 _END_ELEMENT = int(TokenKind.END_ELEMENT)
@@ -37,7 +43,7 @@ _Entities = Tuple[Tuple[bytes, bytes], ...]
 
 
 def _as_bytes(entities: Tuple[Tuple[str, str], ...]) -> Tuple[bytes, _Entities]:
-    """The serializer's escape table as (the bytes to look for, byte pairs)."""
+    """An escape table as (the bytes to look for, byte pairs)."""
     pairs = tuple((char.encode("ascii"), entity.encode("ascii")) for char, entity in entities)
     return b"".join(char for char, _ in pairs), pairs
 
@@ -56,8 +62,8 @@ def _escape(value: bytes, entities: _Entities) -> bytes:
 
 #: An attribute or namespace node has no XML form of its own; it is rendered
 #: inside this scratch element and cut back out.
-_SCRATCH_BEGIN = encode_token(Token(TokenKind.BEGIN_ELEMENT, name="_"))
-_SCRATCH_END = encode_token(Token(TokenKind.END_ELEMENT))
+_SCRATCH_BEGIN = encode_record(TokenKind.BEGIN_ELEMENT, name="_")
+_SCRATCH_END = encode_record(TokenKind.END_ELEMENT)
 
 
 def emit(records: Iterable[bytes], node: bool = False) -> bytes:
@@ -65,7 +71,7 @@ def emit(records: Iterable[bytes], node: bool = False) -> bytes:
 
     With ``node`` the records are one node's span, and an attribute or a
     namespace node renders as ``name="value"``; without it those tokens
-    are, as for the serializer, an error outside a start tag.
+    are an error outside a start tag.
     """
     if node:
         records = list(records)
@@ -151,3 +157,29 @@ def emit(records: Iterable[bytes], node: bool = False) -> bytes:
     if attribute is not None:
         raise TokenStreamError("unclosed attribute at end of stream")
     return bytes(out)
+
+
+def indented(records: Iterable[bytes], indent: str) -> Iterator[bytes]:
+    """``records`` with the whitespace TEXT records that make :func:`emit`
+    pretty-print them, ``indent`` per level: every element, comment and PI
+    after the first thing rendered starts a new line, and an element with
+    any of those as a child closes on a line of its own.  Text stays
+    inline: a line break inside it would change the character data."""
+    has_children: List[bool] = []  # per open element: a line-starting child
+    started = False
+    for record in records:
+        kind = record[0] & KIND_MASK
+        if kind == _BEGIN_ELEMENT or kind == _COMMENT or kind == _PROCESSING_INSTRUCTION:
+            if started:
+                yield encode_record(_TEXT, value="\n" + indent * len(has_children))
+            if has_children:
+                has_children[-1] = True
+            if kind == _BEGIN_ELEMENT:
+                has_children.append(False)
+            started = True
+        elif kind == _END_ELEMENT:
+            if has_children and has_children.pop():
+                yield encode_record(_TEXT, value="\n" + indent * len(has_children))
+        elif kind == _TEXT:
+            started = True
+        yield record

@@ -25,11 +25,6 @@ referenced, is a syntax error: records hold UTF-8, which cannot encode it.
     (elements, text, comments, PIs), which is what updates carry — or, with
     ``document``, for a full document (exactly one root element, no
     top-level text) bracketed in BEGIN_DOCUMENT/END_DOCUMENT records.
-
-:func:`tokenize_fragment` / :func:`tokenize_document`
-    The same events decoded to tokens, for the token-list models
-    (``ReferenceStore``, ``TokenDocument``), the CLI's pretty printer and
-    tests.
 """
 
 from __future__ import annotations
@@ -38,8 +33,8 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import XMLSyntaxError
-from repro.xmltoken.binary import decode_tokens, encode_record
-from repro.xmltoken.tokens import Token, TokenKind
+from repro.xmltoken.binary import encode_record
+from repro.xmltoken.tokens import TokenKind
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -351,13 +346,3 @@ def parse_records(source: str, document: bool = False) -> Tuple[List[bytes], int
     parser = _RecordParser(source, document)
     parser.run()
     return parser.records, parser.nodes
-
-
-def tokenize_fragment(source: str) -> List[Token]:
-    """Tokenize an XML fragment (zero or more sibling nodes)."""
-    return decode_tokens(parse_records(source)[0])
-
-
-def tokenize_document(source: str) -> List[Token]:
-    """Tokenize a full document, bracketed in document tokens."""
-    return decode_tokens(parse_records(source, document=True)[0])

@@ -15,6 +15,7 @@ from repro.server.sessions import SessionOp, XMLServer
 from repro.server.snapshot import SnapshotManager
 from repro.storage.scrub import scrub_store
 from repro.storage.wal import WriteAheadLog
+from repro.testing.reference import ReferenceStore
 
 BASE = "<lib><a>one</a><b>two</b></lib>"
 
@@ -139,6 +140,54 @@ class TestLazyDiscipline:
         assert reader.outcome == "committed"
         assert reader.snapshot is None  # ran as a plain (locking) session
         assert reader.results == [BASE]
+
+
+class TestEveryNodeReads:
+    """``read(id)`` of every node — attributes and namespaces included —
+    agrees with the store through a lazy, a promoted and an eager snapshot
+    and through the reference store.  A materialized view used to render
+    a node span with the document writer, which refuses an attribute or a
+    namespace outside a start tag."""
+
+    DOCUMENT = '<a x="1" xmlns:p="u">t<b y="2"><!--c--><p:c/></b><?pi d?></a>'
+
+    def setup_method(self):
+        self.store, self.server = make_server()
+        self.store.delete_node(1)
+        reference = ReferenceStore()
+        reference.load_document(BASE)
+        reference.delete_node(1)
+        first = self.store.load_document(self.DOCUMENT)
+        assert reference.load_document(self.DOCUMENT) == first
+        self.reference = reference
+        self.expected = {node: self.store.read(node) for node in reference.node_ids()}
+        assert self.expected[first + 1] == 'x="1"'
+        assert self.expected[first + 2] == 'xmlns:p="u"'
+
+    def reads(self, view):
+        return {node: view.read(node) for node in self.expected}
+
+    def test_reference(self):
+        assert self.reads(self.reference) == self.expected
+
+    def test_lazy_snapshot(self):
+        snapshot = self.server.snapshots.open([])
+        assert not snapshot.materialized
+        assert self.reads(snapshot) == self.expected
+
+    def test_promoted_snapshot(self):
+        snapshot = self.server.snapshots.open([])
+        self.server.snapshots.before_mutation()
+        self.store.replace_content(max(self.expected) - 1, "CHANGED")
+        assert snapshot.materialized
+        assert self.reads(snapshot) == self.expected
+
+    def test_eager_snapshot(self):
+        txn = self.server.transactions.begin()
+        txn.insert_into_last(min(self.expected), "<new/>")
+        snapshot = self.server.snapshots.open(self.server.transactions.active.values())
+        assert snapshot.materialized
+        assert self.reads(snapshot) == self.expected
 
 
 class TestDegradedReads:

@@ -442,7 +442,7 @@ class EntriesResolveRightOrNotAtAll(RuleBasedStateMachine):
     def _targets(self):
         return [
             node_id
-            for node_id in self.model.all_node_ids()
+            for node_id in self.model.node_ids()
             if not self.model.is_attribute(node_id)
         ]
 

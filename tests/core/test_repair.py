@@ -19,8 +19,10 @@ from repro.core.repair import (
     repair_store,
 )
 from repro.core.store import XMLStore
-from repro.errors import ChecksumError
+from repro.errors import ChecksumError, CodecError
 from repro.storage.pages import SlottedPage
+from repro.xmltoken.binary import encode_record
+from repro.xmltoken.tokens import TokenKind
 from tests.core.test_range_surgery import modules_where
 
 
@@ -216,6 +218,27 @@ class TestDegradedRead:
         store, _ = make_store()
         payload = json.loads(json.dumps(degraded_read(store).to_dict()))
         assert payload["complete"] is True
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda record: record[:-1] + b"\xff", "UTF-8"),
+            (lambda record: record + b"\x00", "trailing"),
+        ],
+    )
+    def test_salvaged_records_are_checked_as_the_codec_checks_them(self, damage, message):
+        """A salvaged record that does not slice is a typed error, never
+        text: the first read fails on an unmatched end record (the root's
+        begin record is overwritten), and the salvage meets the rotten one."""
+        store = XMLStore.open(StoreConfig(checksums_enabled=False))
+        store.load_document("<r><a>x</a></r><b>caf\u00e9</b>")
+        chain = store.layout.chain
+        root = store.locator.locate(1).begin.pos
+        chain.replace_record(root, encode_record(TokenKind.TEXT, value="y"))
+        pos = store.locator.locate(5).begin.pos
+        chain.replace_record(pos, damage(store.layout.record_at(pos)))
+        with pytest.raises(CodecError, match=message):
+            degraded_read(store)
 
 
 class TestRepairDirectory:

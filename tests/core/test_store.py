@@ -523,7 +523,7 @@ class TestRecordRead:
     and the replication digest did not move when the emitter replaced it."""
 
     def test_reads_decode_no_token(self, decodes):
-        from repro.xmltoken.parser import tokenize_fragment
+        from tests.xmltoken.oracle import tokenize_fragment
 
         store = make_store()
         store.load_document(RECORD_READ_XML)
@@ -587,6 +587,56 @@ class TestRecordWrite:
         store.check_integrity()
         assert store.read(4) == '<p:book id="b0" lang="en"><f>&amp;</f></p:book>'
         assert store.read().endswith("<h><i/></h>tail</lib>")
+
+
+class TestRecordUndo:
+    """Undo and snapshot views run over records: a transactional subtree
+    op captures, composes and restores without building a token, and so
+    does opening, promoting and reading a snapshot.  (``xpath`` still
+    decodes the names and values it evaluates, and is kept out of these
+    windows.)"""
+
+    BOOK = 12  # the second <p:book> of RECORD_READ_XML
+
+    @pytest.mark.parametrize("finish", ["commit", "abort"])
+    @pytest.mark.parametrize(
+        "op, args",
+        [
+            ("delete_node", ()),
+            ("replace_node", ("<g>new</g>",)),
+            ("replace_content", ("<f>&amp;</f>",)),
+        ],
+    )
+    def test_transactional_subtree_ops_build_no_token(self, decodes, op, args, finish):
+        from repro.concurrency.transactions import TransactionManager
+
+        store = make_store(max_range_tokens=16)
+        store.load_document(RECORD_READ_XML)
+        before = store.read()
+        txn = TransactionManager(store).begin()
+        txn.insert_into_last(self.BOOK, "<h>inside</h>")  # folded into the op's undo
+        getattr(txn, op)(self.BOOK, *args)
+        getattr(txn, finish)()
+        assert decodes == []
+        store.check_integrity()
+        assert (store.read() == before) is (finish == "abort")
+
+    def test_snapshots_build_no_token(self, decodes):
+        from repro.server.sessions import XMLServer
+
+        store = make_store(max_range_tokens=16)
+        store.load_document(RECORD_READ_XML)
+        before = {node: store.read(node) for node in (1, 2, 3, self.BOOK)}
+        server = XMLServer(store)
+        lazy = server.snapshots.open([])
+        server.snapshots.before_mutation()  # promotes the lazy snapshot
+        txn = server.transactions.begin()
+        txn.delete_node(self.BOOK)
+        eager = server.snapshots.open(server.transactions.active.values())
+        assert lazy.materialized and eager.materialized
+        for snapshot in (lazy, eager):
+            assert {node: snapshot.read(node) for node in before} == before
+        assert decodes == []
 
 
 class TestUnencodableInput:

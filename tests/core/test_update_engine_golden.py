@@ -129,7 +129,7 @@ def run_sequence(name):
         siblings = [n for n in reference.sibling_target_ids() if n != root]
         fragment = rng.choice(FRAGMENTS)
         if roll < 0.10:
-            store.read(rng.choice(reference.all_node_ids()))
+            store.read(rng.choice(reference.node_ids()))
         elif roll < 0.33 and len(siblings) > 20:
             both("delete_node", rng.choice(siblings))
         elif roll < 0.45 and siblings:

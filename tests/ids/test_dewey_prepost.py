@@ -5,7 +5,8 @@ import pytest
 from repro.errors import IdExhaustedError
 from repro.ids.dewey import DeweyScheme
 from repro.ids.prepost import PrePostLabel, PrePostLabeler
-from repro.xmltoken.parser import tokenize_fragment
+
+from tests.xmltoken.oracle import tokenize_fragment
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import IdSchemeError
 from repro.ids.sequential import SequentialIdScheme
-from repro.xmltoken.parser import tokenize_fragment
 from repro.xmltoken.tokens import TokenKind
+
+from tests.xmltoken.oracle import tokenize_fragment
 
 
 class TestAllocation:

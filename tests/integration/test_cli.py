@@ -55,6 +55,11 @@ class TestCLI:
         out = run([store_dir, "read", "--pretty"])
         assert "\n" in out
 
+    def test_pretty_read_closes_mixed_content_on_its_own_line(self, store_dir):
+        run([store_dir, "load", "-"], stdin=io.StringIO("<r>x<b/><c>t</c></r>"))
+        assert run([store_dir, "read", "--pretty"]) == "<r>x\n  <b/>\n  <c>t</c>\n</r>"
+        assert run([store_dir, "read", "3", "--pretty"]) == "<b/>"
+
     def test_xpath(self, store_dir):
         run([store_dir, "load", "-"],
             stdin=io.StringIO("<r><a n='1'/><a n='2'/></r>"))

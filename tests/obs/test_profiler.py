@@ -24,7 +24,8 @@ from repro.obs.profiler import (
     span_totals,
 )
 from repro.obs.tracing import Tracer
-from repro.xmltoken.parser import tokenize_fragment
+
+from tests.xmltoken.oracle import tokenize_fragment
 
 DOCUMENT = (
     "<r>"

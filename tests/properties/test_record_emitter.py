@@ -5,16 +5,19 @@
 store's read path.  For token lists — well-formed, nearly well-formed and
 arbitrary — and for arbitrary bytes, both produce the same text or raise
 the same ``repro.errors`` type; nothing untyped (``IndexError``,
-``UnicodeDecodeError``) may escape the emitter.
+``UnicodeDecodeError``) may escape the emitter.  Pretty-printing is the
+emitter over :func:`~repro.xmltoken.emitter.indented`'s records, held to the
+writer's ``indent`` output and to a reparse that finds the same document.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.errors import CodecError, TokenStreamError
+from repro.errors import CodecError, TokenStreamError, XMLSyntaxError
 from repro.xmltoken.binary import decode_token, encode_token, encode_tokens
-from repro.xmltoken.emitter import emit
-from repro.xmltoken.parser import tokenize_fragment
-from repro.xmltoken.serializer import escape_attribute, serialize
+from repro.xmltoken.emitter import emit, indented
+from repro.xmltoken.parser import parse_records
+from repro.xmltoken.tokens import TokenKind
 from repro.xmltoken.tokens import (
     attribute_value,
     begin_attribute,
@@ -22,7 +25,9 @@ from repro.xmltoken.tokens import (
     namespace,
 )
 
+from tests.properties.test_record_parser import SNIPPET_2, SNIPPET_3, SNIPPET_3_NS, fragments
 from tests.properties.test_token_roundtrips import names, simple_tokens, xml_text, xml_trees
+from tests.xmltoken.oracle import decode_tokens, escape_attribute, serialize, tokenize_fragment
 
 
 def outcome(render):
@@ -126,3 +131,57 @@ def test_namespace_node_renders_as_xmlns_declaration(prefix, uri):
 def test_node_rendering_of_anything_else_is_plain_rendering(xml):
     records = encode_tokens(tokenize_fragment(xml))
     assert emit(records, node=True) == emit(records)
+
+
+# -- pretty-printing -------------------------------------------------------------
+
+
+def pretty(records, indent="  "):
+    return emit(indented(records, indent)).decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "xml, expected",
+    [
+        ("<a><b/></a>", "<a>\n  <b/>\n</a>"),
+        # text before the first child used to keep </a> on <c/>'s line
+        ("<a>x<b/><c/></a>", "<a>x\n  <b/>\n  <c/>\n</a>"),
+        ("<a>x</a><!--c-->t<b><?p d?></b>", "<a>x</a>\n<!--c-->t\n<b>\n  <?p d?>\n</b>"),
+    ],
+)
+def test_an_element_with_children_closes_on_its_own_line(xml, expected):
+    records = parse_records(xml)[0]
+    assert pretty(records) == expected
+    assert serialize(decode_tokens(records), indent="  ") == expected
+
+
+def without_layout(records):
+    """The document with the whitespace pretty-printing adds taken out:
+    adjacent text merged, then trailing whitespace stripped from each run
+    (an added line break always ends a text run) and empty runs dropped."""
+    out = []
+    for token in decode_tokens(records):
+        if token.kind == TokenKind.TEXT and out and out[-1][0] == TokenKind.TEXT:
+            out[-1] = (TokenKind.TEXT, "", out[-1][2] + token.value)
+        else:
+            out.append((token.kind, token.name, token.value))
+    return [
+        (kind, name, value.rstrip() if kind == TokenKind.TEXT else value)
+        for kind, name, value in out
+        if kind != TokenKind.TEXT or value.strip()
+    ]
+
+
+@given(fragments(), st.sampled_from(["  ", "\t", "    "]))
+@example(SNIPPET_2, "  ")
+@example(SNIPPET_3, "  ")
+@example(SNIPPET_3_NS, "\t")
+@settings(max_examples=300)
+def test_pretty_printing_matches_the_writer_and_reparses(xml, indent):
+    try:
+        records = parse_records(xml)[0]
+    except XMLSyntaxError:
+        assume(False)
+    text = pretty(records, indent)
+    assert text == serialize(decode_tokens(records), indent=indent)
+    assert without_layout(parse_records(text)[0]) == without_layout(records)

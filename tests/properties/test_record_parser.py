@@ -69,9 +69,9 @@ def outcome(run):
 
 def old_pipeline(xml, document=False):
     if document:
-        tokens = oracle.tokenize_document(xml)
+        tokens = oracle.pull_document(xml)
     else:
-        tokens = oracle.strip_document_tokens(oracle.tokenize_fragment(xml))
+        tokens = oracle.strip_document_tokens(oracle.pull_fragment(xml))
         oracle.validate_stream(tokens, allow_document=False)
     return encode_tokens(tokens), oracle.count_nodes(tokens)
 
@@ -203,7 +203,7 @@ def test_documents_parse_or_fail_identically(xml):
 @pytest.mark.parametrize("xml", [SNIPPET_2, SNIPPET_3, SNIPPET_3_NS])
 def test_the_snippets_parse(xml):
     records, node_count = parse_records(xml)
-    assert records and node_count == oracle.count_nodes(oracle.tokenize_fragment(xml))
+    assert records and node_count == oracle.count_nodes(oracle.pull_fragment(xml))
 
 
 @pytest.mark.parametrize(

@@ -67,19 +67,19 @@ class StoreAgreesWithModel(RuleBasedStateMachine):
         expected = self.model.load_document(fragment)
         assert got == expected
 
-    @precondition(lambda self: self.model.all_node_ids())
+    @precondition(lambda self: self.model.node_ids())
     @rule(data=st.data(), fragment=st.sampled_from(FRAGMENTS))
     def insert_before(self, data, fragment):
-        node_id = data.draw(st.sampled_from(self.model.all_node_ids()))
+        node_id = data.draw(st.sampled_from(self.model.node_ids()))
         if self._is_attribute(node_id):
             return
         self.store.insert_before(node_id, fragment)
         self.model.insert_before(node_id, fragment)
 
-    @precondition(lambda self: self.model.all_node_ids())
+    @precondition(lambda self: self.model.node_ids())
     @rule(data=st.data(), fragment=st.sampled_from(FRAGMENTS))
     def insert_after(self, data, fragment):
-        node_id = data.draw(st.sampled_from(self.model.all_node_ids()))
+        node_id = data.draw(st.sampled_from(self.model.node_ids()))
         if self._is_attribute(node_id):
             return
         self.store.insert_after(node_id, fragment)
@@ -99,19 +99,19 @@ class StoreAgreesWithModel(RuleBasedStateMachine):
         self.store.insert_into_first(node_id, fragment)
         self.model.insert_into_first(node_id, fragment)
 
-    @precondition(lambda self: self.model.all_node_ids())
+    @precondition(lambda self: self.model.node_ids())
     @rule(data=st.data())
     def delete_node(self, data):
-        node_id = data.draw(st.sampled_from(self.model.all_node_ids()))
+        node_id = data.draw(st.sampled_from(self.model.node_ids()))
         if self._is_attribute(node_id):
             return
         self.store.delete_node(node_id)
         self.model.delete_node(node_id)
 
-    @precondition(lambda self: self.model.all_node_ids())
+    @precondition(lambda self: self.model.node_ids())
     @rule(data=st.data(), fragment=st.sampled_from(FRAGMENTS))
     def replace_node(self, data, fragment):
-        node_id = data.draw(st.sampled_from(self.model.all_node_ids()))
+        node_id = data.draw(st.sampled_from(self.model.node_ids()))
         if self._is_attribute(node_id):
             return
         self.store.replace_node(node_id, fragment)
@@ -130,10 +130,10 @@ class StoreAgreesWithModel(RuleBasedStateMachine):
         )
         assert self.store.read() == self.model.read()
 
-    @precondition(lambda self: self.model.all_node_ids())
+    @precondition(lambda self: self.model.node_ids())
     @rule(data=st.data())
     def read_node(self, data):
-        node_id = data.draw(st.sampled_from(self.model.all_node_ids()))
+        node_id = data.draw(st.sampled_from(self.model.node_ids()))
         if self._is_attribute(node_id):
             return
         assert self.store.read(node_id) == self.model.read(node_id)

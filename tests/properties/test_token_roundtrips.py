@@ -5,16 +5,15 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.xmltoken.binary import (
-    decode_stream,
     decode_token,
     decode_varint,
-    encode_stream,
     encode_token,
+    encode_tokens,
     encode_varint,
 )
-from repro.xmltoken.parser import tokenize_fragment
-from repro.xmltoken.serializer import serialize
 from repro.xmltoken.tokens import Token, TokenKind
+
+from tests.xmltoken.oracle import decode_tokens, serialize, tokenize_fragment
 
 # -- strategies ----------------------------------------------------------------
 
@@ -126,7 +125,7 @@ def test_token_codec_roundtrip(token):
 
 @given(st.lists(simple_tokens, max_size=30))
 def test_token_stream_roundtrip(tokens):
-    assert list(decode_stream(encode_stream(tokens))) == tokens
+    assert decode_tokens(encode_tokens(tokens)) == tokens
 
 
 @given(xml_trees())

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.store import XMLStore
-from repro.xmltoken.parser import parse_records, tokenize_fragment
+from repro.xmltoken.parser import parse_records
 from repro.xmltoken.tokens import TokenKind
 from repro.workloads.generator import (
     element_tree_with_nodes,
@@ -16,6 +16,8 @@ from repro.workloads.generator import (
     words,
 )
 from repro.workloads.xmark import bidder_fragment, xmark_document
+
+from tests.xmltoken.oracle import tokenize_fragment
 
 
 class TestWords:

