@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         "show the workload-history timeline and drift",
         description=(
             "Reads the store's workload history (periodic counter-delta "
-            "snapshots persisted in store.history.jsonl) and shows the "
+            "snapshots journaled in store.journal.jsonl) and shows the "
             "timeline, the current workload fingerprint and the rolling "
             "drift series (0 = steady workload, 1 = completely changed)."
         ),
@@ -414,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Evaluates the deterministic alert rule set (threshold / "
             "ratio / delta-over-window / absence rules over the metric "
             "registry, history snapshots and SLO budgets) and lists the "
-            "currently-firing alerts plus the persisted transition log "
-            "(store.alerts.jsonl)."
+            "currently-firing alerts plus the journaled transitions "
+            "(store.journal.jsonl)."
         ),
         parents=report,
     )
@@ -437,10 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     watch = add(
         "watch",
         _watch,
-        "live top-style view over the history and alert files",
+        "live top-style view over the journal",
         description=(
-            "Tails store.history.jsonl and store.alerts.jsonl (plus the "
-            "store file sizes) and renders a refreshing top-style frame "
+            "Tails the history and alert rows of store.journal.jsonl (plus "
+            "the store file sizes) and renders a refreshing top-style frame "
             "with cumulative counters, firing alerts and recent "
             "transitions.  Read-only and lock-free: the store is never "
             "opened, so it can run beside a live workload."
@@ -473,11 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
         _diagnose,
         "post-mortem timeline + root cause from persisted artifacts",
         description=(
-            "Merges every persisted observability artifact — the alert "
-            "log, workload-history snapshots, the degraded-repair "
-            "sidecar and incident bundles (store.incidents/, including "
-            "their flight-recorder dumps) — into one causally-ordered "
-            "post-mortem timeline with a root-cause summary.  Purely "
+            "Reads the journal (store.journal.jsonl: workload history, "
+            "alert transitions, incidents) in order, with the "
+            "flight-recorder rows of the incident bundles "
+            "(store.incidents/) and the degraded-repair sidecar, as one "
+            "causally-ordered post-mortem timeline with a root-cause "
+            "summary.  Purely "
             "file-based: the store is never opened, so it works on a "
             "store too corrupt to open and beside a live workload."
         ),
@@ -943,12 +944,13 @@ def _verify(arguments, store, stdin) -> str:
 
 def _monitor(arguments, store, stdin) -> str:
     from repro.obs.fingerprint import drift_series, fingerprint_window
+    from repro.obs.journal import as_row
 
     snapshots = store.history.snapshots()
     finger = fingerprint_window(snapshots)
     drift = drift_series(snapshots, window=arguments.window)
     payload = {
-        "snapshots": [snap.to_dict() for snap in snapshots],
+        "snapshots": [as_row("history", snap) for snap in snapshots],
         "fingerprint": finger.to_dict() if finger else None,
         "drift": drift,
     }
@@ -978,12 +980,14 @@ def _advise(arguments, store, stdin) -> str:
 
 
 def _alerts(arguments, store, stdin) -> str:
+    from repro.obs.journal import as_row
+
     engine = store.alerts
     store.watch("cli", ["alerts"])
     active = engine.active()
     payload = {
-        "active": [event.to_dict() for event in active],
-        "log": [event.to_dict() for event in engine.events()],
+        "active": [as_row("alert", event) for event in active],
+        "log": [as_row("alert", event) for event in engine.events()],
         "rules": [rule.name for rule in engine.rules],
         "evaluations": engine.evaluations,
     }
@@ -1092,12 +1096,13 @@ def _torture(arguments) -> str:
 def _watch_frame(arguments, engine, tick: int) -> str:
     """One rendered frame of the live view (pure function of the files)."""
     from repro.core.filestore import DEVICE_FILE, WAL_FILE
-    from repro.obs.alerts import history_view, load_events
-    from repro.obs.history import load_snapshots
-    from repro.obs.schema import ALERTS_FILE, HISTORY_FILE
+    from repro.obs.alerts import AlertEvent, history_view
+    from repro.obs.history import HistorySnapshot
+    from repro.obs.journal import JOURNAL_FILE, from_row, read_journal
 
-    snapshots = load_snapshots(os.path.join(arguments.store, HISTORY_FILE))
-    persisted = load_events(os.path.join(arguments.store, ALERTS_FILE))
+    rows = read_journal(os.path.join(arguments.store, JOURNAL_FILE))
+    snapshots = [from_row(HistorySnapshot, row) for row in rows if row["kind"] == "history"]
+    persisted = [from_row(AlertEvent, row) for row in rows if row["kind"] == "alert"]
     lines = [f"watch {arguments.store}  frame {tick}"]
     sizes = []
     for name in (DEVICE_FILE, WAL_FILE):
@@ -1108,7 +1113,7 @@ def _watch_frame(arguments, engine, tick: int) -> str:
         "files: " + (" | ".join(sizes) if sizes else "no store files yet")
     )
     if not snapshots:
-        lines.append("history: no snapshots yet (store.history.jsonl absent)")
+        lines.append("history: no snapshots yet (no history rows journaled)")
     else:
         last = snapshots[-1]
         lines.append(
@@ -1137,15 +1142,17 @@ def _watch_frame(arguments, engine, tick: int) -> str:
         for event in persisted[-5:]:
             lines.append(f"  #{event.seq} {event.render()}")
     else:
-        lines.append("alert log: empty (store.alerts.jsonl absent)")
+        lines.append("alert log: empty (no alert rows journaled)")
     return "\n".join(lines)
 
 
 def _watch(arguments) -> str:
     from repro.obs.alerts import AlertEngine
     from repro.obs.clock import sleep
+    from repro.obs.journal import warn_legacy
 
-    # in-memory engine: watch observes, it never writes the store's log
+    warn_legacy(arguments.store)
+    # in-memory engine: watch observes, it never writes the store's journal
     engine = AlertEngine()
     tick = 0
     frame = ""

@@ -127,11 +127,11 @@ class StoreConfig:
     #: keeps the hot path at one attribute check).
     recorder_enabled: bool = False
 
-    #: Directory the observers' trails persist into: the history and
-    #: alert JSONL files and the incident bundles, under the names
-    #: :mod:`repro.obs.schema` declares.  ``None`` keeps all three in
-    #: memory; :func:`repro.core.filestore.open_directory` and the CLI's
-    #: repair-mode open point it at the store's own directory.
+    #: Directory the observers persist into: the journal
+    #: (:mod:`repro.obs.journal`) and the incident bundles.  ``None``
+    #: keeps both in memory; :func:`repro.core.filestore.open_directory`
+    #: and the CLI's repair-mode open point it at the store's own
+    #: directory.
     artifacts_dir: Optional[str] = None
 
     #: Serving layer (:mod:`repro.server`): logical sessions allowed to

@@ -38,7 +38,8 @@ class OperationCounts:
     @property
     def total(self) -> int:
         """Every Table-1 operation, reads and updates."""
-        return self.read_ops + self.updates
+        return (self.reads + self.node_reads + self.inserts + self.deletes
+                + self.replaces + self.loads)
 
     def reset(self) -> None:
         for name in self.__dataclass_fields__:

@@ -58,7 +58,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.events import EventLog
 from repro.obs.heatmap import BlockHeatmap
 from repro.obs.history import WorkloadHistory
-from repro.obs.schema import ALERTS_FILE, HISTORY_FILE, INCIDENTS_DIR
+from repro.obs.journal import JOURNAL_FILE, Journal
 from repro.obs.slo import SLOTracker
 from repro.obs.telemetry import Telemetry
 from repro.storage.buffer import BufferPool
@@ -354,10 +354,6 @@ class XMLStore:
         device (:meth:`_assemble_logical` attaches the rest)."""
         config = self.config
         directory = config.artifacts_dir
-
-        def artifact(name: str) -> Optional[str]:
-            return None if directory is None else os.path.join(directory, name)
-
         self.telemetry = Telemetry(
             simulated_clock=lambda: self.simulated_seconds,
             # the profiler folds spans, so profiling implies telemetry
@@ -374,17 +370,19 @@ class XMLStore:
             enabled=config.events_enabled,
         )
         self.heatmap = BlockHeatmap(enabled=config.heatmap_enabled)
-        self.history = WorkloadHistory(
-            artifact(HISTORY_FILE), enabled=config.history_enabled
+        # history, alerts and incidents append to one journal, whose ring
+        # the recorder bounds
+        self.journal = Journal(
+            None if directory is None else os.path.join(directory, JOURNAL_FILE),
+            operations=self.operations,
+            enabled=config.history_enabled or config.alerts_enabled
+            or config.recorder_enabled,
         )
+        self.history = WorkloadHistory(self.journal, enabled=config.history_enabled)
         self.slo = SLOTracker(enabled=config.alerts_enabled)
-        self.alerts = AlertEngine(
-            path=artifact(ALERTS_FILE), enabled=config.alerts_enabled
-        )
-        self.recorder = FlightRecorder(enabled=config.recorder_enabled)
-        self.incidents = IncidentManager(
-            artifact(INCIDENTS_DIR), enabled=config.recorder_enabled
-        )
+        self.alerts = AlertEngine(journal=self.journal, enabled=config.alerts_enabled)
+        self.recorder = FlightRecorder(self.journal, enabled=config.recorder_enabled)
+        self.incidents = IncidentManager(self.journal, enabled=config.recorder_enabled)
         self.incidents.attach(self)
         #: Table-1 operations since each enabled periodic observer last
         #: captured (empty when none is on: :meth:`_observe` checks it)
@@ -841,11 +839,9 @@ class XMLStore:
             self.history.capture(self, label, current)
             since["history"] = 0
         if "alerts" in observers and self.alerts.enabled:
-            # each transition is on the log before it reaches the ring or
+            # every transition is in the journal (and its ring) before it
             # dumps an incident bundle
             for event in self.alerts.evaluate(store_view(self, current), label):
-                if self.recorder.enabled:
-                    self.recorder.record_alert(event)
                 if event.state == "fired" and self.incidents.enabled:
                     self.incidents.alert_fired(event)
             since["alerts"] = 0

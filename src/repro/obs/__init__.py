@@ -19,15 +19,18 @@ See DESIGN.md ("Observability") for the architecture.  Quick tour:
   hot-block / hot-range / partial-index-efficacy reports;
 * :mod:`repro.obs.explain` — per-operation EXPLAIN reports assembled
   from the event log, spans and component counters;
+* :mod:`repro.obs.journal` — the store's one append-only trail: history,
+  alert and incident rows, the recorder's ring as its in-memory tail,
+  every row kind declared once;
 * :mod:`repro.obs.history` — the workload-history timeline: periodic
-  counter-delta snapshots, bounded retention, JSONL persistence;
+  counter-delta snapshots with bounded retention, journaled;
 * :mod:`repro.obs.fingerprint` — workload fingerprints over history
   windows and the deterministic drift score between them;
 * :mod:`repro.obs.advisor` — the rule-based tuning advisor: evidence-
   backed recommendations with what-if simulated-cost estimates;
 * :mod:`repro.obs.schema` — the ``schema_version`` stamp every exported
-  JSON artifact carries, its reader-side check, the store directory's
-  artifact names and the one JSONL codec their trails share;
+  JSON artifact carries, its reader-side check and the store
+  directory's artifact names;
 * :mod:`repro.obs.clock` — the only legal wall-clock source
   (enforced by :func:`~repro.obs.clock.check_clock_discipline`).
 """
@@ -75,11 +78,7 @@ from repro.obs.heatmap import (
     heatmap_report,
     render_heatmap,
 )
-from repro.obs.history import (
-    HistorySnapshot,
-    WorkloadHistory,
-    load_snapshots,
-)
+from repro.obs.history import HistorySnapshot, WorkloadHistory
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -150,7 +149,6 @@ __all__ = [
     "format_value",
     "heatmap_json",
     "heatmap_report",
-    "load_snapshots",
     "metrics_snapshot",
     "perf_seconds",
     "prometheus_text",

@@ -12,14 +12,13 @@ rule engine, built on the same contract as the rest of :mod:`repro.obs`:
   SLO budget floor).  Two identical runs write byte-identical alert
   logs, which CI diffs;
 * **zero-cost when off** — an engine built with ``enabled=False`` (no
-  log restored, nothing evaluated) keeps the hot path at one attribute
-  check, and evaluation itself only *reads* counters (the simulated
-  clock never moves);
-* **append-only JSONL** — state *transitions* (fired / cleared), one
-  stamped line each, in ``store.alerts.jsonl`` next to the device file
-  (:func:`~repro.obs.schema.read_jsonl` / :func:`~repro.obs.schema.write_jsonl`).
-  Steady state writes nothing; the active set and the sequence number
-  are restored from the file on reopen.
+  transition restored, nothing evaluated) keeps the hot path at one
+  attribute check, and evaluation itself only *reads* counters (the
+  simulated clock never moves);
+* **journaled** — state *transitions* (fired / cleared) are ``alert``
+  rows of the store's journal (:mod:`repro.obs.journal`), which also
+  puts them in the flight recorder's ring.  Steady state writes nothing;
+  the active set is restored from the journal on reopen.
 
 A live store evaluates on its watch tick
 (:meth:`~repro.core.store.XMLStore.watch`), every :data:`DEFAULT_INTERVAL`
@@ -53,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ObservabilityError
 from repro.obs.fingerprint import latest_drift
 from repro.obs.history import HistorySnapshot
-from repro.obs.schema import read_jsonl, stamp, write_jsonl
+from repro.obs.journal import Journal, from_row
 
 DEFAULT_INTERVAL = 64
 DEFAULT_CLEAR_AFTER = 2
@@ -231,7 +230,7 @@ def history_view(snapshots: Sequence[HistorySnapshot]) -> AlertView:
 
 @dataclass(frozen=True)
 class AlertEvent:
-    """One state transition, as persisted to ``store.alerts.jsonl``."""
+    """One state transition (an ``alert`` row of the journal)."""
 
     seq: int
     state: str  # "fired" | "cleared"
@@ -244,44 +243,6 @@ class AlertEvent:
     label: str
     operations: int
     simulated_seconds: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return stamp(
-            {
-                "seq": self.seq,
-                "state": self.state,
-                "rule": self.rule,
-                "severity": self.severity,
-                "summary": self.summary,
-                "value": self.value,
-                "bound": self.bound,
-                "label": self.label,
-                "operations": self.operations,
-                "simulated_seconds": self.simulated_seconds,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "AlertEvent":
-        try:
-            return cls(
-                seq=int(payload["seq"]),  # type: ignore[arg-type]
-                state=str(payload["state"]),
-                rule=str(payload["rule"]),
-                severity=str(payload["severity"]),
-                summary=str(payload["summary"]),
-                value=float(payload["value"]),  # type: ignore[arg-type]
-                bound=float(payload["bound"]),  # type: ignore[arg-type]
-                label=str(payload["label"]),
-                operations=int(payload["operations"]),  # type: ignore[arg-type]
-                simulated_seconds=float(
-                    payload["simulated_seconds"]  # type: ignore[arg-type]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ObservabilityError(
-                f"malformed alert event: {error}"
-            ) from error
 
     def render(self) -> str:
         return (
@@ -397,12 +358,12 @@ def default_rules() -> Tuple[AlertRule, ...]:
 
 
 class AlertEngine:
-    """Rule state machines plus the append-only log."""
+    """Rule state machines; their transitions go to the journal."""
 
     def __init__(
         self,
         rules: Optional[Sequence[AlertRule]] = None,
-        path: Optional[str] = None,
+        journal: Optional[Journal] = None,
         interval: int = DEFAULT_INTERVAL,
         enabled: bool = True,
     ) -> None:
@@ -413,77 +374,60 @@ class AlertEngine:
         names = [rule.name for rule in self.rules]
         if len(set(names)) != len(names):
             raise ObservabilityError("alert rule names must be unique")
-        #: a disabled engine neither restores nor appends to its log
-        self.path = path if enabled else None
+        #: the journal transitions are appended to (a disabled engine
+        #: restores none and records none)
+        self.journal = journal if journal is not None else Journal(enabled=enabled)
         #: Table-1 operations between the watch tick's interval evaluations
         self.interval = interval
         self.evaluations = 0
-        self._next_seq = 0
         self._active: Dict[str, AlertEvent] = {}
         self._ok_streak: Dict[str, int] = {}
         #: events emitted (or restored) through this engine instance
         self._events: List[AlertEvent] = []
-        if self.path is not None:
-            for event in load_events(self.path):
-                self._next_seq = event.seq + 1
-                self._events.append(event)
-                if event.state == "fired":
-                    self._active[event.rule] = event
-                else:
-                    self._active.pop(event.rule, None)
+        for row in self.journal.restored if enabled else ():
+            if row["kind"] == "alert":
+                self._note(from_row(AlertEvent, row))
+
+    def _note(self, event: AlertEvent) -> None:
+        self._events.append(event)
+        if event.state == "fired":
+            self._active[event.rule] = event
+        else:
+            self._active.pop(event.rule, None)
 
     # ------------------------------------------------------------- recording --
 
     def evaluate(
         self, view: AlertView, label: str = "manual"
     ) -> List[AlertEvent]:
-        """Run every rule's state machine; returns the transitions."""
+        """Run every rule's state machine; returns the transitions, each
+        appended to the journal in rule order."""
+        if not self.journal.enabled:
+            return []
         self.evaluations += 1
         transitions: List[AlertEvent] = []
         for rule in self.rules:
             firing, value = evaluate_rule(rule, view)
             if firing:
                 self._ok_streak[rule.name] = 0
-                if rule.name not in self._active:
-                    event = self._emit(rule, "fired", value, label, view)
-                    self._active[rule.name] = event
-                    transitions.append(event)
+                state = None if rule.name in self._active else "fired"
             elif rule.name in self._active:
                 streak = self._ok_streak.get(rule.name, 0) + 1
-                self._ok_streak[rule.name] = streak
-                if streak >= rule.clear_after:
-                    del self._active[rule.name]
-                    self._ok_streak[rule.name] = 0
-                    transitions.append(
-                        self._emit(rule, "cleared", value, label, view)
-                    )
+                cleared = streak >= rule.clear_after
+                self._ok_streak[rule.name] = 0 if cleared else streak
+                state = "cleared" if cleared else None
+            else:
+                state = None
+            if state is not None:
+                row = self.journal.append(
+                    "alert", view.operations, view.simulated_seconds,
+                    {"state": state, "rule": rule.name, "severity": rule.severity,
+                     "summary": rule.summary, "value": value, "bound": rule.bound,
+                     "label": label},
+                )
+                transitions.append(from_row(AlertEvent, row))
+                self._note(transitions[-1])
         return transitions
-
-    def _emit(
-        self,
-        rule: AlertRule,
-        state: str,
-        value: float,
-        label: str,
-        view: AlertView,
-    ) -> AlertEvent:
-        event = AlertEvent(
-            seq=self._next_seq,
-            state=state,
-            rule=rule.name,
-            severity=rule.severity,
-            summary=rule.summary,
-            value=value,
-            bound=rule.bound,
-            label=label,
-            operations=view.operations,
-            simulated_seconds=view.simulated_seconds,
-        )
-        self._next_seq += 1
-        self._events.append(event)
-        if self.path is not None:
-            write_jsonl(self.path, [event.to_dict()])
-        return event
 
     # ---------------------------------------------------------------- reading --
 
@@ -507,8 +451,3 @@ class AlertEngine:
     def __len__(self) -> int:
         return len(self._events)
 
-
-def load_events(path: str) -> List[AlertEvent]:
-    """One alert JSONL file (:func:`~repro.obs.schema.read_jsonl`),
-    decoded into :class:`AlertEvent` rows."""
-    return [AlertEvent.from_dict(row) for row in read_jsonl(path)]

@@ -18,18 +18,16 @@ feeds the same metric capture:
   picture);
 * explicitly, from the bench harness (one snapshot per phase, labeled).
 
-Persistence is an optional JSONL file next to the store's device file
-(one stamped snapshot per line, read and written by
-:func:`~repro.obs.schema.read_jsonl` / :func:`~repro.obs.schema.write_jsonl`).
-Retention is bounded by :data:`DEFAULT_CAPACITY`: when the sequence
-overflows, the two *oldest* rows merge into one (deltas summed,
-cumulatives kept from the later row), so old history loses resolution
-gradually instead of vanishing — the standard telemetry-downsampling
-trade.
+Each capture is a ``history`` row of the store's journal
+(:mod:`repro.obs.journal`), restored from it on reopen.  Retention is
+bounded by :data:`DEFAULT_CAPACITY`: on overflow the two *oldest* rows
+merge (deltas summed, the rest kept from the later row, ``seq`` too) and
+the journal is rewritten, so old history loses resolution gradually
+instead of vanishing — the standard telemetry-downsampling trade.
 
 The contract of :mod:`repro.obs` holds: everything here only *reads*
 counters and never touches the simulated clock, a history built with
-``enabled=False`` (no file read, no rows) keeps the hot path at one
+``enabled=False`` (no rows restored, none recorded) keeps the hot path at one
 attribute check because every capture site guards on it, and —
 for the CI determinism gate — snapshots exclude every wall-clock-derived
 sample (span wall seconds), so two identical runs write identical
@@ -42,11 +40,10 @@ recommendations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.errors import ObservabilityError
-from repro.obs.schema import SCHEMA_VERSION, read_jsonl, write_jsonl
+from repro.obs.journal import Journal, as_row, from_row
 
 DEFAULT_CAPACITY = 256
 DEFAULT_INTERVAL = 64
@@ -59,7 +56,7 @@ _HEAT_TOP = 5
 class HistorySnapshot:
     """One row of the workload timeline."""
 
-    #: Monotonic capture number (survives reopen via the JSONL file).
+    #: The journal row's ``seq`` (survives reopen via the journal).
     seq: int
     #: Why this row exists: "interval", "checkpoint", a bench phase
     #: label, or "compacted" after retention merged older rows.
@@ -78,40 +75,6 @@ class HistorySnapshot:
     heatmap: Optional[Dict[str, object]] = None
     #: How many raw captures this row aggregates (retention merging).
     merged: int = 1
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "seq": self.seq,
-            "label": self.label,
-            "operations": self.operations,
-            "simulated_seconds": self.simulated_seconds,
-            "deltas": dict(self.deltas),
-            "partial_index": self.partial_index,
-            "heatmap": self.heatmap,
-            "merged": self.merged,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "HistorySnapshot":
-        try:
-            return cls(
-                seq=int(payload["seq"]),  # type: ignore[arg-type]
-                label=str(payload["label"]),
-                operations=int(payload["operations"]),  # type: ignore[arg-type]
-                simulated_seconds=float(payload["simulated_seconds"]),  # type: ignore[arg-type]
-                deltas={
-                    str(k): float(v)
-                    for k, v in dict(payload.get("deltas") or {}).items()
-                },
-                partial_index=payload.get("partial_index"),  # type: ignore[arg-type]
-                heatmap=payload.get("heatmap"),  # type: ignore[arg-type]
-                merged=int(payload.get("merged", 1)),  # type: ignore[arg-type]
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ObservabilityError(
-                f"malformed history snapshot: {error}"
-            ) from error
 
     def delta(self, key: str, default: float = 0.0) -> float:
         return self.deltas.get(key, default)
@@ -163,14 +126,15 @@ class WorkloadHistory:
 
     def __init__(
         self,
-        path: Optional[str] = None,
+        journal: Optional[Journal] = None,
         capacity: int = DEFAULT_CAPACITY,
         interval: int = DEFAULT_INTERVAL,
         enabled: bool = True,
     ) -> None:
         self.enabled = enabled
-        #: a disabled history neither restores nor writes its file
-        self.path = path if enabled else None
+        #: the journal rows are appended to (a disabled history restores
+        #: none and records none)
+        self.journal = journal if journal is not None else Journal(enabled=enabled)
         self.capacity = capacity
         #: Table-1 operations between the watch tick's interval captures
         self.interval = interval
@@ -178,48 +142,42 @@ class WorkloadHistory:
         #: lifetime capture/compaction counters (exported by the bridge)
         self.captures = 0
         self.compactions = 0
-        self._snapshots: List[HistorySnapshot] = (
-            load_snapshots(self.path) if self.path is not None else []
-        )
+        self._snapshots: List[HistorySnapshot] = [
+            from_row(HistorySnapshot, row)
+            for row in (self.journal.restored if enabled else ())
+            if row["kind"] == "history"
+        ]
 
     # ------------------------------------------------------------- recording --
 
-    def capture(self, store, label: str, current) -> HistorySnapshot:
+    def capture(self, store, label: str, current) -> Optional[HistorySnapshot]:
         """Record one row from ``current``, the tick's deterministic
         :class:`~repro.obs.bridge.MetricsSnapshot` of ``store``."""
         from repro.obs.heatmap import _partial_efficacy
 
-        if self._last_metrics is not None:
-            deltas = current.delta(self._last_metrics)
-        else:
-            deltas = dict(current.values)
-        snapshot = HistorySnapshot(
-            seq=self._next_seq(),
-            label=label,
-            operations=store.operations.total,
-            simulated_seconds=store.simulated_seconds,
-            deltas=deltas,
-            partial_index=_partial_efficacy(store),
-            heatmap=_heat_summary(store),
+        if not self.journal.enabled:
+            return None
+        last, self._last_metrics = self._last_metrics, current
+        deltas = dict(current.values) if last is None else current.delta(last)
+        row = self.journal.append(
+            "history", store.operations.total, store.simulated_seconds,
+            {"label": label, "deltas": deltas, "partial_index": _partial_efficacy(store),
+             "heatmap": _heat_summary(store), "merged": 1},
+            # a retention merge rewrites the journal instead
+            write=len(self._snapshots) < self.capacity,
         )
-        self._last_metrics = current
+        snapshot = from_row(HistorySnapshot, row)
         self._snapshots.append(snapshot)
         self.captures += 1
-        compacted = self._enforce_capacity()
-        if self.path is not None:
-            # a retention merge rewrites the file; otherwise the row appends
-            rows = self._snapshots if compacted else [snapshot]
-            write_jsonl(
-                self.path, (row.to_dict() for row in rows), append=not compacted
+        if self._enforce_capacity():
+            self.journal.rewrite(
+                "history", [as_row("history", row) for row in self._snapshots]
             )
         return snapshot
 
-    def _next_seq(self) -> int:
-        return self._snapshots[-1].seq + 1 if self._snapshots else 0
-
     def _enforce_capacity(self) -> bool:
         """Merge oldest adjacent rows until within capacity; True when
-        anything merged (the file must then be rewritten)."""
+        anything merged (the journal must then be rewritten)."""
         merged = False
         while len(self._snapshots) > self.capacity:
             first, second = self._snapshots[0], self._snapshots[1]
@@ -227,14 +185,10 @@ class WorkloadHistory:
             for key, value in second.deltas.items():
                 deltas[key] = deltas.get(key, 0.0) + value
             self._snapshots[0:2] = [
-                HistorySnapshot(
-                    seq=second.seq,
+                replace(
+                    second,
                     label="compacted",
-                    operations=second.operations,
-                    simulated_seconds=second.simulated_seconds,
                     deltas=deltas,
-                    partial_index=second.partial_index,
-                    heatmap=second.heatmap,
                     merged=first.merged + second.merged,
                 )
             ]
@@ -250,8 +204,3 @@ class WorkloadHistory:
     def __len__(self) -> int:
         return len(self._snapshots)
 
-
-def load_snapshots(path: str) -> List[HistorySnapshot]:
-    """One history JSONL file (:func:`~repro.obs.schema.read_jsonl`),
-    decoded into :class:`HistorySnapshot` rows."""
-    return [HistorySnapshot.from_dict(row) for row in read_jsonl(path)]

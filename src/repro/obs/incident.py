@@ -2,46 +2,26 @@
 
 The flight recorder (:mod:`repro.obs.recorder`) holds the last moments
 of context in memory; this module decides *when that context is worth
-persisting* and writes it out as an **incident bundle** — a
-self-contained directory an operator (or ``repro diagnose``) can read
-long after the process is gone.
+persisting*.  Trigger kinds (:data:`TRIGGER_KINDS`): ``critical-alert``
+(a critical rule fired, from the watch tick), ``checksum-quarantine``
+(the pool quarantined a block, on fetch or scrub), ``crash-recovery``
+(WAL replay found records past the last checkpoint), ``repair``
+(:func:`repro.core.repair.repair_directory` ran; see
+:func:`record_directory_incident`) and ``slo-budget-exhausted``.
 
-Trigger kinds (:data:`TRIGGER_KINDS`):
+Each ``(kind, key)`` pair fires **once per store instance**, bounded by
+:data:`DEFAULT_LIMIT`.  Every incident is an ``incident`` row of the
+store's journal (:mod:`repro.obs.journal`); on a directory store it also
+dumps a bundle, one stamped file ``store.incidents/incident-<n>.json``
+holding the row, the recorder's ring, and the configuration, WAL tail,
+quarantine, health and integrity payloads, each stamped on its own.
 
-``critical-alert``
-    a critical alert rule transitioned to ``fired``
-    (:meth:`IncidentManager.alert_fired`, from the store's watch tick);
-``checksum-quarantine``
-    the buffer pool quarantined a block after failed verification —
-    whether detected on fetch or by the scrubber;
-``crash-recovery``
-    WAL replay found records past the last checkpoint (the store did
-    not shut down cleanly);
-``repair``
-    :func:`repro.core.repair.repair_directory` ran (store-less path,
-    see :func:`record_directory_incident`);
-``slo-budget-exhausted``
-    the simulated-latency error budget went negative.
-
-Each ``(kind, key)`` pair fires **once per store instance** (a rotted
-chain does not dump a hundred identical bundles), bounded overall by
-:data:`DEFAULT_LIMIT`.  Bundles land in
-``store.incidents/incident-<seq>/`` as a set of individually
-schema-stamped JSON files: the recorder ring dump, the health verdict,
-the integrity report, the effective configuration, a WAL tail summary
-and the quarantine state.
-
-Crash safety: a bundle is written into ``incident-<seq>.tmp/`` first
-and renamed into place only when complete, and every byte goes through
-plain files *outside* the store's pages and WAL — a crash mid-dump can
-leave an ignorable ``.tmp`` directory, never a corrupt store.  Dump
-failures are logged and swallowed: diagnostics must never take the
-store down.
-
-Determinism: bundle contents are pure functions of deterministic
-counters and on-disk state (the recorder strips wall readings; health
-restricts itself to the simulated axis), so two identical seeded runs
-dump byte-identical bundles — CI diffs them.
+A bundle is written to ``incident-<n>.json.tmp`` and renamed into place
+when complete, outside the store's pages and WAL: a crash mid-dump leaves
+an ignorable ``.tmp`` file, never a corrupt store.  Dump failures are
+logged and swallowed (the row then names no bundle).  Bundle contents are
+pure functions of deterministic counters and on-disk state, so identical
+seeded runs dump byte-identical bundles — CI diffs them.
 """
 
 from __future__ import annotations
@@ -49,12 +29,11 @@ from __future__ import annotations
 import json
 import os
 import re
-import shutil
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ObservabilityError
 from repro.log import get_logger
+from repro.obs.journal import JOURNAL_FILE, Journal, Row
 from repro.obs.schema import INCIDENTS_DIR, stamp
 
 DEFAULT_LIMIT = 16
@@ -67,39 +46,10 @@ TRIGGER_KINDS = (
     "slo-budget-exhausted",
 )
 
-#: A complete bundle's directory name; ``incident-<n>.tmp`` is a dump
-#: a crash cut short.
-_BUNDLE_NAME = re.compile(r"^incident-(\d+)$")
+#: A complete bundle (``incident-<n>.json.tmp`` is a dump cut short).
+_BUNDLE_FILE = re.compile(r"^incident-(\d+)\.json$")
 
 _log = get_logger("obs.incident")
-
-
-@dataclass
-class IncidentRecord:
-    """One recorded incident (bundle on disk when ``bundle`` is set)."""
-
-    seq: int
-    kind: str
-    key: str
-    operations: Optional[int]
-    simulated_seconds: Optional[float]
-    detail: Dict[str, object] = field(default_factory=dict)
-    #: bundle directory name under ``store.incidents`` (None = in-memory
-    #: store, or the dump failed and was swallowed)
-    bundle: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return stamp(
-            {
-                "seq": self.seq,
-                "kind": self.kind,
-                "key": self.key,
-                "operations": self.operations,
-                "simulated_seconds": self.simulated_seconds,
-                "detail": dict(self.detail),
-                "bundle": self.bundle,
-            }
-        )
 
 
 def _config_payload(config, cost_model=None) -> Dict[str, object]:
@@ -160,19 +110,15 @@ def _quarantine_payload(store) -> Dict[str, object]:
     )
 
 
-def bundle_names(directory: str) -> List[Tuple[int, str]]:
-    """``(seq, name)`` of every complete bundle under ``directory``, by
-    seq (``.tmp`` leftovers of a crashed dump are not bundles)."""
-    if not os.path.isdir(directory):
-        return []
-    matches = filter(None, map(_BUNDLE_NAME.match, os.listdir(directory)))
-    return sorted((int(match.group(1)), match.group(0)) for match in matches)
+def bundle_files(directory: str) -> List[str]:
+    """The complete bundles under ``directory``, by number (the ``.tmp``
+    leftover of a crashed dump is not one)."""
+    names = os.listdir(directory) if os.path.isdir(directory) else []
+    return sorted(filter(_BUNDLE_FILE.match, names), key=_bundle_number)
 
 
-def _next_bundle_seq(directory: str) -> int:
-    """One past the highest bundle already on disk."""
-    names = bundle_names(directory)
-    return names[-1][0] + 1 if names else 0
+def _bundle_number(name: str) -> int:
+    return int(_BUNDLE_FILE.match(name).group(1))  # type: ignore[union-attr]
 
 
 def _best_effort(report, **failure) -> Dict[str, object]:
@@ -184,49 +130,47 @@ def _best_effort(report, **failure) -> Dict[str, object]:
         return stamp({"error": str(error), **failure})
 
 
-def _write_bundle(directory: str, seq: int, files: Dict[str, object]) -> str:
-    """Write bundle ``incident-<seq>`` crash-safely: every file (name →
-    JSON payload) into ``incident-<seq>.tmp``, then one rename into place.
-    Returns the bundle's name."""
-    name = f"incident-{seq}"
-    final = os.path.join(directory, name)
+def _write_bundle(directory: str, name: str, payload: Dict[str, object]) -> None:
+    """Write bundle ``name`` crash-safely: the stamped ``payload`` into
+    ``<name>.json.tmp``, then one rename into place."""
+    final = os.path.join(directory, name + ".json")
     temporary = final + ".tmp"
-    shutil.rmtree(temporary, ignore_errors=True)
-    os.makedirs(temporary)
-    for file_name, payload in files.items():
-        path = os.path.join(temporary, file_name)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
+    os.makedirs(directory, exist_ok=True)
+    with open(temporary, "w", encoding="utf-8") as handle:
+        json.dump(stamp(payload), handle, indent=2, sort_keys=True, default=str)
+        handle.write("\n")
     os.rename(temporary, final)
-    return name
 
 
 class IncidentManager:
     """Trigger framework: dedup, bound, dump.  A manager built with
-    ``enabled=False`` owns no directory and is never triggered."""
+    ``enabled=False`` records into a disabled journal and is never
+    triggered."""
 
     def __init__(
         self,
-        directory: Optional[str] = None,
+        journal: Optional[Journal] = None,
         limit: int = DEFAULT_LIMIT,
         enabled: bool = True,
+        config=None,
     ) -> None:
         self.enabled = enabled
-        directory = directory if enabled else None
-        self.directory = directory
+        self.journal = journal if journal is not None else Journal(enabled=enabled)
+        path = self.journal.path
+        #: where bundles dump (None: the journal has no file)
+        self.directory = path and os.path.join(os.path.dirname(path), INCIDENTS_DIR)
         self.limit = limit
+        #: a store-less bundle's configuration (a store's bundle reads its own)
+        self.config = config
         #: incidents recorded, by trigger kind (``repro_incidents_total``)
         self.counts: Dict[str, int] = {}
         #: triggers dropped because the per-instance limit was reached
         self.suppressed = 0
-        self._records: List[IncidentRecord] = []
+        self._rows: List[Row] = []
         self._seen: set = set()
-        self._next_seq = _next_bundle_seq(directory) if directory else 0
+        bundles = bundle_files(self.directory) if self.directory else []
+        self._next_number = _bundle_number(bundles[-1]) + 1 if bundles else 0
         self._store = None
-        self._store_path = (
-            os.path.dirname(os.path.abspath(directory)) if directory else None
-        )
         self._dumping = False
 
     def attach(self, store) -> None:
@@ -237,10 +181,9 @@ class IncidentManager:
 
     # ------------------------------------------------------------- triggering --
 
-    def trigger(
-        self, kind: str, key: str = "", **detail: object
-    ) -> Optional[IncidentRecord]:
-        """Record one incident (and dump its bundle on directory stores).
+    def trigger(self, kind: str, key: str = "", **detail: object) -> Optional[Row]:
+        """Record one incident row (and dump its bundle on directory
+        stores); returns the row.
 
         Returns None when the trigger was deduplicated, suppressed by
         the limit, or re-entrant (a trigger firing *during* a dump —
@@ -250,72 +193,66 @@ class IncidentManager:
             raise ObservabilityError(
                 f"unknown incident trigger {kind!r}; use one of {TRIGGER_KINDS}"
             )
-        if self._dumping:
+        if self._dumping or not self.journal.enabled:
             return None
         dedup = (kind, str(key))
         if dedup in self._seen:
             return None
-        if len(self._records) >= self.limit:
+        if len(self._rows) >= self.limit:
             self.suppressed += 1
             return None
         self._seen.add(dedup)
         store = self._store
-        record = IncidentRecord(
-            seq=self._next_seq,
-            kind=kind,
-            key=str(key),
-            operations=store.operations.total if store is not None else None,
-            simulated_seconds=(
-                store.simulated_seconds if store is not None else None
-            ),
-            detail={name: detail[name] for name in sorted(detail)},
+        name = f"incident-{self._next_number}" if self.directory else None
+        self._next_number += 1
+        row = self.journal.append(
+            "incident",
+            store.operations.total if store is not None else None,
+            store.simulated_seconds if store is not None else None,
+            {"trigger": kind, "key": str(key), "bundle": name,
+             "detail": {field: detail[field] for field in sorted(detail)}},
+            write=False,  # the row reaches the file once its bundle's fate is known
         )
-        self._next_seq += 1
-        if self.directory is not None and store is not None:
-            from repro.core.integrity import integrity_report
-            from repro.obs.health import health_report
-
+        if name is not None:
             self._dumping = True
             try:
-                record.bundle = _write_bundle(
-                    self.directory,
-                    record.seq,
-                    {
-                        "incident.json": record.to_dict(),
-                        "recorder.json": store.recorder.to_dict(),
-                        "config.json": _config_payload(
-                            store.config, store.cost_model
-                        ),
-                        "wal.json": _wal_summary(store),
-                        "quarantine.json": _quarantine_payload(store),
-                        "health.json": _best_effort(
-                            lambda: health_report(store, store_path=self._store_path),
-                            verdict=None,
-                        ),
-                        "integrity.json": _best_effort(
-                            lambda: integrity_report(store), ok=None
-                        ),
-                    },
-                )
+                _write_bundle(self.directory, name, self._bundle(row, store))
             except Exception as error:  # noqa: BLE001 - never break the store
-                _log.warning(
-                    "incident bundle dump failed (%s); incident %d recorded "
-                    "in memory only",
-                    error,
-                    record.seq,
-                )
+                row["bundle"] = None
+                _log.warning("incident bundle %s dump failed (%s); the incident "
+                             "is in the journal only", name, error)
             finally:
                 self._dumping = False
-        self._records.append(record)
+        self.journal.write(row)
+        self._rows.append(row)
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        _log.error(
-            "incident %d (%s%s) recorded%s",
-            record.seq,
-            kind,
-            f": {record.key}" if record.key else "",
-            f" -> {record.bundle}" if record.bundle else "",
-        )
-        return record
+        _log.error("incident %s (%s%s) recorded%s", row["seq"], kind,
+                   f": {row['key']}" if row["key"] else "",
+                   f" -> {row['bundle']}" if row["bundle"] else "")
+        return row
+
+    def _bundle(self, row: Row, store) -> Dict[str, object]:
+        """A bundle's payload: the incident row plus what the store (or,
+        store-less, the configuration) says about the moment."""
+        if store is None:  # store-less: the configuration, when given
+            known = {} if self.config is None else {"config": _config_payload(self.config)}
+            return {"incident": row, **known}
+        from repro.core.integrity import integrity_report
+        from repro.obs.health import health_report
+
+        store_path = os.path.dirname(os.path.abspath(self.directory))
+        return {
+            "incident": row,
+            "ring": store.recorder.to_dict(),
+            "config": _config_payload(store.config, store.cost_model),
+            "wal": _wal_summary(store),
+            "quarantine": _quarantine_payload(store),
+            "health": _best_effort(
+                lambda: health_report(store, store_path=store_path),
+                verdict=None,
+            ),
+            "integrity": _best_effort(lambda: integrity_report(store), ok=None),
+        }
 
     def alert_fired(self, event) -> None:
         """The incident a fired :class:`~repro.obs.alerts.AlertEvent`
@@ -328,38 +265,28 @@ class IncidentManager:
 
     # ---------------------------------------------------------------- reading --
 
-    def incidents(self) -> List[IncidentRecord]:
-        """Incidents recorded through this instance, oldest first."""
-        return list(self._records)
+    def incidents(self) -> List[Row]:
+        """Incident rows recorded through this instance, oldest first."""
+        return list(self._rows)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
 
 def record_directory_incident(
     path: str, kind: str, detail: Dict[str, object], config=None
 ) -> Optional[str]:
-    """Store-less bundle dump for code paths that operate on a *closed*
-    directory store (``repair_directory``): no live recorder or health
-    walk exists there, so the bundle carries the trigger detail and the
-    effective config only.  Best-effort: returns the bundle name, or
-    None when anything failed (diagnostics never break repair)."""
+    """The incident of a code path that works on a *closed* directory
+    store (``repair_directory``): an ``incident`` row appended to the
+    store's journal, and a bundle carrying that row and the effective
+    config only (no live recorder or health walk exists there).
+    Best-effort: returns the bundle name, or None when anything failed
+    (diagnostics never break repair)."""
     try:
-        directory = os.path.join(path, INCIDENTS_DIR)
-        seq = _next_bundle_seq(directory)
-        record = IncidentRecord(
-            seq=seq,
-            kind=kind,
-            key="",
-            operations=None,
-            simulated_seconds=None,
-            detail={name: detail[name] for name in sorted(detail)},
-            bundle=f"incident-{seq}",
-        )
-        files = {"incident.json": record.to_dict()}
-        if config is not None:
-            files["config.json"] = _config_payload(config)
-        return _write_bundle(directory, seq, files)
+        journal = Journal(os.path.join(path, JOURNAL_FILE))
+        manager = IncidentManager(journal, config=config)
+        row = manager.trigger(kind, **detail)
+        return row["bundle"] if row is not None else None
     except Exception as error:  # noqa: BLE001 - best effort by design
         _log.warning("store-less incident dump for %s failed: %s", path, error)
         return None

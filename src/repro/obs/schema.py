@@ -21,16 +21,13 @@ epoch, bumped whenever any exported shape changes incompatibly — which
 keeps the check trivial and the evolution story auditable in one place.
 
 The artifacts a store directory carries beside its pages and WAL are
-named here too, and the two JSONL trails among them (workload history,
-alert transitions) are read and written by :func:`read_jsonl` and
-:func:`write_jsonl` alone.
+named here too (the journal's own file is named by
+:mod:`repro.obs.journal`, its only reader and writer).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ObservabilityError
 
@@ -39,10 +36,6 @@ from repro.errors import ObservabilityError
 #: (:func:`check_schema_version` callers) how to migrate or refuse.
 SCHEMA_VERSION = 1
 
-#: Workload-history snapshots (:mod:`repro.obs.history`), one per line.
-HISTORY_FILE = "store.history.jsonl"
-#: Alert transitions (:mod:`repro.obs.alerts`), one per line.
-ALERTS_FILE = "store.alerts.jsonl"
 #: The directory incident bundles dump into (:mod:`repro.obs.incident`).
 INCIDENTS_DIR = "store.incidents"
 #: The degraded-repair sidecar (:mod:`repro.core.repair`).
@@ -87,57 +80,3 @@ def check_schema_version(
             f"supports ({SCHEMA_VERSION}); upgrade before reading it"
         )
     return version
-
-
-def read_jsonl(path: str) -> List[Dict[str, object]]:
-    """The stamped rows of one JSONL trail; none when the file is absent.
-
-    Text after the last newline is a torn append — what a crash midway
-    through :func:`write_jsonl` leaves — and is dropped, the way the WAL
-    drops a torn frame.  Any complete line that is not a stamped JSON
-    object raises :class:`~repro.errors.ObservabilityError`.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except FileNotFoundError:
-        return []
-    except OSError as error:
-        raise ObservabilityError(f"cannot read {path}: {error}") from error
-    rows: List[Dict[str, object]] = []
-    for number, line in enumerate(data.split(b"\n")[:-1], start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{number}"
-        try:
-            payload = json.loads(line)
-        except ValueError as error:
-            raise ObservabilityError(f"{where}: malformed line ({error})") from error
-        if not isinstance(payload, dict):
-            raise ObservabilityError(f"{where}: malformed line (not an object)")
-        check_schema_version(payload, where)
-        rows.append(payload)
-    return rows
-
-
-def write_jsonl(
-    path: str, rows: Iterable[Dict[str, object]], append: bool = True
-) -> None:
-    """Write ``rows`` to a JSONL trail, one sorted-key line each: appended,
-    or (``append=False``) replacing the file through a rename.  An append
-    first cuts off a torn final line, so its rows start on a fresh line."""
-    data = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    if not append:
-        temporary = path + ".tmp"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(data)
-        os.replace(temporary, path)
-        return
-    with open(path, "a+b") as handle:
-        size = handle.seek(0, os.SEEK_END)
-        if size:
-            handle.seek(size - 1)
-            if handle.read(1) != b"\n":
-                handle.seek(0)
-                handle.truncate(handle.read().rfind(b"\n") + 1)
-        handle.write(data.encode("utf-8"))

@@ -249,7 +249,7 @@ class BufferPool:
                 retries=retries,
             )
         # trigger after the quarantine map and event are in place, so
-        # the bundle's quarantine.json and recorder ring include this
+        # the bundle's quarantine payload and recorder ring include this
         # very block
         if self.incidents.enabled:
             self.incidents.trigger(

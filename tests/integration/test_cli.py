@@ -683,14 +683,16 @@ class TestReportBeforeTheExit:
 
     def _alerts(self, store_dir, tmp_path, monkeypatch):
         from repro.obs.alerts import AlertEngine, AlertRule, AlertView
-        from repro.obs.schema import ALERTS_FILE
+        from repro.obs.journal import JOURNAL_FILE, Journal
 
         rule = AlertRule(
             "quarantined-blocks", "critical", "threshold", "seeded",
             metric="repro_storage_quarantined_blocks", op=">", bound=0,
             clear_after=3,
         )
-        engine = AlertEngine(rules=(rule,), path=os.path.join(store_dir, ALERTS_FILE))
+        engine = AlertEngine(
+            rules=(rule,), journal=Journal(os.path.join(store_dir, JOURNAL_FILE))
+        )
         engine.evaluate(
             AlertView(values={"repro_storage_quarantined_blocks": 1.0}), label="seed"
         )
@@ -793,8 +795,8 @@ class TestDiagnoseBundleCLI:
         with pytest.raises(StoreCorruptError):
             run([store_dir, "scrub"])
         # the scrub auto-dumped an incident bundle...
-        bundle = os.path.join(store_dir, "store.incidents", "incident-0")
-        assert os.path.isdir(bundle)
+        bundle = os.path.join(store_dir, "store.incidents", "incident-0.json")
+        assert os.path.isfile(bundle)
         # ...and diagnose reconstructs the fault without opening the store
         with pytest.raises(StoreCorruptError) as excinfo:
             run([store_dir, "diagnose"])
@@ -893,20 +895,20 @@ class TestAlertsCommand:
     def test_restored_critical_alert_exits_two(self, store_dir):
         import os
 
-        from repro.obs.schema import ALERTS_FILE
         from repro.errors import StoreCorruptError
         from repro.obs.alerts import AlertEngine, AlertRule
+        from repro.obs.journal import JOURNAL_FILE, Journal
 
         run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
         # a previous session recorded a critical transition; the engine
-        # restores the active set from the log on reopen
+        # restores the active set from the journal on reopen
         rule = AlertRule(
             "quarantined-blocks", "critical", "threshold", "seeded",
             metric="repro_storage_quarantined_blocks", op=">", bound=0,
             clear_after=3,
         )
         engine = AlertEngine(
-            rules=(rule,), path=os.path.join(store_dir, ALERTS_FILE)
+            rules=(rule,), journal=Journal(os.path.join(store_dir, JOURNAL_FILE))
         )
         from repro.obs.alerts import AlertView
 
@@ -981,18 +983,17 @@ class TestDamagedArtifacts:
 
     DOC = "<r><a>x</a></r>"
 
-    @pytest.mark.parametrize("name", ["store.history.jsonl", "store.alerts.jsonl"])
-    def test_a_torn_trail_tail_still_opens(self, store_dir, name):
-        from repro.obs.schema import read_jsonl
+    def test_a_torn_journal_tail_still_opens(self, store_dir):
+        from repro.obs.journal import JOURNAL_FILE, read_journal
 
         run([store_dir, "load", "-"], stdin=io.StringIO(self.DOC))
-        path = os.path.join(store_dir, name)
+        path = os.path.join(store_dir, JOURNAL_FILE)
         with open(path, "a") as handle:
             handle.write('{"seq": 1, "lab')  # a crash mid-append
         assert run([store_dir, "read"]) == self.DOC
         run([store_dir, "insert-last", "1", "<b/>"])
         assert run([store_dir, "alerts"]).startswith("alerts: 0 firing")
-        read_jsonl(path)  # every complete line still parses
+        read_journal(path)  # every complete line still parses
 
     def _garbled_sidecar(self, store_dir, tmp_path, command):
         """Run ``command`` over a store whose sidecar a crash truncated;

@@ -19,13 +19,16 @@ from repro.obs.alerts import (
     default_rules,
     evaluate_rule,
     history_view,
-    load_events,
     store_view,
 )
 from repro.obs.bridge import deterministic_snapshot
 from repro.obs.history import HistorySnapshot
-from repro.obs.schema import ALERTS_FILE
-from repro.obs.schema import read_jsonl as read_alert_log
+from repro.obs.journal import JOURNAL_FILE, Journal, from_row, read_journal
+
+
+def read_alert_log(path):
+    """The journal's alert rows."""
+    return [row for row in read_journal(path) if row["kind"] == "alert"]
 
 
 def _snapshot(seq, deltas, operations=0, simulated=0.0):
@@ -184,13 +187,13 @@ class TestStateMachine:
 
 class TestPersistence:
     def test_transitions_append_stamped_jsonl_lines(self, tmp_path):
-        path = str(tmp_path / "alerts.jsonl")
-        engine = AlertEngine(rules=(_low_rule(),), path=path)
+        path = str(tmp_path / JOURNAL_FILE)
+        engine = AlertEngine(rules=(_low_rule(),), journal=Journal(path))
         engine.evaluate(AlertView(values={"m": 1.0}), label="test")
         engine.evaluate(AlertView(values={"m": 1.0}))  # steady: no write
         engine.evaluate(AlertView(values={"m": -1.0}))
         engine.evaluate(AlertView(values={"m": -1.0}))
-        lines = (tmp_path / "alerts.jsonl").read_text().splitlines()
+        lines = (tmp_path / JOURNAL_FILE).read_text().splitlines()
         assert len(lines) == 2  # fired + cleared, nothing for steady state
         for line in lines:
             payload = json.loads(line)
@@ -200,10 +203,10 @@ class TestPersistence:
         assert json.loads(lines[1])["state"] == "cleared"
 
     def test_reopen_restores_active_set_and_sequence(self, tmp_path):
-        path = str(tmp_path / "alerts.jsonl")
-        first = AlertEngine(rules=(_low_rule(),), path=path)
+        path = str(tmp_path / JOURNAL_FILE)
+        first = AlertEngine(rules=(_low_rule(),), journal=Journal(path))
         first.evaluate(AlertView(values={"m": 1.0}))
-        second = AlertEngine(rules=(_low_rule(),), path=path)
+        second = AlertEngine(rules=(_low_rule(),), journal=Journal(path))
         assert [e.rule for e in second.active()] == ["fires"]
         # the restored engine continues the sequence instead of reusing 0
         second.evaluate(AlertView(values={"m": -1.0}))
@@ -211,19 +214,21 @@ class TestPersistence:
         assert cleared[0].seq == 1
 
     def test_load_events_round_trips(self, tmp_path):
-        path = str(tmp_path / "alerts.jsonl")
-        engine = AlertEngine(rules=(_low_rule(),), path=path)
+        path = str(tmp_path / JOURNAL_FILE)
+        engine = AlertEngine(rules=(_low_rule(),), journal=Journal(path))
         emitted = engine.evaluate(AlertView(values={"m": 1.0}, operations=7))
-        assert load_events(path) == emitted
+        rows = read_alert_log(path)
+        assert [from_row(AlertEvent, row) for row in rows] == emitted
+        assert rows[0]["op"] == 7
 
     def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "alerts.jsonl"
+        path = tmp_path / JOURNAL_FILE
         path.write_text("{not json\n")
         with pytest.raises(ObservabilityError, match="malformed"):
             read_alert_log(str(path))
 
     def test_unstamped_line_rejected(self, tmp_path):
-        path = tmp_path / "alerts.jsonl"
+        path = tmp_path / JOURNAL_FILE
         path.write_text('{"seq": 0}\n')
         with pytest.raises(ObservabilityError, match="schema_version"):
             read_alert_log(str(path))
@@ -233,13 +238,13 @@ class TestPersistence:
     ):
         """A crash mid-append leaves an unterminated last line: the engine
         reopens over the complete lines and its next transition replaces it."""
-        path = tmp_path / "alerts.jsonl"
-        AlertEngine(rules=(_low_rule(),), path=str(path)).evaluate(
+        path = tmp_path / JOURNAL_FILE
+        AlertEngine(rules=(_low_rule(),), journal=Journal(str(path))).evaluate(
             AlertView(values={"m": 1.0})
         )
         with open(path, "a") as handle:
             handle.write('{"seq": 1, "lab')
-        reopened = AlertEngine(rules=(_low_rule(),), path=str(path))
+        reopened = AlertEngine(rules=(_low_rule(),), journal=Journal(str(path)))
         assert [e.state for e in reopened.events()] == ["fired"]
         reopened.evaluate(AlertView(values={"m": -1.0}))
         reopened.evaluate(AlertView(values={"m": -1.0}))
@@ -312,23 +317,24 @@ class TestStoreIntegration:
 
     def test_identical_runs_write_byte_identical_logs(self, tmp_path):
         def run(name):
-            path = str(tmp_path / name)
+            (tmp_path / name).mkdir()
+            path = str(tmp_path / name / JOURNAL_FILE)
             rules = (
                 AlertRule("tokens-flowed", "info", "threshold", "s",
                           metric="repro_store_tokens_emitted_total",
                           op=">", bound=0.0),
             )
             store = XMLStore.open(StoreConfig())
-            engine = AlertEngine(rules=rules, path=path)
+            engine = AlertEngine(rules=rules, journal=Journal(path))
             root = store.load_document("<r><a>x</a><b>y</b></r>")
             for _ in range(3):
                 store.read(root + 1)
                 engine.evaluate(
                     store_view(store, deterministic_snapshot(store)), "tick"
                 )
-            return (tmp_path / name).read_bytes()
+            return (tmp_path / name / JOURNAL_FILE).read_bytes()
 
-        assert run("a.jsonl") == run("b.jsonl")
+        assert run("a") == run("b")
 
     def test_directory_store_persists_alert_state(self, tmp_path):
         from repro.core.filestore import close_directory, open_directory
@@ -340,7 +346,7 @@ class TestStoreIntegration:
         store.pool.quarantine(0, ChecksumError("bad", block_no=0))
         _evaluate(store)
         close_directory(path, store)
-        assert (tmp_path / "store" / ALERTS_FILE).exists()
+        assert read_alert_log(str(tmp_path / "store" / JOURNAL_FILE))
         reopened = open_directory(path, config=config)
         try:
             assert "quarantined-blocks" in [
@@ -383,19 +389,23 @@ class TestOfflineViews:
 
 class TestFactoryAndDefaults:
     def test_disabled_engine_neither_restores_nor_writes_its_log(self, tmp_path):
-        path = str(tmp_path / "a.jsonl")
+        path = str(tmp_path / JOURNAL_FILE)
         rule = AlertRule("r", "info", "threshold", "s", metric="m", bound=1.0)
-        live = AlertEngine(rules=[rule], path=path)
+        live = AlertEngine(rules=[rule], journal=Journal(path))
         live.evaluate(AlertView(values={"m": 5.0}))
-        assert len(AlertEngine(path=path)) == 1
-        disabled = AlertEngine(path=path, enabled=False)
-        assert disabled.enabled is False and disabled.path is None
+        assert len(AlertEngine(journal=Journal(path))) == 1
+        disabled = AlertEngine(
+            journal=Journal(path, enabled=False), enabled=False
+        )
+        assert disabled.enabled is False and disabled.journal.path is None
         assert disabled.events() == [] and disabled.active() == []
         assert disabled.worst_active_severity() is None
+        assert disabled.evaluate(AlertView(values={"m": 5.0})) == []
         assert disabled.evaluations == 0
+        assert len(read_alert_log(path)) == 1
 
     def test_engine_is_enabled_by_default(self, tmp_path):
-        engine = AlertEngine(path=str(tmp_path / "a.jsonl"))
+        engine = AlertEngine(journal=Journal(str(tmp_path / JOURNAL_FILE)))
         assert engine.enabled is True
         assert engine.interval == DEFAULT_INTERVAL
 

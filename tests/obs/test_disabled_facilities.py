@@ -1,8 +1,9 @@
 """A disabled facility is a live object in an empty state.
 
 Every switchable observability facility (event log, heatmap, history,
-SLO tracker, alert engine, flight recorder, incident manager, telemetry)
-is one class whose ``enabled`` flag is a constructor argument.  A
+SLO tracker, alert engine, flight recorder, incident manager, the journal
+the last four record into, telemetry) is one class whose ``enabled`` flag
+is a constructor argument.  A
 disabled instance would really record if it were called, so two things
 keep the default store free:
 
@@ -38,10 +39,12 @@ SRC = os.path.dirname(repro.__file__)
 RECORDING = frozenset({
     "emit", "record_fetch", "record_write", "record_event", "record_alert",
     "observe", "capture", "frame", "evaluate", "trigger", "alert_fired",
+    "append", "write", "rewrite",
 })
 #: the names a facility goes by at its call sites
 FACILITIES = frozenset({
     "event_log", "heatmap", "history", "alerts", "recorder", "incidents",
+    "journal",
 })
 #: statements that leave the enclosing block early
 EXITS = (ast.Return, ast.Raise, ast.Continue)
@@ -165,6 +168,17 @@ def test_the_lint_sees_guards_and_their_absence():
     assert calls(
         "if self.incidents.enabled:\n    pass\nelse:\n    self.incidents.trigger('repair')"
     ) == [False]
+    # the journal's appends and writes are recording calls too
+    assert calls("self.journal.append('event', 0, 0.0)") == [False]
+    assert calls("if self.history.enabled:\n    self.journal.write(row)") == [False]
+    assert calls(
+        "if self.journal.enabled:\n    self.journal.append('event', 0, 0.0)"
+    ) == [True]
+    assert calls(
+        "def f(journal):\n"
+        "    if busy or not journal.enabled:\n        return\n"
+        "    journal.rewrite('history', [])"
+    ) == [True]
 
 
 # ------------------------------------------------------------------ behaviour --
@@ -209,6 +223,7 @@ def test_default_store_holds_every_facility_disabled_and_empty(policy):
     assert store.event_log.next_seq == 0
     assert store.heatmap.counts() == {}
     assert len(store.history) == 0
+    assert store.journal.enabled is False and store.journal.path is None
     assert store.recorder.entries() == []
     assert store.incidents.incidents() == []
     assert store.alerts.events() == []

@@ -1,4 +1,4 @@
-"""Workload history: capture, retention compaction, persistence."""
+"""Workload history: capture, retention compaction, journaled persistence."""
 
 import json
 
@@ -8,9 +8,13 @@ from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import XMLStore
 from repro.errors import ObservabilityError
 from repro.obs.bridge import deterministic_snapshot
-from repro.obs.history import HistorySnapshot, WorkloadHistory, load_snapshots
-from repro.obs.schema import HISTORY_FILE
-from repro.obs.schema import read_jsonl as read_history
+from repro.obs.history import HistorySnapshot, WorkloadHistory
+from repro.obs.journal import JOURNAL_FILE, Journal, check_row, from_row, read_journal
+
+
+def read_history(path):
+    """The journal's history rows."""
+    return [row for row in read_journal(path) if row["kind"] == "history"]
 
 K_LOAD = 'repro_store_operations_total{op="load"}'
 K_READ = 'repro_store_operations_total{op="node_read"}'
@@ -142,7 +146,7 @@ class TestRetention:
 
 class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / HISTORY_FILE)
+        path = str(tmp_path / JOURNAL_FILE)
         store, root = _store(interval=1000, artifacts_dir=str(tmp_path))
         _capture(store, "manual")
         store.read(root + 1)
@@ -150,15 +154,16 @@ class TestPersistence:
         rows = read_history(path)
         assert len(rows) == 2
         assert all(row["schema_version"] == 1 for row in rows)
-        decoded = load_snapshots(path)
+        decoded = [from_row(HistorySnapshot, row) for row in rows]
+        assert decoded == store.history.snapshots()
         assert [s.seq for s in decoded] == [0, 1]
         assert decoded[1].delta(K_READ) == 1.0
 
     def test_reopen_continues_the_sequence(self, tmp_path):
-        path = str(tmp_path / HISTORY_FILE)
+        path = str(tmp_path / JOURNAL_FILE)
         store, _ = _store(interval=1000, artifacts_dir=str(tmp_path))
         _capture(store, "manual")
-        successor = WorkloadHistory(path=path)
+        successor = WorkloadHistory(Journal(path))
         assert len(successor) == 1
         fresh_store, _ = _store(interval=1000)
         snapshot = successor.capture(
@@ -167,7 +172,7 @@ class TestPersistence:
         assert snapshot.seq == 1
 
     def test_compaction_rewrites_the_file(self, tmp_path):
-        path = str(tmp_path / HISTORY_FILE)
+        path = str(tmp_path / JOURNAL_FILE)
         store, root = _store(
             capacity=2, interval=1, artifacts_dir=str(tmp_path)
         )
@@ -178,20 +183,20 @@ class TestPersistence:
         assert rows[0]["label"] == "compacted"
 
     def test_read_history_rejects_unstamped_lines(self, tmp_path):
-        path = tmp_path / "history.jsonl"
+        path = tmp_path / JOURNAL_FILE
         path.write_text(json.dumps({"seq": 0, "label": "x"}) + "\n")
         with pytest.raises(ObservabilityError, match="schema_version"):
             read_history(str(path))
 
     def test_read_history_rejects_malformed_json(self, tmp_path):
-        path = tmp_path / "history.jsonl"
+        path = tmp_path / JOURNAL_FILE
         path.write_text('{"schema_version": 1}\nnot json\n')
         with pytest.raises(ObservabilityError, match="malformed"):
             read_history(str(path))
 
     def test_read_history_missing_file(self, tmp_path):
         # an absent trail is an empty one; an unreadable path is an error
-        assert read_history(str(tmp_path / "absent.jsonl")) == []
+        assert read_history(str(tmp_path / JOURNAL_FILE)) == []
         with pytest.raises(ObservabilityError, match="cannot read"):
             read_history(str(tmp_path))
 
@@ -200,7 +205,7 @@ class TestPersistence:
     ):
         """A crash mid-append leaves an unterminated last line: readers drop
         it (a store with such a trail opens) and the next row replaces it."""
-        path = tmp_path / HISTORY_FILE
+        path = tmp_path / JOURNAL_FILE
         store, root = _store(interval=1000, artifacts_dir=str(tmp_path))
         _capture(store, "before")
         with open(path, "a") as handle:
@@ -215,18 +220,26 @@ class TestPersistence:
         assert path.read_text().endswith("\n")
 
     def test_from_dict_rejects_malformed_snapshots(self):
-        with pytest.raises(ObservabilityError, match="malformed"):
-            HistorySnapshot.from_dict({"seq": "zero"})
+        # the journal's reader checks a history row against its declaration
+        with pytest.raises(ObservabilityError, match="malformed 'seq'"):
+            check_row({"schema_version": 1, "seq": "zero"}, "row")
+        row = {
+            "schema_version": 1, "seq": 0, "kind": "history", "op": 1,
+            "sim": 0.0, "label": "x", "deltas": {"k": "one"},
+            "partial_index": None, "heatmap": None, "merged": 1,
+        }
+        with pytest.raises(ObservabilityError, match="malformed 'deltas'"):
+            check_row(row, "row")
 
 
 class TestDisabledHistory:
     def test_disabled_history_ignores_its_file(self, tmp_path):
-        path = str(tmp_path / HISTORY_FILE)
+        path = str(tmp_path / JOURNAL_FILE)
         store, _ = _store(interval=1000, artifacts_dir=str(tmp_path))
         _capture(store, "manual")
-        assert len(WorkloadHistory(path=path)) == 1
-        disabled = WorkloadHistory(path=path, enabled=False)
-        assert disabled.enabled is False and disabled.path is None
+        assert len(WorkloadHistory(Journal(path))) == 1
+        disabled = WorkloadHistory(Journal(path), enabled=False)
+        assert disabled.enabled is False
         assert disabled.snapshots() == [] and len(disabled) == 0
         assert WorkloadHistory().enabled
 

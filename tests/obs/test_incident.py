@@ -1,11 +1,12 @@
 """Incident triggers, bundle dumps, and crash safety.
 
 The manager's contract: every trigger kind fires at most once per
-``(kind, key)`` per store instance, bounded by the manager's limit;
-on directory stores each incident dumps a schema-stamped bundle under
-``store.incidents/`` written strictly outside the store's pages and
-WAL — so a crash mid-dump can never corrupt the store, only leave an
-ignorable ``incident-<n>.tmp`` directory behind.
+``(kind, key)`` per store instance, bounded by the manager's limit; every
+incident is an ``incident`` row of the store's journal, and on directory
+stores each one dumps a schema-stamped bundle file under
+``store.incidents/`` written strictly outside the store's pages and WAL —
+so a crash mid-dump can never corrupt the store, only leave an ignorable
+``incident-<n>.json.tmp`` file behind.
 """
 
 import json
@@ -23,16 +24,23 @@ from repro.obs.incident import (
     IncidentManager,
     record_directory_incident,
 )
+from repro.obs.journal import JOURNAL_FILE, Journal, read_journal
 
-BUNDLE_FILES = (
-    "incident.json",
-    "recorder.json",
-    "config.json",
-    "wal.json",
-    "quarantine.json",
-    "health.json",
-    "integrity.json",
+#: the payloads a live store's bundle holds, each stamped on its own
+BUNDLE_PAYLOADS = (
+    "incident",
+    "ring",
+    "config",
+    "wal",
+    "quarantine",
+    "health",
+    "integrity",
 )
+
+
+def _bundle(path, name):
+    with open(path / INCIDENTS_DIR / f"{name}.json") as handle:
+        return json.load(handle)
 
 
 def _memory_store():
@@ -79,16 +87,17 @@ class TestTriggering:
         store = _memory_store()
         store.pool.quarantine(99, ChecksumError("boom", block_no=99))
         records = store.incidents.incidents()
-        assert [r.kind for r in records] == ["checksum-quarantine"]
-        assert records[0].detail["block"] == 99
-        assert records[0].detail["source"] == "fetch"
+        assert [r["trigger"] for r in records] == ["checksum-quarantine"]
+        assert records[0]["detail"]["block"] == 99
+        assert records[0]["detail"]["source"] == "fetch"
         # in-memory store: recorded, but no bundle to dump
-        assert records[0].bundle is None
+        assert records[0]["bundle"] is None
 
     def test_disabled_manager_owns_no_directory(self, tmp_path):
-        directory = str(tmp_path / INCIDENTS_DIR)
-        disabled = IncidentManager(directory=directory, enabled=False)
+        journal = Journal(str(tmp_path / JOURNAL_FILE), enabled=False)
+        disabled = IncidentManager(journal, enabled=False)
         assert disabled.enabled is False and disabled.directory is None
+        assert disabled.trigger("checksum-quarantine", key="1") is None
         assert disabled.incidents() == [] and disabled.counts == {}
         assert IncidentManager().enabled
         assert IncidentManager().limit == DEFAULT_LIMIT
@@ -134,28 +143,30 @@ class TestBundleDump:
     def test_scrub_quarantine_dumps_a_complete_bundle(self, tmp_path):
         path, store, report, block = self._corrupt_and_scrub(tmp_path)
         assert not report.ok
-        bundle = path / INCIDENTS_DIR / "incident-0"
-        assert bundle.is_dir()
-        for name in BUNDLE_FILES:
-            with open(bundle / name) as handle:
-                payload = json.load(handle)
-            assert payload.get("schema_version") == 1, (
+        assert os.listdir(path / INCIDENTS_DIR) == ["incident-0.json"]
+        bundle = _bundle(path, "incident-0")
+        assert bundle["schema_version"] == 1
+        assert sorted(bundle) == sorted(BUNDLE_PAYLOADS + ("schema_version",))
+        for name in BUNDLE_PAYLOADS:
+            assert bundle[name].get("schema_version") == 1, (
                 f"{name} is not schema-stamped"
             )
-        with open(bundle / "incident.json") as handle:
-            record = json.load(handle)
-        assert record["kind"] == "checksum-quarantine"
+        record = bundle["incident"]
+        assert record["kind"] == "incident"
+        assert record["trigger"] == "checksum-quarantine"
+        assert record["bundle"] == "incident-0"
         assert record["detail"]["block"] == block
         assert record["detail"]["source"] == "scrub"
-        with open(bundle / "quarantine.json") as handle:
-            quarantine = json.load(handle)
-        assert block in quarantine["blocks"]
+        assert block in bundle["quarantine"]["blocks"]
+        # the bundle's row is the journal's, and the ring's rows precede it
+        assert record in read_journal(str(path / JOURNAL_FILE))
+        assert all(row["seq"] < record["seq"] for row in bundle["ring"]["entries"])
 
     def test_recorder_dump_in_bundle_has_no_wall_readings(self, tmp_path):
         path, *_ = self._corrupt_and_scrub(tmp_path)
-        with open(path / INCIDENTS_DIR / "incident-0" / "recorder.json") as handle:
-            text = handle.read()
-        assert '"wall"' not in text
+        ring = json.dumps(_bundle(path, "incident-0")["ring"])
+        assert '"kind": "event"' in ring
+        assert '"wall"' not in ring
 
     def test_crash_recovery_triggers_an_incident(self, tmp_path):
         path = tmp_path / "store"
@@ -172,9 +183,9 @@ class TestBundleDump:
                 checksums_enabled=True,
             ),
         )
-        kinds = [r.kind for r in reopened.incidents.incidents()]
+        kinds = [r["trigger"] for r in reopened.incidents.incidents()]
         assert "crash-recovery" in kinds
-        assert (path / INCIDENTS_DIR / "incident-0").is_dir()
+        assert (path / INCIDENTS_DIR / "incident-0.json").is_file()
         close_directory(str(path), reopened)
 
     def test_clean_reopen_triggers_nothing(self, tmp_path):
@@ -202,11 +213,14 @@ class TestBundleDump:
         )
         assert report.integrity_ok
         bundles = sorted(os.listdir(path / INCIDENTS_DIR))
-        assert "incident-1" in bundles
-        with open(path / INCIDENTS_DIR / "incident-1" / "incident.json") as handle:
-            record = json.load(handle)
-        assert record["kind"] == "repair"
+        assert bundles == ["incident-0.json", "incident-1.json"]
+        record = _bundle(path, "incident-1")["incident"]
+        assert record["trigger"] == "repair"
         assert record["detail"]["report"]["mode"] == "wal-rebuild"
+        # the store-less row continues the journal's numbering
+        rows = read_journal(str(path / JOURNAL_FILE))
+        assert rows[-1] == record
+        assert record["seq"] > max(row["seq"] for row in rows[:-1])
 
 
 class TestCrashDuringDump:
@@ -230,13 +244,14 @@ class TestCrashDuringDump:
         store.pool.quarantine(99, ChecksumError("boom", block_no=99))
         monkeypatch.undo()
 
-        # the dump failed; the incident is still recorded in memory and
-        # only a .tmp leftover exists on disk
+        # the dump failed; the incident is still journaled, naming no
+        # bundle, and only a .tmp leftover exists on disk
         records = store.incidents.incidents()
-        assert [r.kind for r in records] == ["checksum-quarantine"]
-        assert records[0].bundle is None
+        assert [r["trigger"] for r in records] == ["checksum-quarantine"]
+        assert records[0]["bundle"] is None
+        assert read_journal(str(path / JOURNAL_FILE))[-1] == records[0]
         leftovers = os.listdir(path / INCIDENTS_DIR)
-        assert leftovers == ["incident-0.tmp"]
+        assert leftovers == ["incident-0.json.tmp"]
 
         # the quarantine was synthetic: clear it so the store closes
         # cleanly, then prove close/reopen/verify all work
@@ -250,20 +265,21 @@ class TestCrashDuringDump:
         assert integrity_report(reopened).ok
         close_directory(str(path), reopened)
 
-        # diagnose ignores the partial bundle entirely
-        from repro.obs.timeline import diagnose, load_bundles
+        # the partial bundle is no member of a support bundle, and the
+        # incident the journal holds is still unresolved
+        from repro.obs.timeline import _bundle_members, diagnose
 
-        assert load_bundles(str(path)) == []
-        assert diagnose(str(path)).verdict == "clean"
+        assert _bundle_members(str(path)) == [JOURNAL_FILE]
+        assert diagnose(str(path)).verdict == "unresolved"
 
     def test_next_dump_reclaims_the_tmp_leftover(self, tmp_path):
         path = tmp_path / "store"
         store = _directory_store(path)
-        leftover = path / INCIDENTS_DIR / "incident-0.tmp"
-        os.makedirs(leftover)
-        (leftover / "junk.json").write_text("{}")
+        leftover = path / INCIDENTS_DIR / "incident-0.json.tmp"
+        os.makedirs(path / INCIDENTS_DIR)
+        leftover.write_text("{")
         store.pool.quarantine(99, ChecksumError("boom", block_no=99))
-        assert (path / INCIDENTS_DIR / "incident-0").is_dir()
+        assert _bundle(path, "incident-0")["incident"]["bundle"] == "incident-0"
         assert not leftover.exists()
 
 
@@ -276,15 +292,16 @@ class TestDirectoryIncident:
             config=StoreConfig(),
         )
         assert name == "incident-0"
-        bundle = tmp_path / INCIDENTS_DIR / "incident-0"
-        with open(bundle / "incident.json") as handle:
-            record = json.load(handle)
-        assert record["kind"] == "repair"
-        assert record["operations"] is None
-        assert (bundle / "config.json").exists()
+        bundle = _bundle(tmp_path, "incident-0")
+        assert sorted(bundle) == ["config", "incident", "schema_version"]
+        record = bundle["incident"]
+        assert record["trigger"] == "repair"
+        assert record["op"] is None and record["sim"] is None
+        assert read_journal(str(tmp_path / JOURNAL_FILE)) == [record]
 
     def test_sequence_continues_past_existing_bundles(self, tmp_path):
-        os.makedirs(tmp_path / INCIDENTS_DIR / "incident-4")
+        os.makedirs(tmp_path / INCIDENTS_DIR)
+        (tmp_path / INCIDENTS_DIR / "incident-4.json").write_text("{}")
         name = record_directory_incident(str(tmp_path), "repair", {})
         assert name == "incident-5"
 

@@ -1,10 +1,17 @@
 """Pinned observability artifacts: the periodic observers' output, by hash.
 
 ``history``, ``alerts`` and ``recorder`` each read the metric surface every
-32nd/64th operation and persist what they saw.  The bytes they write are
-a pure function of the seeded workload, so a change to *how* the surface
-is read (cached keys, a flat snapshot path, SLO reading its histograms
-directly) must leave them identical.  The constants below were generated
+32nd/64th operation and record what they saw as rows of the store's
+journal.  The rows are a pure function of the seeded workload, so a change
+to *how* the surface is read (cached keys, a flat snapshot path, SLO
+reading its histograms directly) must leave them identical.
+
+The journal file itself is pinned by ``JOURNAL_SHA256``.  The three older
+constants pin the shapes the rows had when each observer kept its own
+trail (``store.history.jsonl``, ``store.alerts.jsonl`` and the recorder's
+ring dump): the journal's rows are projected back to those shapes here
+(per-kind ``seq`` renumbered, ``op``/``sim`` renamed), so the constants
+prove that no row's content moved when the trails became one journal.  The constants below were generated
 on the commit before the flat snapshot path existed, and regenerated twice
 since: once when index entries began to survive range splits (the partial-index
 hit counters, the simulated clock the alert lines carry and the recorder's
@@ -28,6 +35,7 @@ import random
 from repro.cli import _cli_store_config
 from repro.core.filestore import close_directory, open_directory
 from repro.errors import SessionLimitError
+from repro.obs.journal import JOURNAL_FILE
 from repro.server.sessions import SessionOp, XMLServer
 from repro.workloads import purchase_orders_document
 
@@ -36,6 +44,7 @@ SEED = 11
 #: op index before which the admission backlog is overfilled once
 BURST_AT = 100
 
+JOURNAL_SHA256 = "e8cd84e340b385b462004859c965cd0ce1ee2c57a4bc9460252d89d62c011960"
 HISTORY_SHA256 = "dfd7ab43b53572f36a07a94721d32ebcb384575b135ae467b0ac4b7d68dc9e35"
 ALERTS_SHA256 = "96e4aef545506c86bb6b66ea3897099cd7513d240a7180364541c29c2ad923ab"
 RECORDER_SHA256 = "4154bfe865b6b5d65c4c6f612263e52bf75abf0e7906e6694d09de0c9916e7e8"
@@ -58,8 +67,8 @@ def _sha256(data: bytes) -> str:
 
 
 def run_pinned_workload(directory: str):
-    """400 seeded ops; returns ``(history bytes, alert-log bytes,
-    recorder dump)`` as the store left them."""
+    """400 seeded ops; returns ``(journal bytes, ring dump)`` as the store
+    left them."""
     rng = random.Random(SEED)
     store = open_directory(directory, _cli_store_config())
     try:
@@ -91,28 +100,112 @@ def run_pinned_workload(directory: str):
                 store.xpath("/purchase-orders/purchase-order/item")
             else:
                 store.read(rng.choice(items))
-        recorder_dump = json.dumps(store.recorder.to_dict())
+        ring = store.recorder.to_dict()
     finally:
         close_directory(directory, store)
+    with open(os.path.join(directory, JOURNAL_FILE), "rb") as handle:
+        return handle.read(), ring
 
-    def file_bytes(name: str) -> bytes:
-        with open(os.path.join(directory, name), "rb") as handle:
-            return handle.read()
 
+# -- projections back to the shapes of the three former trails --------------
+
+
+def _history_line(index, row):
+    return {
+        "schema_version": row["schema_version"],
+        "seq": index,
+        "label": row["label"],
+        "operations": row["op"],
+        "simulated_seconds": row["sim"],
+        "deltas": row["deltas"],
+        "partial_index": row["partial_index"],
+        "heatmap": row["heatmap"],
+        "merged": row["merged"],
+    }
+
+
+def _alert_payload(index, row):
+    return {
+        "seq": index,
+        "state": row["state"],
+        "rule": row["rule"],
+        "severity": row["severity"],
+        "summary": row["summary"],
+        "value": row["value"],
+        "bound": row["bound"],
+        "label": row["label"],
+        "operations": row["op"],
+        "simulated_seconds": row["sim"],
+    }
+
+
+def _jsonl(lines) -> bytes:
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines).encode()
+
+
+def project_trails(journal: bytes):
+    """The journal's rows as the history and alert trails wrote them."""
+    rows = [json.loads(line) for line in journal.splitlines()]
+    history = [row for row in rows if row["kind"] == "history"]
+    alerts = [row for row in rows if row["kind"] == "alert"]
     return (
-        file_bytes("store.history.jsonl"),
-        file_bytes("store.alerts.jsonl"),
-        recorder_dump.encode("utf-8"),
+        _jsonl(_history_line(index, row) for index, row in enumerate(history)),
+        _jsonl(
+            {"schema_version": row["schema_version"], **_alert_payload(index, row)}
+            for index, row in enumerate(alerts)
+        ),
     )
 
 
+def project_ring(ring, journal: bytes) -> bytes:
+    """The ring dump as the recorder's own rows and counter shaped it."""
+    alert_index = {
+        row["seq"]: index
+        for index, row in enumerate(
+            row for row in map(json.loads, journal.splitlines()) if row["kind"] == "alert"
+        )
+    }
+
+    def entry(index, row):
+        if row["kind"] == "event":
+            source, label, payload = row["source"], row["label"], row["payload"]
+        elif row["kind"] == "alert":
+            source, label = row["rule"], row["state"]
+            payload = _alert_payload(alert_index[row["seq"]], row)
+        else:
+            source, label = "recorder", row["label"]
+            payload = {"operations": row["op"], "deltas": row["deltas"]}
+        return {
+            "seq": ring["dropped"] + index,
+            "kind": row["kind"],
+            "source": source,
+            "label": label,
+            "simulated": row["sim"],
+            "payload": payload,
+        }
+
+    dump = {
+        "capacity": ring["capacity"],
+        "interval": ring["interval"],
+        "dropped": ring["dropped"],
+        "entries": [entry(index, row) for index, row in enumerate(ring["entries"])],
+        "schema_version": ring["schema_version"],
+    }
+    return json.dumps(dump).encode("utf-8")
+
+
 def test_periodic_observer_artifacts_are_byte_pinned(tmp_path):
-    history, alerts, recorder = run_pinned_workload(str(tmp_path / "store"))
+    journal, ring = run_pinned_workload(str(tmp_path / "store"))
+    history, alerts = project_trails(journal)
+    recorder = project_ring(ring, journal)
     # the run must actually exercise all three observers
     assert history.count(b"\n") >= OPS // 64
     assert b'"state": "fired"' in alerts
     assert b'"kind": "metrics"' in recorder
     assert b"repro_wal_group_commit_batch_size_bucket" in history
+    # the ring overflowed, so its old numbering is offset by the drops
+    assert ring["dropped"] > 0
+    assert _sha256(journal) == JOURNAL_SHA256
     assert _sha256(history) == HISTORY_SHA256
     assert _sha256(alerts) == ALERTS_SHA256
     assert _sha256(recorder) == RECORDER_SHA256

@@ -1,10 +1,9 @@
 """Flight recorder: ring bounds, the three feeds, and determinism.
 
 The recorder's contract: a bounded ring of event / alert / metric-frame
-entries whose persisted form is a pure function of the workload — no
-wall-clock readings ever reach an entry, so identical seeded runs
-record byte-identically (the incident-determinism CI gate diffs the
-dumps).
+journal rows whose dumped form is a pure function of the workload — no
+wall-clock readings ever reach a row, so identical seeded runs record
+byte-identically (the incident-determinism CI gate diffs the dumps).
 """
 
 import json
@@ -16,6 +15,13 @@ from repro.obs.recorder import (
     DEFAULT_INTERVAL,
     FlightRecorder,
 )
+
+
+def _record(recorder, label):
+    """One ring row, as the event tee appends it."""
+    return recorder.journal.append(
+        "event", None, 0.0, {"source": "test", "label": label, "payload": {}}
+    )
 
 
 def _store(interval=4, **overrides):
@@ -31,11 +37,11 @@ class TestRing:
     def test_capacity_bounds_the_ring_and_counts_drops(self):
         recorder = FlightRecorder(capacity=3)
         for index in range(5):
-            recorder.record("event", "test", f"e{index}", 0.0, {})
+            _record(recorder, f"e{index}")
         assert len(recorder) == 3
         assert recorder.dropped == 2
         # oldest evicted: the survivors are the newest three, in order
-        assert [entry.label for entry in recorder.entries()] == [
+        assert [entry["label"] for entry in recorder.entries()] == [
             "e2",
             "e3",
             "e4",
@@ -44,14 +50,20 @@ class TestRing:
     def test_seq_is_monotone_across_evictions(self):
         recorder = FlightRecorder(capacity=2)
         for _ in range(4):
-            recorder.record("event", "test", "e", 0.0, {})
-        assert [entry.seq for entry in recorder.entries()] == [2, 3]
-        assert recorder.entries(since=3)[0].seq == 3
+            _record(recorder, "e")
+        assert [entry["seq"] for entry in recorder.entries()] == [2, 3]
+        # the journal's one counter numbers ring and persisted rows alike
+        row = recorder.journal.append(
+            "history", 0, 0.0,
+            {"label": "x", "deltas": {}, "partial_index": None,
+             "heatmap": None, "merged": 1},
+        )
+        assert row["seq"] == 4 and len(recorder) == 2
 
     def test_clear_resets_entries_and_drop_counter(self):
         recorder = FlightRecorder(capacity=2)
         for _ in range(3):
-            recorder.record("event", "test", "e", 0.0, {})
+            _record(recorder, "e")
         recorder.clear()
         assert len(recorder) == 0
         assert recorder.dropped == 0
@@ -64,10 +76,11 @@ class TestFeeds:
         entries = [
             entry
             for entry in store.recorder.entries()
-            if entry.kind == "event" and entry.label == "poke"
+            if entry["kind"] == "event" and entry["label"] == "poke"
         ]
         assert len(entries) == 1
-        payload = entries[0].payload
+        assert entries[0]["op"] == store.operations.total
+        payload = entries[0]["payload"]
         assert "wall" not in payload
         assert payload["fields"] == {"detail": 7}
 
@@ -82,11 +95,12 @@ class TestFeeds:
         alerts = [
             entry
             for entry in store.recorder.entries()
-            if entry.kind == "alert"
+            if entry["kind"] == "alert"
         ]
         assert alerts, "fired alert never reached the recorder"
-        assert alerts[0].label == "fired"
-        assert "schema_version" not in alerts[0].payload
+        assert alerts[0]["state"] == "fired"
+        # the ring holds the very row the alert engine journaled
+        assert alerts[0]["seq"] == store.alerts.events()[0].seq
 
     def test_metric_frames_capture_deterministic_deltas(self):
         store = _store(interval=2)
@@ -95,13 +109,15 @@ class TestFeeds:
         frames = [
             entry
             for entry in store.recorder.entries()
-            if entry.kind == "metrics"
+            if entry["kind"] == "metrics"
         ]
         assert frames, "no interval frame captured"
+        # one frame every 2nd operation, each stamped with the count
+        assert [frame["op"] for frame in frames] == list(
+            range(2, 2 * len(frames) + 1, 2)
+        )
         for frame in frames:
-            assert frame.source == "recorder"
-            assert "operations" in frame.payload
-            deltas = frame.payload["deltas"]
+            deltas = frame["deltas"]
             assert all(
                 not key.startswith("repro_span_seconds") for key in deltas
             ), "wall-clock key leaked into a recorder frame"

@@ -245,7 +245,7 @@ class TestSnapshotIsARead:
         row = store.history.snapshots()[-1]
         assert counts == {"format_value": 0, "sample_key": 0, "_flat_key": 0, "Sample": 0}
         # and they did read the surface, group-commit histogram included
-        assert 'repro_history_captures_total' in frame.payload["deltas"]
+        assert 'repro_history_captures_total' in frame["deltas"]
         assert 'repro_wal_group_commit_batch_size_bucket{le="+Inf"}' in row.deltas
         assert not any(key.startswith("repro_span_seconds") for key in row.deltas)
         # the exporters' path still builds Samples (and only there)
@@ -291,7 +291,7 @@ class TestSnapshotIsARead:
         assert calls[0] == 2
         assert store.history.snapshots()[-1].label == "interval"
         assert store.alerts.evaluations == 2  # the warm tick and op 64
-        assert [e.label for e in store.recorder.entries() if e.kind == "metrics"][-2:] == [
+        assert [e["label"] for e in store.recorder.entries() if e["kind"] == "metrics"][-2:] == [
             "interval", "interval",
         ]
 
@@ -313,9 +313,9 @@ class TestSnapshotIsARead:
             store.read(2)
         store.checkpoint()
         trails = [row.deltas for row in store.history.snapshots()] + [
-            entry.payload["deltas"]
+            entry["deltas"]
             for entry in store.recorder.entries()
-            if entry.kind == "metrics"
+            if entry["kind"] == "metrics"
         ]
         assert len(trails) > 4
         for deltas in trails:
@@ -328,7 +328,7 @@ class TestSnapshotIsARead:
         store = self._warm_store()
         store.watch("tick", OBSERVERS)
         frame = store.recorder.entries()[-1]
-        assert frame.payload["deltas"]["repro_history_captures_total"] == 1
+        assert frame["deltas"]["repro_history_captures_total"] == 1
         assert store.recorder._last_metrics.values == deterministic_snapshot(store).values
 
     def test_an_incident_dump_gives_the_frame_the_post_dump_counters(self, tmp_path):
@@ -340,10 +340,10 @@ class TestSnapshotIsARead:
         dumped = len(store.incidents)
         store.watch("tick", OBSERVERS)  # the critical alert fires and dumps a bundle
         assert len(store.incidents) == dumped + 1
-        assert (tmp_path / "store.incidents" / f"incident-{dumped}").is_dir()
+        assert (tmp_path / "store.incidents" / f"incident-{dumped}.json").is_file()
         frame = store.recorder.entries()[-1]
-        assert frame.kind == "metrics"
-        assert frame.payload["deltas"]['repro_incidents_total{kind="critical-alert"}'] == 1
+        assert frame["kind"] == "metrics"
+        assert frame["deltas"]['repro_incidents_total{kind="critical-alert"}'] == 1
         # the frame's baseline is the surface after the dump's integrity walk
         assert store.recorder._last_metrics.values == deterministic_snapshot(store).values
 

@@ -1,10 +1,11 @@
 """Post-mortem timeline, diagnosis verdicts, and the support bundle.
 
 ``diagnose``'s contract: everything is reconstructed from persisted
-artifacts alone — the store is never opened — and the verdict maps
-onto the CLI's canonical exit-code scheme (0 clean / 1 resolved /
-2 unresolved).  The support tarball must be deterministic byte-for-byte
-across identical runs.
+artifacts alone — the store is never opened — the timeline is the
+journal's rows (plus the bundles' ring rows) in ``seq`` order, causal
+across store opens, and the verdict maps onto the CLI's canonical
+exit-code scheme (0 clean / 1 resolved / 2 unresolved).  The support
+tarball must be deterministic byte-for-byte across identical runs.
 """
 
 import json
@@ -17,12 +18,15 @@ from repro.core.config import StoreConfig
 from repro.core.filestore import close_directory, open_directory
 from repro.errors import ObservabilityError
 from repro.obs.incident import INCIDENTS_DIR, record_directory_incident
+from repro.obs.journal import JOURNAL_FILE
 from repro.obs.timeline import (
+    _bundle_members,
     build_timeline,
     diagnose,
-    load_bundles,
     write_support_bundle,
 )
+
+TIMELINE_KEYS = {"source", "kind", "summary", "operations", "simulated", "detail"}
 
 
 def _fault_store(tmp_path, repair=False):
@@ -88,35 +92,56 @@ class TestTimeline:
     def test_merges_all_artifact_families_in_causal_order(self, tmp_path):
         path = _fault_store(tmp_path, repair=True)
         timeline = build_timeline(str(path))
-        sources = {entry.source for entry in timeline}
-        assert {"history", "incident", "recorder"} <= sources
-        # causal order: rows carrying an operation counter come sorted,
-        # counter-less rows (the post-run repair) after them
-        counted = [
-            e.operations for e in timeline if e.operations is not None
-        ]
-        assert counted == sorted(counted)
-        first_uncounted = next(
-            i for i, e in enumerate(timeline) if e.operations is None
-        )
-        assert all(
-            e.operations is None for e in timeline[first_uncounted:]
-        )
+        assert all(set(entry) == TIMELINE_KEYS for entry in timeline)
+        sources = {entry["source"] for entry in timeline}
+        assert {"history", "incident", "event"} <= sources
+        # causal order: the journal's one counter, across the scrub's open
+        # and the store-less repair after it
+        seqs = [entry["detail"]["seq"] for entry in timeline]
+        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        assert timeline[-1]["kind"] == "repair"
+        assert timeline[-1]["operations"] is None
 
     def test_tmp_bundles_are_ignored(self, tmp_path):
         path = _fault_store(tmp_path)
-        leftover = path / INCIDENTS_DIR / "incident-9.tmp"
-        os.makedirs(leftover)
-        (leftover / "incident.json").write_text("{}")
-        assert [b["name"] for b in load_bundles(str(path))] == ["incident-0"]
+        before = build_timeline(str(path))
+        leftover = path / INCIDENTS_DIR / "incident-9.json.tmp"
+        leftover.write_text("{}")
+        assert build_timeline(str(path)) == before
+        assert _bundle_members(str(path)) == [
+            os.path.join(INCIDENTS_DIR, "incident-0.json"), JOURNAL_FILE,
+        ]
 
     def test_garbled_artifact_lines_are_skipped(self, tmp_path):
         path = _fault_store(tmp_path)
-        # simulate a crash-truncated history tail
-        with open(path / "store.history.jsonl", "a") as handle:
+        # simulate a crash-truncated journal tail
+        with open(path / JOURNAL_FILE, "a") as handle:
             handle.write('{"schema_version": 1, "trunca')
         timeline = build_timeline(str(path))
-        assert any(entry.source == "history" for entry in timeline)
+        assert any(entry["source"] == "history" for entry in timeline)
+
+    def test_two_opens_list_rows_in_append_order(self, tmp_path):
+        """The second open's rows follow the first's, though its operation
+        counter restarted at 0."""
+        from repro.cli import _cli_store_config
+        from repro.workloads import purchase_orders_document
+
+        path = str(tmp_path / "store")
+        for reads in (150, 3):
+            store = open_directory(path, _cli_store_config())
+            if reads == 150:
+                store.load_document(purchase_orders_document(5, 2, seed=1))
+            for _ in range(reads):
+                store.read(2)
+            close_directory(path, store)
+        history = [
+            (entry["detail"]["seq"], entry["operations"])
+            for entry in build_timeline(path)
+            if entry["source"] == "history"
+        ]
+        operations = [ops for _, ops in history]
+        assert operations[-1] == 3 and max(operations) > 3
+        assert [seq for seq, _ in history] == sorted(seq for seq, _ in history)
 
 
 class TestDiagnose:
@@ -146,26 +171,22 @@ class TestDiagnose:
         # the acceptance walk: fault -> quarantine -> repair, read back
         # without ever opening the store
         report = diagnose(str(_fault_store(tmp_path, repair=True)))
-        kinds = [entry.kind for entry in report.timeline]
         fault = next(
             i
             for i, e in enumerate(report.timeline)
-            if e.source == "recorder" and e.kind == "event"
-            and e.detail.get("source") == "fault"
+            if e["source"] == "event" and e["detail"]["source"] == "fault"
         )
         quarantine = next(
             i
             for i, e in enumerate(report.timeline)
-            if e.source == "incident" and e.kind == "checksum-quarantine"
+            if e["source"] == "incident" and e["kind"] == "checksum-quarantine"
         )
         repair = next(
             i
             for i, e in enumerate(report.timeline)
-            if e.source == "incident" and e.kind == "repair"
+            if e["source"] == "incident" and e["kind"] == "repair"
         )
-        assert quarantine < repair
-        assert fault < repair
-        del kinds
+        assert fault < quarantine < repair
 
     def test_focus_on_a_named_incident(self, tmp_path):
         path = _fault_store(tmp_path, repair=True)
@@ -199,6 +220,25 @@ class TestDiagnose:
                         "degraded": False}},
         )
         assert diagnose(str(tmp_path)).verdict == "resolved"
+
+    def test_root_cause_is_the_first_sessions_fault(self, tmp_path):
+        """Two opens each record a fault event and an incident: the root
+        cause is the first open's, though the second's operation count
+        is lower."""
+        path = str(tmp_path / "store")
+        config = StoreConfig(events_enabled=True, recorder_enabled=True)
+        for session, reads in (("first", 40), ("second", 1)):
+            store = open_directory(path, config)
+            if session == "first":
+                store.load_document("<r><a>x</a></r>")
+            for _ in range(reads):
+                store.read(2)
+            store.event_log.emit("fault", f"{session}-fault", severity="error")
+            store.incidents.trigger("checksum-quarantine", key=session)
+            close_directory(path, store)
+        cause = diagnose(path).root_cause
+        assert cause["origin"] == "recorder"
+        assert cause["kind"] == "first-fault"
 
 
 class TestSupportBundle:
