@@ -995,6 +995,25 @@ class TestDamagedArtifacts:
         assert run([store_dir, "alerts"]).startswith("alerts: 0 firing")
         read_journal(path)  # every complete line still parses
 
+    @pytest.mark.parametrize("name", ["store.history.jsonl", "store.alerts.jsonl"])
+    def test_a_torn_trail_tail_still_opens(self, store_dir, name):
+        """A torn trail an older version left is ignored, not read: the
+        store opens, the journal takes the rows, the trail is untouched."""
+        from repro.obs.journal import JOURNAL_FILE, LEGACY_TRAILS, read_journal
+
+        assert name in LEGACY_TRAILS
+        run([store_dir, "load", "-"], stdin=io.StringIO(self.DOC))
+        path = os.path.join(store_dir, name)
+        torn = '{"seq": 0, "label": "x"}\n{"seq": 1, "lab'  # a crash mid-append
+        with open(path, "w") as handle:
+            handle.write(torn)
+        assert run([store_dir, "read"]) == self.DOC
+        run([store_dir, "insert-last", "1", "<b/>"])
+        assert run([store_dir, "alerts"]).startswith("alerts: 0 firing")
+        with open(path) as handle:
+            assert handle.read() == torn
+        read_journal(os.path.join(store_dir, JOURNAL_FILE))
+
     def _garbled_sidecar(self, store_dir, tmp_path, command):
         """Run ``command`` over a store whose sidecar a crash truncated;
         returns its exit code and JSON report."""
