@@ -40,10 +40,20 @@ from repro.xmltoken.binary import (
     KIND_MASK,
     KIND_TABLE,
     STARTS_NODE,
-    decode_token,
     peek_kind,
+    token_fields,
 )
-from repro.xmltoken.tokens import Token, TokenKind
+from repro.xmltoken.tokens import TokenKind
+
+#: The kinds :meth:`Locator.node_columns` tells apart, as plain ints (an
+#: enum member costs an attribute lookup per comparison), and those whose
+#: records it reads past the header byte.
+_BEGIN_ELEMENT, _END_ELEMENT, _BEGIN_ATTRIBUTE, _END_ATTRIBUTE, _ATTRIBUTE_VALUE = map(int, (
+    TokenKind.BEGIN_ELEMENT, TokenKind.END_ELEMENT, TokenKind.BEGIN_ATTRIBUTE,
+    TokenKind.END_ATTRIBUTE, TokenKind.ATTRIBUTE_VALUE))
+_COLUMN_KINDS = frozenset(map(int, (
+    TokenKind.BEGIN_ELEMENT, TokenKind.BEGIN_ATTRIBUTE, TokenKind.ATTRIBUTE_VALUE,
+    TokenKind.TEXT, TokenKind.COMMENT, TokenKind.PROCESSING_INSTRUCTION)))
 
 #: One piece of a scan: the records ``page_records[slot:stop]`` of one block,
 #: all in range ``meta`` (at ``order_index``), the first at ``offset``.
@@ -51,15 +61,10 @@ _Segment = Tuple[int, RangeMeta, int, int, int, int, List[bytes]]
 
 
 class ScanItem:
-    """One token encountered by a document-order scan.
+    """One token encountered by a document-order scan, which reads only the
+    record's header byte (``kind``)."""
 
-    A scan reads only the record's header byte (``kind``); ``token`` decodes
-    the payload the first time it is asked for.
-    """
-
-    __slots__ = (
-        "order_index", "meta", "offset", "pos", "record", "kind", "last_id", "_token",
-    )
+    __slots__ = ("order_index", "meta", "offset", "pos", "record", "kind", "last_id")
 
     def __init__(
         self,
@@ -82,14 +87,6 @@ class ScanItem:
         #: Id of the most recent node-starting token within this range,
         #: *after* processing this token (None before the first node start).
         self.last_id = last_id
-        self._token: Optional[Token] = None
-
-    @property
-    def token(self) -> Token:
-        token = self._token
-        if token is None:
-            token = self._token = decode_token(self.record)
-        return token
 
     @property
     def address(self) -> Tuple[int, int]:
@@ -123,9 +120,25 @@ class NodeLocation:
     begin: ScanItem
     end: Optional[ScanItem] = None
 
-    @property
-    def token(self) -> Token:
-        return self.begin.token
+
+class NodeColumns:
+    """The document's nodes in document order as parallel lists, one entry
+    per element, attribute, text, comment and processing instruction;
+    entry 0 is the document node (id None).
+
+    ``kinds`` holds the header's kind bits, ``names`` and ``values`` the
+    record fields as stored UTF-8 bytes (an attribute's value joins its
+    ATTRIBUTE_VALUE records), ``parent`` the parent's entry (an attribute's
+    is its element; -1 for the document node) and ``end`` the entry one
+    past the node's subtree, attributes included.
+    """
+
+    __slots__ = ("ids", "kinds", "names", "values", "parent", "end")
+
+    def __init__(self) -> None:
+        self.ids, self.kinds = [None], [int(TokenKind.BEGIN_DOCUMENT)]
+        self.names, self.values = [b""], [b""]
+        self.parent, self.end = [-1], [1]
 
 
 @dataclass
@@ -195,10 +208,12 @@ class Locator:
 
     # -- scanning -----------------------------------------------------------------
     #
-    # Every walk below is header-only: it reads ``record[0]``, looks the kind
-    # bits up in the tables above, and advances the id cursor from the kind.
-    # ``_segments`` is the one place that follows the chain across blocks and
-    # ranges; the three loops over it differ only in what they do per token.
+    # Every walk below reads ``record[0]``, looks the kind bits up in the
+    # tables above, and advances the id cursor from the kind; only
+    # ``node_columns`` reads further, into the records that name a node or
+    # hold its value.  ``_segments`` is the one place that follows the chain
+    # across blocks and ranges; the four loops over it differ only in what
+    # they do per token.
 
     def scan(self, start_order_index: int = 0) -> Iterator[ScanItem]:
         """Scan tokens in document order from the given range onward,
@@ -306,6 +321,63 @@ class Locator:
                 )
                 offset += 1
 
+    def node_columns(self) -> NodeColumns:
+        """Every node of the document as :class:`NodeColumns`, in one walk
+        that charges each record once, as :meth:`scan` does.  The records
+        of nodes and attribute values are sliced with the codec's checks;
+        no token and no per-node object is built."""
+        columns = NodeColumns()
+        ids, kinds, names, values = columns.ids, columns.kinds, columns.names, columns.values
+        parent, end = columns.parent, columns.end
+        kind_table, starts_node = KIND_TABLE, STARTS_NODE
+        next_id = self.id_scheme.next_id
+        stats = self.stats
+        open_elements = [0]  # entries whose subtree is still open
+        attribute = 0  # the entry of the attribute being read, 0 outside one
+        last_id = None
+        for _, meta, offset, _, first, stop, records in self._segments_from_range(0):
+            if offset == 0:
+                last_id = None
+            for slot in range(first, stop):
+                record = records[slot]
+                if not record:
+                    raise CodecError("empty token record")
+                raw = record[0] & KIND_MASK
+                if starts_node[raw]:
+                    last_id = (
+                        self._first_id(meta) if last_id is None
+                        else next_id(last_id, kind_table[raw])
+                    )
+                if raw not in _COLUMN_KINDS:
+                    if raw == _END_ELEMENT:
+                        end[open_elements.pop()] = len(ids)
+                    elif raw == _END_ATTRIBUTE:
+                        attribute = 0
+                    elif kind_table[raw] is None:
+                        peek_kind(record)  # raises the typed error
+                    continue
+                _, name, value, _, size = token_fields(record)
+                if size != len(record):
+                    raise CodecError(f"{len(record) - size} trailing bytes after token")
+                if raw == _ATTRIBUTE_VALUE:
+                    if attribute:
+                        values[attribute] += value
+                    continue
+                index = len(ids)
+                ids.append(last_id)
+                kinds.append(raw)
+                names.append(name)
+                values.append(value)
+                parent.append(open_elements[-1])
+                end.append(index + 1)
+                if raw == _BEGIN_ELEMENT:
+                    open_elements.append(index)
+                elif raw == _BEGIN_ATTRIBUTE:
+                    attribute = index
+            stats.tokens_scanned += stop - first
+        end[0] = len(ids)
+        return columns
+
     # -- resolution ------------------------------------------------------------------
 
     def locate(self, node_id: int) -> NodeLocation:
@@ -346,7 +418,7 @@ class Locator:
     def find_end(self, begin: ScanItem) -> ScanItem:
         """The item of the end token of the node starting at ``begin``."""
         if not begin.starts_node:
-            raise DocumentOrderError(f"{begin.token!r} does not start a node")
+            raise DocumentOrderError(f"a record of kind {begin.kind.name} does not start a node")
         if not begin.is_begin:
             return begin
         kinds, starts_node, depth_step = KIND_TABLE, STARTS_NODE, DEPTH_STEP

@@ -1,7 +1,7 @@
 """XPath subset: navigational evaluator + structural-join baseline."""
 
 from repro.xpath.ast import Axis, NodeTest, Path, Step, TestKind
-from repro.xpath.evaluator import XPathNode, build_view, evaluate
+from repro.xpath.evaluator import XPathNode, evaluate
 from repro.xpath.parser import parse
 from repro.xpath.structural_join import (
     LabeledElement,
@@ -18,7 +18,6 @@ __all__ = [
     "Step",
     "TestKind",
     "XPathNode",
-    "build_view",
     "containment_query",
     "evaluate",
     "label_elements",

@@ -43,24 +43,27 @@ class LabeledElement:
 
 
 def label_elements(store) -> Dict[str, List[LabeledElement]]:
-    """One scan: region labels + node ids for every element, grouped by
+    """One walk: region labels + node ids for every element, grouped by
     tag name, each group sorted by ``start`` (document order)."""
+    columns = store.locator.node_columns()
+    names, end = columns.names, columns.end
     groups: Dict[str, List[LabeledElement]] = {}
-    open_stack: List[Tuple[str, int, int]] = []  # (name, start, node_id)
+    open_stack: List[Tuple[int, int]] = []  # (column index, start)
     counter = 0
-    for item in store.locator.scan():
-        kind = item.kind
-        if kind == TokenKind.BEGIN_ELEMENT:
-            assert item.last_id is not None
-            open_stack.append((item.token.name, counter, item.last_id))
+    # the counter ticks on each element's begin and, once the walk is past
+    # its subtree, on its end; the index one past the last closes the rest
+    elements = [i for i, kind in enumerate(columns.kinds) if kind == TokenKind.BEGIN_ELEMENT]
+    for index in elements + [len(end)]:
+        while open_stack and end[open_stack[-1][0]] <= index:
+            element, start = open_stack.pop()
+            name = names[element].decode()
+            labeled = LabeledElement(name, PrePostLabel(start, counter), columns.ids[element])
+            groups.setdefault(name, []).append(labeled)
             counter += 1
-        elif kind == TokenKind.END_ELEMENT:
-            name, start, node_id = open_stack.pop()
-            element = LabeledElement(name, PrePostLabel(start, counter), node_id)
-            groups.setdefault(name, []).append(element)
-            counter += 1
-    for elements in groups.values():
-        elements.sort(key=lambda e: e.label.pre)
+        open_stack.append((index, counter))
+        counter += 1
+    for group in groups.values():
+        group.sort(key=lambda e: e.label.pre)
     return groups
 
 

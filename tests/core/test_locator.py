@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NodeNotFoundError
 from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import XMLStore
+from repro.xmltoken.binary import decode_token
 from repro.xmltoken.tokens import TokenKind
 
 
@@ -19,7 +20,7 @@ class TestScan:
         ids = [
             item.last_id
             for item in store.locator.scan()
-            if item.token.starts_node
+            if decode_token(item.record).starts_node
         ]
         assert ids == [1, 2, 3, 4, 5]
 
@@ -35,7 +36,7 @@ class TestScan:
         store.load_document("<a/>")           # range 1: id 1
         store.load_document("<b/><c/>")       # range 2: ids 2, 3
         items = list(store.locator.scan())
-        node_items = [item for item in items if item.token.starts_node]
+        node_items = [item for item in items if decode_token(item.record).starts_node]
         assert [item.last_id for item in node_items] == [1, 2, 3]
         assert node_items[0].meta.range_id != node_items[1].meta.range_id
 
@@ -57,9 +58,9 @@ class TestScan:
         store = make_store()
         store.load_document('<a x="1"><b/></a>')
         kinds_and_ids = [
-            (item.token.kind, item.last_id)
+            (decode_token(item.record).kind, item.last_id)
             for item in store.locator.scan()
-            if item.token.starts_node
+            if decode_token(item.record).starts_node
         ]
         assert kinds_and_ids == [
             (TokenKind.BEGIN_ELEMENT, 1),
@@ -74,7 +75,7 @@ class TestFindEnd:
         store.load_document("<r><a/></r>")
         location = store.locator.locate(2)
         end = store.locator.find_end(location.begin)
-        assert end.token.kind == TokenKind.END_ELEMENT
+        assert decode_token(end.record).kind == TokenKind.END_ELEMENT
         assert end.offset == location.begin.offset + 1
 
     def test_end_of_subtree(self):
@@ -91,6 +92,15 @@ class TestFindEnd:
         location = store.locator.locate(2)
         end = store.locator.find_end(location.begin)
         assert end.pos == location.begin.pos
+
+    def test_a_record_that_starts_no_node_is_named_by_its_kind(self):
+        from repro.errors import DocumentOrderError
+
+        store = make_store()
+        store.load_document("<r><a/></r>")
+        end = store.locator.find_end(store.locator.locate(2).begin)
+        with pytest.raises(DocumentOrderError, match="kind END_ELEMENT does not start a node"):
+            store.locator.find_end(end)
 
 
 class TestResolutionPaths:
@@ -302,8 +312,8 @@ class TestHeaderOnly:
         assert store.locator.stats.scan_resolutions == 1
         assert decodes == []
         location = store.locator.locate_span(node_id)
-        assert location.begin.token.kind is location.begin.kind
-        assert location.end.token.kind is location.end.kind
+        assert decode_token(location.begin.record).kind is location.begin.kind
+        assert decode_token(location.end.record).kind is location.end.kind
         assert len(decodes) <= 2
 
     def test_walking_items_decodes_only_the_tokens_asked_for(self, decodes):
@@ -312,8 +322,7 @@ class TestHeaderOnly:
         items = list(store.locator.scan())
         assert len(items) == sum(m.token_count for m in store.ranges.in_order())
         assert decodes == []
-        assert items[1].token.name == "i"
-        assert items[1].token is items[1].token
+        assert decode_token(items[1].record).name == "i"
         assert len(decodes) == 1
 
     def test_corrupt_header_on_the_scan_path_is_a_codec_error(self):

@@ -135,7 +135,7 @@ def test_header_only_walk_equals_decoding_walk(
     expected = [row_shape(row) for row in rows]
     items = list(store.locator.scan())
     assert [shape(store, item) for item in items] == expected
-    assert [item.token for item in items] == [row[4] for row in rows]
+    assert [decode_token(item.record) for item in items] == [row[4] for row in rows]
 
     if items:
         cut = resume_at % len(items)
@@ -154,13 +154,13 @@ def test_header_only_walk_equals_decoding_walk(
         live.add(node_id)
         begin = store.locator.locate(node_id).begin
         assert shape(store, begin) == expected[index]
-        assert begin.token == row[4]
+        assert decode_token(begin.record) == row[4]
         span = store.locator.locate_span(node_id)
         assert span.node_id == node_id
         assert shape(store, span.begin) == expected[index]
         end_index = end_row_of(rows, index)
         assert shape(store, span.end) == expected[end_index]
-        assert span.end.token == rows[end_index][4]
+        assert decode_token(span.end.record) == rows[end_index][4]
 
     for node_id in range(1, store.id_scheme.high_water_mark + 3):
         if node_id not in live:

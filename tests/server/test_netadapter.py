@@ -190,3 +190,33 @@ def test_long_lived_server_retires_answered_sessions():
         assert stats["sessions_submitted"] == 300
         assert stats["sessions_committed"] == keeper.stats.sessions_committed == 200
         assert server.store.read() == store.read()
+
+
+def test_xpath_op_sends_each_match_as_its_handle_string():
+    """The wire form of an ``xpath`` result is ``str(node)``: one
+    ``<XPathNode #id label>`` per match, the label the name or the kind."""
+    with ServerThread() as server:
+        document = "<doc k='v'><a>one</a><!--note--><?pi data?><b n='2'>two</b></doc>"
+        loaded = server.request(
+            {"cmd": "session", "ops": [{"op": "load_document", "xml": document}]}
+        )
+        assert loaded["ok"] is True
+        queries = ("/doc/node()", "/doc/@k", "//b/@*", "//text()", "/doc/..", "//a/..")
+        response = server.request(
+            {"cmd": "session", "ops": [{"op": "xpath", "xml": q} for q in queries]}
+        )
+        assert response["ok"] is True
+        assert response["results"] == [
+            [
+                "<XPathNode #8 a>",
+                "<XPathNode #10 COMMENT>",
+                "<XPathNode #11 pi>",
+                "<XPathNode #12 b>",
+            ],
+            ["<XPathNode #7 k>"],
+            ["<XPathNode #13 n>"],
+            ["<XPathNode #3 TEXT>", "<XPathNode #5 TEXT>", "<XPathNode #9 TEXT>",
+             "<XPathNode #14 TEXT>"],
+            ["<XPathNode #None BEGIN_DOCUMENT>"],
+            ["<XPathNode #1 lib>", "<XPathNode #6 doc>"],
+        ]

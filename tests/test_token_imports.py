@@ -26,9 +26,6 @@ TOKEN_IMPORTERS = {
     # becomes a token and back
     "repro/xmltoken/binary.py": "the token codec",
     "repro/xmltoken/__init__.py": "re-exports the token model",
-    # ScanItem.token decodes a record lazily for the XPath evaluator,
-    # until the evaluator reads records itself
-    "repro/core/locator.py": "ScanItem.token for the XPath evaluator",
     # PrePostLabeler.label_stream labels a token sequence
     "repro/ids/prepost.py": "labels a token sequence",
 }

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.store import XMLStore
+from repro.errors import CodecError
 
 CATALOG = """
 <catalog>
@@ -153,6 +154,39 @@ class TestPredicates:
         assert strings(results) == ["b2"]
 
 
+class TestPerContextNode:
+    """A step's predicates filter each context node's candidates on their
+    own, as XPath 1.0 says (they used to count over the whole step)."""
+
+    NESTED = "<r><o><i>1</i><i>2</i></o><o><i>3</i><i>4</i></o></r>"
+
+    @pytest.fixture
+    def nested(self):
+        s = XMLStore.open()
+        s.load_document(self.NESTED)
+        return s
+
+    def test_position_counts_per_parent(self, nested):
+        assert strings(nested.xpath("/r/o/i[1]")) == ["1", "3"]
+
+    def test_last_counts_per_parent(self, nested):
+        assert strings(nested.xpath("/r/o/i[last()]")) == ["2", "4"]
+
+    def test_descendant_position_counts_per_parent(self, nested):
+        assert strings(nested.xpath("//i[1]")) == ["1", "3"]
+        assert strings(nested.xpath("//i[position() > 1]")) == ["2", "4"]
+
+    def test_descendant_step_is_descendant_or_self_then_child(self, nested):
+        # a//b is a/descendant-or-self::node()/child::b: never ``a`` itself
+        assert names(nested.xpath("/r//r")) == []
+        assert names(nested.xpath("//r")) == ["r"]
+
+    def test_parent_step_results_in_document_order(self):
+        s = XMLStore.open()
+        s.load_document("<r><x><b/></x><b/></r>")
+        assert names(s.xpath("//b/..")) == ["r", "x"]
+
+
 class TestStoreIntegration:
     def test_results_carry_store_node_ids(self, store):
         result = store.xpath("/catalog/book[1]")[0]
@@ -183,3 +217,18 @@ class TestStoreIntegration:
         result = store.xpath("/catalog/magazine")[0]
         assert "National Geographic" in result.string_value
         assert "9.95" in result.string_value
+
+
+@pytest.mark.parametrize(
+    "damaged",
+    [b"\x46\x02\xff\xfe", b"\x06junk"],
+    ids=["invalid-utf8", "trailing-bytes"],
+)
+def test_a_corrupt_text_record_is_a_codec_error(damaged):
+    """Every text record a query walks past is checked by the codec."""
+    s = XMLStore.open()
+    s.load_document("<r><a>x</a><b>y</b></r>")
+    text = s.xpath("//a/text()")[0].node_id
+    s.layout.chain.replace_record(s.locator.locate(text).begin.pos, damaged)
+    with pytest.raises(CodecError):
+        s.xpath("//b")
