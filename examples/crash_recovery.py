@@ -13,7 +13,11 @@ from repro.storage.wal import WriteAheadLog
 
 
 def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="repro-store-")
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as workdir:
+        walkthrough(workdir)
+
+
+def walkthrough(workdir: str) -> None:
     store_path = os.path.join(workdir, "store.db")
     wal_path = os.path.join(workdir, "store.wal")
     print("store file:", store_path)

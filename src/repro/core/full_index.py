@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from repro.core.partial_index import LocationEntry
 from repro.core.ranges import RangeTable
-from repro.index.bptree import INT_KEY_CODEC, PagedBPlusTree
+from repro.index.bptree import PagedBPlusTree
 from repro.obs.events import EventLog
 from repro.storage.buffer import BufferPool
 
@@ -42,9 +42,7 @@ class FullIndex:
     def __init__(
         self, pool: BufferPool, order: int = 64, root_block: Optional[int] = None
     ) -> None:
-        self._tree: PagedBPlusTree[int] = PagedBPlusTree(
-            pool, INT_KEY_CODEC, order=order, root_block=root_block
-        )
+        self._tree = PagedBPlusTree(pool, order=order, root_block=root_block)
         self.lookups = 0
         self.stale_lookups = 0
         #: Structured event log (disabled until the store attaches its own).

@@ -21,7 +21,7 @@ import struct
 from typing import Iterator, Optional, Tuple
 
 from repro.core.ranges import RangeMeta, RangeTable
-from repro.index.bptree import INT_KEY_CODEC, PagedBPlusTree
+from repro.index.bptree import PagedBPlusTree
 from repro.obs.events import EventLog
 from repro.storage.buffer import BufferPool
 
@@ -34,9 +34,7 @@ class RangeIndex:
     def __init__(
         self, pool: BufferPool, order: int = 64, root_block: Optional[int] = None
     ) -> None:
-        self._tree: PagedBPlusTree[int] = PagedBPlusTree(
-            pool, INT_KEY_CODEC, order=order, root_block=root_block
-        )
+        self._tree = PagedBPlusTree(pool, order=order, root_block=root_block)
         self.lookups = 0
         #: Structured event log (disabled until the store attaches its own).
         self.event_log = EventLog(enabled=False)

@@ -1,17 +1,5 @@
 """Ordered-index substrate: a paged B+-tree over the buffer pool."""
 
-from repro.index.bptree import (
-    BYTES_KEY_CODEC,
-    INT_KEY_CODEC,
-    INT_TUPLE_KEY_CODEC,
-    KeyCodec,
-    PagedBPlusTree,
-)
+from repro.index.bptree import PagedBPlusTree
 
-__all__ = [
-    "BYTES_KEY_CODEC",
-    "INT_KEY_CODEC",
-    "INT_TUPLE_KEY_CODEC",
-    "KeyCodec",
-    "PagedBPlusTree",
-]
+__all__ = ["PagedBPlusTree"]

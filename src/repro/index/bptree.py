@@ -8,11 +8,14 @@ charged to the same simulated clock as data I/O, so the cost asymmetry the
 paper measures (full index: one index insert per node; range index: one
 per range) emerges from first principles.
 
-Each tree node occupies one block.  Keys are arbitrary Python objects
-serialized through an order-agnostic codec; ordering uses the *decoded*
-keys' natural ``<``, so any totally ordered key type works (ints, tuples,
-bytes).  Leaves are chained for range scans.  Deletion rebalances by
-borrowing from or merging with siblings, so the tree never degrades.
+Each tree node occupies one block.  Keys are signed 64-bit integers (node
+ids, range starts).  A node is decoded once, on the fetch that brings its
+page in from the device, and the decoded node lives in the page's buffer
+frame (:attr:`~repro.storage.buffer.PageGuard.derived`) until the frame
+is evicted or a writer marks the page dirty; the tree's own writes put
+the node they wrote back into the frame.  Leaves are chained for range
+scans.  Deletion rebalances by borrowing from or merging with siblings, so
+the tree never degrades.
 
 The tree keeps only its root block number as external state
 (:attr:`PagedBPlusTree.root_block`); persist that in a catalog to reopen.
@@ -21,153 +24,108 @@ The tree keeps only its root block number as external state
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Any, Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
+from bisect import bisect_left, bisect_right
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 
-K = TypeVar("K")
-V = TypeVar("V")
-
 _NODE_HEADER = struct.Struct("<Bq")  # is_leaf, next_leaf / first_child
-_KEY_LEN = struct.Struct("<H")
+#: An entry's head: ``u16 key_len`` (always 8) and the ``i64`` key.
+_HEAD = struct.Struct("<Hq")
+_INTERNAL_ENTRY = struct.Struct("<Hqq")  # head, child
 _CHILD = struct.Struct("<q")
+_KEY_LEN = _HEAD.pack(8, 0)[:2]
 _NO_LEAF = -1
-#: What a key codec raises on bytes it did not write.
-_KEY_DECODE_ERRORS = (struct.error, ValueError, IndexError)
+KEY_MIN, KEY_MAX = -(1 << 63), (1 << 63) - 1
 
 
-@dataclass(frozen=True)
-class KeyCodec(Generic[K]):
-    """Order-agnostic key serialization (ordering uses decoded values)."""
+class _Node:
+    """One tree node, decoded once per read of its page from the device:
+    the header's flag and pointer (next leaf, -1 for none / first child),
+    every key as an int, and the entry records as the page stores them — ``u16 8 | i64 key |
+    value`` in a leaf, ``u16 8 | i64 key | i64 child`` in an internal node.
+    Values and child pointers are sliced from the records on demand.
 
-    encode: Callable[[K], bytes]
-    decode: Callable[[bytes], K]
-
-
-def _encode_int(value: int) -> bytes:
-    return struct.pack("<q", value)
-
-
-def _decode_int(data: bytes) -> int:
-    return struct.unpack("<q", data)[0]
-
-
-INT_KEY_CODEC: KeyCodec[int] = KeyCodec(encode=_encode_int, decode=_decode_int)
-
-
-def _encode_int_tuple(value: Tuple[int, ...]) -> bytes:
-    return struct.pack(f"<H{len(value)}q", len(value), *value)
-
-
-def _decode_int_tuple(data: bytes) -> Tuple[int, ...]:
-    (count,) = struct.unpack_from("<H", data, 0)
-    return struct.unpack_from(f"<{count}q", data, 2)
-
-
-INT_TUPLE_KEY_CODEC: KeyCodec[Tuple[int, ...]] = KeyCodec(
-    encode=_encode_int_tuple, decode=_decode_int_tuple
-)
-
-BYTES_KEY_CODEC: KeyCodec[bytes] = KeyCodec(encode=bytes, decode=bytes)
-
-
-class _Node(Generic[K]):
-    """One tree node *as its page stores it*: the header's flag and pointer
-    (next leaf, -1 for none / first child) and the entry records, still
-    encoded — ``u16 key_len | key | value`` in a leaf, ``u16 key_len | key |
-    i64 child`` in an internal node.  Keys, values and child pointers decode
-    on demand, so a binary search decodes log2(n) keys and an update splices
-    one record; a malformed record raises :class:`StorageError` when touched.
+    A node is never changed: its buffer frame hands the same node to every
+    reader, and an update builds a new node (the methods below return one)
+    and writes it.
     """
 
-    __slots__ = ("is_leaf", "pointer", "entries", "block_no", "_decode")
+    __slots__ = ("is_leaf", "pointer", "keys", "entries")
 
-    def __init__(self, is_leaf, pointer, entries, decode, block_no=None) -> None:
-        self.is_leaf: bool = is_leaf
-        self.pointer: int = pointer
-        self.entries: List[bytes] = entries
-        self.block_no: Optional[int] = block_no  # None until stored
-        self._decode: Callable[[bytes], K] = decode
+    def __init__(self, is_leaf: bool, pointer: int, keys: tuple, entries: tuple) -> None:
+        self.is_leaf = is_leaf
+        self.pointer = pointer
+        self.keys: Tuple[int, ...] = keys
+        self.entries: Tuple[bytes, ...] = entries
 
-    def _key_end(self, index: int) -> int:
-        """Offset just past entry ``index``'s key, checked against the
-        record's length (an internal entry ends in exactly 8 child bytes)."""
-        record = self.entries[index]
-        if len(record) >= _KEY_LEN.size:
-            end = _KEY_LEN.size + (record[0] | record[1] << 8)
-            rest = len(record) - end
-            if (rest >= 0) if self.is_leaf else (rest == _CHILD.size):
-                return end
-        raise StorageError(f"malformed entry {index} in index block {self.block_no}")
-
-    def key(self, index: int) -> K:
-        try:
-            return self._decode(
-                self.entries[index][_KEY_LEN.size : self._key_end(index)]
-            )
-        except _KEY_DECODE_ERRORS as error:
-            raise StorageError(
-                f"undecodable key {index} in index block {self.block_no}: {error}"
-            ) from None
-
-    def separator(self, index: int) -> bytes:
-        """Entry ``index``'s ``u16 key_len | key`` prefix, ready to be given
-        a child pointer — moving a key between nodes never re-encodes it."""
-        return self.entries[index][: self._key_end(index)]
-
-    def rekey(self, index: int, separator: bytes) -> None:
-        """Internal only: give entry ``index`` a new key, keeping its child."""
-        self.entries[index] = separator + self.entries[index][self._key_end(index) :]
-
-    def item(self, index: int) -> Tuple[K, bytes]:
-        """Leaf only: the decoded key and the value of entry ``index``."""
-        return self.key(index), self.entries[index][self._key_end(index) :]
+    def item(self, index: int) -> Tuple[int, bytes]:
+        """Leaf only: the key and the value of entry ``index``."""
+        return self.keys[index], self.entries[index][_HEAD.size :]
 
     def child(self, index: int) -> int:
-        """Internal only: child ``index`` of ``len(entries) + 1``."""
+        """Internal only: child ``index`` of ``len(keys) + 1``."""
         if index == 0:
             return self.pointer
-        return _CHILD.unpack_from(self.entries[index - 1], self._key_end(index - 1))[0]
-
-    @property
-    def keys(self) -> List[K]:
-        return [self.key(index) for index in range(len(self.entries))]
+        return _CHILD.unpack_from(self.entries[index - 1], _HEAD.size)[0]
 
     @property
     def children(self) -> List[int]:
-        return [self.child(index) for index in range(len(self.entries) + 1)]
+        return [self.child(index) for index in range(len(self.keys) + 1)]
 
     @property
     def next_leaf(self) -> Optional[int]:
         return None if self.pointer == _NO_LEAF else self.pointer
 
-    def lower_bound(self, key: K) -> int:
-        """First index whose key is >= key."""
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.key(mid) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    def spliced(self, index: int, drop: int, keys: tuple = (), entries: tuple = ()) -> "_Node":
+        """A new node whose ``drop`` entries from ``index`` on are replaced
+        by ``entries`` under ``keys``: keys and records change in step."""
+        stop = index + drop
+        return _Node(
+            self.is_leaf, self.pointer,
+            self.keys[:index] + keys + self.keys[stop:],
+            self.entries[:index] + entries + self.entries[stop:],
+        )
 
-    def upper_bound(self, key: K) -> int:
-        """First index whose key is > key."""
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key < self.key(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+    def rekeyed(self, index: int, key: int) -> "_Node":
+        """Internal only: entry ``index`` under a new key, keeping its child."""
+        return self.spliced(index, 1, (key,), (_internal_entry(key, self.child(index + 1)),))
 
 
-class PagedBPlusTree(Generic[K]):
-    """B+-tree with byte-string values and pluggable key codec.
+def _internal_entry(key: int, child: int) -> bytes:
+    return _INTERNAL_ENTRY.pack(8, key, child)
+
+
+def _decode(block_no: int, records: List[bytes]) -> _Node:
+    """Decode a node page: one ``struct.unpack`` reads every entry's
+    ``key_len`` and key.  A page that is not a node raises
+    :class:`StorageError` naming the block."""
+    if not records or len(records[0]) != _NODE_HEADER.size:
+        raise StorageError(f"index block {block_no} has no node header")
+    is_leaf, pointer = _NODE_HEADER.unpack(records[0])
+    entries = tuple(records[1:])
+    try:
+        heads = struct.unpack(
+            "<" + "Hq" * len(entries), b"".join([entry[: _HEAD.size] for entry in entries])
+        )
+    except struct.error:  # an entry shorter than its head
+        heads = ()
+    if heads[::2].count(8) != len(entries) or not (
+        is_leaf or set(map(len, entries)) <= {_INTERNAL_ENTRY.size}
+    ):
+        bad = next(
+            index
+            for index, entry in enumerate(entries)
+            if entry[:2] != _KEY_LEN
+            or (len(entry) < _HEAD.size if is_leaf else len(entry) != _INTERNAL_ENTRY.size)
+        )
+        raise StorageError(f"malformed entry {bad} in index block {block_no}")
+    return _Node(bool(is_leaf), pointer, heads[1::2], entries)
+
+
+class PagedBPlusTree:
+    """B+-tree from signed 64-bit integer keys to byte-string values.
 
     ``order`` is the maximum number of keys per node; it must be chosen so
     a full node serializes into one block (checked at write time).
@@ -180,7 +138,6 @@ class PagedBPlusTree(Generic[K]):
     def __init__(
         self,
         pool: BufferPool,
-        key_codec: KeyCodec[K],
         order: int = 64,
         root_block: Optional[int] = None,
         alloc_stream: int = INDEX_STREAM,
@@ -188,67 +145,80 @@ class PagedBPlusTree(Generic[K]):
         if order < 3:
             raise StorageError("B+-tree order must be >= 3")
         self.pool = pool
-        self.key_codec = key_codec
         self.order = order
         self.alloc_stream = alloc_stream
-        #: entries decoded while loading nodes — the CPU-cost ledger used
-        #: by the simulated clock (analogous to tokens scanned).
+        #: entries of every node visited — the CPU-cost ledger used by the
+        #: simulated clock (analogous to tokens scanned), charged per visit
+        #: whether or not the node was already decoded.
         self.entries_loaded = 0
         if root_block is None:
-            self.root_block = self._new_node(self._node(True, _NO_LEAF, []))
+            self.root_block = self._new_node(_Node(True, _NO_LEAF, (), ()))
         else:
             self.root_block = root_block
 
     # ------------------------------------------------------------------ io --
 
-    def _node(self, is_leaf, pointer, entries, block_no=None) -> _Node[K]:
-        return _Node(is_leaf, pointer, entries, self.key_codec.decode, block_no)
-
-    def _load(self, block_no: int) -> _Node[K]:
+    def _load(self, block_no: int) -> _Node:
+        """The node in ``block_no``: decoded on the fetch that found its
+        frame without one, then shared from the frame."""
         with self.pool.fetch(block_no) as guard:
-            records = guard.page.records()
-        if not records or len(records[0]) != _NODE_HEADER.size:
-            raise StorageError(f"index block {block_no} has no node header")
-        is_leaf_flag, pointer = _NODE_HEADER.unpack(records[0])
-        del records[0]
-        self.entries_loaded += len(records)
-        return self._node(bool(is_leaf_flag), pointer, records, block_no)
+            node = guard.derived
+            if node is None:
+                node = guard.derived = _decode(block_no, guard.page.records())
+        self.entries_loaded += len(node.entries)
+        return node
 
-    def _save(self, block_no: int, node: _Node[K]) -> None:
+    def _save(self, block_no: int, node: _Node) -> None:
         with self.pool.fetch(block_no) as guard:
             self._store(guard, node)
 
-    def _store(self, guard, node: _Node[K]) -> None:
+    def _store(self, guard, node: _Node) -> None:
         header = _NODE_HEADER.pack(node.is_leaf, node.pointer)
         guard.page.replace_all([header, *node.entries])
         guard.mark_dirty()
+        guard.derived = node
 
-    def _new_node(self, node: _Node[K]) -> int:
+    def _save_slot(
+        self, block_no: int, node: _Node, index: int, entry: Optional[bytes], replace: bool = False
+    ) -> None:
+        """Write ``node``, which differs from the node its page holds only
+        in entry ``index``: insert ``entry`` there, replace it, or (``entry``
+        None) delete it — one record, size-checked by the page itself."""
+        with self.pool.fetch(block_no) as guard:
+            page, slot = guard.page, index + 1  # slot 0 is the node header
+            if entry is None:
+                page.delete(slot)
+            elif replace:
+                page.replace(slot, entry)
+            else:
+                page.insert(slot, entry)
+            guard.mark_dirty()
+            guard.derived = node
+
+    def _new_node(self, node: _Node) -> int:
         with self.pool.new_page(self.alloc_stream) as guard:
             self._store(guard, node)
             return guard.block_no
 
     # -------------------------------------------------------------- queries --
 
-    def get(self, key: K) -> Optional[bytes]:
+    def get(self, key: int) -> Optional[bytes]:
         """The value stored under ``key``, or None."""
         node = self._load(self._find_leaf(key))
-        index = node.lower_bound(key)
-        if index < len(node.entries):
-            found, value = node.item(index)
-            if found == key:
-                return value
+        index = bisect_left(node.keys, key)
+        if index < len(node.keys) and node.keys[index] == key:
+            return node.entries[index][_HEAD.size :]
         return None
 
-    def __contains__(self, key: K) -> bool:
+    def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
 
-    def floor_item(self, key: K) -> Optional[Tuple[K, bytes]]:
+    def floor_item(self, key: int) -> Optional[Tuple[int, bytes]]:
         """The entry with the largest key ``<= key`` (the Range Index's
         lookup primitive), or None if every key is greater."""
         block_no = self._find_leaf(key)
         node = self._load(block_no)
-        index = node.upper_bound(key) - 1
+        index = bisect_right(node.keys, key) - 1
         if index >= 0:
             return node.item(index)
         # Everything in this leaf is greater; the floor, if any, is the
@@ -262,10 +232,10 @@ class PagedBPlusTree(Generic[K]):
             return None
         return prev_node.item(-1)
 
-    def ceiling_item(self, key: K) -> Optional[Tuple[K, bytes]]:
+    def ceiling_item(self, key: int) -> Optional[Tuple[int, bytes]]:
         """The entry with the smallest key ``>= key``, or None."""
         node = self._load(self._find_leaf(key))
-        index = node.lower_bound(key)
+        index = bisect_left(node.keys, key)
         if index < len(node.entries):
             return node.item(index)
         if node.next_leaf is None:
@@ -276,8 +246,8 @@ class PagedBPlusTree(Generic[K]):
         return nxt.item(0)
 
     def items(
-        self, low: Optional[K] = None, high: Optional[K] = None
-    ) -> Iterator[Tuple[K, bytes]]:
+        self, low: Optional[int] = None, high: Optional[int] = None
+    ) -> Iterator[Tuple[int, bytes]]:
         """Iterate entries with ``low <= key <= high`` in key order."""
         if low is None:
             block_no: Optional[int] = self._leftmost_leaf()
@@ -286,7 +256,7 @@ class PagedBPlusTree(Generic[K]):
         while block_no is not None:
             node = self._load(block_no)
             # only the first leaf can hold keys below ``low``
-            start = 0 if low is None else node.lower_bound(low)
+            start = 0 if low is None else bisect_left(node.keys, low)
             low = None
             for index in range(start, len(node.entries)):
                 key, value = node.item(index)
@@ -315,17 +285,19 @@ class PagedBPlusTree(Generic[K]):
 
     # ------------------------------------------------------------- mutation --
 
-    def insert(self, key: K, value: bytes) -> None:
-        """Insert or overwrite ``key``."""
+    def insert(self, key: int, value: bytes) -> None:
+        """Insert or overwrite ``key``, a signed 64-bit integer."""
+        if not (isinstance(key, int) and KEY_MIN <= key <= KEY_MAX):
+            raise StorageError(f"B+-tree key {key!r} is not a signed 64-bit integer")
         split = self._insert(self.root_block, key, value)
         if split is not None:
             separator, right_block = split
-            new_root = self._node(
-                False, self.root_block, [separator + _CHILD.pack(right_block)]
+            new_root = _Node(
+                False, self.root_block, (separator,), (_internal_entry(separator, right_block),)
             )
             self.root_block = self._new_node(new_root)
 
-    def delete(self, key: K) -> bool:
+    def delete(self, key: int) -> bool:
         """Remove ``key``; returns whether it was present."""
         removed = self._delete(self.root_block, key)
         root = self._load(self.root_block)
@@ -339,69 +311,63 @@ class PagedBPlusTree(Generic[K]):
     def clear(self) -> None:
         """Remove every entry (frees all non-root blocks)."""
         self._free_subtree(self.root_block, keep_root=True)
-        self._save(self.root_block, self._node(True, _NO_LEAF, []))
+        self._save(self.root_block, _Node(True, _NO_LEAF, (), ()))
 
     # ----------------------------------------------------------- insertion --
 
-    def _insert(
-        self, block_no: int, key: K, value: bytes
-    ) -> Optional[Tuple[bytes, int]]:
+    def _insert(self, block_no: int, key: int, value: bytes) -> Optional[Tuple[int, int]]:
         """Returns ``(separator, right_block)`` when ``block_no`` split: the
-        encoded ``u16 key_len | key`` to add to the parent, and its child."""
+        key to add to the parent, and its child."""
         node = self._load(block_no)
         if node.is_leaf:
-            index = node.lower_bound(key)
-            encoded = self.key_codec.encode(key)
-            entry = _KEY_LEN.pack(len(encoded)) + encoded + value
-            if index < len(node.entries) and node.key(index) == key:
-                node.entries[index] = entry
-            else:
-                node.entries.insert(index, entry)
+            index = bisect_left(node.keys, key)
+            entry = _HEAD.pack(8, key) + value
+            if index < len(node.keys) and node.keys[index] == key:
+                node = node.spliced(index, 1, (key,), (entry,))
+                self._save_slot(block_no, node, index, entry, replace=True)
+                return None
+            node = node.spliced(index, 0, (key,), (entry,))
             if len(node.entries) > self.order:
                 return self._split_leaf(block_no, node)
-            self._save(block_no, node)
+            self._save_slot(block_no, node, index, entry)
             return None
-        index = node.upper_bound(key)
+        index = bisect_right(node.keys, key)
         split = self._insert(node.child(index), key, value)
         if split is None:
             return None
         separator, right_block = split
-        node.entries.insert(index, separator + _CHILD.pack(right_block))
+        entry = _internal_entry(separator, right_block)
+        node = node.spliced(index, 0, (separator,), (entry,))
         if len(node.entries) > self.order:
             return self._split_internal(block_no, node)
-        self._save(block_no, node)
+        self._save_slot(block_no, node, index, entry)
         return None
 
-    def _split_leaf(self, block_no: int, node: _Node[K]) -> Tuple[bytes, int]:
+    def _split_leaf(self, block_no: int, node: _Node) -> Tuple[int, int]:
         half = len(node.entries) // 2
-        right = self._node(True, node.pointer, node.entries[half:])
-        del node.entries[half:]
+        right = _Node(True, node.pointer, node.keys[half:], node.entries[half:])
         right_block = self._new_node(right)
-        node.pointer = right_block
-        self._save(block_no, node)
-        return right.separator(0), right_block
+        self._save(block_no, _Node(True, right_block, node.keys[:half], node.entries[:half]))
+        return right.keys[0], right_block
 
-    def _split_internal(self, block_no: int, node: _Node[K]) -> Tuple[bytes, int]:
+    def _split_internal(self, block_no: int, node: _Node) -> Tuple[int, int]:
         half = len(node.entries) // 2
-        separator = node.separator(half)
-        right = self._node(False, node.child(half + 1), node.entries[half + 1 :])
-        del node.entries[half:]
+        right = _Node(False, node.child(half + 1), node.keys[half + 1 :], node.entries[half + 1 :])
         right_block = self._new_node(right)
-        self._save(block_no, node)
-        return separator, right_block
+        self._save(block_no, _Node(False, node.pointer, node.keys[:half], node.entries[:half]))
+        return node.keys[half], right_block
 
     # ------------------------------------------------------------ deletion --
 
-    def _delete(self, block_no: int, key: K) -> bool:
+    def _delete(self, block_no: int, key: int) -> bool:
         node = self._load(block_no)
         if node.is_leaf:
-            index = node.lower_bound(key)
-            if index >= len(node.entries) or node.key(index) != key:
+            index = bisect_left(node.keys, key)
+            if index >= len(node.keys) or node.keys[index] != key:
                 return False
-            del node.entries[index]
-            self._save(block_no, node)
+            self._save_slot(block_no, node.spliced(index, 1), index, None)
             return True
-        index = node.upper_bound(key)
+        index = bisect_right(node.keys, key)
         removed = self._delete(node.child(index), key)
         if removed:
             self._rebalance_child(block_no, index)
@@ -421,7 +387,7 @@ class PagedBPlusTree(Generic[K]):
             left_block = parent.child(index - 1)
             left = self._load(left_block)
             if len(left.entries) > self._min_keys():
-                self._borrow_from_left(parent, index, left, child)
+                left, child, parent = self._borrow_from_left(parent, index, left, child)
                 self._save(left_block, left)
                 self._save(child_block, child)
                 self._save(parent_block, parent)
@@ -431,7 +397,7 @@ class PagedBPlusTree(Generic[K]):
             right_block = parent.child(index + 1)
             right = self._load(right_block)
             if len(right.entries) > self._min_keys():
-                self._borrow_from_right(parent, index, child, right)
+                child, right, parent = self._borrow_from_right(parent, index, child, right)
                 self._save(right_block, right)
                 self._save(child_block, child)
                 self._save(parent_block, parent)
@@ -442,58 +408,71 @@ class PagedBPlusTree(Generic[K]):
         else:
             self._merge_children(parent_block, parent, index)
 
+    @staticmethod
     def _borrow_from_left(
-        self, parent: _Node[K], index: int, left: _Node[K], child: _Node[K]
-    ) -> None:
+        parent: _Node, index: int, left: _Node, child: _Node
+    ) -> Tuple[_Node, _Node, _Node]:
+        """The new ``(left, child, parent)`` once left's last entry moved."""
+        last = len(left.entries) - 1
+        up = left.keys[last]
         if child.is_leaf:
-            child.entries.insert(0, left.entries.pop())
-            parent.rekey(index - 1, child.separator(0))
+            child = child.spliced(0, 0, (up,), (left.entries[last],))
         else:
             # rotate: the parent's separator comes down over the child's old
             # first pointer, left's last key goes up, its child comes across
-            last = len(left.entries) - 1
-            down = parent.separator(index - 1) + _CHILD.pack(child.pointer)
-            child.pointer = left.child(last + 1)
-            child.entries.insert(0, down)
-            parent.rekey(index - 1, left.separator(last))
-            del left.entries[last]
+            down = parent.keys[index - 1]
+            child = _Node(
+                False, left.child(last + 1),
+                (down,) + child.keys,
+                (_internal_entry(down, child.pointer),) + child.entries,
+            )
+        left = _Node(left.is_leaf, left.pointer, left.keys[:last], left.entries[:last])
+        return left, child, parent.rekeyed(index - 1, up)
 
+    @staticmethod
     def _borrow_from_right(
-        self, parent: _Node[K], index: int, child: _Node[K], right: _Node[K]
-    ) -> None:
+        parent: _Node, index: int, child: _Node, right: _Node
+    ) -> Tuple[_Node, _Node, _Node]:
+        """The new ``(child, right, parent)`` once right's first entry moved."""
         if child.is_leaf:
-            child.entries.append(right.entries.pop(0))
-            parent.rekey(index, right.separator(0))
+            child = child.spliced(len(child.keys), 0, right.keys[:1], right.entries[:1])
+            pointer, up = right.pointer, right.keys[1]
         else:
-            child.entries.append(parent.separator(index) + _CHILD.pack(right.pointer))
-            parent.rekey(index, right.separator(0))
-            right.pointer = right.child(1)
-            del right.entries[0]
+            # rotate: the parent's separator comes down over right's first
+            # pointer, right's first key goes up
+            down = parent.keys[index]
+            child = child.spliced(
+                len(child.keys), 0, (down,), (_internal_entry(down, right.pointer),)
+            )
+            pointer, up = right.child(1), right.keys[0]
+        right = _Node(right.is_leaf, pointer, right.keys[1:], right.entries[1:])
+        return child, right, parent.rekeyed(index, up)
 
-    def _merge_children(self, parent_block: int, parent: _Node[K], left_index: int) -> None:
+    def _merge_children(self, parent_block: int, parent: _Node, left_index: int) -> None:
         left_block = parent.child(left_index)
         right_block = parent.child(left_index + 1)
         left = self._load(left_block)
         right = self._load(right_block)
         if left.is_leaf:
-            left.pointer = right.pointer
+            merged = _Node(True, right.pointer, left.keys + right.keys, left.entries + right.entries)
         else:
-            left.entries.append(
-                parent.separator(left_index) + _CHILD.pack(right.pointer)
+            down = parent.keys[left_index]
+            merged = _Node(
+                False, left.pointer,
+                left.keys + (down,) + right.keys,
+                left.entries + (_internal_entry(down, right.pointer),) + right.entries,
             )
-        left.entries.extend(right.entries)
-        del parent.entries[left_index]
-        self._save(left_block, left)
-        self._save(parent_block, parent)
+        self._save(left_block, merged)
+        self._save(parent_block, parent.spliced(left_index, 1))
         self.pool.free_page(right_block)
 
     # ------------------------------------------------------------ traversal --
 
-    def _find_leaf(self, key: K) -> int:
+    def _find_leaf(self, key: int) -> int:
         block_no = self.root_block
         node = self._load(block_no)
         while not node.is_leaf:
-            block_no = node.child(node.upper_bound(key))
+            block_no = node.child(bisect_right(node.keys, key))
             node = self._load(block_no)
         return block_no
 
@@ -558,8 +537,8 @@ class PagedBPlusTree(Generic[K]):
     def _check_node(
         self,
         block_no: int,
-        low: Optional[K],
-        high: Optional[K],
+        low: Optional[int],
+        high: Optional[int],
         leaves: List[int],
         is_root: bool = False,
         depth: int = 0,
@@ -584,6 +563,6 @@ class PagedBPlusTree(Generic[K]):
             leaf_depth.append(depth)
             leaves.append(block_no)
             return
-        bounds = [low] + keys + [high]
+        bounds = [low, *keys, high]
         for child, (lo, hi) in zip(node.children, zip(bounds, bounds[1:])):
             self._check_node(child, lo, hi, leaves, depth=depth + 1, leaf_depth=leaf_depth)

@@ -91,12 +91,13 @@ class BufferStats:
 
 
 class _Frame:
-    __slots__ = ("page", "pin_count", "dirty")
+    __slots__ = ("page", "pin_count", "dirty", "derived")
 
     def __init__(self, page: SlottedPage) -> None:
         self.page = page
         self.pin_count = 0
         self.dirty = False
+        self.derived = None
 
 
 class PageGuard:
@@ -118,8 +119,19 @@ class PageGuard:
     def page(self) -> SlottedPage:
         return self._frame.page
 
+    @property
+    def derived(self):
+        """What a reader derived from the page (the B+-tree's decoded
+        node), kept with the frame; None once the page is marked dirty."""
+        return self._frame.derived
+
+    @derived.setter
+    def derived(self, value) -> None:
+        self._frame.derived = value
+
     def mark_dirty(self) -> None:
         self._frame.dirty = True
+        self._frame.derived = None
 
     def release(self) -> None:
         if not self._released:

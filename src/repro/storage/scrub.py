@@ -159,10 +159,7 @@ class Scrubber:
             block_no = stack.pop()
             out.append((block_no, owner))
             try:
-                node = tree._load(block_no)
-                # entries decode on demand: touch them all here, so that a
-                # malformed one makes this block unreadable
-                node.keys
+                node = tree._load(block_no)  # a malformed entry raises here
                 children = [] if node.is_leaf else node.children
             except ChecksumError as error:
                 self._record(

@@ -27,7 +27,11 @@ from typing import List, Optional, Union
 
 class Axis(Enum):
     CHILD = "child"
+    #: ``//name``: ``descendant-or-self::node()/child::name`` as one step,
+    #: so that its predicates count among each parent's children
     DESCENDANT_OR_SELF = "descendant-or-self"
+    #: ``//`` before ``.`` or ``..``: ``descendant-or-self::node()`` itself
+    SUBTREE = "descendant-or-self::node()"
     ATTRIBUTE = "attribute"
     SELF = "self"
     PARENT = "parent"

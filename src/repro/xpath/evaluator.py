@@ -147,6 +147,8 @@ class _Query:
             return children
         if axis is Axis.DESCENDANT_OR_SELF:
             return [i for i in range(node + 1, end[node]) if kinds[i] != _ATTRIBUTE]
+        if axis is Axis.SUBTREE:
+            return [node, *self.axis(Axis.DESCENDANT_OR_SELF, node)]
         if axis is Axis.ATTRIBUTE:  # an element's attributes come first
             stop = node + 1
             while stop < end[node] and kinds[stop] == _ATTRIBUTE:
@@ -177,7 +179,7 @@ class _Query:
         for position, node in enumerate(nodes, start=1):
             value = self.expr(predicate, node, position, size)
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                value = position == int(value)
+                value = position == value
             if value:
                 kept.append(node)
         return kept

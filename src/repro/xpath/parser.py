@@ -115,27 +115,29 @@ def _parse_path(tokens: _Tokens) -> Path:
     absolute = False
     if tokens.accept("dslash"):
         absolute = True
-        steps.append(_parse_step(tokens, descendant=True))
+        steps.extend(_parse_step(tokens, descendant=True))
     elif tokens.accept("slash"):
         absolute = True
-        steps.append(_parse_step(tokens))
+        steps.extend(_parse_step(tokens))
     else:
-        steps.append(_parse_step(tokens))
+        steps.extend(_parse_step(tokens))
     while True:
         if tokens.accept("dslash"):
-            steps.append(_parse_step(tokens, descendant=True))
+            steps.extend(_parse_step(tokens, descendant=True))
         elif tokens.accept("slash"):
-            steps.append(_parse_step(tokens))
+            steps.extend(_parse_step(tokens))
         else:
             break
     return Path(steps=tuple(steps), absolute=absolute)
 
 
-def _parse_step(tokens: _Tokens, descendant: bool = False) -> Step:
-    if tokens.accept("dotdot"):
-        return Step(Axis.PARENT, NodeTest(TestKind.NODE))
-    if tokens.accept("dot"):
-        return Step(Axis.SELF, NodeTest(TestKind.NODE))
+def _parse_step(tokens: _Tokens, descendant: bool = False) -> Tuple[Step, ...]:
+    """One step; ``//`` before ``.`` or ``..`` is a step of its own."""
+    node = NodeTest(TestKind.NODE)
+    dots = tokens.accept("dotdot") or tokens.accept("dot")
+    if dots:
+        step = Step(Axis.PARENT if dots == ".." else Axis.SELF, node)
+        return (Step(Axis.SUBTREE, node), step) if descendant else (step,)
     axis = Axis.DESCENDANT_OR_SELF if descendant else Axis.CHILD
     if tokens.accept("at"):
         axis = Axis.ATTRIBUTE
@@ -146,7 +148,7 @@ def _parse_step(tokens: _Tokens, descendant: bool = False) -> Step:
     while tokens.accept("lbracket"):
         predicates.append(_parse_expr(tokens))
         tokens.expect("rbracket")
-    return Step(axis, test, tuple(predicates))
+    return (Step(axis, test, tuple(predicates)),)
 
 
 def _parse_node_test(tokens: _Tokens) -> NodeTest:

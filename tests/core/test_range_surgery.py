@@ -294,11 +294,6 @@ def test_one_module_assigns_range_counts_intervals_and_addresses():
 
 
 def test_one_module_keys_the_range_index():
-    # besides the table: RangeIndex.rekey is written on its own register, and
-    # index/bptree.py's rekey is a B+-tree node's method of the same name
+    # besides the table: RangeIndex.rekey is written on its own register
     callers = modules_where(calls_a_key_method)
-    assert callers - {"core/range_index.py", "index/bptree.py"} == {"core/ranges.py"}
-    calls_register = modules_where(
-        lambda node: calls_a_key_method(node) and node.func.attr != "rekey"
-    )
-    assert "index/bptree.py" not in calls_register
+    assert callers - {"core/range_index.py"} == {"core/ranges.py"}

@@ -1,28 +1,22 @@
 """Unit tests for the paged B+-tree."""
 
 import hashlib
-import math
 import random
 import struct
 
 import pytest
 
 from repro.errors import PageFullError, StorageError
+from repro.index import bptree
+from repro.index.bptree import KEY_MAX, KEY_MIN, PagedBPlusTree
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InstrumentedDevice, MemoryBlockDevice
-from repro.index.bptree import (
-    BYTES_KEY_CODEC,
-    INT_KEY_CODEC,
-    INT_TUPLE_KEY_CODEC,
-    KeyCodec,
-    PagedBPlusTree,
-)
 
 
-def make_tree(order=4, capacity=128, block_size=4096, codec=INT_KEY_CODEC):
+def make_tree(order=4, capacity=128, block_size=4096):
     device = InstrumentedDevice(MemoryBlockDevice(block_size=block_size))
     pool = BufferPool(device, capacity=capacity)
-    return PagedBPlusTree(pool, codec, order=order), pool, device
+    return PagedBPlusTree(pool, order=order), pool, device
 
 
 class TestBasics:
@@ -75,7 +69,7 @@ class TestBasics:
         device = InstrumentedDevice(MemoryBlockDevice())
         pool = BufferPool(device)
         with pytest.raises(Exception):
-            PagedBPlusTree(pool, INT_KEY_CODEC, order=2)
+            PagedBPlusTree(pool, order=2)
 
 
 class TestFloorCeiling:
@@ -227,13 +221,13 @@ class TestPersistence:
     def test_reopen_by_root_block(self):
         device = InstrumentedDevice(MemoryBlockDevice())
         pool = BufferPool(device, capacity=64)
-        tree = PagedBPlusTree(pool, INT_KEY_CODEC, order=4)
+        tree = PagedBPlusTree(pool, order=4)
         for key in range(50):
             tree.insert(key, str(key).encode())
         root = tree.root_block
         pool.flush_all()
         fresh_pool = BufferPool(device, capacity=64)
-        reopened = PagedBPlusTree(fresh_pool, INT_KEY_CODEC, order=4, root_block=root)
+        reopened = PagedBPlusTree(fresh_pool, order=4, root_block=root)
         assert [k for k, _ in reopened.items()] == list(range(50))
         assert reopened.get(33) == b"33"
 
@@ -251,19 +245,7 @@ class TestPersistence:
 
 
 class TestKeyCodecs:
-    def test_tuple_keys(self):
-        tree, _, _ = make_tree(codec=INT_TUPLE_KEY_CODEC, order=4)
-        labels = [(1,), (1, 1), (1, 3), (2,), (2, 1, 5)]
-        for i, label in enumerate(labels):
-            tree.insert(label, str(i).encode())
-        assert [k for k, _ in tree.items()] == sorted(labels)
-        assert tree.floor_item((1, 2))[0] == (1, 1)
-
-    def test_bytes_keys(self):
-        tree, _, _ = make_tree(codec=BYTES_KEY_CODEC, order=4)
-        for word in [b"pear", b"apple", b"fig"]:
-            tree.insert(word, b"v")
-        assert [k for k, _ in tree.items()] == [b"apple", b"fig", b"pear"]
+    """The one key encoding: ``u16 8 | i64``, a signed 64-bit integer."""
 
     def test_negative_int_keys(self):
         tree, _, _ = make_tree(order=4)
@@ -271,21 +253,93 @@ class TestKeyCodecs:
             tree.insert(key, b"v")
         assert [k for k, _ in tree.items()] == [-100, -5, -1, 0, 3]
 
+    def test_int64_extremes(self):
+        tree, _, _ = make_tree(order=4)
+        for key in [KEY_MAX, 0, KEY_MIN, KEY_MAX - 1, KEY_MIN + 1]:
+            tree.insert(key, b"%d" % key)
+        assert [k for k, _ in tree.items()] == [KEY_MIN, KEY_MIN + 1, 0, KEY_MAX - 1, KEY_MAX]
+        assert tree.get(KEY_MIN) == b"%d" % KEY_MIN
+        tree.check_integrity()
+
+    @pytest.mark.parametrize("key", [KEY_MAX + 1, KEY_MIN - 1, 2**100, 1.5, "7"])
+    def test_a_key_that_is_no_int64_is_a_storage_error_on_insert(self, key):
+        tree, _, _ = make_tree(order=4)
+        tree.insert(1, b"one")
+        with pytest.raises(StorageError, match="signed 64-bit"):
+            tree.insert(key, b"x")
+        assert list(tree.items()) == [(1, b"one")]
+
+    def test_probes_answer_an_out_of_range_key_by_ordering(self):
+        tree, _, _ = make_tree(order=4)
+        for key in range(-20, 20):
+            tree.insert(key, b"v")
+        assert tree.get(KEY_MAX + 1) is None and tree.get(KEY_MIN - 1) is None
+        assert tree.floor_item(KEY_MAX + 1) == (19, b"v")
+        assert tree.floor_item(KEY_MIN - 1) is None
+        assert tree.ceiling_item(KEY_MIN - 1) == (-20, b"v")
+        assert tree.ceiling_item(KEY_MAX + 1) is None
+        assert tree.delete(KEY_MAX + 1) is False
+
 
 
 class TestNodeOverflow:
     def test_failed_insert_loses_no_acknowledged_key(self):
         """An ``order`` too large for the block surfaces as PageFullError on
         the insert that overflows — and only that insert is lost."""
-        tree, _, _ = make_tree(order=64, block_size=512)
+        tree, pool, _ = make_tree(order=64, block_size=512)
         value = b"v" * 40
         for key in range(9, 0, -1):
             tree.insert(key, value)
+        before = page_images(tree, pool)
         with pytest.raises(PageFullError):
             tree.insert(0, value)
+        assert page_images(tree, pool) == before
+        assert_frames_match_pages(tree, pool)
         assert [k for k, _ in tree.items()] == list(range(1, 10))
         assert all(tree.get(key) == value for key in range(1, 10))
         tree.check_integrity()
+
+    def test_failed_overwrite_leaves_page_and_cache(self):
+        tree, pool, _ = make_tree(order=64, block_size=512)
+        for key in range(9, 0, -1):
+            tree.insert(key, b"v" * 40)
+        before = page_images(tree, pool)
+        with pytest.raises(PageFullError):
+            tree.insert(5, b"w" * 100)
+        assert page_images(tree, pool) == before
+        assert_frames_match_pages(tree, pool)
+        assert tree.get(5) == b"v" * 40
+
+
+def page_images(tree, pool):
+    images = {}
+    for block_no in tree.block_numbers():
+        with pool.fetch(block_no) as guard:
+            images[block_no] = guard.page.to_bytes()
+    return images
+
+
+def eager_decode(records):
+    """Every field of every record of a node page, one at a time."""
+    is_leaf, pointer = struct.unpack("<Bq", records[0])
+    keys, rests = [], []
+    for record in records[1:]:
+        key_len, key = struct.unpack_from("<Hq", record)
+        assert key_len == 8
+        keys.append(key)
+        rests.append(record[10:])
+    return bool(is_leaf), pointer, keys, rests
+
+
+def assert_frames_match_pages(tree, pool):
+    """The node each frame holds is its page's decode."""
+    for block_no in tree.block_numbers():
+        with pool.fetch(block_no) as guard:
+            node, records = guard.derived, guard.page.records()
+        if node is not None:
+            is_leaf, pointer, keys, rests = eager_decode(records)
+            assert (node.is_leaf, node.pointer, list(node.keys)) == (is_leaf, pointer, keys)
+            assert [entry[10:] for entry in node.entries] == rests
 
 
 def overwrite_block(pool, block_no, records):
@@ -295,6 +349,10 @@ def overwrite_block(pool, block_no, records):
 
 
 LEAF_HEADER = struct.pack("<Bq", 1, -1)
+
+
+def leaf_entry(key, value):
+    return struct.pack("<Hq", 8, key) + value
 
 
 class TestMalformedNodes:
@@ -318,6 +376,19 @@ class TestMalformedNodes:
         with pytest.raises(StorageError, match=f"block {tree.root_block}"):
             tree.get(1)
 
+    def test_a_bad_entry_after_the_probed_one_raises(self):
+        """A node is decoded whole when first loaded, so a malformed last
+        entry fails a probe that only needs the first."""
+        tree, pool, _ = make_tree()
+        tree.insert(1, b"one")
+        overwrite_block(
+            pool,
+            tree.root_block,
+            [LEAF_HEADER, leaf_entry(1, b"one"), leaf_entry(2, b"two"), b"\x08\x00abc"],
+        )
+        with pytest.raises(StorageError, match=f"entry 2 in index block {tree.root_block}"):
+            tree.get(1)
+
     def test_internal_entry_without_its_child_pointer(self):
         tree, pool, _ = make_tree(order=4)
         for key in range(8):
@@ -334,21 +405,16 @@ class TestMalformedNodes:
             tree.block_numbers()
 
 
-def _tuple_key(n):
-    # variable length, ordered like n
-    return (n // 20,) if n % 20 == 0 else (n // 20, n % 20)
-
-
-def run_ledger(codec, to_key):
+def run_ledger():
     """A seeded 2 000-op mix on a small pool; returns everything the
     simulated clock and the on-disk format depend on."""
     device = InstrumentedDevice(MemoryBlockDevice(block_size=4096))
     pool = BufferPool(device, capacity=8)
-    tree = PagedBPlusTree(pool, codec, order=8)
+    tree = PagedBPlusTree(pool, order=8)
     rng = random.Random(1305)
     for step in range(2000):
         n = rng.randrange(400)
-        key = to_key(n)
+        key = n
         roll = rng.random()
         # grow for 800 steps, then shrink so merges and root shrink fire
         inserts, deletes = (0.50, 0.10) if step < 800 else (0.03, 0.70)
@@ -363,7 +429,7 @@ def run_ledger(codec, to_key):
         elif roll < 0.95:
             tree.ceiling_item(key)
         else:
-            list(tree.items(low=key, high=to_key(n + 25)))
+            list(tree.items(low=key, high=n + 25))
     pool.flush_all()
     digest = hashlib.sha256()
     for block_no in sorted(device.backend.block_numbers()):
@@ -402,62 +468,80 @@ class TestCostLedger:
     decode-everything tree (PR 12's) produced for the same sequences."""
 
     def test_int_keys(self):
-        assert run_ledger(INT_KEY_CODEC, lambda n: n) == {
+        assert run_ledger() == {
             **LEDGER,
             "sha256": "ac6d9318cc79102329989dec49e00c2bd3e2d0b0"
             "ff3fd5d4cf27e69063bd038e",
         }
 
-    def test_int_tuple_keys(self):
-        assert run_ledger(INT_TUPLE_KEY_CODEC, _tuple_key) == {
-            **LEDGER,
-            "sha256": "ea2e8849c40d8a577891a242bdaa9fc5bb407681"
-            "59549485a21d7b4473c04d6c",
-        }
 
-    # The mechanical form: the cost model charges 10 us per entry of a
-    # visited node (DESIGN.md §2); the code may binary-search those entries
-    # but not materialise them.
+class TestDecodedNodeCache:
+    """A node is decoded on the fetch that reads its page from the device
+    and kept in the buffer frame; ``entries_loaded`` (the simulated
+    charge) still counts every visit."""
 
     ORDER = 64
 
     @pytest.fixture
-    def counted(self):
-        calls = {"encode": 0, "decode": 0}
+    def decodes(self, monkeypatch):
+        calls = []
+        decode = bptree._decode
 
-        def encode(key):
-            calls["encode"] += 1
-            return INT_KEY_CODEC.encode(key)
+        def counting(block_no, records):
+            calls.append(block_no)
+            return decode(block_no, records)
 
-        def decode(data):
-            calls["decode"] += 1
-            return INT_KEY_CODEC.decode(data)
+        monkeypatch.setattr(bptree, "_decode", counting)
+        return calls
 
-        tree, pool, _ = make_tree(
-            order=self.ORDER, codec=KeyCodec(encode=encode, decode=decode)
-        )
+    def grown(self, capacity=1024):
+        tree, pool, device = make_tree(order=self.ORDER, capacity=capacity)
         for key in range(0, 10000, 2):
             tree.insert(key, b"v")
         assert tree.height() == 3
-        calls.update(encode=0, decode=0)
-        return tree, pool, calls
+        return tree, pool, device
 
-    def test_get_decodes_a_binary_search_per_node(self, counted):
-        tree, pool, calls = counted
-        per_node = math.ceil(math.log2(self.ORDER)) + 2
+    def test_a_probe_on_a_warm_pool_decodes_nothing(self, decodes):
+        tree, pool, _ = self.grown()
         for key in (0, 4998, 4999, 9998, 12345):
-            visits_before = pool.stats.accesses
-            calls["decode"] = 0
+            accesses, loaded = pool.stats.accesses, tree.entries_loaded
             tree.get(key)
-            visits = pool.stats.accesses - visits_before
-            assert visits == 4  # root, internal, and the leaf twice
-            assert 0 < calls["decode"] <= per_node * visits
+            tree.floor_item(key)
+            tree.ceiling_item(key)
+            assert pool.stats.accesses - accesses >= 12  # root, internal, leaf twice, x3
+            assert tree.entries_loaded > loaded
+        assert decodes == []
 
-    def test_insert_into_a_leaf_with_room_encodes_one_key(self, counted):
-        tree, _, calls = counted
+    def test_a_probe_decodes_exactly_the_nodes_it_reads_from_the_device(self, decodes):
+        tree, pool, _ = self.grown(capacity=6)
+        rng = random.Random(5)
+        missed = 0
+        for _ in range(200):
+            del decodes[:]
+            misses = pool.stats.misses
+            tree.get(rng.randrange(10000))
+            assert len(decodes) == pool.stats.misses - misses
+            missed += len(decodes)
+        assert missed > 0
+
+    def test_an_insert_leaves_the_leaf_it_wrote_decoded(self, decodes):
+        tree, _, _ = self.grown()
         blocks = len(tree.block_numbers())
+        del decodes[:]
         tree.insert(4999, b"new")
-        assert len(tree.block_numbers()) == blocks  # nothing split
-        assert calls["encode"] == 1
+        assert tree.get(4999) == b"new"
         tree.insert(4999, b"overwritten")
-        assert calls["encode"] == 2
+        assert tree.get(4999) == b"overwritten"
+        assert tree.delete(4999) and tree.get(4999) is None
+        assert len(tree.block_numbers()) == blocks  # nothing split
+        assert decodes == []
+
+    def test_an_outside_write_through_the_pool_forces_a_fresh_decode(self, decodes):
+        tree, pool, _ = make_tree(order=4)
+        tree.insert(1, b"one")
+        tree.get(1)
+        overwrite_block(pool, tree.root_block, [LEAF_HEADER, leaf_entry(1, b"uno")])
+        assert tree.get(1) == b"uno"
+        assert decodes == [tree.root_block]
+        tree.get(1)
+        assert decodes == [tree.root_block]

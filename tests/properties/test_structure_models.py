@@ -13,23 +13,19 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.index.bptree import (
-    BYTES_KEY_CODEC,
-    INT_KEY_CODEC,
-    INT_TUPLE_KEY_CODEC,
-    PagedBPlusTree,
-)
+from repro.index.bptree import KEY_MAX, KEY_MIN, PagedBPlusTree
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InstrumentedDevice, MemoryBlockDevice
 from repro.storage.heap import ChainedFile, Position
 
 
-#: Per codec: an injective map from the drawn integer to a key, of varying
-#: length where the codec allows (the ``key_len`` arithmetic).
+#: Order-preserving injective maps from the drawn integer to a key: small
+#: ints around zero, negative keys only, and the two ends of the int64
+#: range (a probe past either end is answered by ordering).
 KEY_SHAPES = {
-    "int": (INT_KEY_CODEC, lambda n: n),
-    "int_tuple": (INT_TUPLE_KEY_CODEC, lambda n: tuple(str(n).encode())),
-    "bytes": (BYTES_KEY_CODEC, lambda n: str(n).encode()),
+    "int": lambda n: n,
+    "negative": lambda n: 1000 * n - 10**12,
+    "int64_extremes": lambda n: KEY_MIN + 100 + n if n < 0 else KEY_MAX - 100 + n,
 }
 
 
@@ -37,29 +33,30 @@ KEYS = st.integers(-100, 100)
 PROBES = st.integers(-120, 120)
 
 
-def decode_everything(records, codec):
+def decode_everything(records):
     """The eager reference: every field of every record of a node page."""
     is_leaf, pointer = struct.unpack("<Bq", records[0])
     keys, payloads = [], []
     for record in records[1:]:
         (key_len,) = struct.unpack_from("<H", record)
-        keys.append(codec.decode(record[2 : 2 + key_len]))
+        (key,) = struct.unpack("<q", record[2 : 2 + key_len])
+        keys.append(key)
         rest = record[2 + key_len :]
         payloads.append(rest if is_leaf else struct.unpack("<q", rest)[0])
     return bool(is_leaf), pointer, keys, payloads
 
 
 class BPlusTreeAgreesWithDict(RuleBasedStateMachine):
-    """Insert/delete/lookup/scan against a dict oracle, and every node's
-    on-demand view against an eager decode of the same page.  Orders 3-6
+    """Insert/delete/lookup/scan against a dict oracle, and every node its
+    buffer frame holds against an eager decode of the same page.  Orders 3-6
     keep nodes small, so both borrows, both merges and root shrink fire."""
 
     @initialize(order=st.integers(3, 6), shape=st.sampled_from(sorted(KEY_SHAPES)))
     def setup(self, order, shape):
         device = InstrumentedDevice(MemoryBlockDevice())
         self.pool = BufferPool(device, capacity=64)
-        self.codec, self.key = KEY_SHAPES[shape]
-        self.tree = PagedBPlusTree(self.pool, self.codec, order=order)
+        self.key = KEY_SHAPES[shape]
+        self.tree = PagedBPlusTree(self.pool, order=order)
         self.model = {}
 
     @rule(n=KEYS, value=st.binary(max_size=8))
@@ -134,9 +131,11 @@ class BPlusTreeAgreesWithDict(RuleBasedStateMachine):
         for block_no in self.tree.block_numbers():
             with self.pool.fetch(block_no) as guard:
                 records = guard.page.records()
-            is_leaf, pointer, keys, payloads = decode_everything(records, self.codec)
+            is_leaf, pointer, keys, payloads = decode_everything(records)
             node = self.tree._load(block_no)
-            assert (node.is_leaf, node.keys) == (is_leaf, keys)
+            with self.pool.fetch(block_no) as guard:
+                assert guard.derived is node  # the loaded node is the frame's
+            assert (node.is_leaf, list(node.keys)) == (is_leaf, keys)
             if is_leaf:
                 assert node.next_leaf == (None if pointer == -1 else pointer)
                 items = [node.item(index) for index in range(len(keys))]

@@ -157,6 +157,8 @@ def _candidate_groups(axis: Axis, node: OracleNode) -> List[List[OracleNode]]:
     descendant-or-self node for ``//``, else the one axis list."""
     if axis is Axis.DESCENDANT_OR_SELF:
         return [n.children for n in node.descendants_or_self()]
+    if axis is Axis.SUBTREE:
+        return [list(node.descendants_or_self())]
     if axis is Axis.CHILD:
         return [node.children]
     if axis is Axis.ATTRIBUTE:
@@ -192,7 +194,7 @@ def _filter_predicate(
     for position, node in enumerate(nodes, start=1):
         value = _evaluate_expr(predicate, node, root, position, size)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if position == int(value):
+            if position == value:
                 kept.append(node)
         elif _to_boolean(value):
             kept.append(node)

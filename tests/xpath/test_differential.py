@@ -6,9 +6,10 @@
   node ids, kinds, names, values and string-values in the same order,
   for the same ``tokens_scanned`` charge.
 * The standard library's ``xml.etree.ElementTree`` ElementPath, on the
-  subset it implements (``/``, ``//``, ``.``, ``..``, ``*``, ``[n]``,
-  ``[last()]``, ``[tag]``, ``[@a]``, ``[@a='v']``): the same elements, as
-  ordinals in document order.
+  subset it implements (``/``, ``//``, ``*``, ``[n]``, ``[last()]``,
+  ``[tag]``, ``[@a]``, ``[@a='v']``), with ``.``, ``..`` and the ``//``
+  before them taken over a parent map: the same elements, as ordinals in
+  document order.
 """
 
 import xml.etree.ElementTree as ElementTree
@@ -76,6 +77,7 @@ attribute_tests = st.sampled_from(tuple(f"@{a}" for a in ATTRIBUTES) + ("@*",))
 def predicates(depth):
     simple = [
         st.integers(1, 3).map(str),
+        st.sampled_from(["1.5", "2.0"]),
         st.just("last()"),
         st.tuples(operators, st.integers(1, 3)).map(lambda t: f"position() {t[0]} {t[1]}"),
         st.tuples(relative_paths(depth), operators, literals).map(" ".join),
@@ -97,8 +99,8 @@ def predicates(depth):
 
 
 def steps(depth):
-    """One step; :func:`_render` puts no ``//`` before ``@``, ``.`` or
-    ``..`` (``//@x`` does not parse, and ``//.`` drops the ``//``)."""
+    """One step; :func:`_render` puts no ``//`` before ``@`` (``//@x``
+    does not parse)."""
     with_predicates = st.tuples(
         st.one_of(name_tests, st.sampled_from(("text()", "comment()", "node()")), attribute_tests),
         st.lists(predicates(depth - 1), max_size=2) if depth else st.just([]),
@@ -111,7 +113,7 @@ def _render(prefix, parts):
     out = []
     for k, (separator, step) in enumerate(parts):
         separator = prefix if k == 0 else separator
-        if separator == "//" and step[0] in "@.":
+        if separator == "//" and step[0] == "@":
             separator = "/"
         out.append(separator + step)
     return "".join(out)
@@ -168,30 +170,79 @@ element_steps = st.one_of(
 element_paths = st.tuples(
     st.sampled_from(["/", "//", "//"]),
     st.lists(st.tuples(st.sampled_from(["/", "//"]), element_steps), min_size=1, max_size=4),
-).map(lambda t: _render(*t))
+).map(lambda t: [(t[0], t[1][0][1]), *t[1][1:]])
 
 
-def ordinals_from_store(store, expression):
+def ordinals_from_store(store, parts):
     element_ids = [
         item.last_id for item in store.locator.scan() if item.kind == TokenKind.BEGIN_ELEMENT
     ]
     ordinal = {node_id: k for k, node_id in enumerate(element_ids)}
+    expression = "".join(separator + step for separator, step in parts)
     return [
         ordinal[n.node_id] for n in store.xpath(expression) if n.kind == TokenKind.BEGIN_ELEMENT
     ]
 
 
-def ordinals_from_elementtree(xml, expression):
+class Leaves:
+    """The text, comment and PI children of ``parent``: ElementTree keeps
+    none as a node, yet ``..`` from one of them reaches ``parent``."""
+
+    def __init__(self, parent):
+        self.parent = parent
+
+
+def _has_leaves(xml):
+    """Per element ordinal: does it have a text, comment or PI child?"""
+    builder = ElementTree.TreeBuilder(insert_comments=True, insert_pis=True)
+    parser = ElementTree.XMLParser(target=builder)
+    parser.feed(xml)
+    elements = [e for e in parser.close().iter() if isinstance(e.tag, str)]
+    return [
+        bool(e.text) or any(c.tail or not isinstance(c.tag, str) for c in e) for e in elements
+    ]
+
+
+def ordinals_from_elementtree(xml, parts):
+    """ElementPath answers each name step per context element; ElementPath
+    has no ``//.`` or ``//..`` and no parent of its context, so ``.``,
+    ``..`` and the ``//`` before them are taken here."""
     document = ElementTree.Element("document")  # stands for the document node
     document.append(ElementTree.fromstring(xml))
-    ordinal = {id(e): k for k, e in enumerate(document[0].iter())}
-    found = document.findall("." + expression)
-    return sorted({ordinal[id(e)] for e in found if e is not document})
+    elements = list(document[0].iter())
+    ordinal = {id(e): k for k, e in enumerate(elements)}
+    parent = {id(child): p for p in document.iter() for child in p}
+    leaves = {id(e): Leaves(e) for e, has in zip(elements, _has_leaves(xml)) if has}
+
+    def subtree(node):  # descendant-or-self::node()
+        if isinstance(node, Leaves):
+            return [node]
+        return [m for e in node.iter() for m in (e, leaves.get(id(e))) if m is not None]
+
+    def parent_of(node):
+        if isinstance(node, Leaves):
+            return [node.parent]
+        return [parent[id(node)]] if id(node) in parent else []
+
+    context = [document]
+    for separator, step in parts:
+        if step in (".", ".."):
+            if separator == "//":
+                context = [m for node in context for m in subtree(node)]
+            if step == "..":
+                context = [p for node in context for p in parent_of(node)]
+        else:
+            context = [
+                e for node in context if not isinstance(node, Leaves)
+                for e in node.findall("." + separator + step)
+            ]
+        context = list({id(node): node for node in context}.values())
+    return sorted(ordinal[id(e)] for e in context if id(e) in ordinal)
 
 
 @settings(max_examples=250, deadline=None)
-@given(xml=documents, expression=element_paths)
-def test_element_results_match_elementpath(xml, expression):
+@given(xml=documents, parts=element_paths)
+def test_element_results_match_elementpath(xml, parts):
     store = XMLStore.open()
     store.load_document(xml)
-    assert ordinals_from_store(store, expression) == ordinals_from_elementtree(xml, expression)
+    assert ordinals_from_store(store, parts) == ordinals_from_elementtree(xml, parts)

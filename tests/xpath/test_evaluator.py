@@ -187,6 +187,31 @@ class TestPerContextNode:
         assert names(s.xpath("//b/..")) == ["r", "x"]
 
 
+class TestXPath10Corners:
+    DOCUMENT = "<r><a><b/></a><c/></r>"
+
+    @pytest.fixture
+    def small(self):
+        s = XMLStore.open()
+        s.load_document(self.DOCUMENT)
+        return s
+
+    def test_descendant_then_parent(self, small):
+        # descendant-or-self::node()/parent::node(): the document node, r, a
+        assert [r.kind.name for r in small.xpath("//..")][0] == "BEGIN_DOCUMENT"
+        assert names(small.xpath("//.."))[1:] == ["r", "a"]
+        assert names(small.xpath("/r//..")) == ["", "r", "a"]
+
+    def test_descendant_then_self(self, small):
+        assert names(small.xpath("/r//.")) == ["r", "a", "b", "c"]
+        assert names(small.xpath("/r/a//./b")) == ["b"]
+
+    def test_a_fractional_position_matches_nothing(self, small):
+        assert small.xpath("/r/a[1.5]") == []
+        assert small.xpath("/r/*[0.5]") == []
+        assert names(small.xpath("/r/*[2.0]")) == ["c"]
+
+
 class TestStoreIntegration:
     def test_results_carry_store_node_ids(self, store):
         result = store.xpath("/catalog/book[1]")[0]

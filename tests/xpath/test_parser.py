@@ -54,6 +54,14 @@ class TestPaths:
         assert path.steps[0].axis is Axis.SELF
         assert path.steps[1].axis is Axis.PARENT
 
+    def test_descendant_before_dot_and_dotdot_is_a_step_of_its_own(self):
+        # ``//`` is ``/descendant-or-self::node()/``: before ``.`` or ``..``
+        # it cannot fuse with the step after it
+        assert [s.axis for s in parse("//..").steps] == [Axis.SUBTREE, Axis.PARENT]
+        assert [s.axis for s in parse("/r//.").steps] == [Axis.CHILD, Axis.SUBTREE, Axis.SELF]
+        assert parse("//..").absolute
+        assert all(s.test.kind is NodeTestKind.NODE for s in parse("a//.").steps[1:])
+
     def test_qname_with_prefix(self):
         path = parse("/ns:item")
         assert path.steps[0].test.name == "ns:item"
