@@ -2,25 +2,24 @@
 
 The paper's metric is "kilobytes/second (read speed, relative to data
 size)" on a 2005 disk.  Our primary clock is the *simulated* disk clock
-(see :mod:`repro.storage.disk` and DESIGN.md): every phase snapshots the
-instrumented device before and after, and throughput is XML bytes over
-simulated seconds.  Wall-clock seconds are recorded alongside (and
-pytest-benchmark measures them independently), but Python wall time
+(see :mod:`repro.storage.disk` and DESIGN.md): every phase is one
+:class:`~repro.obs.window.Window` over the store, and throughput is XML
+bytes over simulated seconds.  Wall-clock seconds are recorded alongside
+(and pytest-benchmark measures them independently), but Python wall time
 measures the interpreter, not the storage design — the simulated clock is
 what reproduces the paper's *shape*.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.store import XMLStore
 from repro.obs.bridge import metrics_snapshot
-from repro.obs.clock import perf_seconds
-from repro.obs.explain import ExplainRecorder
-from repro.obs.profiler import ProfileRecorder
+from repro.obs.explain import explain_report
+from repro.obs.profiler import cost_profile
+from repro.obs.window import Window
 
 #: Floor for elapsed simulated time, so fully cached phases report a very
 #: large (but finite) throughput instead of dividing by zero.
@@ -92,53 +91,33 @@ def run_phase(
         make_cold(store)
     else:
         store.pool.flush_all()
-    disk_before = store.device.stats.snapshot()
-    scanned_before = store.locator.stats.tokens_scanned
-    simulated_before = store.simulated_seconds
-    # registry snapshots happen outside the wall-clock window so the
-    # telemetry export never contaminates the measured time
+    # registry snapshots happen outside the window so the telemetry
+    # export never contaminates the measured time
     metrics_before = metrics_snapshot(store)
-    # only profile the phase when the event log (or the cost profiler)
-    # is on, so the default (disabled) path stays exactly as it was
-    recorder = ExplainRecorder(store, label) if store.event_log.enabled else None
-    profiler = (
-        ProfileRecorder(store, label)
-        if store.config.profiling_enabled
-        else None
-    )
-    wall_start = perf_seconds()
-    if recorder is not None or profiler is not None:
-        with ExitStack() as recorders:
-            if profiler is not None:
-                recorders.enter_context(profiler)
-            if recorder is not None:
-                recorders.enter_context(recorder)
-            xml_bytes = thunk()
-            store.pool.flush_all()
-    else:
+    # the window opens an EXPLAIN operation only with the event log on,
+    # so the default (disabled) path advances no op id
+    operation = label if store.event_log.enabled else None
+    with Window(store, operation) as window:
         xml_bytes = thunk()
         store.pool.flush_all()
-    wall_seconds = perf_seconds() - wall_start
     metrics_after = metrics_snapshot(store)
     # one labeled history row per phase; reads counters only, so the
-    # measured simulated/wall window above is untouched
+    # window above is untouched
     store.watch(label, ["history"])
-    disk = store.device.stats.delta(disk_before)
-    explain = None
-    if recorder is not None and recorder.report is not None:
-        explain = recorder.report.to_dict(include_events=False)
-    profile = None
-    if profiler is not None and profiler.profile is not None:
-        profile = profiler.profile.to_dict()
+    explain = profile = None
+    if operation is not None:
+        explain = explain_report(window).to_dict(include_events=False)
+    if store.config.profiling_enabled:
+        profile = cost_profile(window, label).to_dict()
     return PhaseResult(
         label=label,
         operations=operations,
         xml_bytes=xml_bytes,
-        simulated_seconds=store.simulated_seconds - simulated_before,
-        wall_seconds=wall_seconds,
-        device_reads=disk.reads,
-        device_writes=disk.writes,
-        tokens_scanned=store.locator.stats.tokens_scanned - scanned_before,
+        simulated_seconds=window.counts["simulated_seconds"],
+        wall_seconds=window.wall_seconds,
+        device_reads=window.disk.reads,
+        device_writes=window.disk.writes,
+        tokens_scanned=window.counts["tokens_scanned"],
         metrics=metrics_after.delta(metrics_before),
         explain=explain,
         profile=profile,

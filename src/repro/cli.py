@@ -864,12 +864,13 @@ def _op(arguments):
 
 
 def _explain(arguments, store, stdin) -> str:
-    from repro.obs.explain import ExplainRecorder
+    from repro.obs.explain import explain_report
+    from repro.obs.window import Window
 
     op = _op(arguments)
-    with ExplainRecorder(store, arguments.op, arguments.op_args) as recorder:
+    with Window(store, arguments.op) as window:
         op.handler(op, store, stdin)
-    return _report(arguments, recorder.report)
+    return _report(arguments, explain_report(window, arguments.op_args))
 
 
 def _profile(arguments, store, stdin) -> str:
@@ -878,12 +879,13 @@ def _profile(arguments, store, stdin) -> str:
         render_profile_top,
         speedscope_json,
     )
-    from repro.obs.profiler import ProfileRecorder
+    from repro.obs.profiler import cost_profile
+    from repro.obs.window import Window
 
     op = _op(arguments)
-    with ProfileRecorder(store, arguments.op) as recorder:
+    with Window(store) as window:
         op.handler(op, store, stdin)
-    profile, axis = recorder.profile, arguments.axis
+    profile, axis = cost_profile(window, arguments.op), arguments.axis
     if arguments.format == "collapsed":
         text = collapsed_stacks(profile, axis=axis).rstrip("\n")
     elif arguments.format == "components":

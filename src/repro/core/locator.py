@@ -6,8 +6,10 @@ Implements the lookup discipline of §4–§5.  A node id is resolved by:
 2. probing the (disk) **full index** when the policy maintains one;
 3. otherwise ``rangeIndexLocate``: a **range-index** floor lookup names the
    candidate range, and a scan from the range's start *regenerates node
-   identifiers with the id factory* (§4.3 — ids are not stored with the
-   tokens) until the target id is reached.
+   identifiers* (§4.3 — ids are not stored with the tokens) until the
+   target id is reached.  Ids are dense and in document order within a
+   range, as the floor lookup already requires, so each node-starting
+   record's id is the previous one plus 1.
 
 Every successful scan is memoized back into the partial index (lazy
 population), which is precisely what makes the store adaptive: positions
@@ -30,7 +32,6 @@ from repro.core.layout import TokenLayout
 from repro.core.partial_index import LocationEntry, PartialIndex
 from repro.core.range_index import RangeIndex
 from repro.core.ranges import RangeMeta, RangeTable
-from repro.ids.base import StoreIdScheme
 from repro.obs.events import EventLog
 from repro.obs.metrics import TOKEN_COUNT_BUCKETS
 from repro.obs.telemetry import Telemetry
@@ -43,6 +44,7 @@ from repro.xmltoken.binary import (
     peek_kind,
     token_fields,
 )
+from repro.xmltoken.columns import NodeColumns
 from repro.xmltoken.tokens import TokenKind
 
 #: The kinds :meth:`Locator.node_columns` tells apart, as plain ints (an
@@ -121,26 +123,6 @@ class NodeLocation:
     end: Optional[ScanItem] = None
 
 
-class NodeColumns:
-    """The document's nodes in document order as parallel lists, one entry
-    per element, attribute, text, comment and processing instruction;
-    entry 0 is the document node (id None).
-
-    ``kinds`` holds the header's kind bits, ``names`` and ``values`` the
-    record fields as stored UTF-8 bytes (an attribute's value joins its
-    ATTRIBUTE_VALUE records), ``parent`` the parent's entry (an attribute's
-    is its element; -1 for the document node) and ``end`` the entry one
-    past the node's subtree, attributes included.
-    """
-
-    __slots__ = ("ids", "kinds", "names", "values", "parent", "end")
-
-    def __init__(self) -> None:
-        self.ids, self.kinds = [None], [int(TokenKind.BEGIN_DOCUMENT)]
-        self.names, self.values = [b""], [b""]
-        self.parent, self.end = [-1], [1]
-
-
 @dataclass
 class LocatorStats:
     partial_resolutions: int = 0
@@ -178,14 +160,12 @@ class Locator:
         layout: TokenLayout,
         ranges: RangeTable,
         range_index: RangeIndex,
-        id_scheme: StoreIdScheme[int],
         partial_index: Optional[PartialIndex] = None,
         full_index: Optional[FullIndex] = None,
     ) -> None:
         self.layout = layout
         self.ranges = ranges
         self.range_index = range_index
-        self.id_scheme = id_scheme
         self.partial_index = partial_index
         self.full_index = full_index
         self.stats = LocatorStats()
@@ -301,7 +281,6 @@ class Locator:
     ) -> Iterator[ScanItem]:
         """One :class:`ScanItem` per token of ``segments``; ``last_id`` is
         the id cursor at the first of them."""
-        next_id = self.id_scheme.next_id
         stats = self.stats
         for order_index, meta, offset, block_no, first, stop, records in segments:
             if offset == 0:
@@ -313,7 +292,7 @@ class Locator:
                     if last_id is None:
                         last_id = self._first_id(meta)
                     else:
-                        last_id = next_id(last_id, kind)
+                        last_id += 1
                 stats.tokens_scanned += 1
                 yield ScanItem(
                     order_index, meta, offset, Position(block_no, slot),
@@ -330,7 +309,6 @@ class Locator:
         ids, kinds, names, values = columns.ids, columns.kinds, columns.names, columns.values
         parent, end = columns.parent, columns.end
         kind_table, starts_node = KIND_TABLE, STARTS_NODE
-        next_id = self.id_scheme.next_id
         stats = self.stats
         open_elements = [0]  # entries whose subtree is still open
         attribute = 0  # the entry of the attribute being read, 0 outside one
@@ -345,8 +323,7 @@ class Locator:
                 raw = record[0] & KIND_MASK
                 if starts_node[raw]:
                     last_id = (
-                        self._first_id(meta) if last_id is None
-                        else next_id(last_id, kind_table[raw])
+                        self._first_id(meta) if last_id is None else last_id + 1
                     )
                 if raw not in _COLUMN_KINDS:
                     if raw == _END_ELEMENT:
@@ -422,7 +399,6 @@ class Locator:
         if not begin.is_begin:
             return begin
         kinds, starts_node, depth_step = KIND_TABLE, STARTS_NODE, DEPTH_STEP
-        next_id = self.id_scheme.next_id
         stats = self.stats
         depth = 1
         last_id = begin.last_id
@@ -438,7 +414,7 @@ class Locator:
                         if last_id is None:
                             last_id = self._first_id(meta)
                         else:
-                            last_id = next_id(last_id, kinds[raw])
+                            last_id += 1
                         depth += depth_step[raw]
                     elif depth_step[raw]:
                         depth -= 1
@@ -490,7 +466,6 @@ class Locator:
     def _seek_id(self, meta: RangeMeta, node_id: int) -> Optional[ScanItem]:
         """Walk range ``meta`` for the token that starts ``node_id``."""
         kinds, starts_node = KIND_TABLE, STARTS_NODE
-        next_id = self.id_scheme.next_id
         stats = self.stats
         last_id = None
         for order_index, seg_meta, offset, block_no, first, stop, records in (
@@ -510,7 +485,7 @@ class Locator:
                         if last_id is None:
                             last_id = self._first_id(seg_meta)
                         else:
-                            last_id = next_id(last_id, kinds[raw])
+                            last_id += 1
                         if last_id == node_id:
                             stats.tokens_scanned += slot + 1 - first
                             return ScanItem(

@@ -328,7 +328,6 @@ class XMLStore:
             layout=self.layout,
             ranges=self.ranges,
             range_index=self.range_index,
-            id_scheme=self.id_scheme,
             partial_index=self.partial_index,
             full_index=self.full_index,
         )

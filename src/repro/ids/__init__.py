@@ -1,6 +1,6 @@
 """Identifier schemes: the store's sequential ids and orthogonal labelings."""
 
-from repro.ids.base import LabelingScheme, StoreIdScheme, document_order_key
+from repro.ids.base import LabelingScheme, document_order_key
 from repro.ids.dewey import DeweyLabel, DeweyScheme
 from repro.ids.ordpath import OrdpathLabel, OrdpathScheme
 from repro.ids.prepost import PrePostLabel, PrePostLabeler
@@ -15,6 +15,5 @@ __all__ = [
     "PrePostLabel",
     "PrePostLabeler",
     "SequentialIdScheme",
-    "StoreIdScheme",
     "document_order_key",
 ]

@@ -1,72 +1,27 @@
-"""Identifier-scheme interfaces (paper §6: "Orthogonality of ID schemes").
+"""The labeling-scheme interface of the orthogonality ablation (paper §6:
+"Orthogonality of ID schemes").
 
-Two roles are separated:
+The store itself has one id scheme,
+:class:`~repro.ids.sequential.SequentialIdScheme`: unique integers
+assigned at insert time, dense and in document order within a range, so a
+scan regenerates them by counting node-starting records.  The Range
+Index's ``[startId, endId]`` floor lookup depends on exactly that, which is
+why the store has no pluggable id interface.
 
-:class:`StoreIdScheme`
-    What the *store* needs from a scheme: allocate a fresh interval of
-    identifiers for a bulk insert, advance from one id to the next given a
-    token's kind (the paper's ``idFactory : {ID} x {token} -> {ID}``, which
-    makes id *regeneration* possible so ids need not be stored with tokens;
-    the kind is what a record's header byte carries, so regeneration never
-    decodes a payload), and encode/decode ids for the WAL and catalog.
-    The store's default is the paper's choice: unique integers assigned at
-    insert time
-    (:class:`~repro.ids.sequential.SequentialIdScheme`).
-
-:class:`LabelingScheme`
-    What the *ablation benchmark* (Ablation D) needs: label a whole tree,
-    support inserting a node at a position, report how many existing
-    labels had to change, and answer document-order/ancestor queries.
-    Implementations: Dewey, ORDPATH [17] and pre/post containment labels
-    [9].  These demonstrate the paper's claim that identifier schemes are
-    orthogonal to the range-based storage model.
+:class:`LabelingScheme` is what the *ablation benchmark* (Ablation D)
+needs: label a whole tree, support inserting a node at a position, report
+how many existing labels had to change, and answer document-order/ancestor
+queries.  Implementations: Dewey, ORDPATH [17] and pre/post containment
+labels [9].  These demonstrate the paper's claim that identifier schemes
+are orthogonal to the range-based storage model.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Generic, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Any, Generic, Iterable, List, Sequence, TypeVar
 
-from repro.xmltoken.tokens import TokenKind
-
-IdT = TypeVar("IdT")
 LabelT = TypeVar("LabelT")
-
-
-class StoreIdScheme(ABC, Generic[IdT]):
-    """Identifier allocation and regeneration for the store."""
-
-    #: Human-readable scheme name (used in catalogs and reports).
-    name: str = "abstract"
-
-    @abstractmethod
-    def allocate_interval(self, count: int) -> Tuple[IdT, IdT]:
-        """Allocate ``count`` fresh ids; returns (first, last).
-
-        Called once per inserted range; ids within the interval are then
-        derived with :meth:`next_id` while scanning the range's tokens.
-        """
-
-    @abstractmethod
-    def next_id(self, current: IdT, kind: TokenKind) -> IdT:
-        """The paper's ``idFactory``: the id following ``current`` given
-        the kind of the next node-starting token."""
-
-    @abstractmethod
-    def encode(self, node_id: IdT) -> bytes:
-        """Serialize an id (order need not be preserved)."""
-
-    @abstractmethod
-    def decode(self, data: bytes) -> IdT:
-        """Inverse of :meth:`encode`."""
-
-    @abstractmethod
-    def to_catalog(self) -> bytes:
-        """Serialize allocator state (for checkpoint/recovery)."""
-
-    @abstractmethod
-    def restore_catalog(self, data: bytes) -> None:
-        """Restore allocator state saved by :meth:`to_catalog`."""
 
 
 class LabelingScheme(ABC, Generic[LabelT]):

@@ -15,14 +15,14 @@ import struct
 from typing import Tuple
 
 from repro.errors import IdSchemeError
-from repro.ids.base import StoreIdScheme
 from repro.xmltoken.tokens import TokenKind
 
 _STATE = struct.Struct("<q")
 
 
-class SequentialIdScheme(StoreIdScheme[int]):
-    """Unique integers handed out at insert time, starting from 1."""
+class SequentialIdScheme:
+    """Unique integers handed out at insert time, starting from 1: the
+    store's one id scheme."""
 
     name = "sequential"
 
@@ -57,8 +57,9 @@ class SequentialIdScheme(StoreIdScheme[int]):
         self._next = next_id
 
     def next_id(self, current: int, kind: TokenKind) -> int:
-        # The kind argument is part of the idFactory signature
-        # (``{ID} x {token} -> {ID}``); sequential ids do not depend on it.
+        """The paper's ``idFactory : {ID} x {token} -> {ID}``; sequential
+        ids do not depend on the token, and the locator's walks inline it
+        as ``current + 1``."""
         return current + 1
 
     def encode(self, node_id: int) -> bytes:

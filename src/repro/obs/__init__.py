@@ -17,8 +17,11 @@ See DESIGN.md ("Observability") for the architecture.  Quick tour:
   into (op-id and span-correlated, bounded, JSONL-exportable);
 * :mod:`repro.obs.heatmap` — per-block access counters and the
   hot-block / hot-range / partial-index-efficacy reports;
-* :mod:`repro.obs.explain` — per-operation EXPLAIN reports assembled
-  from the event log, spans and component counters;
+* :mod:`repro.obs.window` — one window over a stretch of store work:
+  counter deltas, spans, events and I/O, read by EXPLAIN, PROFILE and a
+  bench phase alike;
+* :mod:`repro.obs.explain` — per-operation EXPLAIN reports read from a
+  window;
 * :mod:`repro.obs.journal` — the store's one append-only trail: history,
   alert and incident rows, the recorder's ring as its in-memory tail,
   every row kind declared once;
@@ -58,7 +61,7 @@ from repro.obs.events import (
     EventLog,
     events_log_jsonl,
 )
-from repro.obs.explain import ExplainRecorder, ExplainReport
+from repro.obs.explain import ExplainReport, explain_report
 from repro.obs.exporters import (
     events_jsonl,
     prometheus_text,
@@ -102,6 +105,7 @@ from repro.obs.tracing import (
     SpanEvent,
     Tracer,
 )
+from repro.obs.window import Window
 
 __all__ = [
     "AdvisorReport",
@@ -113,7 +117,6 @@ __all__ = [
     "Event",
     "EventLog",
     "Evidence",
-    "ExplainRecorder",
     "ExplainReport",
     "Gauge",
     "Histogram",
@@ -134,6 +137,7 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "WhatIf",
+    "Window",
     "WorkloadFingerprint",
     "WorkloadHistory",
     "advise",
@@ -145,6 +149,7 @@ __all__ = [
     "drift_series",
     "events_jsonl",
     "events_log_jsonl",
+    "explain_report",
     "fingerprint_window",
     "format_value",
     "heatmap_json",

@@ -11,8 +11,8 @@ Each :class:`Event` carries:
 
 * ``seq`` — monotone sequence number (the ring buffer's own order);
 * ``op_id``/``op`` — the store operation the event belongs to, stamped
-  while an :class:`~repro.obs.explain.ExplainRecorder` (or any caller of
-  :meth:`EventLog.begin_op`) has an operation window open;
+  while a :class:`~repro.obs.window.Window` given an operation (or any
+  caller of :meth:`EventLog.begin_op`) has an operation window open;
 * ``span`` — the sequence number of the innermost open tracing span at
   emit time, correlating events with the span tree;
 * ``severity`` — ``debug``/``info``/``warning``/``error``;

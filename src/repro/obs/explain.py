@@ -6,19 +6,18 @@ partial-index hit — dominates its cost.  This module answers that
 question for one concrete operation, in the spirit of a relational
 ``EXPLAIN ANALYZE``:
 
-    with ExplainRecorder(store, "read", ["42"]) as recorder:
+    with Window(store, "read") as window:
         store.read(42)
-    print(recorder.report.render())
+    print(explain_report(window, ["42"]).render())
 
-:class:`ExplainRecorder` brackets the operation: it snapshots every
-always-on statistics object before, runs the work, and assembles an
-:class:`ExplainReport` from the deltas, the tracing spans opened inside
-the window, and the structured events (:mod:`repro.obs.events`) the
-components emitted.  Everything comes from instrumentation that already
-exists — the recorder adds no probes of its own to the hot path.
+:func:`explain_report` reads a closed :class:`~repro.obs.window.Window`
+opened with an operation: the counter deltas, the tracing spans opened
+inside the window, and the structured events (:mod:`repro.obs.events`)
+the components emitted under the window's op id.  Everything comes from
+instrumentation that already exists.
 
 ``repro ... explain <op>`` runs the plain ``<op>`` command inside a
-recorder.  So ``explain xpath`` serializes every match, as ``xpath``
+window.  So ``explain xpath`` serializes every match, as ``xpath``
 does: the per-node reads are where the partial-index-vs-scan
 distinction shows up, since the evaluator's view build is always one
 sequential pass.
@@ -26,11 +25,11 @@ sequential pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.clock import perf_seconds
 from repro.obs.events import Event
+from repro.obs.profiler import span_totals
 
 
 @dataclass
@@ -83,35 +82,15 @@ class ExplainReport:
         list with its length (for compact attachments, e.g. bench rows)."""
         from repro.obs.schema import SCHEMA_VERSION
 
-        out: Dict[str, object] = {
-            "schema_version": SCHEMA_VERSION,
-            "operation": self.operation,
-            "argv": self.argv,
-            "op_id": self.op_id,
-            "access_path": self.access_path,
-            "resolutions": self.resolutions,
-            "range_lookups": self.range_lookups,
-            "ranges_scanned": self.ranges_scanned,
-            "tokens_replayed": self.tokens_replayed,
-            "tokens_emitted": self.tokens_emitted,
-            "index_entries_loaded": self.index_entries_loaded,
-            "blocks_read": self.blocks_read,
-            "blocks_written": self.blocks_written,
-            "buffer_hits": self.buffer_hits,
-            "buffer_misses": self.buffer_misses,
-            "wal_appends": self.wal_appends,
-            "wal_fsyncs": self.wal_fsyncs,
-            "wal_seconds": self.wal_seconds,
-            "lock_wait_seconds": self.lock_wait_seconds,
-            "simulated_seconds": self.simulated_seconds,
-            "wall_seconds": self.wall_seconds,
-            "stages": self.stages,
-            "faults": self.faults,
-        }
-        if include_events:
-            out["events"] = [event.to_dict() for event in self.events]
-        else:
-            out["events"] = len(self.events)
+        out: Dict[str, object] = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            if f.name not in ("partial", "events"):
+                out[f.name] = getattr(self, f.name)
+        out["events"] = (
+            [event.to_dict() for event in self.events]
+            if include_events
+            else len(self.events)
+        )
         if self.partial is not None:
             out["partial"] = self.partial
         return out
@@ -179,129 +158,59 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-class ExplainRecorder:
-    """Context manager assembling an :class:`ExplainReport` around one
-    store operation.  The report is available as ``.report`` after exit."""
-
-    def __init__(self, store, operation: str, argv: Sequence[str] = ()) -> None:
-        self.store = store
-        self.operation = operation
-        self.argv = [str(a) for a in argv]
-        self.report: Optional[ExplainReport] = None
-
-    def __enter__(self) -> "ExplainRecorder":
-        store = self.store
-        locator = store.locator.stats
-        self._locator_before = (
-            locator.partial_resolutions,
-            locator.full_resolutions,
-            locator.scan_resolutions,
-            locator.tokens_scanned,
-        )
-        if store.partial_index is not None:
-            partial = store.partial_index.stats
-            self._partial_before = (
-                partial.hits,
-                partial.misses,
-                partial.stale_hits,
+def explain_report(window, argv: Sequence[str] = ()) -> ExplainReport:
+    """The :class:`ExplainReport` of a closed :class:`~repro.obs.window.Window`
+    opened with an ``operation``."""
+    counts, spans, events, disk = (
+        window.counts, window.spans, window.events, window.disk
+    )
+    partial, full, scan = (
+        counts[f"{path}_resolutions"] for path in ("partial", "full", "scan")
+    )
+    return ExplainReport(
+        operation=window.operation,
+        argv=[str(a) for a in argv],
+        op_id=window.op_id,
+        access_path=_classify(partial, full, scan),
+        resolutions={"partial": partial, "full": full, "scan": scan},
+        partial=window.partial,
+        range_lookups=counts["range_lookups"],
+        ranges_scanned=[
+            dict(event.fields)
+            for event in events
+            if event.source == "locator" and event.kind == "scan"
+        ],
+        tokens_replayed=counts["tokens_scanned"],
+        tokens_emitted=counts["tokens_emitted"],
+        index_entries_loaded=(
+            counts["range_entries_loaded"] + counts["full_entries_loaded"]
+        ),
+        blocks_read=disk.reads if disk is not None else 0,
+        blocks_written=disk.writes if disk is not None else 0,
+        buffer_hits=counts["buffer_hits"],
+        buffer_misses=counts["buffer_misses"],
+        wal_appends=counts["wal_appends"],
+        wal_fsyncs=counts["wal_fsyncs"],
+        wal_seconds=sum(s.wall_seconds for s in spans if s.name == "wal.append"),
+        lock_wait_seconds=sum(
+            s.wall_seconds for s in spans if s.name == "lock.wait"
+        ),
+        simulated_seconds=counts["simulated_seconds"],
+        wall_seconds=window.wall_seconds,
+        stages=[
+            {"stage": name, **totals}
+            for name, totals in sorted(
+                span_totals(spans).items(),
+                key=lambda item: -item[1]["wall_seconds"],
             )
-        else:
-            self._partial_before = None
-        self._range_lookups_before = store.range_index.lookups
-        disk = getattr(store.device, "stats", None)
-        self._disk_before = disk.snapshot() if disk is not None else None
-        buffer = store.pool.stats
-        self._buffer_before = (buffer.hits, buffer.misses)
-        self._wal_before = (store.wal.appends, store.wal.fsyncs)
-        self._simulated_before = store.simulated_seconds
-        self._emitted_before = store.tokens_emitted
-        self._entries_before = store.index_entries_loaded
-        self._event_seq_before = store.event_log.next_seq
-        self._span_seq_before = store.telemetry.tracer.next_seq
-        self._op_id = store.event_log.begin_op(self.operation)
-        self._wall_start = perf_seconds()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        wall_seconds = perf_seconds() - self._wall_start
-        store = self.store
-        store.event_log.end_op()
-        if exc_type is not None:
-            return  # propagate; no report for a failed operation
-        locator = store.locator.stats
-        partial_delta = locator.partial_resolutions - self._locator_before[0]
-        full_delta = locator.full_resolutions - self._locator_before[1]
-        scan_delta = locator.scan_resolutions - self._locator_before[2]
-        resolutions = {
-            "partial": partial_delta,
-            "full": full_delta,
-            "scan": scan_delta,
-        }
-        partial: Optional[Dict[str, int]] = None
-        if self._partial_before is not None:
-            stats = store.partial_index.stats
-            hits = stats.hits - self._partial_before[0]
-            misses = stats.misses - self._partial_before[1]
-            stale = stats.stale_hits - self._partial_before[2]
-            partial = {
-                "probes": hits + misses + stale,
-                "hits": hits,
-                "misses": misses,
-                "stale_hits": stale,
-            }
-        disk = getattr(store.device, "stats", None)
-        if disk is not None and self._disk_before is not None:
-            disk_delta = disk.delta(self._disk_before)
-            blocks_read, blocks_written = disk_delta.reads, disk_delta.writes
-        else:
-            blocks_read = blocks_written = 0
-        buffer = store.pool.stats
-        spans = [
-            event
-            for event in store.telemetry.events()
-            if event.seq >= self._span_seq_before
-        ]
-        events = store.event_log.events(
-            since=self._event_seq_before, op_id=self._op_id
-        )
-        self.report = ExplainReport(
-            operation=self.operation,
-            argv=self.argv,
-            op_id=self._op_id,
-            access_path=_classify(partial_delta, full_delta, scan_delta),
-            resolutions=resolutions,
-            partial=partial,
-            range_lookups=store.range_index.lookups - self._range_lookups_before,
-            ranges_scanned=[
-                dict(event.fields)
-                for event in events
-                if event.source == "locator" and event.kind == "scan"
-            ],
-            tokens_replayed=locator.tokens_scanned - self._locator_before[3],
-            tokens_emitted=store.tokens_emitted - self._emitted_before,
-            index_entries_loaded=store.index_entries_loaded - self._entries_before,
-            blocks_read=blocks_read,
-            blocks_written=blocks_written,
-            buffer_hits=buffer.hits - self._buffer_before[0],
-            buffer_misses=buffer.misses - self._buffer_before[1],
-            wal_appends=store.wal.appends - self._wal_before[0],
-            wal_fsyncs=store.wal.fsyncs - self._wal_before[1],
-            wal_seconds=sum(
-                s.wall_seconds for s in spans if s.name == "wal.append"
-            ),
-            lock_wait_seconds=sum(
-                s.wall_seconds for s in spans if s.name == "lock.wait"
-            ),
-            simulated_seconds=store.simulated_seconds - self._simulated_before,
-            wall_seconds=wall_seconds,
-            stages=_stage_breakdown(spans),
-            faults=[
-                {"source": event.source, "kind": event.kind, **event.fields}
-                for event in events
-                if event.source in ("fault", "recovery")
-            ],
-            events=events,
-        )
+        ],
+        faults=[
+            {"source": event.source, "kind": event.kind, **event.fields}
+            for event in events
+            if event.source in ("fault", "recovery")
+        ],
+        events=events,
+    )
 
 
 def _classify(partial: int, full: int, scan: int) -> str:
@@ -318,16 +227,3 @@ def _classify(partial: int, full: int, scan: int) -> str:
         return paths[0]
     return "mixed(" + "+".join(paths) + ")"
 
-
-def _stage_breakdown(spans) -> List[Dict[str, object]]:
-    stages: Dict[str, Dict[str, object]] = {}
-    for span in spans:
-        stage = stages.setdefault(
-            span.name,
-            {"stage": span.name, "count": 0, "wall_seconds": 0.0,
-             "simulated_seconds": 0.0},
-        )
-        stage["count"] += 1
-        stage["wall_seconds"] += span.wall_seconds
-        stage["simulated_seconds"] += span.simulated_seconds
-    return sorted(stages.values(), key=lambda s: -s["wall_seconds"])

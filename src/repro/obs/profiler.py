@@ -12,16 +12,14 @@ component consumed, along the store's two clocks at once:
   ground truth the calibration gate (:mod:`repro.obs.calibration`)
   compares the model against.
 
-A :class:`ProfileRecorder` brackets a window of work exactly like an
-``ExplainRecorder``: it snapshots the always-on counters before, runs
-the work, and folds the tracing spans finished inside the window into a
-:class:`CostProfile` — a merged call tree (siblings with the same span
-name coalesce, flamegraph-style) plus a per-component cost table derived
-from the *same* counter deltas and cost constants the store's clock
-uses, so the component totals reconcile exactly (±0) with the metrics
-registry.  The recorder adds no probes of its own: everything comes from
-instrumentation PR 1 and PR 2 already put on the hot path, and with
-profiling disabled nothing here runs at all.
+:func:`cost_profile` reads a closed :class:`~repro.obs.window.Window`
+(:mod:`repro.obs.window`) and folds the tracing spans finished inside it
+into a :class:`CostProfile` — a merged call tree (siblings with the same
+span name coalesce, flamegraph-style) plus a per-component cost table
+derived from the window's counter deltas and the *same* cost constants
+the store's clock uses, so the component totals reconcile exactly (±0)
+with the metrics registry.  Everything comes from instrumentation already
+on the hot path, and with profiling disabled nothing here runs at all.
 
 Exports (collapsed stacks, speedscope JSON, a pstats-style top table)
 live in :mod:`repro.obs.profile_export`.
@@ -29,10 +27,9 @@ live in :mod:`repro.obs.profile_export`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.clock import perf_seconds
 from repro.obs.tracing import SpanEvent
 
 #: span-name prefixes attributed to a component on the wall axis
@@ -95,31 +92,19 @@ class CallNode:
 def fold_spans(spans: Sequence[SpanEvent]) -> CallNode:
     """Merge span events into a call tree keyed by name paths.
 
-    Each span is inserted at the path of names from its outermost
-    recorded ancestor down to itself (the parent chain is rebuilt from
-    the ``parent`` sequence numbers; a parent outside the window — or
-    evicted from the ring — makes its subtree root-level).  Insertion
+    Each span is inserted under its parent's node (found by the
+    ``parent`` sequence number; a parent outside the window — or evicted
+    from the ring — makes its subtree root-level), so at the path of
+    names from its outermost recorded ancestor down to itself.  Insertion
     order follows span start order (``seq``), so sibling ordering, and
     therefore every export, is deterministic.
     """
-    by_seq = {event.seq: event for event in spans}
     root = CallNode("")
-
-    def path(event: SpanEvent) -> List[str]:
-        names: List[str] = []
-        cursor: Optional[SpanEvent] = event
-        while cursor is not None:
-            names.append(cursor.name)
-            cursor = (
-                by_seq.get(cursor.parent) if cursor.parent is not None else None
-            )
-        names.reverse()
-        return names
-
+    nodes: Dict[int, CallNode] = {}
     for event in sorted(spans, key=lambda e: e.seq):
-        node = root
-        for name in path(event):
-            node = node.child(name)
+        # a parent starts, so is numbered, before its children
+        node = nodes.get(event.parent, root).child(event.name)
+        nodes[event.seq] = node
         node.count += 1
         node.wall_seconds += event.wall_seconds
         node.simulated_seconds += event.simulated_seconds
@@ -163,12 +148,7 @@ class ComponentCost:
     counts: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "component": self.component,
-            "simulated_seconds": self.simulated_seconds,
-            "wall_seconds": self.wall_seconds,
-            "counts": self.counts,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -210,188 +190,111 @@ class CostProfile:
         return out
 
 
-class ProfileRecorder:
-    """Context manager assembling a :class:`CostProfile` around a window
-    of store work.  The profile is available as ``.profile`` after exit.
+def cost_profile(window, operation: str = "profile") -> CostProfile:
+    """The :class:`CostProfile` of a closed :class:`~repro.obs.window.Window`.
 
-    Requires the store's telemetry to be live (``profiling_enabled`` or
-    ``telemetry_enabled``); against disabled telemetry the tree is empty but
-    the component table — built from always-on counters — still works.
+    Against disabled telemetry the tree is empty, but the component
+    table — built from always-on counters — still works.
     """
+    from repro.core.store import (
+        CPU_COST_PER_INDEX_ENTRY,
+        CPU_COST_PER_SCAN_TOKEN,
+        CPU_COST_PER_TOKEN,
+    )
 
-    def __init__(self, store, operation: str = "profile") -> None:
-        self.store = store
-        self.operation = operation
-        self.profile: Optional[CostProfile] = None
+    counts = window.counts
+    totals = span_totals(window.spans)
 
-    def __enter__(self) -> "ProfileRecorder":
-        store = self.store
-        self._scanned_before = store.locator.stats.tokens_scanned
-        self._emitted_before = store.tokens_emitted
-        self._range_entries_before = store.range_index._tree.entries_loaded
-        self._range_lookups_before = store.range_index.lookups
-        self._full_entries_before = (
-            store.full_index._tree.entries_loaded
-            if store.full_index is not None
-            else 0
-        )
-        disk = getattr(store.device, "stats", None)
-        self._disk_before = disk.snapshot() if disk is not None else None
-        buffer = store.pool.stats
-        self._buffer_before = (buffer.hits, buffer.misses)
-        self._wal_before = (store.wal.appends, store.wal.fsyncs)
-        if store.partial_index is not None:
-            partial = store.partial_index.stats
-            self._partial_before = (
-                partial.hits, partial.misses, partial.stale_hits
-            )
-        else:
-            self._partial_before = None
-        self._simulated_before = store.simulated_seconds
-        tracer = store.telemetry.tracer
-        self._span_seq_before = tracer.next_seq
-        self._dropped_before = tracer.dropped
-        self._wall_start = perf_seconds()
-        return self
+    def span_wall(*names: str) -> Optional[float]:
+        covered = [totals[n]["wall_seconds"] for n in names if n in totals]
+        return sum(covered) if covered else None
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        wall_seconds = perf_seconds() - self._wall_start
-        if exc_type is not None:
-            return  # propagate; no profile for a failed window
-        from repro.core.store import (
-            CPU_COST_PER_INDEX_ENTRY,
-            CPU_COST_PER_SCAN_TOKEN,
-            CPU_COST_PER_TOKEN,
-        )
-
-        store = self.store
-        tracer = store.telemetry.tracer
-        spans = [
-            event for event in tracer.events()
-            if event.seq >= self._span_seq_before
-        ]
-        totals = span_totals(spans)
-
-        def span_wall(*names: str) -> Optional[float]:
-            covered = [totals[n]["wall_seconds"] for n in names if n in totals]
-            return sum(covered) if covered else None
-
-        scanned = store.locator.stats.tokens_scanned - self._scanned_before
-        emitted = store.tokens_emitted - self._emitted_before
-        range_entries = (
-            store.range_index._tree.entries_loaded - self._range_entries_before
-        )
-        components = [
-            ComponentCost(
-                "token-replay",
-                scanned * CPU_COST_PER_SCAN_TOKEN,
-                span_wall("locator.scan"),
-                {"tokens_scanned": scanned},
-            ),
-            ComponentCost(
-                "token-emit",
-                emitted * CPU_COST_PER_TOKEN,
-                None,
-                {"tokens_emitted": emitted},
-            ),
-            ComponentCost(
-                "range-index",
-                range_entries * CPU_COST_PER_INDEX_ENTRY,
-                None,
-                {
-                    "entries_loaded": range_entries,
-                    "lookups": store.range_index.lookups
-                    - self._range_lookups_before,
-                },
-            ),
-        ]
-        if store.full_index is not None:
-            full_entries = (
-                store.full_index._tree.entries_loaded - self._full_entries_before
-            )
-            components.append(
-                ComponentCost(
-                    "full-index",
-                    full_entries * CPU_COST_PER_INDEX_ENTRY,
-                    None,
-                    {"entries_loaded": full_entries},
-                )
-            )
-        if self._partial_before is not None:
-            stats = store.partial_index.stats
-            hits = stats.hits - self._partial_before[0]
-            misses = stats.misses - self._partial_before[1]
-            stale = stats.stale_hits - self._partial_before[2]
-            components.append(
-                ComponentCost(
-                    "partial-index",
-                    0.0,  # memory-resident: free on the simulated clock (§5)
-                    None,
-                    {
-                        "probes": hits + misses + stale,
-                        "hits": hits,
-                        "misses": misses,
-                        "stale_hits": stale,
-                    },
-                )
-            )
-        disk = getattr(store.device, "stats", None)
-        if disk is not None and self._disk_before is not None:
-            delta = disk.delta(self._disk_before)
-            components.append(
-                ComponentCost(
-                    "disk",
-                    delta.simulated_seconds,
-                    None,
-                    {
-                        "blocks_read": delta.reads,
-                        "blocks_written": delta.writes,
-                        "sequential_reads": delta.sequential_reads,
-                        "sequential_writes": delta.sequential_writes,
-                    },
-                )
-            )
-        buffer = store.pool.stats
+    scanned, emitted = counts["tokens_scanned"], counts["tokens_emitted"]
+    range_entries = counts["range_entries_loaded"]
+    components = [
+        ComponentCost(
+            "token-replay",
+            scanned * CPU_COST_PER_SCAN_TOKEN,
+            span_wall("locator.scan"),
+            {"tokens_scanned": scanned},
+        ),
+        ComponentCost(
+            "token-emit",
+            emitted * CPU_COST_PER_TOKEN,
+            None,
+            {"tokens_emitted": emitted},
+        ),
+        ComponentCost(
+            "range-index",
+            range_entries * CPU_COST_PER_INDEX_ENTRY,
+            None,
+            {"entries_loaded": range_entries, "lookups": counts["range_lookups"]},
+        ),
+    ]
+    if window.store.full_index is not None:
+        full_entries = counts["full_entries_loaded"]
         components.append(
             ComponentCost(
-                "buffer",
-                0.0,  # pool hits cost nothing on the simulated clock
+                "full-index",
+                full_entries * CPU_COST_PER_INDEX_ENTRY,
                 None,
-                {
-                    "hits": buffer.hits - self._buffer_before[0],
-                    "misses": buffer.misses - self._buffer_before[1],
-                },
+                {"entries_loaded": full_entries},
             )
         )
+    if window.partial is not None:
+        components.append(
+            # memory-resident: free on the simulated clock (§5)
+            ComponentCost("partial-index", 0.0, None, dict(window.partial))
+        )
+    disk = window.disk
+    if disk is not None:
         components.append(
             ComponentCost(
-                "wal",
-                0.0,  # the WAL is not charged by the disk model
-                span_wall("wal.append", "wal.fsync"),
+                "disk",
+                disk.simulated_seconds,
+                None,
                 {
-                    "appends": store.wal.appends - self._wal_before[0],
-                    "fsyncs": store.wal.fsyncs - self._wal_before[1],
+                    "blocks_read": disk.reads,
+                    "blocks_written": disk.writes,
+                    "sequential_reads": disk.sequential_reads,
+                    "sequential_writes": disk.sequential_writes,
                 },
             )
         )
-        if "xpath" in totals:
-            components.append(
-                ComponentCost(
-                    "xpath",
-                    0.0,  # its disk/token costs are attributed above
-                    span_wall("xpath"),
-                    {"evaluations": totals["xpath"]["count"]},
-                )
-            )
-        self.profile = CostProfile(
-            operation=self.operation,
-            wall_seconds=wall_seconds,
-            simulated_seconds=store.simulated_seconds - self._simulated_before,
-            root=fold_spans(spans),
-            span_totals=totals,
-            components=components,
-            spans_dropped=tracer.dropped - self._dropped_before,
+    components.append(
+        ComponentCost(
+            "buffer",
+            0.0,  # pool hits cost nothing on the simulated clock
+            None,
+            {"hits": counts["buffer_hits"], "misses": counts["buffer_misses"]},
         )
+    )
+    components.append(
+        ComponentCost(
+            "wal",
+            0.0,  # the WAL is not charged by the disk model
+            span_wall("wal.append", "wal.fsync"),
+            {"appends": counts["wal_appends"], "fsyncs": counts["wal_fsyncs"]},
+        )
+    )
+    if "xpath" in totals:
+        components.append(
+            ComponentCost(
+                "xpath",
+                0.0,  # its disk/token costs are attributed above
+                span_wall("xpath"),
+                {"evaluations": totals["xpath"]["count"]},
+            )
+        )
+    return CostProfile(
+        operation=operation,
+        wall_seconds=window.wall_seconds,
+        simulated_seconds=counts["simulated_seconds"],
+        root=fold_spans(window.spans),
+        span_totals=totals,
+        components=components,
+        spans_dropped=window.spans_dropped,
+    )
 
 
 def reconcile_with_metrics(

@@ -24,9 +24,9 @@ from __future__ import annotations
 import operator
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.locator import NodeColumns
 from repro.errors import XPathUnsupportedError
 from repro.xmltoken.binary import KIND_TABLE
+from repro.xmltoken.columns import NodeColumns
 from repro.xpath.ast import (
     Axis,
     BooleanOp,

@@ -132,23 +132,26 @@ def _parse_path(tokens: _Tokens) -> Path:
 
 
 def _parse_step(tokens: _Tokens, descendant: bool = False) -> Tuple[Step, ...]:
-    """One step; ``//`` before ``.`` or ``..`` is a step of its own."""
+    """One step; ``//`` before ``.``, ``..`` or ``@`` is a step of its own."""
     node = NodeTest(TestKind.NODE)
     dots = tokens.accept("dotdot") or tokens.accept("dot")
     if dots:
         step = Step(Axis.PARENT if dots == ".." else Axis.SELF, node)
-        return (Step(Axis.SUBTREE, node), step) if descendant else (step,)
-    axis = Axis.DESCENDANT_OR_SELF if descendant else Axis.CHILD
-    if tokens.accept("at"):
-        axis = Axis.ATTRIBUTE
-        if descendant:
-            raise XPathSyntaxError("'//@name' is not supported; use '//*/@name'")
+    elif tokens.accept("at"):
+        step = _parse_tested_step(tokens, Axis.ATTRIBUTE)
+    else:
+        axis = Axis.DESCENDANT_OR_SELF if descendant else Axis.CHILD
+        return (_parse_tested_step(tokens, axis),)
+    return (Step(Axis.SUBTREE, node), step) if descendant else (step,)
+
+
+def _parse_tested_step(tokens: _Tokens, axis: Axis) -> Step:
     test = _parse_node_test(tokens)
     predicates = []
     while tokens.accept("lbracket"):
         predicates.append(_parse_expr(tokens))
         tokens.expect("rbracket")
-    return (Step(axis, test, tuple(predicates)),)
+    return Step(axis, test, tuple(predicates))
 
 
 def _parse_node_test(tokens: _Tokens) -> NodeTest:

@@ -8,7 +8,8 @@ from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import XMLStore
 from repro.cli import build_parser
 from repro.errors import InvalidOperationError, NodeNotFoundError
-from repro.obs.explain import ExplainRecorder
+from repro.obs.explain import explain_report
+from repro.obs.window import Window
 
 
 def _store(policy=IndexingPolicy.RANGE_PLUS_PARTIAL) -> XMLStore:
@@ -26,18 +27,18 @@ def _store(policy=IndexingPolicy.RANGE_PLUS_PARTIAL) -> XMLStore:
 
 def _read(store, node_id):
     """EXPLAIN ``store.read(node_id)``, labelled as ``explain read`` is."""
-    with ExplainRecorder(store, "read", [str(node_id)]) as recorder:
+    with Window(store, "read") as window:
         store.read(node_id)
-    return recorder.report
+    return explain_report(window, [str(node_id)])
 
 
 def _xpath(store, query):
     """EXPLAIN a query the way ``explain xpath`` runs it: every match is
     serialized, so each one is located."""
-    with ExplainRecorder(store, "xpath", [query]) as recorder:
+    with Window(store, "xpath") as window:
         for node in store.xpath(query):
             node.xml()
-    return recorder.report
+    return explain_report(window, [query])
 
 
 class TestAccessPathAttribution:
@@ -85,9 +86,9 @@ class TestAccessPathAttribution:
 
     def test_insert_pays_wal_appends(self):
         store = _store()
-        with ExplainRecorder(store, "insert-last", ["1", "<item>new</item>"]) as recorder:
+        with Window(store, "insert-last") as window:
             first_id = store.insert_into_last(1, "<item>new</item>")
-        assert recorder.report.wal_appends >= 1
+        assert explain_report(window).wal_appends >= 1
         assert store.read(first_id) == "<item>new</item>"
 
     def test_events_scoped_to_the_operation(self):
@@ -164,16 +165,16 @@ class TestOperationDispatch:
 class TestRecorder:
     def test_failed_operation_produces_no_report(self):
         store = _store()
-        recorder = ExplainRecorder(store, "read", ["99999"])
+        window = Window(store, "read")
         with pytest.raises(NodeNotFoundError):
-            with recorder:
+            with window:
                 store.read(99999)
-        assert recorder.report is None
+        assert window.counts is None
 
     def test_recorder_closes_op_window_on_failure(self):
         store = _store()
         try:
-            with ExplainRecorder(store, "read", ["99999"]):
+            with Window(store, "read"):
                 store.read(99999)
         except NodeNotFoundError:
             pass
@@ -208,9 +209,9 @@ class TestFaultAttribution:
 
     def test_checkpoint_sync_barrier_is_attributed(self):
         store = self._faulty_store()
-        with ExplainRecorder(store, "checkpoint") as recorder:
+        with Window(store, "checkpoint") as window:
             store.checkpoint()
-        report = recorder.report
+        report = explain_report(window)
         assert any(
             f["source"] == "fault" and f["kind"] == "sync" for f in report.faults
         )

@@ -17,13 +17,14 @@ from repro.obs.profile_export import (
 from repro.obs.profiler import (
     CallNode,
     CostProfile,
-    ProfileRecorder,
     component_of_span,
+    cost_profile,
     fold_spans,
     reconcile_with_metrics,
     span_totals,
 )
 from repro.obs.tracing import Tracer
+from repro.obs.window import Window
 
 from tests.xmltoken.oracle import tokenize_fragment
 
@@ -39,7 +40,7 @@ READ_IDS = (2, 5, 8, 2, 5, 11, 2)
 
 
 def _profiled_workload():
-    """A fresh store, the whole workload inside one recorder window (a
+    """A fresh store, the whole workload inside one window (a
     whole-lifetime window, which is what reconciliation requires)."""
     store = XMLStore.open(
         StoreConfig(
@@ -49,13 +50,13 @@ def _profiled_workload():
             max_range_tokens=32,
         )
     )
-    with ProfileRecorder(store, "workload") as recorder:
+    with Window(store) as window:
         root = store.load_document(DOCUMENT)
         for node_id in READ_IDS:
             store.read(node_id)
         store.insert_into_last(root, "<extra/>")
-    assert recorder.profile is not None
-    return recorder.profile, store
+    assert window.counts is not None
+    return cost_profile(window, "workload"), store
 
 
 class TestComponentOfSpan:
@@ -142,11 +143,11 @@ class TestProfileRecorder:
 
     def test_failed_window_produces_no_profile(self):
         store = XMLStore.open(StoreConfig(profiling_enabled=True))
-        recorder = ProfileRecorder(store)
+        window = Window(store)
         with pytest.raises(RuntimeError):
-            with recorder:
+            with window:
                 raise RuntimeError("boom")
-        assert recorder.profile is None
+        assert window.counts is None
 
     def test_to_dict_round_trips_through_json(self):
         profile, _store = _profiled_workload()

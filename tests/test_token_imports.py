@@ -1,4 +1,6 @@
-"""The token lint: program code works on records, not on decoded tokens.
+"""The token lint: program code works on records, not on decoded tokens
+(and the query layer, which reads them as node columns, imports nothing
+from ``repro.core``).
 
 The store writes records straight from XML text (``parse_records``) and
 renders them straight back (``emit``); undo, snapshots and the reference
@@ -56,6 +58,35 @@ def retired_imports(src=None):
         for path, name in source_imports(src)
         if name.rpartition(".")[2] in RETIRED
     )
+
+
+def core_imports_from_xpath(src=None):
+    """``(path, name)`` for every import of ``repro.core`` under
+    ``repro/xpath``: the query processor sits above the store and reads
+    its node columns from ``repro.xmltoken.columns``, below both."""
+    return sorted(
+        (path, name)
+        for path, name in source_imports(src)
+        if path.startswith("repro/xpath/")
+        and (name == "repro.core" or name.startswith("repro.core."))
+    )
+
+
+def test_xpath_imports_nothing_from_core():
+    assert core_imports_from_xpath() == []
+
+
+def test_the_xpath_lint_sees_a_planted_core_import(tmp_path):
+    package = tmp_path / "repro" / "xpath"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "up.py").write_text(
+        "def f():\n    from repro.core.locator import Locator\n"
+    )
+    assert core_imports_from_xpath(str(tmp_path)) == [
+        ("repro/xpath/up.py", "repro.core.locator"),
+        ("repro/xpath/up.py", "repro.core.locator.Locator"),
+    ]
 
 
 def test_no_module_imports_a_retired_token_helper():

@@ -99,8 +99,7 @@ def predicates(depth):
 
 
 def steps(depth):
-    """One step; :func:`_render` puts no ``//`` before ``@`` (``//@x``
-    does not parse)."""
+    """One step; ``//`` may come before any of them, ``@`` included."""
     with_predicates = st.tuples(
         st.one_of(name_tests, st.sampled_from(("text()", "comment()", "node()")), attribute_tests),
         st.lists(predicates(depth - 1), max_size=2) if depth else st.just([]),
@@ -112,10 +111,7 @@ def _render(prefix, parts):
     """Join ``(separator, step)`` pairs, the first under ``prefix``."""
     out = []
     for k, (separator, step) in enumerate(parts):
-        separator = prefix if k == 0 else separator
-        if separator == "//" and step[0] == "@":
-            separator = "/"
-        out.append(separator + step)
+        out.append((prefix if k == 0 else separator) + step)
     return "".join(out)
 
 

@@ -5,6 +5,8 @@ import pytest
 from repro.core.store import XMLStore
 from repro.errors import CodecError
 
+from tests.xpath import oracle
+
 CATALOG = """
 <catalog>
   <book year="1994" id="b1">
@@ -210,6 +212,34 @@ class TestXPath10Corners:
         assert small.xpath("/r/a[1.5]") == []
         assert small.xpath("/r/*[0.5]") == []
         assert names(small.xpath("/r/*[2.0]")) == ["c"]
+
+
+class TestDescendantAttributes:
+    """``//@x`` is ``descendant-or-self::node()/attribute::x``, checked
+    against the tree oracle."""
+
+    DOCUMENT = '<r x="1"><a x="2"><b/></a><c/></r>'
+
+    @pytest.fixture
+    def small(self):
+        s = XMLStore.open()
+        s.load_document(self.DOCUMENT)
+        return s
+
+    @staticmethod
+    def rows(nodes):
+        return [(n.node_id, n.kind, n.name, n.value) for n in nodes]
+
+    @pytest.mark.parametrize("expression", ["//@x", "/r//@x", "//@*", "//@x[1]"])
+    def test_matches_the_oracle(self, small, expression):
+        found = small.xpath(expression)
+        assert self.rows(found) == self.rows(oracle.evaluate(small, expression))
+        # both attributes, in document order
+        assert [(n.name, n.value) for n in found] == [("x", "1"), ("x", "2")]
+
+    def test_below_a_step(self, small):
+        assert [n.value for n in small.xpath("/r/a//@x")] == ["2"]
+        assert small.xpath("//b//@x") == []
 
 
 class TestStoreIntegration:

@@ -62,6 +62,17 @@ class TestPaths:
         assert parse("//..").absolute
         assert all(s.test.kind is NodeTestKind.NODE for s in parse("a//.").steps[1:])
 
+    def test_descendant_before_at_is_a_step_of_its_own(self):
+        # ``//@x`` is ``/descendant-or-self::node()/attribute::x``
+        path = parse("//@id[1]")
+        assert path.absolute
+        assert [s.axis for s in path.steps] == [Axis.SUBTREE, Axis.ATTRIBUTE]
+        assert path.steps[1].test.name == "id"
+        assert len(path.steps[1].predicates) == 1
+        assert [s.axis for s in parse("/r//@*").steps] == [
+            Axis.CHILD, Axis.SUBTREE, Axis.ATTRIBUTE,
+        ]
+
     def test_qname_with_prefix(self):
         path = parse("/ns:item")
         assert path.steps[0].test.name == "ns:item"
@@ -147,7 +158,6 @@ class TestErrors:
             "a b",
             "/a[count()]",
             "/a[contains(x)]",
-            "//@id",
             "/a[$var]",
         ],
     )
