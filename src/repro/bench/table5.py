@@ -86,8 +86,8 @@ class Table5Config:
     #: default under the usual contract: history on or off, the simulated
     #: numbers are byte-identical (tests/bench/test_obs_zero_cost.py).
     history: bool = False
-    #: evaluate alert rules and SLO budgets (see :mod:`repro.obs.alerts`
-    #: / :mod:`repro.obs.slo`) during the run.  Off by default under the
+    #: evaluate the alert rows, SLO budgets among them (see
+    #: :mod:`repro.obs.rules`), during the run.  Off by default under the
     #: same contract: alerts on or off, the simulated numbers are
     #: byte-identical (tests/bench/test_obs_zero_cost.py).
     alerts: bool = False

@@ -825,17 +825,15 @@ def _ranges(arguments, store, stdin) -> str:
 def _stats(arguments, store, stdin) -> str:
     from repro.obs.bridge import metrics_snapshot, store_families
     from repro.obs.exporters import prometheus_text, render_top
+    from repro.obs.rules import slo_families
 
     if arguments.json:
         return _report(arguments, metrics_snapshot(store).values)
     if arguments.prometheus:
         families = store_families(store)
-        if store.slo.enabled:
-            # SLO budgets ride along in the exposition (both axes: the
-            # scrape is already wall-clock territory)
-            families = families + store.slo.families(
-                store, axes=("simulated", "wall")
-            )
+        if store.alerts.enabled:
+            # SLO budgets ride along in the exposition
+            families = families + slo_families(store)
         return prometheus_text(families).rstrip("\n")
     if arguments.top:
         return render_top(store_families(store)).rstrip("\n")
@@ -921,7 +919,7 @@ def _compact(arguments, store, stdin) -> str:
 
 def _verify(arguments, store, stdin) -> str:
     from repro.core.integrity import integrity_report
-    from repro.core.repair import read_sidecar
+    from repro.obs.schema import read_sidecar
 
     report = integrity_report(store)
     sidecar = read_sidecar(arguments.store)
@@ -1017,7 +1015,7 @@ def _alerts(arguments, store, stdin) -> str:
 
 def _health(arguments) -> str:
     from repro.errors import ChecksumError, StoreError
-    from repro.obs.health import health_report
+    from repro.obs.rules import health_report
 
     try:
         store = open_directory(arguments.store, config=_cli_store_config())
@@ -1098,9 +1096,9 @@ def _torture(arguments) -> str:
 def _watch_frame(arguments, engine, tick: int) -> str:
     """One rendered frame of the live view (pure function of the files)."""
     from repro.core.filestore import DEVICE_FILE, WAL_FILE
-    from repro.obs.alerts import AlertEvent, history_view
     from repro.obs.history import HistorySnapshot
     from repro.obs.journal import JOURNAL_FILE, from_row, read_journal
+    from repro.obs.rules import AlertEvent, history_view
 
     rows = read_journal(os.path.join(arguments.store, JOURNAL_FILE))
     snapshots = [from_row(HistorySnapshot, row) for row in rows if row["kind"] == "history"]
@@ -1149,9 +1147,9 @@ def _watch_frame(arguments, engine, tick: int) -> str:
 
 
 def _watch(arguments) -> str:
-    from repro.obs.alerts import AlertEngine
     from repro.obs.clock import sleep
     from repro.obs.journal import warn_legacy
+    from repro.obs.rules import AlertEngine
 
     warn_legacy(arguments.store)
     # in-memory engine: watch observes, it never writes the store's journal

@@ -113,8 +113,8 @@ class StoreConfig:
     #: rest of :mod:`repro.obs`.
     history_enabled: bool = False
 
-    #: Evaluate deterministic alert rules (see :mod:`repro.obs.alerts`)
-    #: and track SLO budgets (:mod:`repro.obs.slo`).  Off by default
+    #: Evaluate the deterministic alert rows of :mod:`repro.obs.rules`,
+    #: SLO budgets among them, on the watch tick.  Off by default
     #: under the same zero-cost contract as the rest of
     #: :mod:`repro.obs`: evaluation only reads counters, and the
     #: disabled engine keeps the hot path at one attribute check.

@@ -698,22 +698,3 @@ def repair_directory(path: str, config: Optional[StoreConfig] = None) -> RepairR
         path, "repair", {"report": report.to_dict()}, config=config
     )
     return report
-
-
-def read_sidecar(path: str) -> Optional[dict]:
-    """The degraded-repair sidecar of the directory store at ``path``: a
-    salvage that lost data writes it, ``verify``, ``health`` and
-    ``diagnose`` report the store degraded while it exists.  None when
-    absent.  A sidecar present but unreadable still counts as present:
-    its stand-in is ``{"error": <why>}``."""
-    sidecar_path = os.path.join(path, SIDECAR_FILE)
-    try:
-        with open(sidecar_path, "r", encoding="utf-8") as handle:
-            sidecar = json.load(handle)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as error:
-        return {"error": f"unreadable {SIDECAR_FILE}: {error}"}
-    if not isinstance(sidecar, dict):
-        return {"error": f"unreadable {SIDECAR_FILE}: not a JSON object"}
-    return sidecar

@@ -51,7 +51,6 @@ from repro.core.range_index import RangeIndex
 from repro.core.ranges import RangeMeta, RangeTable
 from repro.core.stats import OperationCounts, StoreStatistics
 from repro.ids.sequential import SequentialIdScheme
-from repro.obs.alerts import AlertEngine, store_view
 from repro.obs.bridge import MetricsSnapshot, deterministic_snapshot, observer_values
 from repro.obs.incident import IncidentManager
 from repro.obs.recorder import FlightRecorder
@@ -59,7 +58,7 @@ from repro.obs.events import EventLog
 from repro.obs.heatmap import BlockHeatmap
 from repro.obs.history import WorkloadHistory
 from repro.obs.journal import JOURNAL_FILE, Journal
-from repro.obs.slo import SLOTracker
+from repro.obs.rules import AlertEngine, store_view
 from repro.obs.telemetry import Telemetry
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import (
@@ -378,7 +377,6 @@ class XMLStore:
             or config.recorder_enabled,
         )
         self.history = WorkloadHistory(self.journal, enabled=config.history_enabled)
-        self.slo = SLOTracker(enabled=config.alerts_enabled)
         self.alerts = AlertEngine(journal=self.journal, enabled=config.alerts_enabled)
         self.recorder = FlightRecorder(self.journal, enabled=config.recorder_enabled)
         self.incidents = IncidentManager(self.journal, enabled=config.recorder_enabled)
@@ -842,7 +840,7 @@ class XMLStore:
             # dumps an incident bundle
             for event in self.alerts.evaluate(store_view(self, current), label):
                 if event.state == "fired" and self.incidents.enabled:
-                    self.incidents.alert_fired(event)
+                    self.incidents.alert_fired(self.alerts.rule(event.rule), event)
             since["alerts"] = 0
         if "recorder" in observers and self.recorder.enabled:
             if len(self.incidents) != incidents:

@@ -3,11 +3,12 @@
 The flight recorder (:mod:`repro.obs.recorder`) holds the last moments
 of context in memory; this module decides *when that context is worth
 persisting*.  Trigger kinds (:data:`TRIGGER_KINDS`): ``critical-alert``
-(a critical rule fired, from the watch tick), ``checksum-quarantine``
+and ``slo-budget-exhausted`` (an alert fired on the watch tick whose row
+of :data:`~repro.obs.rules.RULES` names that kind), ``checksum-quarantine``
 (the pool quarantined a block, on fetch or scrub), ``crash-recovery``
-(WAL replay found records past the last checkpoint), ``repair``
+(WAL replay found records past the last checkpoint) and ``repair``
 (:func:`repro.core.repair.repair_directory` ran; see
-:func:`record_directory_incident`) and ``slo-budget-exhausted``.
+:func:`record_directory_incident`).
 
 Each ``(kind, key)`` pair fires **once per store instance**, bounded by
 :data:`DEFAULT_LIMIT`.  Every incident is an ``incident`` row of the
@@ -238,7 +239,7 @@ class IncidentManager:
             known = {} if self.config is None else {"config": _config_payload(self.config)}
             return {"incident": row, **known}
         from repro.core.integrity import integrity_report
-        from repro.obs.health import health_report
+        from repro.obs.rules import health_report
 
         store_path = os.path.dirname(os.path.abspath(self.directory))
         return {
@@ -254,14 +255,16 @@ class IncidentManager:
             "integrity": _best_effort(lambda: integrity_report(store), ok=None),
         }
 
-    def alert_fired(self, event) -> None:
-        """The incident a fired :class:`~repro.obs.alerts.AlertEvent`
-        triggers: any critical rule, and the SLO budget running out."""
+    def alert_fired(self, rule, event) -> None:
+        """The incident a fired :class:`~repro.obs.rules.AlertEvent` of
+        ``rule`` triggers: the row's ``incident`` kind, if it names one.
+        The detail names the rule when the trigger kind does not."""
+        if not rule.incident:
+            return
         detail = dict(value=event.value, bound=event.bound, summary=event.summary)
-        if event.severity == "critical":
-            self.trigger("critical-alert", key=event.rule, rule=event.rule, **detail)
-        elif event.rule == "slo-budget-exhausted":
-            self.trigger("slo-budget-exhausted", key=event.rule, **detail)
+        if rule.incident != rule.name:
+            detail["rule"] = rule.name
+        self.trigger(rule.incident, key=rule.name, **detail)
 
     # ---------------------------------------------------------------- reading --
 

@@ -32,21 +32,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.tracing import SpanEvent
 
-#: span-name prefixes attributed to a component on the wall axis
-_SPAN_COMPONENTS = {
-    "locator": "token-replay",
-    "wal": "wal",
-    "xpath": "xpath",
-}
-
-
-def component_of_span(name: str) -> str:
-    """The component a span name belongs to ("wal.append" -> "wal");
-    unprefixed Table-1 operation spans belong to the store itself."""
-    head = name.split(".", 1)[0]
-    return _SPAN_COMPONENTS.get(head, "store")
-
-
 @dataclass
 class CallNode:
     """One frame of the merged call tree: all spans with the same name

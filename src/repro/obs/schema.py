@@ -22,11 +22,15 @@ keeps the check trivial and the evolution story auditable in one place.
 
 The artifacts a store directory carries beside its pages and WAL are
 named here too (the journal's own file is named by
-:mod:`repro.obs.journal`, its only reader and writer).
+:mod:`repro.obs.journal`, its only reader and writer), and the
+degraded-repair sidecar's one reader, :func:`read_sidecar`, lives here
+so that the observers need not import :mod:`repro.core.repair`.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from typing import Dict, Optional
 
 from repro.errors import ObservabilityError
@@ -38,7 +42,7 @@ SCHEMA_VERSION = 1
 
 #: The directory incident bundles dump into (:mod:`repro.obs.incident`).
 INCIDENTS_DIR = "store.incidents"
-#: The degraded-repair sidecar (:mod:`repro.core.repair`).
+#: The degraded-repair sidecar (:mod:`repro.core.repair` writes it).
 SIDECAR_FILE = "store.repair.json"
 
 
@@ -80,3 +84,22 @@ def check_schema_version(
             f"supports ({SCHEMA_VERSION}); upgrade before reading it"
         )
     return version
+
+
+def read_sidecar(path: str) -> Optional[dict]:
+    """The degraded-repair sidecar of the directory store at ``path``: a
+    salvage that lost data writes it, ``verify``, ``health`` and
+    ``diagnose`` report the store degraded while it exists.  None when
+    absent.  A sidecar present but unreadable still counts as present:
+    its stand-in is ``{"error": <why>}``."""
+    sidecar_path = os.path.join(path, SIDECAR_FILE)
+    try:
+        with open(sidecar_path, "r", encoding="utf-8") as handle:
+            sidecar = json.load(handle)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as error:
+        return {"error": f"unreadable {SIDECAR_FILE}: {error}"}
+    if not isinstance(sidecar, dict):
+        return {"error": f"unreadable {SIDECAR_FILE}: not a JSON object"}
+    return sidecar

@@ -36,7 +36,6 @@ import tarfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.repair import read_sidecar
 from repro.errors import ObservabilityError
 from repro.log import get_logger
 from repro.obs.incident import bundle_files
@@ -48,7 +47,7 @@ from repro.obs.journal import (
     read_journal,
     warn_legacy,
 )
-from repro.obs.schema import INCIDENTS_DIR, SIDECAR_FILE
+from repro.obs.schema import INCIDENTS_DIR, SIDECAR_FILE, read_sidecar
 
 _log = get_logger("obs.timeline")
 

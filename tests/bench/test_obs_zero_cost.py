@@ -85,7 +85,7 @@ def test_default_table5_store_has_every_facility_disabled():
     assert not any(getattr(config, key) for key in CASES["all"])
     _, policy, granularity = APPROACHES[0]
     store, _ = build_store(policy, granularity, config)
-    for name in ("telemetry", "event_log", "heatmap", "history", "slo",
+    for name in ("telemetry", "event_log", "heatmap", "history",
                  "alerts", "recorder", "incidents"):
         assert getattr(store, name).enabled is False, name
 
@@ -134,8 +134,9 @@ def test_harness_phases_capture_labeled_snapshots():
 def _observe_now(store, facility: str) -> None:
     store.watch("manual", [facility])
     if facility == "alerts":
-        store.slo.evaluate(store)
-        store.slo.budget_floor(store)
+        from repro.obs.rules import OBJECTIVES, live_buckets, objective_statuses
+
+        objective_statuses(OBJECTIVES, live_buckets(store))
     elif facility == "recorder":
         store.event_log.emit("test", "poke", severity="info")
         store.recorder.to_dict()

@@ -10,16 +10,15 @@ import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.repair import (
-    SIDECAR_FILE,
     _reachable_index_blocks,
     degraded_read,
-    read_sidecar,
     rebuild_from_wal,
     repair_directory,
     repair_store,
 )
 from repro.core.store import XMLStore
 from repro.errors import ChecksumError, CodecError
+from repro.obs.schema import SIDECAR_FILE, read_sidecar
 from repro.storage.pages import SlottedPage
 from repro.xmltoken.binary import encode_record
 from repro.xmltoken.tokens import TokenKind

@@ -682,10 +682,10 @@ class TestReportBeforeTheExit:
         return [], 1
 
     def _alerts(self, store_dir, tmp_path, monkeypatch):
-        from repro.obs.alerts import AlertEngine, AlertRule, AlertView
         from repro.obs.journal import JOURNAL_FILE, Journal
+        from repro.obs.rules import AlertEngine, Rule, View
 
-        rule = AlertRule(
+        rule = Rule(
             "quarantined-blocks", "critical", "threshold", "seeded",
             metric="repro_storage_quarantined_blocks", op=">", bound=0,
             clear_after=3,
@@ -694,7 +694,7 @@ class TestReportBeforeTheExit:
             rules=(rule,), journal=Journal(os.path.join(store_dir, JOURNAL_FILE))
         )
         engine.evaluate(
-            AlertView(values={"repro_storage_quarantined_blocks": 1.0}), label="seed"
+            View(values={"repro_storage_quarantined_blocks": 1.0}), label="seed"
         )
         return [], 2
 
@@ -896,13 +896,13 @@ class TestAlertsCommand:
         import os
 
         from repro.errors import StoreCorruptError
-        from repro.obs.alerts import AlertEngine, AlertRule
         from repro.obs.journal import JOURNAL_FILE, Journal
+        from repro.obs.rules import AlertEngine, Rule, View
 
         run([store_dir, "load", "-"], stdin=io.StringIO("<r/>"))
         # a previous session recorded a critical transition; the engine
         # restores the active set from the journal on reopen
-        rule = AlertRule(
+        rule = Rule(
             "quarantined-blocks", "critical", "threshold", "seeded",
             metric="repro_storage_quarantined_blocks", op=">", bound=0,
             clear_after=3,
@@ -910,9 +910,7 @@ class TestAlertsCommand:
         engine = AlertEngine(
             rules=(rule,), journal=Journal(os.path.join(store_dir, JOURNAL_FILE))
         )
-        from repro.obs.alerts import AlertView
-
-        engine.evaluate(AlertView(
+        engine.evaluate(View(
             values={"repro_storage_quarantined_blocks": 1.0}
         ), label="seed")
         with pytest.raises(StoreCorruptError) as excinfo:

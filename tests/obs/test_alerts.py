@@ -1,4 +1,4 @@
-"""The deterministic alert engine (repro.obs.alerts)."""
+"""The alert rows of the rule table and their engine (repro.obs.rules)."""
 
 import json
 
@@ -7,23 +7,23 @@ import pytest
 from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
 from repro.errors import ChecksumError, ObservabilityError
-from repro.obs.alerts import (
+from repro.obs.bridge import deterministic_snapshot
+from repro.obs.history import HistorySnapshot
+from repro.obs.journal import JOURNAL_FILE, Journal, from_row, read_journal
+from repro.obs.rules import (
     DEFAULT_INTERVAL,
     DRIFT_KEY,
-    SLO_BUDGET_KEY,
+    RULES,
     AlertEngine,
     AlertEvent,
-    AlertRule,
-    AlertView,
+    Objective,
+    Rule,
+    View,
     cumulative_values,
-    default_rules,
     evaluate_rule,
     history_view,
     store_view,
 )
-from repro.obs.bridge import deterministic_snapshot
-from repro.obs.history import HistorySnapshot
-from repro.obs.journal import JOURNAL_FILE, Journal, from_row, read_journal
 
 
 def read_alert_log(path):
@@ -44,104 +44,124 @@ def _snapshot(seq, deltas, operations=0, simulated=0.0):
 class TestRuleValidation:
     def test_unknown_severity_rejected(self):
         with pytest.raises(ObservabilityError, match="severity"):
-            AlertRule("r", "fatal", "threshold", "s", metric="m")
+            Rule("r", "fatal", "threshold", "s", metric="m")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ObservabilityError, match="kind"):
-            AlertRule("r", "info", "gradient", "s", metric="m")
+            Rule("r", "info", "gradient", "s", metric="m")
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ObservabilityError, match="comparison"):
-            AlertRule("r", "info", "threshold", "s", metric="m", op="!=")
+            Rule("r", "info", "threshold", "s", metric="m", op="!=")
 
     def test_ratio_needs_numerator_and_denominator(self):
         with pytest.raises(ObservabilityError, match="numerator"):
-            AlertRule("r", "info", "ratio", "s", numerator="a")
+            Rule("r", "info", "ratio", "s", numerator="a")
 
     def test_non_ratio_needs_a_metric(self):
         with pytest.raises(ObservabilityError, match="metric"):
-            AlertRule("r", "info", "delta", "s")
+            Rule("r", "info", "delta", "s")
+
+    def test_budget_needs_objectives(self):
+        with pytest.raises(ObservabilityError, match="objectives"):
+            Rule("r", "info", "budget", "s")
+
+    def test_a_component_needs_describe(self):
+        with pytest.raises(ObservabilityError, match="describe"):
+            Rule("r", "info", "threshold", "s", metric="m", component="c")
 
     def test_window_and_clear_after_bounds(self):
         with pytest.raises(ObservabilityError, match="window"):
-            AlertRule("r", "info", "delta", "s", metric="m", window=0)
+            Rule("r", "info", "delta", "s", metric="m", window=0)
         with pytest.raises(ObservabilityError, match="clear_after"):
-            AlertRule("r", "info", "threshold", "s", metric="m", clear_after=0)
+            Rule("r", "info", "threshold", "s", metric="m", clear_after=0)
 
 
 class TestEvaluateRule:
     def test_threshold_ops(self):
-        view = AlertView(values={"m": 5.0})
+        view = View(values={"m": 5.0})
         for op, bound, expected in (
             (">", 4.0, True), (">", 5.0, False),
             (">=", 5.0, True), ("<", 6.0, True), ("<=", 5.0, True),
         ):
-            rule = AlertRule("r", "info", "threshold", "s",
+            rule = Rule("r", "info", "threshold", "s",
                              metric="m", op=op, bound=bound)
             firing, value = evaluate_rule(rule, view)
             assert firing is expected
             assert value == 5.0
 
     def test_plus_joined_metrics_are_summed(self):
-        view = AlertView(values={"a": 2.0, "b": 3.0})
-        rule = AlertRule("r", "info", "threshold", "s",
+        view = View(values={"a": 2.0, "b": 3.0})
+        rule = Rule("r", "info", "threshold", "s",
                          metric="a + b", op=">", bound=4.0)
         assert evaluate_rule(rule, view) == (True, 5.0)
 
     def test_missing_samples_read_as_zero(self):
-        rule = AlertRule("r", "info", "threshold", "s",
+        rule = Rule("r", "info", "threshold", "s",
                          metric="absent", op=">", bound=0.0)
-        assert evaluate_rule(rule, AlertView()) == (False, 0.0)
+        assert evaluate_rule(rule, View()) == (False, 0.0)
 
     def test_ratio_suppressed_below_min_denominator(self):
-        rule = AlertRule("r", "warning", "ratio", "s",
+        rule = Rule("r", "warning", "ratio", "s",
                          numerator="miss", denominator="hit+miss",
                          op=">", bound=0.5, min_denominator=100)
-        cold = AlertView(values={"miss": 10.0, "hit": 10.0})
+        cold = View(values={"miss": 10.0, "hit": 10.0})
         assert evaluate_rule(rule, cold) == (False, 0.0)
-        warm = AlertView(values={"miss": 90.0, "hit": 10.0})
+        warm = View(values={"miss": 90.0, "hit": 10.0})
         firing, value = evaluate_rule(rule, warm)
         assert firing is True
         assert value == 0.9
 
     def test_delta_sums_over_the_window(self):
-        rule = AlertRule("r", "info", "delta", "s",
+        rule = Rule("r", "info", "delta", "s",
                          metric="wal", op=">", bound=10.0, window=2)
         snapshots = [
             _snapshot(0, {"wal": 100.0}),  # outside the window
             _snapshot(1, {"wal": 8.0}),
             _snapshot(2, {"wal": 8.0}),
         ]
-        firing, value = evaluate_rule(rule, AlertView(snapshots=snapshots))
+        firing, value = evaluate_rule(rule, View(snapshots=snapshots))
         assert firing is True
         assert value == 16.0
 
     def test_delta_quiet_without_snapshots(self):
-        rule = AlertRule("r", "info", "delta", "s",
+        rule = Rule("r", "info", "delta", "s",
                          metric="wal", op=">", bound=0.0)
-        assert evaluate_rule(rule, AlertView()) == (False, 0.0)
+        assert evaluate_rule(rule, View()) == (False, 0.0)
+
+    def test_budget_compares_the_least_budget_left(self):
+        rule = Rule("r", "warning", "budget", "s", op="<", bound=0.0,
+                    objectives=(Objective("a", 0.25), Objective("b", 0.25)))
+        buckets = {
+            "a": ([(0.25, 97.0), (float("inf"), 100.0)], 100),
+            "b": ([(0.25, 80.0), (float("inf"), 100.0)], 100),
+        }
+        view = View(buckets=lambda family, operation: buckets[operation])
+        assert evaluate_rule(rule, view) == (True, -1.0)
+        # no histograms to read: every objective untouched
+        assert evaluate_rule(rule, View()) == (False, 1.0)
 
     def test_absence_gated_on_min_operations(self):
-        rule = AlertRule("r", "info", "absence", "s",
+        rule = Rule("r", "info", "absence", "s",
                          metric="scrubs", min_operations=100)
-        young = AlertView(values={}, operations=50)
+        young = View(values={}, operations=50)
         assert evaluate_rule(rule, young)[0] is False
-        old = AlertView(values={}, operations=100)
+        old = View(values={}, operations=100)
         assert evaluate_rule(rule, old)[0] is True
-        scrubbed = AlertView(values={"scrubs": 1.0}, operations=100)
+        scrubbed = View(values={"scrubs": 1.0}, operations=100)
         assert evaluate_rule(rule, scrubbed)[0] is False
 
 
 def _low_rule(name="fires", bound=-1.0, severity="info", clear_after=2):
     """A threshold rule on a metric the tests control directly."""
-    return AlertRule(name, severity, "threshold", "test rule",
+    return Rule(name, severity, "threshold", "test rule",
                      metric="m", op=">", bound=bound, clear_after=clear_after)
 
 
 class TestStateMachine:
     def test_fires_once_then_stays_silently_active(self):
         engine = AlertEngine(rules=(_low_rule(),))
-        view = AlertView(values={"m": 1.0})
+        view = View(values={"m": 1.0})
         assert [e.state for e in engine.evaluate(view)] == ["fired"]
         assert engine.evaluate(view) == []
         assert engine.evaluate(view) == []
@@ -150,8 +170,8 @@ class TestStateMachine:
 
     def test_clears_only_after_consecutive_ok_evaluations(self):
         engine = AlertEngine(rules=(_low_rule(clear_after=2),))
-        firing = AlertView(values={"m": 1.0})
-        quiet = AlertView(values={"m": -5.0})
+        firing = View(values={"m": 1.0})
+        quiet = View(values={"m": -5.0})
         engine.evaluate(firing)
         assert engine.evaluate(quiet) == []  # streak 1 of 2
         cleared = engine.evaluate(quiet)
@@ -160,8 +180,8 @@ class TestStateMachine:
 
     def test_refiring_resets_the_ok_streak(self):
         engine = AlertEngine(rules=(_low_rule(clear_after=2),))
-        firing = AlertView(values={"m": 1.0})
-        quiet = AlertView(values={"m": -5.0})
+        firing = View(values={"m": 1.0})
+        quiet = View(values={"m": -5.0})
         engine.evaluate(firing)
         engine.evaluate(quiet)   # streak 1
         engine.evaluate(firing)  # condition back: streak resets, no new event
@@ -177,7 +197,7 @@ class TestStateMachine:
             _low_rule("c", severity="warning"),
         ))
         assert engine.worst_active_severity() is None
-        engine.evaluate(AlertView(values={"m": 1.0}))
+        engine.evaluate(View(values={"m": 1.0}))
         assert engine.worst_active_severity() == "critical"
 
     def test_rule_names_must_be_unique(self):
@@ -189,10 +209,10 @@ class TestPersistence:
     def test_transitions_append_stamped_jsonl_lines(self, tmp_path):
         path = str(tmp_path / JOURNAL_FILE)
         engine = AlertEngine(rules=(_low_rule(),), journal=Journal(path))
-        engine.evaluate(AlertView(values={"m": 1.0}), label="test")
-        engine.evaluate(AlertView(values={"m": 1.0}))  # steady: no write
-        engine.evaluate(AlertView(values={"m": -1.0}))
-        engine.evaluate(AlertView(values={"m": -1.0}))
+        engine.evaluate(View(values={"m": 1.0}), label="test")
+        engine.evaluate(View(values={"m": 1.0}))  # steady: no write
+        engine.evaluate(View(values={"m": -1.0}))
+        engine.evaluate(View(values={"m": -1.0}))
         lines = (tmp_path / JOURNAL_FILE).read_text().splitlines()
         assert len(lines) == 2  # fired + cleared, nothing for steady state
         for line in lines:
@@ -205,18 +225,18 @@ class TestPersistence:
     def test_reopen_restores_active_set_and_sequence(self, tmp_path):
         path = str(tmp_path / JOURNAL_FILE)
         first = AlertEngine(rules=(_low_rule(),), journal=Journal(path))
-        first.evaluate(AlertView(values={"m": 1.0}))
+        first.evaluate(View(values={"m": 1.0}))
         second = AlertEngine(rules=(_low_rule(),), journal=Journal(path))
         assert [e.rule for e in second.active()] == ["fires"]
         # the restored engine continues the sequence instead of reusing 0
-        second.evaluate(AlertView(values={"m": -1.0}))
-        cleared = second.evaluate(AlertView(values={"m": -1.0}))
+        second.evaluate(View(values={"m": -1.0}))
+        cleared = second.evaluate(View(values={"m": -1.0}))
         assert cleared[0].seq == 1
 
     def test_load_events_round_trips(self, tmp_path):
         path = str(tmp_path / JOURNAL_FILE)
         engine = AlertEngine(rules=(_low_rule(),), journal=Journal(path))
-        emitted = engine.evaluate(AlertView(values={"m": 1.0}, operations=7))
+        emitted = engine.evaluate(View(values={"m": 1.0}, operations=7))
         rows = read_alert_log(path)
         assert [from_row(AlertEvent, row) for row in rows] == emitted
         assert rows[0]["op"] == 7
@@ -240,14 +260,14 @@ class TestPersistence:
         reopens over the complete lines and its next transition replaces it."""
         path = tmp_path / JOURNAL_FILE
         AlertEngine(rules=(_low_rule(),), journal=Journal(str(path))).evaluate(
-            AlertView(values={"m": 1.0})
+            View(values={"m": 1.0})
         )
         with open(path, "a") as handle:
             handle.write('{"seq": 1, "lab')
         reopened = AlertEngine(rules=(_low_rule(),), journal=Journal(str(path)))
         assert [e.state for e in reopened.events()] == ["fired"]
-        reopened.evaluate(AlertView(values={"m": -1.0}))
-        reopened.evaluate(AlertView(values={"m": -1.0}))
+        reopened.evaluate(View(values={"m": -1.0}))
+        reopened.evaluate(View(values={"m": -1.0}))
         assert [row["state"] for row in read_alert_log(str(path))] == [
             "fired", "cleared",
         ]
@@ -295,7 +315,9 @@ class TestStoreIntegration:
             for key in view.values
         )
         assert DRIFT_KEY in view.values
-        assert view.values[SLO_BUDGET_KEY] == 1.0
+        # the budget row reads the live span histograms: a met floor
+        budget = next(rule for rule in RULES if rule.kind == "budget")
+        assert evaluate_rule(budget, view) == (False, 1.0)
         assert view.operations == store.operations.total
 
     def test_interval_evaluation_via_observe(self):
@@ -320,7 +342,7 @@ class TestStoreIntegration:
             (tmp_path / name).mkdir()
             path = str(tmp_path / name / JOURNAL_FILE)
             rules = (
-                AlertRule("tokens-flowed", "info", "threshold", "s",
+                Rule("tokens-flowed", "info", "threshold", "s",
                           metric="repro_store_tokens_emitted_total",
                           op=">", bound=0.0),
             )
@@ -390,9 +412,9 @@ class TestOfflineViews:
 class TestFactoryAndDefaults:
     def test_disabled_engine_neither_restores_nor_writes_its_log(self, tmp_path):
         path = str(tmp_path / JOURNAL_FILE)
-        rule = AlertRule("r", "info", "threshold", "s", metric="m", bound=1.0)
+        rule = Rule("r", "info", "threshold", "s", metric="m", bound=1.0)
         live = AlertEngine(rules=[rule], journal=Journal(path))
-        live.evaluate(AlertView(values={"m": 5.0}))
+        live.evaluate(View(values={"m": 5.0}))
         assert len(AlertEngine(journal=Journal(path))) == 1
         disabled = AlertEngine(
             journal=Journal(path, enabled=False), enabled=False
@@ -400,7 +422,7 @@ class TestFactoryAndDefaults:
         assert disabled.enabled is False and disabled.journal.path is None
         assert disabled.events() == [] and disabled.active() == []
         assert disabled.worst_active_severity() is None
-        assert disabled.evaluate(AlertView(values={"m": 5.0})) == []
+        assert disabled.evaluate(View(values={"m": 5.0})) == []
         assert disabled.evaluations == 0
         assert len(read_alert_log(path)) == 1
 
@@ -410,13 +432,15 @@ class TestFactoryAndDefaults:
         assert engine.interval == DEFAULT_INTERVAL
 
     def test_default_rules_are_valid_and_unique(self):
-        rules = default_rules()
-        names = [rule.name for rule in rules]
+        names = [rule.name for rule in RULES]
         assert len(set(names)) == len(names)
-        assert {"checksum-errors", "quarantined-blocks",
-                "slo-budget-exhausted", "buffer-thrash",
-                "wal-surge", "scrub-overdue"} <= set(names)
-        AlertEngine(rules=rules)  # constructs cleanly
+        rules = AlertEngine().rules
+        assert [rule.name for rule in rules] == [
+            "checksum-errors", "quarantined-blocks", "slo-budget-exhausted",
+            "workload-drift", "buffer-thrash", "wal-surge", "scrub-overdue",
+            "session-shedding", "replication-lag", "replication-stale",
+        ]
+        assert all(rule.alert for rule in rules)
 
     def test_default_rules_stay_quiet_on_a_clean_store(self):
         store = XMLStore.open(StoreConfig(alerts_enabled=True))

@@ -1,8 +1,8 @@
 """A disabled facility is a live object in an empty state.
 
 Every switchable observability facility (event log, heatmap, history,
-SLO tracker, alert engine, flight recorder, incident manager, the journal
-the last four record into, telemetry) is one class whose ``enabled`` flag
+alert engine, flight recorder, incident manager, the journal the last
+four record into, telemetry) is one class whose ``enabled`` flag
 is a constructor argument.  A
 disabled instance would really record if it were called, so two things
 keep the default store free:
@@ -24,13 +24,12 @@ import pytest
 import repro
 from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import XMLStore
-from repro.obs.alerts import AlertEngine
 from repro.obs.events import EventLog
 from repro.obs.heatmap import BlockHeatmap
 from repro.obs.history import WorkloadHistory
 from repro.obs.incident import IncidentManager
 from repro.obs.recorder import FlightRecorder
-from repro.obs.slo import SLOTracker
+from repro.obs.rules import AlertEngine
 from repro.obs.telemetry import Telemetry
 
 SRC = os.path.dirname(repro.__file__)
@@ -211,7 +210,6 @@ def test_default_store_holds_every_facility_disabled_and_empty(policy):
         "event_log": (store.event_log, EventLog),
         "heatmap": (store.heatmap, BlockHeatmap),
         "history": (store.history, WorkloadHistory),
-        "slo": (store.slo, SLOTracker),
         "alerts": (store.alerts, AlertEngine),
         "recorder": (store.recorder, FlightRecorder),
         "incidents": (store.incidents, IncidentManager),

@@ -1,5 +1,7 @@
-"""The composite health verdict (repro.obs.health) and its CLI exit codes."""
+"""The composite health verdict (repro.obs.rules.health_report) and its CLI
+exit codes."""
 
+import dataclasses
 import io
 import json
 import os
@@ -10,13 +12,16 @@ from repro.cli import run
 from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
 from repro.errors import ChecksumError, StoreCorruptError, StoreDegradedError
-from repro.obs.health import (
+from repro.core.repair import RepairReport
+from repro.obs import rules
+from repro.obs.rules import (
     DEGRADED,
     HEALTHY,
     UNHEALTHY,
     HealthReport,
     health_report,
 )
+from repro.obs.schema import SIDECAR_FILE
 from repro.storage.scrub import scrub_store
 
 
@@ -29,6 +34,24 @@ def _store(**config):
 
 def _component(report, name):
     return next(c for c in report.components if c.name == name)
+
+
+def _bound(monkeypatch, component, bound):
+    """Judge ``component`` against ``bound``: its row of the table,
+    replaced."""
+    monkeypatch.setattr(rules, "RULES", tuple(
+        dataclasses.replace(rule, bound=bound) if rule.component == component
+        else rule
+        for rule in rules.RULES
+    ))
+
+
+def _degraded_sidecar():
+    """The sidecar a degraded salvage writes: a real RepairReport's dict."""
+    report = RepairReport(
+        mode="salvage", bad_blocks=[3], lost_intervals=[(4, 6), (9, 9)]
+    )
+    return report.to_dict()
 
 
 class TestVerdicts:
@@ -61,55 +84,56 @@ class TestVerdicts:
         assert report.exit_code == 1
 
     def test_repair_sidecar_degrades(self, tmp_path):
-        from repro.core.repair import SIDECAR_FILE
-
-        (tmp_path / SIDECAR_FILE).write_text(
-            json.dumps({"mode": "salvage", "lost_operations": 3})
-        )
+        sidecar = _degraded_sidecar()
+        (tmp_path / SIDECAR_FILE).write_text(json.dumps(sidecar))
         report = health_report(_store(), store_path=str(tmp_path))
         component = _component(report, "repair")
         assert component.status == DEGRADED
-        assert component.detail["lost"] == 3
+        assert component.detail["sidecar"] == sidecar
+        assert component.detail["lost"] == sidecar["lost_ids"] == 4
 
     def test_in_memory_store_has_no_sidecar_check(self):
         component = _component(health_report(_store()), "repair")
         assert component.status == HEALTHY
         assert "in-memory" in component.summary
 
-    def test_scrub_recency(self):
+    def test_scrub_recency(self, monkeypatch):
         # young store, never scrubbed: healthy
         report = health_report(_store())
         assert _component(report, "scrub").status == HEALTHY
         # old store, never scrubbed: overdue (each scenario gets a fresh
         # store — polling health itself scrubs, via the integrity walk)
-        overdue = health_report(_store(), scrub_overdue_operations=1)
+        _bound(monkeypatch, "scrub", 1)
+        overdue = health_report(_store())
         assert _component(overdue, "scrub").status == DEGRADED
         # freshly scrubbed: healthy even against a tight bound
         store = _store()
         scrub_store(store)
-        fresh = health_report(store, scrub_overdue_operations=1)
+        fresh = health_report(store)
         assert _component(fresh, "scrub").status == HEALTHY
         # and ageing past the bound degrades once more
         store.read(2)
         store.read(2)
-        aged = health_report(store, scrub_overdue_operations=1)
+        aged = health_report(store)
         assert _component(aged, "scrub").status == DEGRADED
 
-    def test_scrub_not_applicable_without_checksums(self):
+    def test_scrub_not_applicable_without_checksums(self, monkeypatch):
         store = _store(checksums_enabled=False)
-        report = health_report(store, scrub_overdue_operations=1)
+        _bound(monkeypatch, "scrub", 1)
+        report = health_report(store)
         component = _component(report, "scrub")
         assert component.status == HEALTHY
         assert "not applicable" in component.summary
 
-    def test_wal_backlog_degrades(self):
+    def test_wal_backlog_degrades(self, monkeypatch):
         store = _store()
-        report = health_report(store, wal_pending_bound=0)
+        _bound(monkeypatch, "wal", 0)
+        report = health_report(store)
         component = _component(report, "wal")
         assert component.status == DEGRADED
         assert component.detail["pending_records"] > 0
         store.checkpoint()
-        after = health_report(store, wal_pending_bound=0)
+        after = health_report(store)
         assert _component(after, "wal").status == HEALTHY
 
     def test_drift_disabled_without_history(self):
@@ -143,7 +167,7 @@ class TestReportShape:
         assert "[WARN] checksum-errors:" in text
 
     def test_verdict_is_the_worst_component(self):
-        from repro.obs.health import HealthComponent
+        from repro.obs.rules import HealthComponent
 
         report = HealthReport(components=[
             HealthComponent("a", HEALTHY, "s"),
@@ -195,12 +219,10 @@ class TestHealthCLI:
         assert out.startswith("health: healthy (exit 0)")
 
     def test_degraded_sidecar_exits_one(self, tmp_path):
-        from repro.core.repair import SIDECAR_FILE
-
         store_dir = str(tmp_path / "store")
         self._build_store(store_dir)
         with open(os.path.join(store_dir, SIDECAR_FILE), "w") as handle:
-            json.dump({"mode": "salvage", "lost_operations": 2}, handle)
+            json.dump(_degraded_sidecar(), handle)
         with pytest.raises(StoreDegradedError) as excinfo:
             run([store_dir, "health"])
         assert excinfo.value.exit_code == 1

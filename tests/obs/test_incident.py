@@ -9,6 +9,7 @@ so a crash mid-dump can never corrupt the store, only leave an ignorable
 ``incident-<n>.json.tmp`` file behind.
 """
 
+import dataclasses
 import json
 import os
 
@@ -25,6 +26,7 @@ from repro.obs.incident import (
     record_directory_incident,
 )
 from repro.obs.journal import JOURNAL_FILE, Journal, read_journal
+from repro.obs.rules import RULES, AlertEngine, View
 
 #: the payloads a live store's bundle holds, each stamped on its own
 BUNDLE_PAYLOADS = (
@@ -101,6 +103,50 @@ class TestTriggering:
         assert disabled.incidents() == [] and disabled.counts == {}
         assert IncidentManager().enabled
         assert IncidentManager().limit == DEFAULT_LIMIT
+
+
+
+def _fire_clear_fire(rule, manager):
+    """``rule``'s row on a signal the test drives: fired, cleared after its
+    hysteresis, fired again; each firing goes to ``manager`` as the
+    store's watch tick hands it over."""
+    row = dataclasses.replace(
+        rule, kind="threshold", metric="m", op=">", bound=0, objectives=()
+    )
+    engine = AlertEngine(rules=(row,))
+    for value in (1.0, 0.0, 0.0, 1.0):
+        for event in engine.evaluate(View(values={"m": value})):
+            if event.state == "fired":
+                manager.alert_fired(engine.rule(event.rule), event)
+    assert [event.state for event in engine.events()] == ["fired", "cleared", "fired"]
+
+
+class TestAlertIncidents:
+    """A fired alert raises the incident its row names, once per rule."""
+
+    @pytest.mark.parametrize(
+        "rule", [rule for rule in RULES if rule.incident], ids=lambda rule: rule.name
+    )
+    def test_a_flagged_row_raises_one_incident(self, rule):
+        manager = IncidentManager()
+        _fire_clear_fire(rule, manager)
+        (row,) = manager.incidents()
+        assert (row["trigger"], row["key"]) == (rule.incident, rule.name)
+        assert row["detail"]["summary"] == rule.summary
+
+    def test_an_unflagged_warning_row_raises_none(self):
+        rule = next(r for r in RULES if r.severity == "warning" and not r.incident)
+        manager = IncidentManager()
+        _fire_clear_fire(rule, manager)
+        assert manager.incidents() == []
+
+    def test_every_critical_alert_row_raises_an_incident(self):
+        assert {rule.name: rule.incident for rule in RULES if rule.incident} == {
+            "checksum-errors": "critical-alert",
+            "quarantined-blocks": "critical-alert",
+            "slo-budget-exhausted": "slo-budget-exhausted",
+        }
+        assert all(rule.incident for rule in RULES if rule.severity == "critical")
 
 
 class TestBundleDump:

@@ -190,7 +190,7 @@ def test_history_compaction_keeps_every_other_row_byte_identical(tmp_path):
 
 def test_legacy_trails_are_named_once_and_never_read(tmp_path, caplog):
     from repro.cli import _watch_frame
-    from repro.obs.alerts import AlertEngine
+    from repro.obs.rules import AlertEngine
 
     path = tmp_path / "store"
     shutil.copytree(LEGACY, path)

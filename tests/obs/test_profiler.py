@@ -17,7 +17,6 @@ from repro.obs.profile_export import (
 from repro.obs.profiler import (
     CallNode,
     CostProfile,
-    component_of_span,
     cost_profile,
     fold_spans,
     reconcile_with_metrics,
@@ -57,18 +56,6 @@ def _profiled_workload():
         store.insert_into_last(root, "<extra/>")
     assert window.counts is not None
     return cost_profile(window, "workload"), store
-
-
-class TestComponentOfSpan:
-    def test_prefix_mapping(self):
-        assert component_of_span("locator.scan") == "token-replay"
-        assert component_of_span("wal.append") == "wal"
-        assert component_of_span("wal.fsync") == "wal"
-        assert component_of_span("xpath") == "xpath"
-
-    def test_table1_operations_belong_to_the_store(self):
-        assert component_of_span("load_document") == "store"
-        assert component_of_span("node_read") == "store"
 
 
 class TestFoldSpans:

@@ -1,4 +1,7 @@
-"""SLO targets, error budgets, and percentile estimates (repro.obs.slo)."""
+"""SLO objectives, error budgets, and percentile estimates (the budget
+rows of repro.obs.rules)."""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,16 +9,22 @@ from repro.core.config import StoreConfig
 from repro.core.store import XMLStore
 from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import (
-    DEFAULT_TARGETS,
-    SLOReport,
-    SLOTarget,
-    SLOTracker,
+from repro.obs.rules import (
+    OBJECTIVES,
+    RULES,
+    AlertEngine,
+    Objective,
+    budget_floor,
+    health_report,
+    live_buckets,
+    objective_statuses,
+    slo_families,
 )
 
 
-def _families(observations, buckets=(0.25, 2.5)):
-    """Span-histogram families from (operation, value) pairs."""
+def _buckets(observations, buckets=(0.25, 2.5)):
+    """The live bucket source of a registry holding the simulated span
+    histogram of (operation, value) pairs."""
     registry = MetricsRegistry()
     histogram = registry.histogram(
         "repro_span_simulated_seconds",
@@ -25,45 +34,45 @@ def _families(observations, buckets=(0.25, 2.5)):
     )
     for operation, value in observations:
         histogram.labels(span=operation).observe(value)
-    return registry.collect()
+    return live_buckets(SimpleNamespace(telemetry=SimpleNamespace(registry=registry)))
 
 
 class TestTargetValidation:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ObservabilityError, match="axis"):
-            SLOTarget("read", 0.25, axis="lunar")
+            Objective("read", 0.25, axis="lunar")
 
     def test_fraction_bounds(self):
         with pytest.raises(ObservabilityError, match="target_fraction"):
-            SLOTarget("read", 0.25, target_fraction=0.0)
+            Objective("read", 0.25, target_fraction=0.0)
         with pytest.raises(ObservabilityError, match="target_fraction"):
-            SLOTarget("read", 0.25, target_fraction=1.5)
-        SLOTarget("read", 0.25, target_fraction=1.0)  # inclusive top
+            Objective("read", 0.25, target_fraction=1.5)
+        Objective("read", 0.25, target_fraction=1.0)  # inclusive top
 
     def test_objective_must_be_positive(self):
         with pytest.raises(ObservabilityError, match="positive"):
-            SLOTarget("read", 0.0)
+            Objective("read", 0.0)
 
     def test_defaults_sit_on_bucket_bounds(self):
         from repro.obs.metrics import LATENCY_BUCKETS, SIMULATED_COST_BUCKETS
 
-        for target in DEFAULT_TARGETS:
+        for objective in OBJECTIVES:
             buckets = (
                 SIMULATED_COST_BUCKETS
-                if target.axis == "simulated"
+                if objective.axis == "simulated"
                 else LATENCY_BUCKETS
             )
-            assert target.objective_seconds in buckets, target
+            assert objective.objective_seconds in buckets, objective
 
 
 class TestEvaluation:
     def _status(self, observations, target=None):
-        tracker = SLOTracker(
-            targets=(target or SLOTarget("node_read", 0.25, 0.95),)
+        statuses = objective_statuses(
+            (target or Objective("node_read", 0.25, 0.95),),
+            _buckets(observations),
         )
-        report = tracker.evaluate_families(_families(observations))
-        assert len(report.statuses) == 1
-        return report.statuses[0]
+        assert len(statuses) == 1
+        return statuses[0]
 
     def test_no_data_means_met_with_full_budget(self):
         status = self._status([])
@@ -96,7 +105,7 @@ class TestEvaluation:
         assert status.budget_remaining == -1.0
 
     def test_perfect_fraction_with_one_violation_breaches(self):
-        target = SLOTarget("node_read", 0.25, target_fraction=1.0)
+        target = Objective("node_read", 0.25, target_fraction=1.0)
         status = self._status(
             [("node_read", 0.1), ("node_read", 10.0)], target=target
         )
@@ -122,54 +131,50 @@ class TestEvaluation:
         assert status.violations == 0
 
     def test_axis_filter_drops_wall_targets(self):
-        tracker = SLOTracker()
-        report = tracker.evaluate_families(_families([]), axes=("simulated",))
-        assert all(s.target.axis == "simulated" for s in report.statuses)
-        both = tracker.evaluate_families(
-            _families([]), axes=("simulated", "wall")
-        )
-        assert len(both.statuses) == len(DEFAULT_TARGETS)
+        # the budget row judges the simulated objectives only; the wall
+        # ones reach the exposition alone
+        (budget,) = [rule for rule in RULES if rule.kind == "budget"]
+        simulated = tuple(o for o in OBJECTIVES if o.axis == "simulated")
+        assert budget.objectives == simulated
+        assert len(simulated) < len(OBJECTIVES)
 
 
 class TestReport:
     def _report(self):
-        tracker = SLOTracker(targets=(
-            SLOTarget("node_read", 0.25, 0.95),
-            SLOTarget("xpath", 2.5, 0.95),
-        ))
         observations = (
             [("node_read", 0.1)] * 97 + [("node_read", 10.0)] * 3
             + [("xpath", 1.0)] * 4
         )
-        return tracker.evaluate_families(_families(observations))
+        return objective_statuses(
+            (Objective("node_read", 0.25, 0.95), Objective("xpath", 2.5, 0.95)),
+            _buckets(observations),
+        )
 
     def test_worst_and_budget_floor(self):
-        report = self._report()
-        assert report.met is True
-        assert report.worst().target.operation == "node_read"
-        assert report.budget_floor() == pytest.approx(0.4)
+        statuses = self._report()
+        assert all(status.met for status in statuses)
+        worst = min(statuses, key=lambda status: status.budget_remaining)
+        assert worst.objective.operation == "node_read"
+        assert budget_floor(statuses) == pytest.approx(0.4)
 
     def test_empty_report_floor_is_full(self):
-        report = SLOReport(statuses=[])
-        assert report.met is True
-        assert report.worst() is None
-        assert report.budget_floor() == 1.0
+        assert objective_statuses((), None) == []
+        assert budget_floor([]) == 1.0
 
     def test_to_dict_is_stamped(self):
-        payload = self._report().to_dict()
+        # statuses reach JSON through the stamped health report
+        store = XMLStore.open(
+            StoreConfig(telemetry_enabled=True, alerts_enabled=True)
+        )
+        root = store.load_document("<r><a>x</a></r>")
+        store.read(root + 1)
+        payload = health_report(store).to_dict()
         assert payload["schema_version"] == 1
-        assert payload["met"] is True
-        assert len(payload["statuses"]) == 2
-        assert payload["statuses"][0]["operation"] == "node_read"
-
-    def test_render_lists_every_target(self):
-        text = self._report().render()
-        assert "node_read" in text
-        assert "xpath" in text
-        assert "met" in text
-
-    def test_render_empty(self):
-        assert "no SLO targets" in SLOReport(statuses=[]).render()
+        (slo,) = [c for c in payload["components"] if c["name"] == "slo"]
+        assert slo["status"] == "healthy"
+        assert len(slo["detail"]["statuses"]) == 3
+        first = slo["detail"]["statuses"][0]
+        assert (first["operation"], first["met"], first["count"]) == ("node_read", True, 1)
 
 
 class TestTrackerOnStores:
@@ -181,15 +186,18 @@ class TestTrackerOnStores:
             root = store.load_document("<r><a>x</a><b>y</b></r>")
             for _ in range(5):
                 store.read(root + 1)
-            return store.slo.evaluate(store).to_dict()
+            simulated = [o for o in OBJECTIVES if o.axis == "simulated"]
+            statuses = objective_statuses(simulated, live_buckets(store))
+            return [status.to_dict() for status in statuses]
 
         assert run() == run()
 
     def test_budget_floor_without_telemetry_is_full(self):
-        # no span histograms exist: every target sees zero data
+        # no span histograms exist: every objective sees zero data
         store = XMLStore.open(StoreConfig(alerts_enabled=True))
         store.load_document("<r/>")
-        assert store.slo.budget_floor(store) == 1.0
+        statuses = objective_statuses(OBJECTIVES, live_buckets(store))
+        assert budget_floor(statuses) == 1.0
 
     def test_families_export_gauges_per_target(self):
         from repro.obs.exporters import prometheus_text
@@ -199,9 +207,7 @@ class TestTrackerOnStores:
         )
         root = store.load_document("<r><a>x</a></r>")
         store.read(root + 1)
-        text = prometheus_text(
-            store.slo.families(store, axes=("simulated", "wall"))
-        )
+        text = prometheus_text(slo_families(store))
         assert "# TYPE repro_slo_budget_remaining gauge" in text
         assert "# TYPE repro_slo_violations gauge" in text
         assert "# TYPE repro_slo_met gauge" in text
@@ -211,14 +217,19 @@ class TestTrackerOnStores:
 
 class TestDisabledTracker:
     def test_enabled_is_a_constructor_argument(self):
-        assert SLOTracker().enabled is True
-        assert SLOTracker(enabled=False).enabled is False
+        # budgets are judged by the alert engine, whose switch is its own
+        assert AlertEngine().enabled is True
+        assert AlertEngine(enabled=False).enabled is False
+        store = XMLStore.open(StoreConfig(alerts_enabled=True))
+        assert store.alerts.enabled is True
+        assert XMLStore.open(StoreConfig()).alerts.enabled is False
 
     def test_disabled_store_sees_no_observations_and_an_untouched_budget(self):
         store = XMLStore.open(StoreConfig())
         store.load_document("<r><a/></r>")
         store.read(2)
-        assert store.slo.enabled is False
-        statuses = store.slo.evaluate(store, axes=("simulated", "wall")).statuses
+        assert store.alerts.enabled is False
+        statuses = objective_statuses(OBJECTIVES, live_buckets(store))
         assert statuses and all(status.count == 0 for status in statuses)
-        assert store.slo.budget_floor(store) == 1.0
+        assert budget_floor(statuses) == 1.0
+        assert store.alerts.evaluations == 0

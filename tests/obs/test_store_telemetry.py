@@ -259,12 +259,13 @@ class TestSnapshotIsARead:
         store = self._warm_store()
         before = prometheus_text(store_families(store))
         assert 'span="replace_node"' in before  # Table-1 spans are preregistered
-        from repro.obs.slo import SLOTarget, SLOTracker
+        from repro.obs.rules import Objective, live_buckets, objective_statuses
 
-        report = SLOTracker(
-            targets=(SLOTarget("never_ran", 0.25), SLOTarget("node_read", 0.25))
-        ).evaluate(store)
-        assert [status.count for status in report.statuses] == [0, 3]
+        statuses = objective_statuses(
+            (Objective("never_ran", 0.25), Objective("node_read", 0.25)),
+            live_buckets(store),
+        )
+        assert [status.count for status in statuses] == [0, 3]
         assert 'span="never_ran"' not in prometheus_text(store_families(store))
 
     @staticmethod
@@ -306,7 +307,7 @@ class TestSnapshotIsARead:
         assert calls[0] == 1
 
     def test_shared_capture_keeps_the_alert_keys_out_of_the_trails(self):
-        from repro.obs.alerts import DRIFT_KEY, SLO_BUDGET_KEY
+        from repro.obs.rules import DRIFT_KEY
 
         store = self._warm_store()
         for _ in range(128):
@@ -319,7 +320,8 @@ class TestSnapshotIsARead:
         ]
         assert len(trails) > 4
         for deltas in trails:
-            assert DRIFT_KEY not in deltas and SLO_BUDGET_KEY not in deltas
+            assert DRIFT_KEY not in deltas
+            assert not any(key.startswith("repro_slo_") for key in deltas)
 
     def test_the_frame_sees_what_the_tick_did_before_it(self):
         # history's capture counter, moved by this very tick, is in the frame

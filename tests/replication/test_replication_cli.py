@@ -155,9 +155,9 @@ class TestStalenessSurfacing:
         assert "verdict: clean" in out
 
     def test_lag_gauges_and_stale_alert(self, primary, replica):
-        from repro.obs.alerts import default_rules, evaluate_rule, store_view
         from repro.obs.bridge import deterministic_snapshot, store_registry
         from repro.obs.metrics import sample_key
+        from repro.obs.rules import RULES, evaluate_rule, store_view
 
         run([primary, "replicate", replica])
         _advance(primary, STALE_AFTER_OPS + 2)
@@ -175,7 +175,7 @@ class TestStalenessSurfacing:
             view = store_view(store, deterministic_snapshot(store))
             firing = {
                 rule.name
-                for rule in default_rules()
+                for rule in RULES
                 if evaluate_rule(rule, view)[0]
             }
         assert "replication-stale" in firing
@@ -183,9 +183,9 @@ class TestStalenessSurfacing:
     def test_progressing_replica_does_not_fire_the_alert(
         self, primary, replica
     ):
-        from repro.obs.alerts import default_rules, evaluate_rule, store_view
         from repro.obs.bridge import deterministic_snapshot, store_registry
         from repro.obs.metrics import sample_key
+        from repro.obs.rules import RULES, evaluate_rule, store_view
 
         run([primary, "replicate", replica])
         with StoreDirectory(primary) as store:
@@ -198,7 +198,7 @@ class TestStalenessSurfacing:
             view = store_view(store, deterministic_snapshot(store))
             firing = {
                 rule.name
-                for rule in default_rules()
+                for rule in RULES
                 if evaluate_rule(rule, view)[0]
             }
         assert "replication-stale" not in firing

@@ -1,6 +1,6 @@
 """The token lint: program code works on records, not on decoded tokens
 (and the query layer, which reads them as node columns, imports nothing
-from ``repro.core``).
+from ``repro.core``; the observers import nothing from ``repro.core.repair``).
 
 The store writes records straight from XML text (``parse_records``) and
 renders them straight back (``emit``); undo, snapshots and the reference
@@ -70,6 +70,35 @@ def core_imports_from_xpath(src=None):
         if path.startswith("repro/xpath/")
         and (name == "repro.core" or name.startswith("repro.core."))
     )
+
+
+def repair_imports_from_obs(src=None):
+    """``(path, name)`` for every import of ``repro.core.repair`` under
+    ``repro/obs``: the observers read the repair sidecar through
+    ``repro.obs.schema.read_sidecar``, beside the other on-disk formats."""
+    return sorted(
+        (path, name)
+        for path, name in source_imports(src)
+        if path.startswith("repro/obs/")
+        and (name == "repro.core.repair" or name.startswith("repro.core.repair."))
+    )
+
+
+def test_obs_imports_nothing_from_repair():
+    assert repair_imports_from_obs() == []
+
+
+def test_the_repair_lint_sees_a_planted_import(tmp_path):
+    package = tmp_path / "repro" / "obs"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "down.py").write_text(
+        "def f():\n    from repro.core.repair import read_sidecar\n"
+    )
+    assert repair_imports_from_obs(str(tmp_path)) == [
+        ("repro/obs/down.py", "repro.core.repair"),
+        ("repro/obs/down.py", "repro.core.repair.read_sidecar"),
+    ]
 
 
 def test_xpath_imports_nothing_from_core():
