@@ -40,7 +40,9 @@ from repro.xmltoken.binary import (
     DEPTH_STEP,
     KIND_MASK,
     KIND_TABLE,
+    MARKUP,
     STARTS_NODE,
+    VALUE_ONLY_HEADERS,
     peek_kind,
     token_fields,
 )
@@ -303,12 +305,15 @@ class Locator:
     def node_columns(self) -> NodeColumns:
         """Every node of the document as :class:`NodeColumns`, in one walk
         that charges each record once, as :meth:`scan` does.  The records
-        of nodes and attribute values are sliced with the codec's checks;
-        no token and no per-node object is built."""
+        of nodes and attribute values are read as the emitter reads them:
+        a value-less one from the codec's table of validated markup
+        (:data:`~repro.xmltoken.binary.MARKUP`), one short ASCII value in
+        the loop, anything else through the codec's checks; no token and no
+        per-node object is built."""
         columns = NodeColumns()
         ids, kinds, names, values = columns.ids, columns.kinds, columns.names, columns.values
         parent, end = columns.parent, columns.end
-        kind_table, starts_node = KIND_TABLE, STARTS_NODE
+        kind_table, starts_node, markup = KIND_TABLE, STARTS_NODE, MARKUP.get
         stats = self.stats
         open_elements = [0]  # entries whose subtree is still open
         attribute = 0  # the entry of the attribute being read, 0 outside one
@@ -333,9 +338,21 @@ class Locator:
                     elif kind_table[raw] is None:
                         peek_kind(record)  # raises the typed error
                     continue
-                _, name, value, _, size = token_fields(record)
-                if size != len(record):
-                    raise CodecError(f"{len(record) - size} trailing bytes after token")
+                known = markup(record)
+                if known is not None:
+                    name = known[1]
+                    value = b""
+                elif (
+                    len(record) > 1
+                    and record[0] in VALUE_ONLY_HEADERS
+                    and record[1] == len(record) - 2 < 0x80
+                    and (value := record[2:]).isascii()
+                ):
+                    name = b""
+                else:
+                    _, name, value, _, size = token_fields(record)
+                    if size != len(record):
+                        raise CodecError(f"{len(record) - size} trailing bytes after token")
                 if raw == _ATTRIBUTE_VALUE:
                     if attribute:
                         values[attribute] += value

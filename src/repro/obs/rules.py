@@ -65,6 +65,12 @@ _ORDER = {HEALTHY: 0, DEGRADED: 1, UNHEALTHY: 2}
 
 #: The pseudo-sample every view carries: the latest workload drift score.
 DRIFT_KEY = "repro_workload_drift"
+#: The pseudo-sample both scrub rows judge: operations since the last
+#: completed scrub pass, or since open when none has completed (None in
+#: the health view of a store without checksums, which cannot scrub).
+SCRUB_DUE_KEY = "scrub_due"
+#: The gauge a tick's view derives :data:`SCRUB_DUE_KEY` from.
+SCRUB_AGE_KEY = "repro_storage_scrub_age_operations"
 
 #: Histogram family per objective axis.
 AXIS_FAMILIES = {
@@ -326,15 +332,25 @@ def evaluate_rule(rule: Rule, view: View) -> Tuple[bool, float]:
     return _COMPARE[rule.op](value, rule.bound), value
 
 
+def _derive(values: Dict[str, float], snapshots: Sequence[HistorySnapshot],
+            operations: int) -> Dict[str, float]:
+    """``values`` with the two pseudo-samples a tick's view adds: the
+    latest drift score, and :data:`SCRUB_DUE_KEY` from the scrub-age gauge
+    (-1 = never scrubbed, so the operations since open stand in)."""
+    values[DRIFT_KEY] = latest_drift(snapshots)
+    age = values.get(SCRUB_AGE_KEY, 0.0)
+    values[SCRUB_DUE_KEY] = float(operations) if age == -1 else age
+    return values
+
+
 def store_view(store, current) -> View:
     """A live store's view: the samples of ``current``, the tick's
     :class:`~repro.obs.bridge.MetricsSnapshot` (shared with the other
-    observers, so the drift score goes into a copy), and its histograms."""
+    observers, so the derived samples go into a copy), and its histograms."""
     snapshots = store.history.snapshots()
-    values = dict(current.values)
-    values[DRIFT_KEY] = latest_drift(snapshots)
-    return View(values, snapshots, store.operations.total,
-                store.simulated_seconds, live_buckets(store))
+    operations = store.operations.total
+    values = _derive(dict(current.values), snapshots, operations)
+    return View(values, snapshots, operations, store.simulated_seconds, live_buckets(store))
 
 
 def cumulative_values(snapshots: Sequence[HistorySnapshot]) -> Dict[str, float]:
@@ -356,10 +372,10 @@ def cumulative_values(snapshots: Sequence[HistorySnapshot]) -> Dict[str, float]:
 
 def history_view(snapshots: Sequence[HistorySnapshot]) -> View:
     """The view rebuilt from persisted history alone (no histograms)."""
-    values = cumulative_values(snapshots)
-    values[DRIFT_KEY] = latest_drift(snapshots)
     last = snapshots[-1] if snapshots else None
-    return View(values, list(snapshots), last.operations if last else 0,
+    operations = last.operations if last else 0
+    values = _derive(cumulative_values(snapshots), snapshots, operations)
+    return View(values, list(snapshots), operations,
                 last.simulated_seconds if last else 0.0)
 
 
@@ -449,12 +465,12 @@ RULES: Tuple[Rule, ...] = (
          "WAL records pile up past the last checkpoint (checkpointing is overdue)",
          metric="wal_pending_records", op=">", bound=10_000,
          alert=False, component="wal", describe=_describe_wal),
-    Rule("scrub-overdue", "info", "absence",
-         "no scrub pass has completed on this store instance",
-         metric="repro_storage_scrub_completions_total", min_operations=100_000),
+    Rule("scrub-overdue", "info", "threshold",
+         "no scrub pass has completed in the last 100 000 operations",
+         metric=SCRUB_DUE_KEY, op=">=", bound=100_000),
     Rule("scrub", "info", "threshold",
          "the last scrub pass, or the store's whole life, is too long ago",
-         metric="scrub_due", op=">=", bound=65_536,
+         metric=SCRUB_DUE_KEY, op=">=", bound=65_536,
          alert=False, component="scrub", describe=_describe_scrub),
     Rule("session-shedding", "warning", "threshold",
          "the serving layer is shedding sessions (admission overload)",
@@ -731,8 +747,8 @@ def health_report(store, store_path: Optional[str] = None) -> HealthReport:
         "operations": operations,
         "scrub_completions": store.scrub_completions,
         "scrub_age": age,
-        "scrub_due": ((operations if age is None else age)
-                      if store.config.checksums_enabled else None),
+        SCRUB_DUE_KEY: ((operations if age is None else age)
+                        if store.config.checksums_enabled else None),
     }
     parts = {"integrity": _integrity(store, store_path)}
     try:

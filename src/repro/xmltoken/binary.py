@@ -11,11 +11,19 @@ The header packs the token kind in the low 5 bits and three presence flags
 of the paper's desiderata (§2, requirement 6).  Node identifiers are *not*
 part of the record (paper §4.3): they are regenerated from the range's
 start id.
+
+The records are as repetitive as markup is: a document's begin and end
+records are a few dozen distinct byte strings.  So this module, beside the
+layout it depends on, keeps :data:`MARKUP`, a table from the bytes of a
+validated record with no value field to its kind and name, which the read
+walks (the emitter and the locator's column walk) consult before slicing.
+It holds markup only, never document text, and at most
+:data:`MARKUP_LIMIT` records, so its memory stays flat whatever is read.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CodecError
 from repro.xmltoken.tokens import BEGIN_KINDS, END_KINDS, NODE_STARTING_KINDS, Token, TokenKind
@@ -43,6 +51,33 @@ DEPTH_STEP: Tuple[int, ...] = tuple(
 
 #: Every header byte, and every one-byte varint, as ready-made bytes.
 _BYTES = tuple(bytes((value,)) for value in range(256))
+
+#: The headers of a TEXT and an ATTRIBUTE_VALUE record that hold a value and
+#: nothing else.  When that value's length fits one byte the record is
+#: ``header | len | value``, which the read walks slice in their own loop.
+VALUE_ONLY_HEADERS = frozenset(
+    (TokenKind.TEXT | _FLAG_VALUE, TokenKind.ATTRIBUTE_VALUE | _FLAG_VALUE)
+)
+
+#: How many records :data:`MARKUP` holds at most.
+MARKUP_LIMIT = 4096
+#: A fill that finds this many records clears the table first.  A thread
+#: can be switched out between that check and its store, so each thread
+#: may add one record past the count it saw; the margin keeps up to 64
+#: threads that fill at once within :data:`MARKUP_LIMIT`.
+_MARKUP_CLEAR_AT = MARKUP_LIMIT - 64
+#: Validated markup: the bytes of a whole record that has no value field
+#: (a begin or end of an element or attribute, a value-less namespace or
+#: PI) -> ``(kind, name)``.  :func:`token_fields` fills it, only with a
+#: record that passed every check, so a hit is what it would have
+#: returned.  No value is kept (that would copy the document's text into
+#: memory), and it is cleared when full: a document with more distinct
+#: markup than that pays a fill per new record, and the next document
+#: starts from an empty table rather than one full of names it never
+#: reads.  Threads share it with no lock: a lookup, a store and a clear
+#: are each one dict operation, which the GIL keeps whole, and nothing
+#: iterates it.
+MARKUP: Dict[bytes, Tuple[int, bytes]] = {}
 
 
 def encode_varint(value: int) -> bytes:
@@ -153,8 +188,10 @@ def token_fields(data: bytes, offset: int = 0) -> Tuple[int, bytes, bytes, bytes
     This and its inverse, :func:`encode_record`, are the two places that
     know the record layout, and every check on it is made here: a record
     that comes back has a known kind, complete length prefixes and
-    payloads, and fields that are each valid UTF-8.
+    payloads, and fields that are each valid UTF-8.  A whole record with
+    no value field goes into :data:`MARKUP` as well.
     """
+    start = offset
     try:
         header = data[offset]
     except IndexError:
@@ -169,6 +206,10 @@ def token_fields(data: bytes, offset: int = 0) -> Tuple[int, bytes, bytes, bytes
         value, offset = _field(data, offset)
     if header & _FLAG_TYPE:
         type_annotation, offset = _field(data, offset)
+    if not header & _FLAG_VALUE and not start and offset == len(data) and type(data) is bytes:
+        if len(MARKUP) >= _MARKUP_CLEAR_AT:
+            MARKUP.clear()
+        MARKUP[data] = (header & KIND_MASK, name)
     return header, name, value, type_annotation, offset
 
 

@@ -3,12 +3,17 @@
 The store keeps one binary record per token, in document order, so reading
 it back is a walk over those records.  :func:`emit` renders them without
 building a :class:`~repro.xmltoken.tokens.Token` for any: it dispatches on
-the kind bits of the header byte, takes name and value bytes from the one
-validated slicer (:func:`repro.xmltoken.binary.token_fields`), builds the
-``<name`` / ``</name>`` fragments once per distinct name — markup repeats
-enormously — and escapes a value only when it holds a character that needs
-it.  It is the store's one renderer: :func:`indented` feeds it the
-whitespace a pretty-printed read adds, as records.  The tests hold output
+the kind bits of the header byte and takes name and value bytes from one of
+three places.  Markup repeats enormously, so a value-less record is first
+looked up in :data:`repro.xmltoken.binary.MARKUP`, the codec's bounded
+table of records it has already validated; a TEXT or ATTRIBUTE_VALUE
+record of one short ASCII value is sliced in the loop (ASCII is valid
+UTF-8); every other record goes through the one validated slicer
+(:func:`repro.xmltoken.binary.token_fields`), which also fills the table.
+It builds the ``<name`` / ``</name>`` fragments once per distinct name per
+call and escapes a value only when it holds a character that needs it.
+It is the store's one renderer: :func:`indented` feeds it the whitespace a
+pretty-printed read adds, as records.  The tests hold output
 and errors against a token-by-token writer (``tests/xmltoken/oracle.py``).
 """
 
@@ -17,7 +22,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CodecError, TokenStreamError
-from repro.xmltoken.binary import KIND_MASK, encode_record, peek_kind, token_fields
+from repro.xmltoken.binary import (
+    KIND_MASK,
+    MARKUP,
+    VALUE_ONLY_HEADERS,
+    encode_record,
+    peek_kind,
+    token_fields,
+)
 from repro.xmltoken.tokens import TokenKind
 
 #: What character data must not contain literally, per context, and the
@@ -35,9 +47,6 @@ _ATTRIBUTE_VALUE = int(TokenKind.ATTRIBUTE_VALUE)
 _COMMENT = int(TokenKind.COMMENT)
 _PROCESSING_INSTRUCTION = int(TokenKind.PROCESSING_INSTRUCTION)
 _NAMESPACE = int(TokenKind.NAMESPACE)
-#: A header below this is a kind with no presence flag set: the whole
-#: record is that one byte.
-_BARE_HEADERS = max(TokenKind) + 1
 
 _Entities = Tuple[Tuple[bytes, bytes], ...]
 
@@ -86,10 +95,22 @@ def emit(records: Iterable[bytes], node: bool = False) -> bytes:
     attribute: Optional[bytes] = None  # the ` name="` of the attribute being read
     attribute_value = b""
     tags: Dict[bytes, Tuple[bytes, bytes]] = {}  # name -> (`<name`, `</name>`)
+    markup = MARKUP.get
     for record in records:
-        if len(record) == 1 and record[0] < _BARE_HEADERS:
-            kind = record[0]
-            name = value = b""
+        known = markup(record)
+        if known is not None:
+            kind, name = known
+            value = b""
+        elif (
+            len(record) > 1
+            and record[0] in VALUE_ONLY_HEADERS
+            and record[1] == len(record) - 2 < 0x80
+            and (value := record[2:]).isascii()
+        ):
+            # one short ASCII value, valid as it stands; anything else that
+            # is not in the table goes through the slicer and its checks
+            kind = record[0] & KIND_MASK
+            name = b""
         else:
             header, name, value, _, end = token_fields(record)
             if end != len(record):

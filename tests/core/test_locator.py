@@ -5,7 +5,7 @@ import pytest
 from repro.errors import NodeNotFoundError
 from repro.core.config import IndexingPolicy, StoreConfig
 from repro.core.store import XMLStore
-from repro.xmltoken.binary import decode_token
+from repro.xmltoken.binary import MARKUP, decode_token, encode_record
 from repro.xmltoken.tokens import TokenKind
 
 
@@ -339,3 +339,63 @@ class TestHeaderOnly:
                 store.locator.find_end(store.locator.locate(1).begin)
             with pytest.raises(CodecError):
                 list(store.locator.scan())
+
+
+class TestColumnWalk:
+    """``node_columns`` reads a value-less record from the codec's markup
+    table and a short ASCII value in its own loop: cold or warm, what it
+    returns and what it raises are what the validated slicer gives."""
+
+    def test_every_record_shape_cold_and_warm(self):
+        store = make_store()
+        store.load_document(
+            '<été a="ü€"><b t="x">日本</b><c>' + "y" * 130 + "</c><?pi?><!----></été>"
+        )
+        MARKUP.clear()
+        for _ in ("cold", "warm"):
+            columns = store.locator.node_columns()
+            assert columns.names == [
+                b"", "été".encode(), b"a", b"b", b"t", b"", b"c", b"", b"pi", b""
+            ]
+            assert columns.values == [
+                b"", b"", "ü€".encode(), b"", b"x", "日本".encode(), b"", b"y" * 130, b"", b""
+            ]
+            assert columns.ids == [None, *range(1, 10)]
+
+    @pytest.mark.parametrize(
+        "damaged",
+        [
+            # TEXT with the value flag (0x40): a short value, invalid UTF-8
+            bytes((TokenKind.TEXT | 0x40, 2, 0xFF, 0xFE)),
+            encode_record(TokenKind.TEXT, value="xy")[:-1],  # a truncated value
+        ],
+        ids=["invalid-utf8", "truncated"],
+    )
+    def test_a_bad_value_raises_on_every_walk_and_is_never_kept(self, damaged):
+        from repro.errors import CodecError
+
+        store = make_store()
+        store.load_document("<r><a>xy</a></r>")
+        text = next(item for item in store.locator.scan() if item.kind == TokenKind.TEXT)
+        store.layout.chain.replace_record(text.pos, damaged)
+        MARKUP.clear()
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(CodecError) as exc:
+                store.locator.node_columns()
+            messages.add(str(exc.value))
+            assert damaged not in MARKUP
+        assert len(messages) == 1
+
+    def test_a_truncated_name_raises_on_every_walk_and_is_never_kept(self):
+        from repro.errors import CodecError
+
+        store = make_store()
+        store.load_document("<r><abc/></r>")
+        damaged = encode_record(TokenKind.BEGIN_ELEMENT, name="abc")[:-1]
+        store.layout.chain.replace_record(store.locator.locate(2).begin.pos, damaged)
+        MARKUP.clear()
+        for _ in range(3):
+            with pytest.raises(CodecError, match="truncated"):
+                store.locator.node_columns()
+            assert damaged not in MARKUP

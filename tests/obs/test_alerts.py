@@ -24,6 +24,7 @@ from repro.obs.rules import (
     history_view,
     store_view,
 )
+from repro.storage.scrub import scrub_store
 
 
 def read_alert_log(path):
@@ -319,6 +320,32 @@ class TestStoreIntegration:
         budget = next(rule for rule in RULES if rule.kind == "budget")
         assert evaluate_rule(budget, view) == (False, 1.0)
         assert view.operations == store.operations.total
+
+    def test_scrub_overdue_fires_once_the_last_scrub_is_old(self):
+        # one completed pass must not silence the row for good: it judges
+        # the pass's age, as the health row does
+        store = XMLStore.open(StoreConfig(alerts_enabled=True))
+        store.alerts.interval = 1 << 30  # evaluate only when asked
+        root = store.load_document("<r><a>x</a></r>")
+        scrub_store(store)
+        for _ in range(99_999):
+            store.read(root + 1)
+        assert "scrub-overdue" not in [e.rule for e in _evaluate(store)]
+        store.read(root + 1)
+        fired = _evaluate(store)
+        assert [e.value for e in fired if e.rule == "scrub-overdue"] == [100_000]
+        scrub_store(store)
+        _evaluate(store)
+        assert "scrub-overdue" in [e.rule for e in _evaluate(store) if e.state == "cleared"]
+
+    def test_scrub_due_is_derived_from_the_age_gauge(self):
+        never = {"repro_storage_scrub_age_operations": -1.0}
+        rule = next(rule for rule in RULES if rule.name == "scrub-overdue")
+        assert history_view([_snapshot(0, never, operations=100_000)]).values[
+            "scrub_due"] == 100_000
+        aged = {"repro_storage_scrub_age_operations": 99_999.0}
+        assert evaluate_rule(rule, history_view(
+            [_snapshot(0, aged, operations=250_000)])) == (False, 99_999.0)
 
     def test_interval_evaluation_via_observe(self):
         store = XMLStore.open(StoreConfig(alerts_enabled=True))

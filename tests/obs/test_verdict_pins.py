@@ -58,8 +58,8 @@ PINNED = {
         "d0407eb34fed02bd4e84908d1426fb5b"
     ),
     "scrub": (
-        "debc004679c87ed10abc5a022d3b78a5"
-        "272a292c8c909d4f9bc292c9c6dfc760"
+        "a9b4640416b8bd1f80d8fc2358df55e6"
+        "cd75b7f2cdfa3cc4158ce630a4564da5"
     ),
     "wal": (
         "9edfb8a3651696adfd44c498717fc00c"
