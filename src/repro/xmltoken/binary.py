@@ -186,10 +186,12 @@ def token_fields(data: bytes, offset: int = 0) -> Tuple[int, bytes, bytes, bytes
     fields as their stored UTF-8 bytes (``b""`` when absent).
 
     This and its inverse, :func:`encode_record`, are the two places that
-    know the record layout, and every check on it is made here: a record
-    that comes back has a known kind, complete length prefixes and
-    payloads, and fields that are each valid UTF-8.  A whole record with
-    no value field goes into :data:`MARKUP` as well.
+    know the whole record layout, and every check on it is made here: a
+    record that comes back has a known kind, complete length prefixes and
+    payloads, and fields that are each valid UTF-8.  (The read walks know
+    one shape besides, :data:`VALUE_ONLY_HEADERS` with a one-byte length
+    and an ASCII value, which needs no check.)  A whole record with no
+    value field goes into :data:`MARKUP` as well.
     """
     start = offset
     try:

@@ -14,6 +14,7 @@ from repro.obs.rules import (
     DEFAULT_INTERVAL,
     DRIFT_KEY,
     RULES,
+    SCRUB_DUE_KEY,
     AlertEngine,
     AlertEvent,
     Objective,
@@ -342,7 +343,7 @@ class TestStoreIntegration:
         never = {"repro_storage_scrub_age_operations": -1.0}
         rule = next(rule for rule in RULES if rule.name == "scrub-overdue")
         assert history_view([_snapshot(0, never, operations=100_000)]).values[
-            "scrub_due"] == 100_000
+            SCRUB_DUE_KEY] == 100_000
         aged = {"repro_storage_scrub_age_operations": 99_999.0}
         assert evaluate_rule(rule, history_view(
             [_snapshot(0, aged, operations=250_000)])) == (False, 99_999.0)
